@@ -187,7 +187,8 @@ def snf_p_local(M: PLocalMatrix) -> SNFResult:
         diag.append(A[k][k])
         k += 1
     exponents = tuple(pvaluation(d, p) for d in diag)
-    assert list(exponents) == sorted(exponents)
+    if list(exponents) != sorted(exponents):
+        raise ExactLinalgError("SNF diagonal is not a divisibility chain")
     return SNFResult(
         p=p,
         rows=nr,

@@ -1,5 +1,8 @@
 """Product decompositions, the identification ideal, and the verifier suite."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from rostcalc.catalog import catalog_build
@@ -310,6 +313,16 @@ def test_default_grid_shape():
     assert len(grid) == 52
     assert all(id_ in THEOREM_IDS for id_, _ in grid)
     assert grid[0] == ("thm-1.1", {"p": 2})
+
+
+def test_grid_reports_match_recorded_bytes():
+    # the recorded benchmark answers pin every grid report byte for byte
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "grid.json"
+    recorded = json.loads(golden.read_text())["outputs"]
+    assert len(recorded) == len(default_grid())
+    for id_, params in default_grid():
+        text = json.dumps(verify_theorem(id_, params).to_json(), sort_keys=True, indent=2)
+        assert text == recorded[f"{id_} {json.dumps(params, sort_keys=True)}"], (id_, params)
 
 
 def test_left_right_tensor_path_equals_report():

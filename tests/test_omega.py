@@ -1,5 +1,7 @@
 """The ambient-image model, presented rings, and torsion-ideal certificates."""
 
+from fractions import Fraction
+
 import pytest
 
 from rostcalc.catalog import (
@@ -15,6 +17,7 @@ from rostcalc.omega import (
     OmegaImageModel,
     OmegaModelError,
     PresentedRing,
+    _canon_coeff,
     chow_collapse,
     ideal_power_witness,
     ring_tensor,
@@ -191,3 +194,89 @@ def test_pfister_torsion_square_vanishes():
     names = torsion_ideal(obj.ring, restriction_map(obj))
     assert names  # u_1, u_2 and their h-multiples
     assert ideal_power_witness(obj.ring, names, 2) is None
+
+
+def truncated_polynomial_ring(p, top):
+    """Z_(p)[a]/(a^top) on the basis a^0 .. a^(top-1), generated by a."""
+    basis = tuple(BasisClass(f"a^{i}", 2 * i, 0) for i in range(top))
+    mult = {(i, j): {i + j: 1} for i in range(top) for j in range(top) if i + j < top}
+    return PresentedRing(p=p, basis=basis, unit=0, mult=mult, generators=(1,))
+
+
+def test_audit_accepts_truncated_polynomial_ring():
+    truncated_polynomial_ring(3, 35).audit()
+
+
+def test_audit_catches_nonassociative_large_table():
+    # 35^3 basis triples: a sampled audit missed this; (a^3 a^3) a != a^3 (a^3 a)
+    bad = truncated_polynomial_ring(3, 35)
+    bad.mult[(3, 3)] = {6: 2}
+    with pytest.raises(OmegaModelError, match="associativity"):
+        bad.audit()
+
+
+def test_audit_catches_product_in_wrong_degree():
+    basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("y", 6, 0))
+    mult = {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in range(3)}
+    mult[(1, 1)] = {2: 1}
+    bad = PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1, 2))
+    with pytest.raises(OmegaModelError, match="wrong degree"):
+        bad.audit()
+
+
+def test_audit_catches_torsion_product_on_free_class():
+    basis = (BasisClass("1", 0, 0), BasisClass("t", 2, 1), BasisClass("x", 4, 0))
+    mult = {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in range(3)}
+    mult[(1, 1)] = {2: 1}  # 2 * t^2 = (2t) t = 0, but 2x != 0
+    bad = PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1, 2))
+    with pytest.raises(OmegaModelError, match="not killed"):
+        bad.audit()
+
+
+def test_audit_catches_generators_that_do_not_span():
+    basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("y", 2, 0))
+    mult = {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in range(3)}
+    bad = PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1,))
+    with pytest.raises(OmegaModelError, match="do not span"):
+        bad.audit()
+    # idempotents g = (1,1,0), h = (0,1,0) of Z_(2)^3: g*h = h, yet g alone
+    # generates only span(1, g); a generator may not vouch for its own degree
+    basis = (BasisClass("1", 0, 0), BasisClass("g", 0, 0), BasisClass("h", 0, 0))
+    mult = {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in range(3)}
+    mult |= {(1, 1): {1: 1}, (1, 2): {2: 1}, (2, 1): {2: 1}, (2, 2): {2: 1}}
+    bad = PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1,))
+    with pytest.raises(OmegaModelError, match="do not span"):
+        bad.audit()
+    PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1, 2)).audit()
+
+
+def square_zero_pair_ring(xy_on_w):
+    """Free classes x, y in degree 2 and u, w in degree 4 over Z_(3), with
+    x^2 = u + w, xy = u + xy_on_w * w, y^2 = 0 and nothing in degree 6."""
+    names = ("1", "x", "y", "u", "w")
+    basis = tuple(BasisClass(nm, d, 0) for nm, d in zip(names, (0, 2, 2, 4, 4)))
+    mult = {(0, k): {k: 1} for k in range(5)} | {(k, 0): {k: 1} for k in range(5)}
+    mult[(1, 1)] = {3: 1, 4: 1}
+    mult[(1, 2)] = mult[(2, 1)] = {3: 1, 4: xy_on_w}
+    return PresentedRing(p=3, basis=basis, unit=0, mult=mult, generators=(1, 2))
+
+
+def test_audit_generation_needs_a_unimodular_span():
+    # no single product is a unit multiple of u or w; together they span
+    square_zero_pair_ring(2).audit()
+    # x^2 and xy span a sublattice of index 3 in degree 4
+    with pytest.raises(OmegaModelError, match="do not span"):
+        square_zero_pair_ring(4).audit()
+
+
+def test_canon_coeff_integers_and_fractions():
+    assert _canon_coeff(7, 2, 3) == 7
+    assert _canon_coeff(-1, 1, 2) == 1
+    assert _canon_coeff(-5, 0, 3) == -5
+    assert _canon_coeff(Fraction(1, 2), 1, 3) == 2
+    assert _canon_coeff(Fraction(-7, 5), 2, 3) == 4  # 5 * 4 = -7 mod 9
+    whole = _canon_coeff(Fraction(6, 2), 0, 5)
+    assert whole == 3 and type(whole) is int
+    assert _canon_coeff(Fraction(1, 2), 0, 3) == Fraction(1, 2)
+    with pytest.raises(OmegaModelError, match="not p-local"):
+        _canon_coeff(Fraction(1, 3), 1, 3)

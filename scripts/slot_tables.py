@@ -10,12 +10,7 @@ import argparse
 import sys
 
 from rostcalc.catalog import catalog_build
-from rostcalc.graded import gr_ps, normalize
-
-
-def fmt_piece(p, free, torsion):
-    parts = ["Z"] * free + [f"Z/{p**e}" for e in torsion]
-    return " + ".join(parts) if parts else "0"
+from rostcalc.graded import _fmt, gr_ps, normalize
 
 
 def main():
@@ -42,7 +37,7 @@ def main():
     nf = normalize(M)
     print(f"{args.id} {params}")
     for d, (free, torsion) in nf.degrees:
-        print(f"  degree {d:>3}: {fmt_piece(nf.p, free, torsion)}")
+        print(f"  degree {d:>3}: {_fmt(nf.p, (free, torsion))}")
     for note in obj.notes:
         print(f"  note: {note}")
 
@@ -50,8 +45,7 @@ def main():
         filt = gr_ps(M, args.s)
         print(f"p-power filtration, depth {args.s}:")
         for k in range(0, args.s + 2):
-            free, torsion = filt.slot_aggregate(k)
-            print(f"  slot {k}: {fmt_piece(nf.p, free, torsion)}")
+            print(f"  slot {k}: {_fmt(nf.p, filt.slot_aggregate(k))}")
     return 0
 
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import __version__
 from .catalog import CATALOG_IDS, catalog_build
-from .graded import kill_generator, normalize, tensor_product
+from .graded import _fmt, kill_generator, normalize, tensor_product
 from .km import gr_geometric, localize_v, to_chow
-from .kunneth import THEOREM_IDS, default_grid, verify_theorem
+from .kunneth import IMAGE_PRESETS, THEOREM_IDS, default_grid, verify_theorem
 from .omega import chow_collapse
 from .report import NOT_CERTIFIABLE, REFUTED, VERIFIED
 
@@ -60,10 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     v = sp.add_parser("verify", help="verify one theorem id")
     v.add_argument("id", choices=THEOREM_IDS)
     _add_params(v)
-    v.add_argument("--image", choices=("versal", "product", "none"), default=None)
+    v.add_argument("--image", choices=IMAGE_PRESETS, default=None)
     _add_output(v)
 
     va = sp.add_parser("verify-all", help="run the default verification grid")
+    va.add_argument("--only", choices=THEOREM_IDS, help="run only the reports of this id")
     _add_output(va)
 
     ls = sp.add_parser("list", help="list catalog and theorem ids")
@@ -112,17 +114,11 @@ def _build_normal_form(id: str, params: dict) -> dict:
 
 
 def _fmt_normal_form(data: dict) -> str:
-    lines = []
     degrees = data.get("degrees", {})
-    p = data.get("p")
-    for d in sorted(degrees, key=int):
-        piece = degrees[d]
-        parts = []
-        if piece["free"]:
-            fr = piece["free"]
-            parts.append(f"Z^{fr}" if fr > 1 else "Z")
-        parts.extend(f"Z/{p**e}" for e in piece["torsion"])
-        lines.append(f"degree {d}: {' + '.join(parts)}")
+    lines = [
+        f"degree {d}: {_fmt(data['p'], (degrees[d]['free'], degrees[d]['torsion']))}"
+        for d in sorted(degrees, key=int)
+    ]
     return "\n".join(lines) if lines else "0"
 
 
@@ -156,7 +152,17 @@ def main(argv=None) -> int:
             _emit(args, data, text)
             return _VERDICT_EXIT[report.verdict]
         if args.verb == "verify-all":
-            reports = [verify_theorem(id_, prm) for id_, prm in default_grid()]
+            reports = []
+            start = time.perf_counter()
+            for id_, prm in default_grid():
+                if args.only not in (None, id_):
+                    continue
+                t0 = time.perf_counter()
+                reports.append(verify_theorem(id_, prm))
+                dt = time.perf_counter() - t0
+                print(f"{dt:8.3f} s  {id_} {json.dumps(prm, sort_keys=True)}", file=sys.stderr)
+            dt = time.perf_counter() - start
+            print(f"{dt:8.3f} s  {len(reports)} reports", file=sys.stderr)
             data = {
                 "version": __version__,
                 "reports": [r.to_json() for r in reports],
@@ -174,11 +180,8 @@ def main(argv=None) -> int:
                 for r in reports
             )
             _emit(args, data, text)
-            if any(r.verdict == REFUTED for r in reports):
-                return 1
-            if any(r.verdict == NOT_CERTIFIABLE for r in reports):
-                return 3
-            return 0
+            # a refutation outranks a report that could not be certified
+            return min({_VERDICT_EXIT[r.verdict] for r in reports} - {0}, default=0)
         if args.verb == "list":
             data = {"catalog": list(CATALOG_IDS), "theorems": list(THEOREM_IDS)}
             text = "\n".join(["catalog:", *CATALOG_IDS, "", "theorems:", *THEOREM_IDS])

@@ -71,7 +71,7 @@ class PLocalMatrix:
 
     @classmethod
     def from_rows(cls, p: int, rows, cols: int | None = None) -> "PLocalMatrix":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(_integral(x) for x in row) for row in rows)
         if cols is None:
             if not rows:
                 raise ExactLinalgError("empty matrix needs an explicit column count")
@@ -80,7 +80,7 @@ class PLocalMatrix:
 
     @classmethod
     def from_columns(cls, p: int, columns, rows: int) -> "PLocalMatrix":
-        columns = [tuple(int(x) for x in col) for col in columns]
+        columns = [tuple(_integral(x) for x in col) for col in columns]
         for col in columns:
             if len(col) != rows:
                 raise ExactLinalgError("column length mismatch")
@@ -89,6 +89,16 @@ class PLocalMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
+
+
+def _integral(x) -> int:
+    """x as an int; a non-integral entry is an error, never truncated."""
+    if isinstance(x, int):
+        return x
+    f = Fraction(x)
+    if f.denominator != 1:
+        raise ExactLinalgError(f"matrix entry {x} is not an integer")
+    return f.numerator
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -229,6 +239,32 @@ def membership(M: PLocalMatrix, b) -> tuple[Fraction, ...] | None:
         if sum(Fraction(M.entries[i][j]) * x[j] for j in range(M.cols)) != b[i]:
             raise ExactLinalgError("internal SNF inconsistency")
     return tuple(x)
+
+
+def sparse_matrix(p: int, columns, target=None) -> tuple[PLocalMatrix, list]:
+    """The matrix whose columns are the sparse vectors `columns`.
+
+    Each vector is a dict from coordinate to integer; the rows are the sorted
+    union of the nonzero coordinates of the columns and of `target`, and are
+    returned with the matrix.
+    """
+    coords = sorted({k for vec in (*columns, target or {}) for k, c in vec.items() if c})
+    dense = [[vec.get(k, 0) for k in coords] for vec in columns]
+    return PLocalMatrix.from_columns(p, dense, rows=len(coords)), coords
+
+
+def solve_sparse(p: int, columns, target) -> tuple[Fraction, ...] | None:
+    """Solve sum_j x_j columns[j] = target over Z_(p) on sparse vectors.
+
+    Vectors are dicts from coordinate to integer, as in `sparse_matrix`.
+    Returns `membership`'s x, or None when target is not in the span.
+    """
+    if not any(target.values()):
+        return (Fraction(0),) * len(columns)
+    if not columns:
+        return None
+    A, coords = sparse_matrix(p, columns, target)
+    return membership(A, [target.get(k, 0) for k in coords])
 
 
 def kernel_basis(M: PLocalMatrix) -> list[tuple[int, ...]]:

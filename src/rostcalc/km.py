@@ -19,15 +19,20 @@ from dataclasses import dataclass
 
 from .exact_linalg import (
     FpPolyMatrix,
-    PLocalMatrix,
     fp_deg,
-    membership,
     snf_fp_poly,
+    solve_sparse,
     zp_gauss_valuation,
     zp_poly_det,
     zp_trim,
 )
-from .graded import DegreeComponent, GradedFPModule, kill_generator, normalize
+from .graded import (
+    DegreeComponent,
+    GradedFPModule,
+    kill_generator,
+    normalize,
+    slot_invariants,
+)
 from .report import REFUTED, VERIFIED, TheoremReport
 
 Poly = tuple[int, ...]
@@ -149,58 +154,33 @@ def to_chow(M: KmPresentation) -> GradedFPModule:
 # ---------------------------------------------------------------------------
 
 
-def graded_slice(M: KmPresentation, D: int):
-    """Finite Z_(p)-model of degree D of the free module, with relation columns.
+def graded_slice(M: KmPresentation, D: int) -> list[dict[tuple[int, int], int]]:
+    """Relation columns of degree D of the free module, as sparse vectors.
 
-    Rows are pairs (generator, a) with deg(g) - a*vdeg == D; columns are the
-    admissible shifts v^k * rel with matching degree.  Homogeneity makes the
-    infinite-dimensional membership question finite in each degree.
+    Coordinates are pairs (generator i, a) standing for v^a * e_i, with
+    deg(e_i) - a*vdeg == D; the columns are the admissible shifts v^k * rel
+    of matching degree.  Homogeneity makes the infinite-dimensional
+    membership question finite in each degree.
     """
     vdeg = M.vdeg
-    rows: list[tuple[int, int]] = []
-    for i, (_, gdeg) in enumerate(M.gens):
-        diff = gdeg - D
-        if diff >= 0 and diff % vdeg == 0:
-            rows.append((i, diff // vdeg))
-    row_pos = {r: idx for idx, r in enumerate(rows)}
-    cols: list[tuple[int, ...]] = []
+    cols = []
     for rel in M.rels:
         rdeg = M.rel_degree(rel)
-        if rdeg is None:
+        if rdeg is None or rdeg < D or (rdeg - D) % vdeg:
             continue
-        diff = rdeg - D
-        if diff < 0 or diff % vdeg != 0:
-            continue
-        k = diff // vdeg
-        col = [0] * len(rows)
-        for i, poly in enumerate(rel):
-            for a, c in enumerate(poly):
-                if c:
-                    r = (i, a + k)
-                    if r not in row_pos:
-                        raise KmModuleError("relation escapes the slice")
-                    col[row_pos[r]] = c
-        cols.append(tuple(col))
-    return rows, cols
+        k = (rdeg - D) // vdeg
+        cols.append(
+            {(i, a + k): c for i, poly in enumerate(rel) for a, c in enumerate(poly) if c}
+        )
+    return cols
 
 
 def slice_membership(M: KmPresentation, target: dict[tuple[int, int], int], D: int) -> bool:
     """Is the degree-D element sum c * v^a * e_i in the relation span?"""
-    rows, cols = graded_slice(M, D)
-    row_pos = {r: idx for idx, r in enumerate(rows)}
-    vec = [0] * len(rows)
-    for r, c in target.items():
-        if r not in row_pos:
-            if c:
-                raise KmModuleError("target outside the slice")
-            continue
-        vec[row_pos[r]] = c
-    if not any(vec):
-        return True
-    if not cols:
-        return False
-    A = PLocalMatrix.from_columns(M.p, cols, rows=len(rows))
-    return membership(A, vec) is not None
+    for (i, a), c in target.items():
+        if c and not (0 <= i < len(M.gens) and a >= 0 and M.gens[i][1] - a * M.vdeg == D):
+            raise KmModuleError("target outside the slice")
+    return solve_sparse(M.p, graded_slice(M, D), target) is not None
 
 
 def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
@@ -365,19 +345,6 @@ def gr_geometric(M: KmPresentation) -> GradedFPModule:
     return out
 
 
-def slots_from_invariants(
-    inv: tuple[int, tuple[int, ...]], s: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Slots 1..s+1 of the p-power filtration on a localized module."""
-    free, torsion = inv
-    out = []
-    for k in range(1, s + 1):
-        rank = free + sum(1 for e in torsion if e >= k)
-        out.append((0, tuple([1] * rank)))
-    out.append((free, tuple(sorted(e - s for e in torsion if e > s))))
-    return out
-
-
 def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> TheoremReport:
     """Slotwise comparison of the localized geometric graded with the split form.
 
@@ -421,7 +388,7 @@ def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> TheoremRepor
     )
     inv_unit = localize_v(bar_unit).aggregate()
     inv_pos = localize_v(bar_pos).aggregate()
-    pieces = slots_from_invariants(inv_pos, 1)
+    pieces = slot_invariants(*inv_pos, 1)
     right = {
         "slot_0": {"free": inv_unit[0], "torsion": list(inv_unit[1])},
         "slot_1": {"free": pieces[0][0], "torsion": list(pieces[0][1])},

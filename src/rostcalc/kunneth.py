@@ -13,9 +13,12 @@ re-evaluating a definition against itself.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .catalog import (
     GR_M_PFISTER_NOTE,
@@ -30,7 +33,7 @@ from .catalog import (
     gr_m_rost_ring,
     km_rost,
 )
-from .exact_linalg import PLocalMatrix, is_prime, membership
+from .exact_linalg import is_prime, membership, solve_sparse
 from .graded import (
     DegreeComponent,
     GradedFPModule,
@@ -314,38 +317,17 @@ class BarKmModel:
         tdeg = self.degree(target)
         if tdeg is None:
             return True
-        cols: list[BarElement] = []
+        cols = []
         for g in gens:
             gdeg = self.degree(g)
-            if gdeg is None:
-                continue
-            diff = gdeg - tdeg
-            if diff >= 0 and diff % self.vdeg == 0:
-                cols.append(self.vmul(g, diff // self.vdeg))
-        coords: set[tuple[Mono, int]] = set()
-        for el in cols + [target]:
-            for mono, poly in el.items():
-                for k, c in enumerate(poly):
-                    if c:
-                        coords.add((mono, k))
-        coord_list = sorted(coords)
-        pos = {cd: idx for idx, cd in enumerate(coord_list)}
+            if gdeg is not None and gdeg >= tdeg and (gdeg - tdeg) % self.vdeg == 0:
+                cols.append(_coords(self.vmul(g, (gdeg - tdeg) // self.vdeg)))
+        return solve_sparse(self.p, cols, _coords(target)) is not None
 
-        def flat(el: BarElement) -> list[int]:
-            v = [0] * len(coord_list)
-            for mono, poly in el.items():
-                for k, c in enumerate(poly):
-                    if c:
-                        v[pos[(mono, k)]] = c
-            return v
 
-        vec = flat(target)
-        if not any(vec):
-            return True
-        if not cols:
-            return False
-        A = PLocalMatrix.from_columns(self.p, [flat(c) for c in cols], rows=len(coord_list))
-        return membership(A, vec) is not None
+def _coords(el: BarElement) -> dict[tuple[Mono, int], int]:
+    """The element on (monomial, v-power) coordinates."""
+    return {(mono, k): c for mono, poly in el.items() for k, c in enumerate(poly) if c}
 
 
 def mono_name(exps) -> str:
@@ -430,17 +412,14 @@ def product_image(model: BarKmModel) -> list[BarElement]:
     return [g for g in gens if g]
 
 
-IMAGE_PRESETS = ("versal", "product", "none")
+# The image generators of each `--image` preset; "none" supplies no hypotheses.
+IMAGE_PRESETS = {"versal": versal_image, "product": product_image, "none": lambda model: None}
 
 
 def image_preset(model: BarKmModel, preset: str) -> list[BarElement] | None:
-    if preset == "versal":
-        return versal_image(model)
-    if preset == "product":
-        return product_image(model)
-    if preset == "none":
-        return None
-    raise KunnethError(f"unknown image preset {preset!r} (choose from {IMAGE_PRESETS})")
+    if preset not in IMAGE_PRESETS:
+        raise KunnethError(f"unknown image preset {preset!r} (choose from {tuple(IMAGE_PRESETS)})")
+    return IMAGE_PRESETS[preset](model)
 
 
 # ---------------------------------------------------------------------------
@@ -731,34 +710,16 @@ def class_is_nonzero(M: GradedFPModule, name: str) -> bool:
     """Is the named generator nonzero in the presented quotient?"""
     d, i = M.generator_index(name)
     comp = M.components[d]
-    vec = [0] * comp.gens
-    vec[i] = 1
     if not comp.relations:
         return True
-    A = PLocalMatrix.from_columns(M.p, list(comp.relations), rows=comp.gens)
-    return membership(A, vec) is None
+    vec = [0] * comp.gens
+    vec[i] = 1
+    return membership(M.relation_matrix(d), vec) is None
 
 
 # ---------------------------------------------------------------------------
 # theorem verifiers
 # ---------------------------------------------------------------------------
-
-THEOREM_IDS = (
-    "thm-1.1",
-    "lemma-4.1",
-    "cor-4.2",
-    "remark-4.2-negative",
-    "thm-6.9",
-    "cor-6.10",
-    "lemma-7.2",
-    "cor-7.3",
-    "cor-1.3",
-    "cor-3.5",
-    "cor-3.6",
-    "lemma-3.2",
-    "thm-5.5-torsion-square",
-    "thm-5.7-torsion-square",
-)
 
 _DEFINITIONAL_NOTE = (
     "the first display defines the graded ring as this quotient; the certified "
@@ -772,6 +733,10 @@ _EXTENSION_NOTE = (
     "the free and pure-torsion components are checked by the same membership "
     "criterion as the mixed one; this is an interpretive extension of the "
     "sketched argument"
+)
+_FLAG_NOTE = (
+    "packaged for the product of flag quotients; the computation is the "
+    "s-fold slot comparison"
 )
 _VERSAL_NOTE = (
     "image generators are hypothesis data for versal-type factors (torsion-index "
@@ -928,7 +893,7 @@ def _verify_remark_4_2_negative(params: dict) -> TheoremReport:
     )
 
 
-def _second_display_report(id_: str, params: dict, extra_notes) -> TheoremReport:
+def _second_display_report(id_: str, params: dict, extra_notes=()) -> TheoremReport:
     p = params.get("p", 2)
     s = params.get("s", 2)
     n = params.get("n", 2)
@@ -951,20 +916,10 @@ def _second_display_report(id_: str, params: dict, extra_notes) -> TheoremReport
     )
 
 
-def _verify_thm_6_9(params: dict) -> TheoremReport:
-    return _second_display_report("thm-6.9", params, [])
-
-
-def _verify_cor_6_10(params: dict) -> TheoremReport:
-    return _second_display_report(
-        "cor-6.10",
-        params,
-        ["packaged for the product of flag quotients; the computation is the "
-         "s-fold slot comparison"],
-    )
-
-
-def _star_star_report(id_: str, params: dict, s: int) -> TheoremReport:
+def _star_star_report(id_: str, params: dict, s: int | None = None) -> TheoremReport:
+    """The (**) criterion on s quadric factors; s=None reads s from params."""
+    if s is None:
+        s = params.get("s", 2)
     p = params.get("p", 2)
     if p != 2:
         raise KunnethError(f"{id_} concerns quadratic forms: p must be 2")
@@ -998,15 +953,6 @@ def _star_star_report(id_: str, params: dict, s: int) -> TheoremReport:
         witnesses=[g.name for g in ideal.generators],
         notes=notes,
     )
-
-
-def _verify_lemma_7_2(params: dict) -> TheoremReport:
-    return _star_star_report("lemma-7.2", params, 2)
-
-
-def _verify_cor_7_3(params: dict) -> TheoremReport:
-    s = params.get("s", 2)
-    return _star_star_report("cor-7.3", params, s)
 
 
 def _verify_cor_1_3(params: dict) -> TheoremReport:
@@ -1159,65 +1105,69 @@ def _verify_thm_5_7_torsion_square(params: dict) -> TheoremReport:
     )
 
 
-_VERIFIERS = {
-    "thm-1.1": _verify_thm_1_1,
-    "lemma-4.1": _verify_lemma_4_1,
-    "cor-4.2": _verify_cor_4_2,
-    "remark-4.2-negative": _verify_remark_4_2_negative,
-    "thm-6.9": _verify_thm_6_9,
-    "cor-6.10": _verify_cor_6_10,
-    "lemma-7.2": _verify_lemma_7_2,
-    "cor-7.3": _verify_cor_7_3,
-    "cor-1.3": _verify_cor_1_3,
-    "cor-3.5": _verify_cor_3_5,
-    "cor-3.6": _verify_cor_3_6,
-    "lemma-3.2": _verify_lemma_3_2,
-    "thm-5.5-torsion-square": _verify_thm_5_5_torsion_square,
-    "thm-5.7-torsion-square": _verify_thm_5_7_torsion_square,
+@dataclass(frozen=True)
+class Claim:
+    verify: Callable[[dict], TheoremReport]
+    grid: tuple[dict, ...]  # the verify-all parameter sets, in report order
+
+
+_EACH_P = tuple({"p": p} for p in (2, 3, 5))
+_P_S = tuple({"p": p, "s": s} for p, s in ((2, 2), (2, 3), (3, 2), (3, 3)))
+_QUADRIC_N_M = tuple({"p": 2, "n": n, "m": m} for n in (2, 3, 4) for m in range(1, n))
+
+# Every claim id with its verifier and its verify-all grid, in report order.
+CLAIMS: dict[str, Claim] = {
+    "thm-1.1": Claim(_verify_thm_1_1, _EACH_P),
+    "lemma-4.1": Claim(
+        _verify_lemma_4_1,
+        tuple(
+            {"p": p, "n1": n1, "n2": n2, "m": m}
+            for p, n1, n2, m in (
+                (2, 2, 2, 1), (2, 3, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1), (5, 2, 2, 1)
+            )
+        ),
+    ),
+    "cor-4.2": Claim(_verify_cor_4_2, _EACH_P),
+    "remark-4.2-negative": Claim(_verify_remark_4_2_negative, _EACH_P),
+    "thm-6.9": Claim(partial(_second_display_report, "thm-6.9"), _P_S),
+    "cor-6.10": Claim(
+        partial(_second_display_report, "cor-6.10", extra_notes=(_FLAG_NOTE,)),
+        tuple({"p": 2, "s": s} for s in (2, 3)),
+    ),
+    "lemma-7.2": Claim(partial(_star_star_report, "lemma-7.2", s=2), _QUADRIC_N_M),
+    "cor-7.3": Claim(
+        partial(_star_star_report, "cor-7.3"),
+        tuple({"p": 2, "n": 3, "m": 1, "s": s} for s in (2, 3)),
+    ),
+    "cor-1.3": Claim(_verify_cor_1_3, _P_S),
+    "cor-3.5": Claim(
+        _verify_cor_3_5, _QUADRIC_N_M + ({"p": 3, "n": 2, "m": 1}, {"p": 5, "n": 2, "m": 1})
+    ),
+    "cor-3.6": Claim(_verify_cor_3_6, _EACH_P),
+    "lemma-3.2": Claim(
+        _verify_lemma_3_2, tuple({"p": p, "n": n} for p, n in ((2, 3), (2, 4), (3, 2)))
+    ),
+    "thm-5.5-torsion-square": Claim(
+        _verify_thm_5_5_torsion_square, tuple({"n": n} for n in (2, 3, 4))
+    ),
+    "thm-5.7-torsion-square": Claim(
+        _verify_thm_5_7_torsion_square,
+        ({"n": 2, "d": 3, "di": [2]}, {"n": 2, "d": 5, "di": [3]}, {"n": 3, "d": 7, "di": [4, 2]}),
+    ),
 }
+
+THEOREM_IDS = tuple(CLAIMS)
 
 
 def verify_theorem(id: str, params: dict | None = None) -> TheoremReport:
-    fn = _VERIFIERS.get(id)
-    if fn is None:
+    claim = CLAIMS.get(id)
+    if claim is None:
         raise KunnethError(f"unknown theorem id {id!r}")
-    return fn(dict(params or {}))
+    return claim.verify(dict(params or {}))
 
 
 def default_grid() -> tuple[tuple[str, dict], ...]:
     """The parameter grid behind verify-all, in fixed report order."""
-    grid: list[tuple[str, dict]] = []
-    for p in (2, 3, 5):
-        grid.append(("thm-1.1", {"p": p}))
-    for tup in ((2, 2, 2, 1), (2, 3, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1), (5, 2, 2, 1)):
-        p, n1, n2, m = tup
-        grid.append(("lemma-4.1", {"p": p, "n1": n1, "n2": n2, "m": m}))
-    for p in (2, 3, 5):
-        grid.append(("cor-4.2", {"p": p}))
-    for p in (2, 3, 5):
-        grid.append(("remark-4.2-negative", {"p": p}))
-    for p, s in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        grid.append(("thm-6.9", {"p": p, "s": s}))
-    for p, s in ((2, 2), (2, 3)):
-        grid.append(("cor-6.10", {"p": p, "s": s}))
-    for n in (2, 3, 4):
-        for m in range(1, n):
-            grid.append(("lemma-7.2", {"p": 2, "n": n, "m": m}))
-    for s in (2, 3):
-        grid.append(("cor-7.3", {"p": 2, "n": 3, "m": 1, "s": s}))
-    for p, s in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        grid.append(("cor-1.3", {"p": p, "s": s}))
-    for n in (2, 3, 4):
-        for m in range(1, n):
-            grid.append(("cor-3.5", {"p": 2, "n": n, "m": m}))
-    grid.append(("cor-3.5", {"p": 3, "n": 2, "m": 1}))
-    grid.append(("cor-3.5", {"p": 5, "n": 2, "m": 1}))
-    for p in (2, 3, 5):
-        grid.append(("cor-3.6", {"p": p}))
-    for p, n in ((2, 3), (2, 4), (3, 2)):
-        grid.append(("lemma-3.2", {"p": p, "n": n}))
-    for n in (2, 3, 4):
-        grid.append(("thm-5.5-torsion-square", {"n": n}))
-    for n, d, di in ((2, 3, (2,)), (2, 5, (3,)), (3, 7, (4, 2))):
-        grid.append(("thm-5.7-torsion-square", {"n": n, "d": d, "di": list(di)}))
-    return tuple(grid)
+    return tuple(
+        (id_, copy.deepcopy(params)) for id_, claim in CLAIMS.items() for params in claim.grid
+    )

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import PLocalMatrix, kernel_basis, membership, snf_p_local
+from .exact_linalg import PLocalMatrix, kernel_basis, snf_p_local, solve_sparse, sparse_matrix
 from .graded import GradedFPModule, GradedMap, cyclic_summands
 
 VKey = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
@@ -407,13 +407,11 @@ class PresentedRing:
         cols = []
         for vec in vectors:
             scale = math.lcm(*(Fraction(c).denominator for c in vec.values()))
-            cols.append([int(vec.get(k, 0) * scale) for k in rows])
-        for pos, k in enumerate(rows):  # the order relation p^{e_k} e_k = 0
+            cols.append({k: vec[k] * scale for k in rows if k in vec})
+        for k in rows:  # the order relation p^{e_k} e_k = 0
             if self.basis[k].torsion_exp:
-                col = [0] * len(rows)
-                col[pos] = self.p ** self.basis[k].torsion_exp
-                cols.append(col)
-        snf = snf_p_local(PLocalMatrix.from_columns(self.p, cols, rows=len(rows)))
+                cols.append({k: self.p ** self.basis[k].torsion_exp})
+        snf = snf_p_local(sparse_matrix(self.p, cols)[0])
         return snf.rank == len(rows) and not any(snf.exponents)
 
     def to_json(self) -> dict:
@@ -536,27 +534,12 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
                 cols.extend((vm, name) for vm in _v_monomials(w, vmax, p))
         if not cols:
             continue
-        col_elements = []
-        keys: set = set()
-        for vm, name in cols:
-            el = model.mul(model.monomial(1, vm, (0,)), gen_elements[name])
-            col_elements.append(el)
-            keys.update(el)
-        key_list = sorted(keys)
-        key_pos = {k: i for i, k in enumerate(key_list)}
-        matrix_cols = []
-        for el in col_elements:
-            vec = [0] * len(key_list)
-            for k, c in el.items():
-                vec[key_pos[k]] = c
-            matrix_cols.append(tuple(vec))
-        A = PLocalMatrix.from_columns(p, matrix_cols, rows=len(key_list))
-        survivors = [idx for idx, (vm, _) in enumerate(cols) if vm == ()]
         slices[d] = {
             "cols": cols,
-            "matrix": A,
-            "keys": key_list,
-            "survivors": survivors,
+            "elements": [
+                model.mul(model.monomial(1, vm, (0,)), gen_elements[name]) for vm, name in cols
+            ],
+            "survivors": [idx for idx, (vm, _) in enumerate(cols) if vm == ()],
         }
 
     # additive certification: in each degree the surviving classes form
@@ -567,8 +550,8 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
         surv = sl["survivors"]
         if not surv:
             continue
-        kern = kernel_basis(sl["matrix"])
-        restricted = [tuple(vec[i] for i in surv) for vec in kern]
+        kern = kernel_basis(sparse_matrix(p, sl["elements"])[0])
+        restricted = [{pos: vec[i] for pos, i in enumerate(surv) if vec[i]} for vec in kern]
         orders = []
         for i in surv:
             name = sl["cols"][i][1]
@@ -576,23 +559,13 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
             orders.append(exp)
         # relation span must equal span{p * e_t : torsion t}
         for vec in restricted:
-            for pos, c in enumerate(vec):
-                if orders[pos] == 0 and c != 0:
+            for pos, c in vec.items():
+                if orders[pos] == 0:
                     raise OmegaModelError(f"free class acquires a relation in degree {d}")
-                if orders[pos] == 1 and c % p != 0:
+                if c % p != 0:
                     raise OmegaModelError(f"unexpected relation shape in degree {d}")
         for pos, exp in enumerate(orders):
-            if exp == 0:
-                continue
-            target = [0] * len(surv)
-            target[pos] = p
-            if restricted:
-                R = PLocalMatrix.from_columns(p, restricted, rows=len(surv))
-                if membership(R, target) is None:
-                    raise OmegaModelError(
-                        f"class {sl['cols'][surv[pos]][1]} is not p-torsion in degree {d}"
-                    )
-            else:
+            if exp and solve_sparse(p, restricted, {pos: p}) is None:
                 raise OmegaModelError(
                     f"class {sl['cols'][surv[pos]][1]} is not p-torsion in degree {d}"
                 )
@@ -610,13 +583,7 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
         sl = slices.get(d)
         if sl is None:
             raise OmegaModelError(f"no image classes in degree {d}")
-        vec = [0] * len(sl["keys"])
-        key_pos = {k: i for i, k in enumerate(sl["keys"])}
-        for k, c in el.items():
-            if k not in key_pos:
-                raise OmegaModelError("element leaves the image span")
-            vec[key_pos[k]] = c
-        x = membership(sl["matrix"], vec)
+        x = solve_sparse(p, sl["elements"], el)
         if x is None:
             raise OmegaModelError("element is not in the image submodule")
         out: dict[int, int] = {}

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from rostcalc.cli import main
+from rostcalc.kunneth import CLAIMS
 from rostcalc.report import TheoremReport
 
 
@@ -22,6 +23,12 @@ def test_list_catalog_and_theorems(capsys):
     assert code == 0
     assert "chow_rost" in data["catalog"]
     assert "thm-1.1" in data["theorems"]
+
+
+def test_list_prints_the_claim_table(capsys):
+    code, out, _ = run(capsys, "list", "--format", "text")
+    assert code == 0
+    assert out.split("theorems:\n", 1)[1].split() == list(CLAIMS)
 
 
 def test_build_json_and_text(capsys):
@@ -89,6 +96,36 @@ def test_verify_all_is_deterministic(capsys):
     assert data["summary"]["verified"] == 52
     ids = [r["id"] for r in data["reports"]]
     assert ids[:3] == ["thm-1.1", "thm-1.1", "thm-1.1"]
+
+
+def test_verify_all_only_matches_the_full_run(capsys):
+    for fmt in ("json", "text"):
+        _, full, _ = run(capsys, "verify-all", "--format", fmt)
+        code, only, err = run(capsys, "verify-all", "--only", "cor-1.3", "--format", fmt)
+        assert code == 0
+        if fmt == "text":
+            assert only.splitlines() == [
+                line for line in full.splitlines() if line.startswith("cor-1.3 ")
+            ]
+        else:
+            full_reports = json.loads(full)["reports"]
+            data = json.loads(only)
+            assert data["summary"]["total"] == 4
+            assert data["reports"] == [r for r in full_reports if r["id"] == "cor-1.3"]
+            # each report's bytes, as the full run renders them
+            for r in data["reports"]:
+                text = json.dumps(r, sort_keys=True, indent=2).replace("\n", "\n    ")
+                assert text in full
+        # one wall time per report and the total go to stderr, not stdout
+        assert len(err.splitlines()) == 5
+        assert all(" s  " in line for line in err.splitlines())
+        assert " s  " not in only
+
+
+def test_verify_all_only_unknown_id_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--only", "thm-9.9"])
+    assert exc.value.code == 2
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

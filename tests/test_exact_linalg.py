@@ -24,6 +24,7 @@ from rostcalc.exact_linalg import (
     pvaluation,
     snf_fp_poly,
     snf_p_local,
+    solve_sparse,
     unit_part,
 )
 
@@ -159,6 +160,42 @@ def test_membership_of_column_combinations(rng, p):
     assert sol is not None
     for i in range(3):
         assert sum(Fraction(rows[i][j]) * sol[j] for j in range(3)) == b[i]
+
+
+def test_matrix_entries_must_be_integral():
+    # a p-local fraction is a unit multiple, not an entry to truncate
+    with pytest.raises(ExactLinalgError, match="not an integer"):
+        PLocalMatrix.from_rows(3, [[Fraction(1, 2), Fraction(5, 2)]])
+    with pytest.raises(ExactLinalgError, match="not an integer"):
+        PLocalMatrix.from_columns(3, [[1, Fraction(7, 3)]], rows=2)
+    M = PLocalMatrix.from_rows(3, [[Fraction(4, 2), Fraction(-9, 3)]])
+    assert M.entries == ((2, -3),)
+    assert PLocalMatrix.from_columns(3, [[Fraction(6, 3)]], rows=1).entries == ((2,),)
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(PRIMES))
+def test_solve_sparse_reproduces_targets_in_the_span(rng, p):
+    coords = [("y", k) for k in range(4)]
+    cols = [{c: rng.randint(-6, 6) for c in rng.sample(coords, 2)} for _ in range(3)]
+    coeffs = [rng.randint(-3, 3) for _ in cols]
+    target = {c: sum(a * col.get(c, 0) for a, col in zip(coeffs, cols)) for c in coords}
+    x = solve_sparse(p, cols, target)
+    assert x is not None
+    assert all(xj.denominator % p for xj in x)
+    for c in coords:
+        assert sum(xj * col.get(c, 0) for xj, col in zip(x, cols)) == target[c]
+
+
+def test_solve_sparse_edge_cases():
+    cols = [{(0, 1): 3}, {(0, 1): 1, (2, 0): 1}]
+    assert solve_sparse(3, cols, {(0, 1): 1}) is None  # out of span: needs 1/3
+    assert solve_sparse(3, cols, {(0, 1): 6}) is not None
+    assert solve_sparse(3, cols, {}) == (0, 0)
+    assert solve_sparse(3, cols, {(2, 0): 0}) == (0, 0)
+    assert solve_sparse(3, [], {}) == ()
+    assert solve_sparse(3, [], {(0, 1): 1}) is None
+    # a coordinate that no column has
+    assert solve_sparse(3, cols, {(0, 1): 3, (5, 5): 1}) is None
 
 
 def test_kernel_basis_annihilates():

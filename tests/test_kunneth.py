@@ -8,6 +8,7 @@ import pytest
 from rostcalc.catalog import catalog_build
 from rostcalc.graded import iso_equal, normalize, tensor_product
 from rostcalc.kunneth import (
+    CLAIMS,
     BarKmModel,
     KunnethError,
     THEOREM_IDS,
@@ -313,6 +314,16 @@ def test_default_grid_shape():
     assert len(grid) == 52
     assert all(id_ in THEOREM_IDS for id_, _ in grid)
     assert grid[0] == ("thm-1.1", {"p": 2})
+
+
+def test_every_claim_has_a_grid_in_table_order():
+    assert THEOREM_IDS == tuple(CLAIMS)
+    assert all(claim.grid for claim in CLAIMS.values())
+    ids = [id_ for id_, _ in default_grid()]
+    assert list(dict.fromkeys(ids)) == list(CLAIMS)
+    # callers get copies: changing one leaves the table alone
+    default_grid()[-1][1]["di"].append(99)
+    assert default_grid()[-1][1]["di"] == [4, 2]
 
 
 def test_grid_reports_match_recorded_bytes():

@@ -3,12 +3,27 @@
 Everything here works with plain Python big integers; no floating point
 anywhere.  A matrix over Z_(p) (integers localized at the prime p) is stored
 with integer entries, and the prime-to-p part of any entry is treated as a
-unit.  Smith normal form over Z_(p) therefore only has to track p-valuations,
-which is what `snf_p_local` returns.
+unit.  Smith normal form over Z_(p) therefore only has to track p-valuations.
+
+Elimination over Z_(p) has two bounded paths:
+
+- Exponents only (`snf_exponents`, for `normalize` and rank checks): sparse
+  rows, no transforms, every entry reduced mod p^K.  K is the least integer
+  with p^K above the Hadamard bound on every minor, computed in integers as
+  p^(2K) > product of max(1, |col|^2); every exponent is then below K, so
+  the reduction loses none and the rank is the number of pivots.
+- Transforms (`snf_p_local`, `membership`, `kernel_basis`, `solve_sparse`):
+  row echelon form of [M | I] with the row of [A | U] divided by its
+  prime-to-p content after every operation, then integer back-substitution.
+  `membership` audits its solution exactly against M.
+
+Over the DVR Z_(p)[v]_(p) (`dvr_exponents`) the pivot is an entry of least
+Gauss valuation; no minors are enumerated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,7 +86,7 @@ class PLocalMatrix:
 
     @classmethod
     def from_rows(cls, p: int, rows, cols: int | None = None) -> "PLocalMatrix":
-        rows = tuple(tuple(_integral(x) for x in row) for row in rows)
+        rows = tuple(_integral_tuple(row) for row in rows)
         if cols is None:
             if not rows:
                 raise ExactLinalgError("empty matrix needs an explicit column count")
@@ -80,11 +95,11 @@ class PLocalMatrix:
 
     @classmethod
     def from_columns(cls, p: int, columns, rows: int) -> "PLocalMatrix":
-        columns = [tuple(_integral(x) for x in col) for col in columns]
+        columns = [_integral_tuple(col) for col in columns]
         for col in columns:
             if len(col) != rows:
                 raise ExactLinalgError("column length mismatch")
-        ents = tuple(tuple(col[i] for col in columns) for i in range(rows))
+        ents = tuple(zip(*columns)) if columns else ((),) * rows
         return cls(p=p, rows=rows, cols=len(columns), entries=ents)
 
     def column(self, j: int) -> tuple[int, ...]:
@@ -101,12 +116,220 @@ def _integral(x) -> int:
     return f.numerator
 
 
+def _integral_tuple(xs) -> tuple[int, ...]:
+    xs = tuple(xs)
+    if set(map(type, xs)) <= {int}:
+        return xs
+    return tuple(map(_integral, xs))
+
+
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_vec(m: list[list[int]], v) -> list:
-    return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
+def _prime_to_p_content(values, p: int) -> int:
+    """gcd of the values with its p-part removed (0 when all values are 0)."""
+    g = math.gcd(*values)
+    while g and g % p == 0:
+        g //= p
+    return g
+
+
+# -- exponents-only path -----------------------------------------------------
+
+
+def minor_bound_exponent(M: PLocalMatrix) -> int:
+    """Least K with p^K above the Hadamard bound on every minor of M.
+
+    A k-by-k minor is at most the product of the norms of its k columns
+    (or rows), so it is at most the product of the k largest max(1, |col|),
+    k <= min(rows, cols).  The bound H is kept squared, in integers, and K
+    is the least integer with p^(2K) > H^2.  Every nonzero minor then has
+    p-valuation below K, and so has every SNF exponent.
+    """
+    k = min(M.rows, M.cols)
+
+    def squared_bound(vectors) -> int:
+        out = 1
+        for s in sorted((sum(x * x for x in vec) for vec in vectors), reverse=True)[:k]:
+            out *= max(1, s)
+        return out
+
+    h2 = min(
+        squared_bound(M.entries),
+        squared_bound(zip(*M.entries)),
+    )
+    K, q2, p2 = 0, 1, M.p * M.p
+    while q2 <= h2:
+        q2 *= p2
+        K += 1
+    return K
+
+
+def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
+    """SNF exponents of M over Z_(p), ascending; the rank is their number.
+
+    Exponents-only path: no U or V, sparse rows (dicts), and every entry
+    reduced mod p^K with K = `minor_bound_exponent(M)`.  Reduction is a ring
+    map Z_(p) -> Z/p^K, so the SNF of M reduces to the SNF of M mod p^K; as
+    every exponent of M is below K, none of them vanishes mod p^K and the
+    rank is exactly the number of pivots found.
+
+    Pivots are taken level by level: all remaining entries are divisible by
+    p^level, and an entry not divisible by p^(level+1) is a pivot of least
+    valuation.  Clearing its column leaves the rest of its row divisible by
+    it, so the row is dropped without column operations.
+    """
+    p = M.p
+    q = p ** minor_bound_exponent(M)
+    rows = [r for r in ({j: x % q for j, x in enumerate(row) if x % q} for row in M.entries) if r]
+    exps: list[int] = []
+    level, pe, pe1 = 0, 1, p
+    while rows:
+        # the sparsest row that holds an entry of valuation `level`
+        pi = pj = None
+        for i, row in enumerate(rows):
+            if pi is not None and len(row) >= len(rows[pi]):
+                continue
+            for j, x in row.items():
+                if x % pe1:
+                    pi, pj = i, j
+                    break
+        if pi is None:
+            level, pe, pe1 = level + 1, pe1, pe1 * p
+            continue
+        prow = rows.pop(pi)
+        inv = pow(prow[pj] // pe, -1, q)
+        exps.append(level)
+        kept = []
+        for row in rows:
+            b = row.get(pj)
+            if b is not None:
+                f = b // pe * inv % q
+                for j, x in prow.items():
+                    y = (row.get(j, 0) - f * x) % q
+                    if y:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
+            if row:
+                kept.append(row)
+        rows = kept
+    return tuple(exps)
+
+
+# -- transform path ----------------------------------------------------------
+
+
+class _Echelon:
+    """U * M * P = R: U invertible over Z_(p), P the column permutation `perm`.
+
+    R (the rows of U * M, columns taken in `perm` order) is upper echelon:
+    R[i][i] for i < rank is a pivot of least valuation among the rows and
+    columns from i on when it was chosen, so it divides the rest of row i
+    over Z_(p); rows from `rank` on are zero.
+    """
+
+    def __init__(self, p: int, R: list[list[int]], U: list[list[int]], perm: list[int], rank: int):
+        self.p, self.R, self.U, self.perm, self.rank = p, R, U, perm, rank
+
+    def back_solve(self, c) -> tuple[list[int], int]:
+        """(Y, D): y = Y/D solves R[:rank, :rank] y = c[:rank], zero beyond.
+
+        Integer back-substitution over one common denominator, kept reduced.
+        """
+        R, r = self.R, self.rank
+        Y = [0] * len(self.perm)
+        D = 1
+        for i in reversed(range(r)):
+            row = R[i]
+            d = row[i]
+            s = c[i] * D - sum(a * t for a, t in zip(row[i + 1 : r], Y[i + 1 : r]) if a)
+            Y[i] = s
+            Y[i + 1 : r] = [t * d for t in Y[i + 1 : r]]
+            D *= d
+            g = math.gcd(D, *Y[i:r])
+            if g > 1:
+                D //= g
+                Y[i:r] = [t // g for t in Y[i:r]]
+        if D < 0:
+            D, Y = -D, [-t for t in Y]
+        return Y, D
+
+    def lift(self, Y: list[int], D: int) -> tuple[Fraction, list[int]]:
+        """(s, x): x = P (s * Y/D) is integral of prime-to-p content 1."""
+        x = [0] * len(Y)
+        for pos, col in enumerate(self.perm):
+            x[col] = Y[pos]
+        g = _prime_to_p_content(x, self.p)
+        return Fraction(D, g), [t // g for t in x]
+
+    def kernel_vectors(self) -> list[list[int]]:
+        """A Z_(p)-basis of {x : Mx = 0}, one vector per non-pivot column."""
+        out = []
+        for j in range(self.rank, len(self.perm)):
+            Y, D = self.back_solve([-row[j] for row in self.R])
+            Y[j] = D
+            out.append(self.lift(Y, D)[1])
+        return out
+
+
+def _echelon(M: PLocalMatrix) -> _Echelon:
+    """Transform path: row elimination of [M | I] over Z_(p).
+
+    Pivot rule: entry of minimal p-valuation, ties broken by lowest (row,
+    col).  Clearing an entry b with pivot a = u*p^alpha uses the integer row
+    operation
+        row_i <- u*row_i - (b / p^alpha)*row_k,
+    which is invertible over Z_(p) because u is a unit.  After each one the
+    row of [A | U] is divided by its prime-to-p content (a unit), which keeps
+    the entries near the size of the minors they stand for.
+    """
+    p = M.p
+    nr, nc = M.rows, M.cols
+    A = [list(row) for row in M.entries]
+    U = _identity(nr)
+    perm = list(range(nc))
+    k = 0
+    while k < min(nr, nc):
+        pivot = None
+        best = None
+        for i in range(k, nr):
+            row = A[i]
+            for j in range(k, nc):
+                x = row[j]
+                if x:
+                    val = pvaluation(x, p) if x % p == 0 else 0
+                    if best is None or val < best:
+                        best, pivot = val, (i, j)
+                        if val == 0:
+                            break
+            if best == 0:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != k:
+            A[k], A[pi] = A[pi], A[k]
+            U[k], U[pi] = U[pi], U[k]
+        if pj != k:
+            for row in A:
+                row[k], row[pj] = row[pj], row[k]
+            perm[k], perm[pj] = perm[pj], perm[k]
+        pk, uk = A[k], U[k]
+        pe = p**best
+        ua = pk[k] // pe
+        for i in range(k + 1, nr):
+            b = A[i][k]
+            if b:
+                f = b // pe
+                both = [ua * x - f * y for x, y in zip(A[i] + U[i], pk + uk)]
+                g = _prime_to_p_content(both, p)
+                if g > 1:
+                    both = [x // g for x in both]
+                A[i], U[i] = both[:nc], both[nc:]
+        k += 1
+    return _Echelon(p=p, R=A, U=U, perm=perm, rank=k)
 
 
 @dataclass(frozen=True)
@@ -138,75 +361,41 @@ class SNFResult:
 
 
 def snf_p_local(M: PLocalMatrix) -> SNFResult:
-    """Smith normal form over Z_(p).
+    """Smith normal form over Z_(p) with both transforms.
 
-    Pivot rule: entry of minimal p-valuation, ties broken by lowest (row, col).
-    Clearing an entry b with pivot a = u*p^a uses the integer row operation
-        row_i <- u*row_i - w*p^{beta-alpha}*row_k      (b = w*p^beta),
-    which is invertible over Z_(p) because u is a unit.  Since the pivot has
-    minimal valuation in the remaining submatrix, the exponents come out
-    ascending and the divisibility chain holds automatically.
+    U is the row transform of the echelon form U * M * P = R, and V = P E
+    with E upper triangular, found by back-substitution instead of column
+    operations.  With B the pivot block of R, column i < rank of E is
+    B^-1 e_i, so R E e_i = e_i, and column j >= rank is (-B^-1 R e_j) + e_j,
+    so R E e_j = 0.  Each column is scaled to an integral vector of
+    prime-to-p content 1; as each pivot divides its row over Z_(p), the
+    scales are units, the diagonal entry i is an associate of the pivot,
+    and V is invertible over Z_(p).  Callers that need only the exponents
+    use `snf_exponents`.
     """
-    p = M.p
-    nr, nc = M.rows, M.cols
-    A = [list(row) for row in M.entries]
-    U = _identity(nr)
-    V = _identity(nc)
-    diag: list[int] = []
-    k = 0
-    while k < min(nr, nc):
-        pivot = None
-        best = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if A[i][j]:
-                    val = pvaluation(A[i][j], p)
-                    if best is None or val < best:
-                        best = val
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            A[k], A[pi] = A[pi], A[k]
-            U[k], U[pi] = U[pi], U[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-            for row in V:
-                row[k], row[pj] = row[pj], row[k]
-        a = A[k][k]
-        alpha = pvaluation(a, p)
-        ua = a // p**alpha
-        for i in range(k + 1, nr):
-            b = A[i][k]
-            if b:
-                f = unit_part(b, p) * p ** (pvaluation(b, p) - alpha)
-                for j in range(nc):
-                    A[i][j] = ua * A[i][j] - f * A[k][j]
-                for j in range(nr):
-                    U[i][j] = ua * U[i][j] - f * U[k][j]
-        for j in range(k + 1, nc):
-            b = A[k][j]
-            if b:
-                f = unit_part(b, p) * p ** (pvaluation(b, p) - alpha)
-                for i in range(nr):
-                    A[i][j] = ua * A[i][j] - f * A[i][k]
-                for i in range(nc):
-                    V[i][j] = ua * V[i][j] - f * V[i][k]
-        diag.append(A[k][k])
-        k += 1
+    ech = _echelon(M)
+    p, nc = M.p, M.cols
+    columns = []
+    diag = []
+    for i in range(ech.rank):
+        # R (s*y) = s e_i with s*y integral, so s is an integer
+        scale, vec = ech.lift(*ech.back_solve([int(i == t) for t in range(ech.rank)]))
+        if scale.denominator != 1:
+            raise ExactLinalgError("internal SNF inconsistency")
+        columns.append(vec)
+        diag.append(scale.numerator)
+    columns.extend(ech.kernel_vectors())
     exponents = tuple(pvaluation(d, p) for d in diag)
     if list(exponents) != sorted(exponents):
         raise ExactLinalgError("SNF diagonal is not a divisibility chain")
     return SNFResult(
         p=p,
-        rows=nr,
+        rows=M.rows,
         cols=nc,
         diag=tuple(diag),
         exponents=exponents,
-        U=tuple(tuple(r) for r in U),
-        V=tuple(tuple(r) for r in V),
+        U=tuple(tuple(r) for r in ech.U),
+        V=tuple(tuple(col[i] for col in columns) for i in range(nc)),
     )
 
 
@@ -222,21 +411,24 @@ def membership(M: PLocalMatrix, b) -> tuple[Fraction, ...] | None:
             raise ExactLinalgError("target vector is not p-local")
     if len(b) != M.rows:
         raise ExactLinalgError("length of b does not match row count")
-    snf = snf_p_local(M)
-    c = _mat_vec([list(r) for r in snf.U], b)
-    y = [Fraction(0)] * M.cols
-    for i, d in enumerate(snf.diag):
-        yi = c[i] / d
-        if yi.denominator % p == 0:
+    ech = _echelon(M)
+    L = math.lcm(*(x.denominator for x in b))
+    B = [int(x * L) for x in b]
+    c = [sum(u * t for u, t in zip(row, B) if u) for row in ech.U]
+    if any(c[ech.rank :]):
+        return None
+    for i in range(ech.rank):
+        if c[i] and pvaluation(c[i], p) < pvaluation(ech.R[i][i], p):
             return None
-        y[i] = yi
-    for i in range(len(snf.diag), M.rows):
-        if c[i] != 0:
-            return None
-    x = _mat_vec([list(r) for r in snf.V], y)
-    # exactness audit
-    for i in range(M.rows):
-        if sum(Fraction(M.entries[i][j]) * x[j] for j in range(M.cols)) != b[i]:
+    Y, D = ech.back_solve(c)
+    x = [Fraction(0)] * M.cols
+    for pos, col in enumerate(ech.perm):
+        x[col] = Fraction(Y[pos], D * L)
+    # exactness audit, on integers over the common denominator of x
+    den = math.lcm(*(t.denominator for t in x))
+    X = [int(t * den) for t in x]
+    for i, row in enumerate(M.entries):
+        if sum(a * t for a, t in zip(row, X) if a) != b[i] * den:
             raise ExactLinalgError("internal SNF inconsistency")
     return tuple(x)
 
@@ -269,11 +461,7 @@ def solve_sparse(p: int, columns, target) -> tuple[Fraction, ...] | None:
 
 def kernel_basis(M: PLocalMatrix) -> list[tuple[int, ...]]:
     """Integer vectors spanning {x : Mx = 0} over Z_(p)."""
-    snf = snf_p_local(M)
-    out = []
-    for j in range(snf.rank, M.cols):
-        out.append(tuple(snf.V[i][j] for i in range(M.cols)))
-    return out
+    return [tuple(vec) for vec in _echelon(M).kernel_vectors()]
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -531,6 +719,56 @@ def zp_gauss_valuation(a, p: int) -> int:
     if not a:
         raise ExactLinalgError("valuation of zero is undefined")
     return min(pvaluation(c, p) for c in a if c)
+
+
+def _unit_normalized_row(row: list[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
+    """The row divided by its prime-to-p content and its common power of v.
+
+    Both are units of Z_(p)[v]_(p), so the row spans the same submodule.
+    """
+    g = _prime_to_p_content([c for a in row for c in a], p)
+    shift = min(next(k for k, c in enumerate(a) if c) for a in row if a)
+    return [tuple(c // g for c in a[shift:]) if a else a for a in row]
+
+
+def dvr_exponents(matrix: list[list[tuple[int, ...]]], p: int) -> tuple[int, ...]:
+    """SNF exponents over the DVR Z_(p)[v]_(p), ascending; the rank is their number.
+
+    Z_(p)[v] localized at the prime (p) is a discrete valuation ring with
+    uniformizer p and the Gauss valuation (least coefficient valuation).  The
+    pivot is an entry a = p^alpha*u of least Gauss valuation: u has content
+    prime to p, so it is a unit, and the row operation
+        row_i <- u*row_i - p^(beta-alpha)*w*row_k      (b = p^beta*w)
+    clears b invertibly.  Every other entry of the pivot row has valuation at
+    least alpha, so is divisible by a, and the row is dropped without column
+    operations.  Rows are kept small by `_unit_normalized_row`.
+    """
+    rows = [list(row) for row in matrix if any(row)]
+    exps: list[int] = []
+    while rows:
+        best = None
+        for i, row in enumerate(rows):
+            for j, a in enumerate(row):
+                if a:
+                    val = zp_gauss_valuation(a, p)
+                    if best is None or val < best[0]:
+                        best = (val, i, j)
+        alpha, pi, pj = best
+        prow = rows.pop(pi)
+        pa = p**alpha
+        u = tuple(c // pa for c in prow[pj])
+        exps.append(alpha)
+        kept = []
+        for row in rows:
+            if row[pj]:
+                w = tuple(c // pa for c in row[pj])
+                row = [zp_sub(zp_mul(u, x), zp_mul(w, y)) for x, y in zip(row, prow)]
+                if not any(row):
+                    continue
+                row = _unit_normalized_row(row, p)
+            kept.append(row)
+        rows = kept
+    return tuple(exps)
 
 
 def zp_poly_det(rows: list[list[tuple[int, ...]]]) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import PLocalMatrix, is_prime, membership, snf_p_local
+from .exact_linalg import PLocalMatrix, is_prime, membership, snf_exponents
 
 
 class GradedModuleError(ValueError):
@@ -169,8 +169,9 @@ class NormalForm:
 def normalize(M: GradedFPModule) -> NormalForm:
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
     for d in M.degrees():
-        snf = snf_p_local(M.relation_matrix(d))
-        free, torsion = snf.cokernel()
+        A = M.relation_matrix(d)
+        exps = snf_exponents(A)
+        free, torsion = A.rows - len(exps), tuple(e for e in exps if e)
         if free or torsion:
             out[d] = (free, torsion)
     return NormalForm.from_dict(M.p, out)

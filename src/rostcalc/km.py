@@ -14,16 +14,14 @@ grading deg(f * g) = deg(g) - deg_v(f) * (p^m - 1).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exact_linalg import (
     FpPolyMatrix,
+    dvr_exponents,
     fp_deg,
     snf_fp_poly,
     solve_sparse,
-    zp_gauss_valuation,
-    zp_poly_det,
     zp_trim,
 )
 from .graded import (
@@ -48,6 +46,8 @@ class KmPresentation:
     m: int
     gens: tuple[tuple[str, int], ...]  # (name, Chow degree)
     rels: tuple[tuple[Poly, ...], ...]  # one polynomial vector per relation
+    # rel_degree of each relation, computed once (None for a zero relation)
+    rel_degrees: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -56,8 +56,7 @@ class KmPresentation:
             if len(rel) != len(self.gens):
                 raise KmModuleError("relation length mismatch")
         # homogeneity check happens in rel_degree
-        for rel in self.rels:
-            self.rel_degree(rel)
+        object.__setattr__(self, "rel_degrees", tuple(self.rel_degree(rel) for rel in self.rels))
 
     @property
     def vdeg(self) -> int:
@@ -117,8 +116,7 @@ def to_chow(M: KmPresentation) -> GradedFPModule:
         names[d].append(name)
         by_degree[d].append(i)
     rel_cols: dict[int, list[tuple[int, ...]]] = {d: [] for d in by_degree}
-    for rel in M.rels:
-        d = M.rel_degree(rel)
+    for rel, d in zip(M.rels, M.rel_degrees):
         if d is None:
             continue
         if d not in by_degree:
@@ -164,8 +162,7 @@ def graded_slice(M: KmPresentation, D: int) -> list[dict[tuple[int, int], int]]:
     """
     vdeg = M.vdeg
     cols = []
-    for rel in M.rels:
-        rdeg = M.rel_degree(rel)
+    for rel, rdeg in zip(M.rels, M.rel_degrees):
         if rdeg is None or rdeg < D or (rdeg - D) % vdeg:
             continue
         k = (rdeg - D) // vdeg
@@ -194,8 +191,7 @@ def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
         return ()
     vdeg = M.vdeg
     degree_floor = min(d for _, d in M.gens)
-    rel_degs = [M.rel_degree(r) for r in M.rels]
-    rel_degs = [d for d in rel_degs if d is not None]
+    rel_degs = [d for d in M.rel_degrees if d is not None]
     if rel_degs:
         degree_floor = min(degree_floor, min(rel_degs))
     out = []
@@ -257,43 +253,13 @@ def _class_matrix(M: KmPresentation, cls: int) -> tuple[list[int], list[list[Pol
     vdeg = M.vdeg
     gen_idx = [i for i, (_, d) in enumerate(M.gens) if d % vdeg == cls]
     cols = []
-    for rel in M.rels:
-        rdeg = M.rel_degree(rel)
+    for rel, rdeg in zip(M.rels, M.rel_degrees):
         if rdeg is None or rdeg % vdeg != cls:
             continue
         cols.append([rel[i] for i in gen_idx])
     # rows = generators, columns = relations
     matrix = [[cols[j][r] for j in range(len(cols))] for r in range(len(gen_idx))]
     return gen_idx, matrix
-
-
-def _minor_invariants(matrix: list[list[Poly]], p: int) -> tuple[int, tuple[int, ...]]:
-    """(rank over Q(v), torsion exponents) via Gauss valuations of minors."""
-    nr = len(matrix)
-    nc = len(matrix[0]) if nr else 0
-    rank = 0
-    evals: list[int] = []
-    prev = 0
-    for k in range(1, min(nr, nc) + 1):
-        best: int | None = None
-        for rset in itertools.combinations(range(nr), k):
-            for cset in itertools.combinations(range(nc), k):
-                det = zp_poly_det([[matrix[i][j] for j in cset] for i in rset])
-                if det:
-                    val = zp_gauss_valuation(det, p)
-                    if best is None or val < best:
-                        best = val
-                    if best == prev:
-                        break
-            if best == prev:
-                break
-        if best is None:
-            break
-        rank = k
-        evals.append(best - prev)
-        prev = best
-    torsion = tuple(e for e in evals if e >= 1)
-    return rank, torsion
 
 
 def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
@@ -303,10 +269,11 @@ def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
     torsion_total: list[int] = []
     for cls in sorted({d % vdeg for _, d in M.gens}):
         gen_idx, matrix = _class_matrix(M, cls)
-        rank, torsion = _minor_invariants(matrix, M.p)
-        free = len(gen_idx) - rank
+        exps = dvr_exponents(matrix, M.p)
+        free = len(gen_idx) - len(exps)
+        torsion = tuple(e for e in exps if e)
         if free or torsion:
-            per_class[cls] = (free, tuple(sorted(torsion)))
+            per_class[cls] = (free, torsion)
         free_total += free
         torsion_total.extend(torsion)
     anomalies = []

@@ -1108,6 +1108,7 @@ def _verify_thm_5_7_torsion_square(params: dict) -> TheoremReport:
 @dataclass(frozen=True)
 class Claim:
     verify: Callable[[dict], TheoremReport]
+    params: tuple[str, ...]  # the parameter names the verifier reads
     grid: tuple[dict, ...]  # the verify-all parameter sets, in report order
 
 
@@ -1115,11 +1116,13 @@ _EACH_P = tuple({"p": p} for p in (2, 3, 5))
 _P_S = tuple({"p": p, "s": s} for p, s in ((2, 2), (2, 3), (3, 2), (3, 3)))
 _QUADRIC_N_M = tuple({"p": 2, "n": n, "m": m} for n in (2, 3, 4) for m in range(1, n))
 
-# Every claim id with its verifier and its verify-all grid, in report order.
+# Every claim id with its verifier, the parameters it reads and its
+# verify-all grid, in report order.
 CLAIMS: dict[str, Claim] = {
-    "thm-1.1": Claim(_verify_thm_1_1, _EACH_P),
+    "thm-1.1": Claim(_verify_thm_1_1, ("p",), _EACH_P),
     "lemma-4.1": Claim(
         _verify_lemma_4_1,
+        ("p", "n1", "n2", "m"),
         tuple(
             {"p": p, "n1": n1, "n2": n2, "m": m}
             for p, n1, n2, m in (
@@ -1127,31 +1130,40 @@ CLAIMS: dict[str, Claim] = {
             )
         ),
     ),
-    "cor-4.2": Claim(_verify_cor_4_2, _EACH_P),
-    "remark-4.2-negative": Claim(_verify_remark_4_2_negative, _EACH_P),
-    "thm-6.9": Claim(partial(_second_display_report, "thm-6.9"), _P_S),
+    "cor-4.2": Claim(_verify_cor_4_2, ("p", "n", "m"), _EACH_P),
+    "remark-4.2-negative": Claim(_verify_remark_4_2_negative, ("p", "n", "m"), _EACH_P),
+    "thm-6.9": Claim(partial(_second_display_report, "thm-6.9"), ("p", "s", "n", "m"), _P_S),
     "cor-6.10": Claim(
         partial(_second_display_report, "cor-6.10", extra_notes=(_FLAG_NOTE,)),
+        ("p", "s", "n", "m"),
         tuple({"p": 2, "s": s} for s in (2, 3)),
     ),
-    "lemma-7.2": Claim(partial(_star_star_report, "lemma-7.2", s=2), _QUADRIC_N_M),
+    "lemma-7.2": Claim(
+        partial(_star_star_report, "lemma-7.2", s=2), ("p", "n", "m", "image"), _QUADRIC_N_M
+    ),
     "cor-7.3": Claim(
         partial(_star_star_report, "cor-7.3"),
+        ("p", "n", "m", "s", "image"),
         tuple({"p": 2, "n": 3, "m": 1, "s": s} for s in (2, 3)),
     ),
-    "cor-1.3": Claim(_verify_cor_1_3, _P_S),
+    "cor-1.3": Claim(_verify_cor_1_3, ("p", "s", "n", "m"), _P_S),
     "cor-3.5": Claim(
-        _verify_cor_3_5, _QUADRIC_N_M + ({"p": 3, "n": 2, "m": 1}, {"p": 5, "n": 2, "m": 1})
+        _verify_cor_3_5,
+        ("p", "n", "m"),
+        _QUADRIC_N_M + ({"p": 3, "n": 2, "m": 1}, {"p": 5, "n": 2, "m": 1}),
     ),
-    "cor-3.6": Claim(_verify_cor_3_6, _EACH_P),
+    "cor-3.6": Claim(_verify_cor_3_6, ("p",), _EACH_P),
     "lemma-3.2": Claim(
-        _verify_lemma_3_2, tuple({"p": p, "n": n} for p, n in ((2, 3), (2, 4), (3, 2)))
+        _verify_lemma_3_2,
+        ("p", "n"),
+        tuple({"p": p, "n": n} for p, n in ((2, 3), (2, 4), (3, 2))),
     ),
     "thm-5.5-torsion-square": Claim(
-        _verify_thm_5_5_torsion_square, tuple({"n": n} for n in (2, 3, 4))
+        _verify_thm_5_5_torsion_square, ("n",), tuple({"n": n} for n in (2, 3, 4))
     ),
     "thm-5.7-torsion-square": Claim(
         _verify_thm_5_7_torsion_square,
+        ("n", "d", "di"),
         ({"n": 2, "d": 3, "di": [2]}, {"n": 2, "d": 5, "di": [3]}, {"n": 3, "d": 7, "di": [4, 2]}),
     ),
 }
@@ -1163,7 +1175,14 @@ def verify_theorem(id: str, params: dict | None = None) -> TheoremReport:
     claim = CLAIMS.get(id)
     if claim is None:
         raise KunnethError(f"unknown theorem id {id!r}")
-    return claim.verify(dict(params or {}))
+    params = dict(params or {})
+    unused = [k for k in params if k not in claim.params]
+    if unused:
+        raise KunnethError(
+            f"{id} does not read {', '.join('--' + k for k in unused)}; "
+            f"it reads {', '.join('--' + k for k in claim.params)}"
+        )
+    return claim.verify(params)
 
 
 def default_grid() -> tuple[tuple[str, dict], ...]:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import PLocalMatrix, kernel_basis, snf_p_local, solve_sparse, sparse_matrix
+from .exact_linalg import PLocalMatrix, kernel_basis, snf_exponents, solve_sparse, sparse_matrix
 from .graded import GradedFPModule, GradedMap, cyclic_summands
 
 VKey = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
@@ -411,8 +411,8 @@ class PresentedRing:
         for k in rows:  # the order relation p^{e_k} e_k = 0
             if self.basis[k].torsion_exp:
                 cols.append({k: self.p ** self.basis[k].torsion_exp})
-        snf = snf_p_local(sparse_matrix(self.p, cols)[0])
-        return snf.rank == len(rows) and not any(snf.exponents)
+        exps = snf_exponents(sparse_matrix(self.p, cols)[0])
+        return len(exps) == len(rows) and not any(exps)
 
     def to_json(self) -> dict:
         return {
@@ -651,7 +651,7 @@ def torsion_ideal(ring: PresentedRing, res: GradedMap | None = None) -> tuple[st
             m = res.matrix_at(d)
             sub = [[row[i] for i in free_cols] for row in m]
             A = PLocalMatrix.from_rows(ring.p, sub, cols=len(free_cols))
-            if snf_p_local(A).rank != len(free_cols):
+            if len(snf_exponents(A)) != len(free_cols):
                 raise OmegaModelError(f"restriction not injective on free part, degree {d}")
     return names
 

@@ -72,6 +72,22 @@ def test_verify_exit_codes(capsys):
     assert code == 1
 
 
+def test_verify_rejects_flags_the_claim_does_not_read(capsys):
+    # n is fixed at 2 in thm-1.1; a report about n=2 would not answer --n 5
+    code, out, err = run(capsys, "verify", "thm-1.1", "--p", "3", "--n", "5")
+    assert (code, out) == (2, "")
+    assert "--n" in err and "--p" not in err.split(";")[0]
+    code, out, err = run(capsys, "verify", "cor-3.6", "--p", "3", "--n", "7", "--m", "4")
+    assert (code, out) == (2, "")
+    assert "--n, --m" in err
+    code, _, err = run(capsys, "verify", "thm-1.1", "--p", "3", "--image", "versal")
+    assert code == 2 and "--image" in err
+    # every flag a claim reads is accepted
+    code, _, _ = run(capsys, "verify", "cor-7.3", "--n", "3", "--m", "1", "--s", "2",
+                     "--p", "2", "--image", "versal")
+    assert code == 0
+
+
 def test_verify_unknown_id_fails_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm-9.9"])

@@ -21,7 +21,9 @@ from rostcalc.exact_linalg import (
     kernel_basis,
     laurent_normalize,
     membership,
+    minor_bound_exponent,
     pvaluation,
+    snf_exponents,
     snf_fp_poly,
     snf_p_local,
     solve_sparse,
@@ -240,3 +242,121 @@ def test_laurent_powers_of_v_are_units():
     assert laurent_normalize((0, 0, 1), 5) == (1,)
     M = FpPolyMatrix.from_rows(2, [[(0, 1)]], laurent=True)
     assert snf_fp_poly(M) == ((1,),)
+
+
+# --- the two elimination paths at scale -------------------------------------
+
+
+def planted_matrix(rng, p, n, exps):
+    """M = L U D L' U' (n x n) with unit-triangular L, U, L', U' and
+    D = diag(p^e for e in exps) padded with zeros: its SNF exponents over
+    Z_(p) are `exps`.  Also returns L U, whose columns j >= len(exps) and
+    columns j with exps[j] >= 1 are not in the p-local span of M."""
+
+    def unit_triangular(lower):
+        return [
+            [1 if i == j else (rng.randint(-1, 1) if (i > j) == lower and i != j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+    D = [[p ** exps[i] if i == j and i < len(exps) else 0 for j in range(n)] for i in range(n)]
+    P = mul(unit_triangular(True), unit_triangular(False))
+    Q = mul(unit_triangular(True), unit_triangular(False))
+    return mul(mul(P, D), Q), P
+
+
+def assert_diagonalizes(rows, res):
+    nr, nc = len(rows), len(rows[0])
+    UM = [[sum(res.U[i][t] * rows[t][j] for t in range(nr)) for j in range(nc)] for i in range(nr)]
+    for i in range(nr):
+        for j in range(nc):
+            want = res.diag[i] if i == j and i < res.rank else 0
+            assert sum(UM[i][t] * res.V[t][j] for t in range(nc)) == want, (i, j)
+    for d, e in zip(res.diag, res.exponents):
+        assert pvaluation(d, res.p) == e
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (3, 12), (5, 12), (3, 16)])
+def test_planted_invariants_on_both_paths(p, n):
+    rng = random.Random(f"planted:{p}:{n}")
+    exps = sorted(rng.randint(0, 3) for _ in range(n - 2))
+    rows, _ = planted_matrix(rng, p, n, exps)
+    M = PLocalMatrix.from_rows(p, rows)
+    assert snf_exponents(M) == tuple(exps)
+    res = snf_p_local(M)
+    assert res.exponents == tuple(exps)
+    assert res.cokernel() == (2, tuple(e for e in exps if e))
+    assert_diagonalizes(rows, res)
+    for vec in kernel_basis(M):
+        assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in rows)
+    assert len(kernel_basis(M)) == 2
+
+
+def test_planted_64_by_64_over_z3():
+    rng = random.Random("planted:64")
+    exps = sorted(rng.randint(0, 4) for _ in range(61))
+    rows, P = planted_matrix(rng, 3, 64, exps)
+    M = PLocalMatrix.from_rows(3, rows)
+    assert snf_exponents(M) == tuple(exps)
+    assert snf_p_local(M).exponents == tuple(exps)
+    x = [rng.randint(-2, 2) for _ in range(64)]
+    inside = [sum(a * t for a, t in zip(row, x)) for row in rows]
+    sol = membership(M, inside)
+    assert sol is not None and all(t.denominator % 3 for t in sol)
+    assert all(sum(a * t for a, t in zip(row, sol)) == b for row, b in zip(rows, inside))
+    unreached = next(j for j, e in enumerate(exps) if e >= 1)
+    assert membership(M, [P[i][unreached] for i in range(64)]) is None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_membership_on_planted_16(p):
+    rng = random.Random(f"member:{p}")
+    exps = sorted(rng.randint(0, 3) for _ in range(15))
+    rows, P = planted_matrix(rng, p, 16, exps)
+    M = PLocalMatrix.from_rows(p, rows)
+    x = [rng.randint(-3, 3) for _ in range(16)]
+    inside = [sum(a * t for a, t in zip(row, x)) for row in rows]
+    sol = membership(M, inside)
+    assert sol is not None and all(t.denominator % p for t in sol)
+    assert [sum(a * t for a, t in zip(row, sol)) for row in rows] == inside
+    for j in range(16):
+        target = [P[i][j] for i in range(16)]
+        reached = j < len(exps) and exps[j] == 0
+        assert (membership(M, target) is not None) == reached, j
+
+
+def test_minor_bound_exponent_boundary_cases():
+    # the largest exponent is exactly K - 1: 9 = 3^2 and p^K must exceed 9
+    M = PLocalMatrix.from_rows(3, [[1, 0], [0, 9]])
+    assert minor_bound_exponent(M) == 3
+    assert snf_exponents(M) == (0, 2) == snf_p_local(M).exponents
+    M = PLocalMatrix.from_rows(2, [[8]])
+    assert minor_bound_exponent(M) == 4
+    assert snf_exponents(M) == (3,)
+    # rank-deficient: a repeated row and a zero column
+    rows = [[2, 4, 0], [2, 4, 0], [1, 3, 0]]
+    M = PLocalMatrix.from_rows(2, rows)
+    assert snf_exponents(M) == minor_valuations(rows, 2) == (0, 1)
+    assert snf_p_local(M).rank == 2
+    assert snf_exponents(PLocalMatrix.from_rows(5, [[0, 0], [0, 0]])) == ()
+    assert snf_exponents(PLocalMatrix(p=5, rows=0, cols=3, entries=())) == ()
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.randoms(use_true_random=False),
+    st.sampled_from(PRIMES),
+)
+def test_exponents_path_matches_minor_oracle(nr, nc, rng, p):
+    rows = [[rng.choice((0, 0, 1, -1, p, p * p, rng.randint(-30, 30))) for _ in range(nc)]
+            for _ in range(nr)]
+    M = PLocalMatrix.from_rows(p, rows)
+    assert snf_exponents(M) == minor_valuations(rows, p)
+    res = snf_p_local(M)
+    assert res.exponents == minor_valuations(rows, p)
+    assert_diagonalizes(rows, res)

@@ -1,12 +1,26 @@
 """Morava-side presentations: base change, localization, geometric filtration."""
 
+import itertools
+import random
+from pathlib import Path
+
 import pytest
 
 from rostcalc.catalog import chow_rost_ring, km_rost
+from rostcalc.cli import main
+from rostcalc.exact_linalg import (
+    PLocalMatrix,
+    dvr_exponents,
+    snf_exponents,
+    zp_gauss_valuation,
+    zp_poly_det,
+    zp_trim,
+)
 from rostcalc.graded import iso_equal, normalize
 from rostcalc.km import (
     KmModuleError,
     KmPresentation,
+    _class_matrix,
     check_cor_3_5_second,
     free_km,
     gr_geometric,
@@ -17,6 +31,8 @@ from rostcalc.km import (
     to_chow,
     v_torsion_generators,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_homogeneity_enforced():
@@ -109,3 +125,120 @@ def test_second_display_comparison():
         )
         report = check_cor_3_5_second(km_rost(p, n, m), bar)
         assert report.verdict == "verified", (p, n, m, report.notes)
+
+
+# --- DVR elimination against a minor-enumeration oracle ----------------------
+
+
+def _components(matrix):
+    """Row and column index sets of the connected blocks of the nonzero pattern."""
+    nr, nc = len(matrix), len(matrix[0]) if matrix else 0
+    seen, blocks = set(), []
+    for start in range(nr):
+        if start in seen or not any(matrix[start]):
+            continue
+        rows, cols, todo = {start}, set(), [start]
+        seen.add(start)
+        while todo:
+            i = todo.pop()
+            for j in range(nc):
+                if matrix[i][j] and j not in cols:
+                    cols.add(j)
+                    for k in range(nr):
+                        if matrix[k][j] and k not in seen:
+                            seen.add(k)
+                            rows.add(k)
+                            todo.append(k)
+        blocks.append((sorted(rows), sorted(cols)))
+    return blocks
+
+
+def minor_oracle(matrix, p):
+    """DVR exponents from Gauss valuations of all k-minors (zp_poly_det).
+
+    The k-th exponent is d_k - d_(k-1), d_k the least Gauss valuation of a
+    nonzero k-minor.  A block-diagonal matrix is split into its blocks
+    first, whose exponents together are those of the whole matrix.
+    """
+    out = []
+    for rows, cols in _components(matrix):
+        prev = 0
+        for k in range(1, min(len(rows), len(cols)) + 1):
+            vals = [
+                zp_gauss_valuation(det, p)
+                for rset in itertools.combinations(rows, k)
+                for cset in itertools.combinations(cols, k)
+                if (det := zp_poly_det([[matrix[i][j] for j in cset] for i in rset]))
+            ]
+            if not vals:
+                break
+            out.append(min(vals) - prev)
+            prev = min(vals)
+    return tuple(sorted(out))
+
+
+def random_homogeneous(rng, p):
+    """Entries c * v^(g_i - r_j) for row degrees g_i and column degrees r_j."""
+    g = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    r = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    return [
+        [
+            zp_trim([0] * (gi - rj) + [rng.choice((0, 0, 1, -1, p, 2 * p, p * p, 3))])
+            if gi >= rj else ()
+            for rj in r
+        ]
+        for gi in g
+    ]
+
+
+def test_dvr_elimination_matches_minor_oracle_on_random_matrices():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        p = rng.choice((2, 3, 5))
+        hom = random_homogeneous(rng, p)
+        assert dvr_exponents(hom, p) == minor_oracle(hom, p), (hom, p)
+        # the elimination does not rely on homogeneity
+        nr, nc = rng.randint(1, 3), rng.randint(1, 3)
+        mixed = [
+            [zp_trim([rng.choice((0, 1, -1, p, 2)) for _ in range(rng.randint(0, 3))])
+             for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        assert dvr_exponents(mixed, p) == minor_oracle(mixed, p), (mixed, p)
+
+
+KM_ROST_CASES = sorted(
+    {(2, n, m) for n in (2, 3, 4) for m in range(1, n)}  # the cor-3.5 grid
+    | {(3, 2, 1), (5, 2, 1)}
+    | {(7, 3, 1), (11, 3, 1), (3, 4, 1), (5, 4, 1)}  # the CLI build items
+)
+
+
+@pytest.mark.parametrize("p, n, m", KM_ROST_CASES)
+def test_localize_v_classes_match_minor_oracle(p, n, m):
+    M = km_rost(p, n, m)
+    inv = localize_v(M)
+    per_class = dict(inv.per_class)
+    for cls in sorted({d % M.vdeg for _, d in M.gens}):
+        gen_idx, matrix = _class_matrix(M, cls)
+        exps = minor_oracle(matrix, p)
+        free = len(gen_idx) - len(exps)
+        torsion = tuple(e for e in exps if e)
+        assert per_class.get(cls, (0, ())) == (free, torsion), cls
+
+
+def _rank_at(matrix, t):
+    """Rank over Q of the class matrix with v = t."""
+    rows = [[sum(c * t**k for k, c in enumerate(a)) for a in row] for row in matrix]
+    return len(snf_exponents(PLocalMatrix.from_rows(2, rows, cols=len(matrix[0]))))
+
+
+def test_km_rost_5_4_1_pinned_and_rank_cross_checked(capsys):
+    assert main(["build", "km_rost", "--p", "5", "--n", "4", "--m", "1"]) == 0
+    assert capsys.readouterr().out == (DATA / "build_km_rost_p5_n4_m1.json").read_text()
+    M = km_rost(5, 4, 1)
+    inv = localize_v(M)
+    assert inv.aggregate() == (5, ()) and not inv.anomalies
+    gen_idx, matrix = _class_matrix(M, 0)
+    # rank over Q(v) is the largest rank over Q at integer values of v
+    assert len(gen_idx) - inv.free_rank == max(_rank_at(matrix, t) for t in (1, 2, 3, 7)) == 12

@@ -319,6 +319,9 @@ def test_default_grid_shape():
 def test_every_claim_has_a_grid_in_table_order():
     assert THEOREM_IDS == tuple(CLAIMS)
     assert all(claim.grid for claim in CLAIMS.values())
+    # every grid parameter is one its verifier reads
+    assert all(set(params) <= set(claim.params) for claim in CLAIMS.values()
+               for params in claim.grid)
     ids = [id_ for id_, _ in default_grid()]
     assert list(dict.fromkeys(ids)) == list(CLAIMS)
     # callers get copies: changing one leaves the table alone

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .catalog import CATALOG_IDS, catalog_build
+from .catalog import CATALOG, CATALOG_IDS, CatalogError, catalog_build, flags
 from .graded import _fmt, kill_generator, normalize, tensor_product
 from .km import gr_geometric, localize_v, to_chow
 from .kunneth import IMAGE_PRESETS, THEOREM_IDS, default_grid, verify_theorem
@@ -189,8 +189,15 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "tensor":
             params = _params_from(args)
-            left = catalog_build(args.left, params).module()
-            right = catalog_build(args.right, params).module()
+            sides = (args.left, args.right)
+            unread = [k for k in params if all(k not in CATALOG[id_].params for id_ in sides)]
+            if unread:
+                raise CatalogError(f"neither {args.left} nor {args.right} reads {flags(unread)}")
+            left, right = (
+                catalog_build(id_, {k: v for k, v in params.items() if k in CATALOG[id_].params})
+                .module()
+                for id_ in sides
+            )
             data = normalize(tensor_product(left, right)).to_json()
             _emit(args, data, _fmt_normal_form(data))
             return 0

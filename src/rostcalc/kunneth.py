@@ -24,12 +24,13 @@ from .catalog import (
     GR_M_PFISTER_NOTE,
     CatalogObject,
     _c,
-    _yname,
+    _power,
     bar_rost_ring,
     build_excellent_quadric_chow,
     build_pfister_neighbor_chow,
     build_product_rost,
     chow_rost_ring,
+    flags,
     gr_m_rost_ring,
     km_rost,
 )
@@ -56,6 +57,7 @@ from .omega import (
     PresentedRing,
     _canon_coeff,
     ideal_power_witness,
+    tensor_name,
     torsion_ideal,
 )
 from .report import NOT_CERTIFIABLE, REFUTED, VERIFIED, TheoremReport
@@ -331,7 +333,7 @@ def _coords(el: BarElement) -> dict[tuple[Mono, int], int]:
 
 
 def mono_name(exps) -> str:
-    parts = [_yname(f"y_{t + 1}", e) for t, e in enumerate(exps) if e > 0]
+    parts = [_power(f"y_{t + 1}", e) for t, e in enumerate(exps) if e > 0]
     return "*".join(parts) if parts else "1"
 
 
@@ -669,18 +671,11 @@ def kunneth_map(p: int, n: int, target: CatalogObject) -> GradedMap:
             return [("1", 1)]
         for j in range(1, p):
             if name == _c(0, j, "y_2"):
-                return [(_yname("y_2", j), p)]
+                return [(_power("y_2", j), p)]
             for i in range(1, n):
                 if name == _c(i, j, "y_2"):
                     return []
         raise KunnethError(f"unrecognized class {name!r}")
-
-    def join(a: str, b: str) -> str:
-        if a == "1":
-            return b
-        if b == "1":
-            return a
-        return f"{a}*{b}"
 
     matrices: dict[int, list[list[int]]] = {
         d: [[0] * domain.gens_at(d) for _ in range(tmod.gens_at(d))]
@@ -691,7 +686,7 @@ def kunneth_map(p: int, n: int, target: CatalogObject) -> GradedMap:
         for col, nm in enumerate(names or ()):
             a, b = nm.split("*", 1)
             for tgt, coeff in res2(b):
-                td, row = tmod.generator_index(join(a, tgt))
+                td, row = tmod.generator_index(tensor_name(a, tgt))
                 if td != d:
                     raise KunnethError("comparison map does not preserve degree")
                 matrices[d][row][col] += coeff
@@ -742,10 +737,6 @@ _VERSAL_NOTE = (
     "image generators are hypothesis data for versal-type factors (torsion-index "
     "argument), not computed geometry"
 )
-
-
-def _mono_y(j: int) -> str:
-    return _yname("y", j)
 
 
 def _slot_dict(agg: tuple[int, tuple[int, ...]]) -> dict:
@@ -1010,7 +1001,7 @@ def _verify_cor_3_5(params: dict) -> TheoremReport:
     if m <= n - 1:
         ydeg = DegreeRule(p, n).y_degree
         bar_km = free_km(
-            p, m, [("1", 0)] + [(_mono_y(j), j * ydeg) for j in range(1, p)]
+            p, m, [("1", 0)] + [(_power("y", j), j * ydeg) for j in range(1, p)]
         )
         second = check_cor_3_5_second(km, bar_km)
         second_ok = second.verdict == VERIFIED
@@ -1179,8 +1170,7 @@ def verify_theorem(id: str, params: dict | None = None) -> TheoremReport:
     unused = [k for k in params if k not in claim.params]
     if unused:
         raise KunnethError(
-            f"{id} does not read {', '.join('--' + k for k in unused)}; "
-            f"it reads {', '.join('--' + k for k in claim.params)}"
+            f"{id} does not read {flags(unused)}; it reads {flags(claim.params)}"
         )
     return claim.verify(params)
 

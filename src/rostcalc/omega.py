@@ -20,7 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import PLocalMatrix, kernel_basis, snf_exponents, solve_sparse, sparse_matrix
+from .exact_linalg import (
+    PLocalMatrix, is_prime, kernel_basis, snf_exponents, solve_sparse, sparse_matrix
+)
 from .graded import GradedFPModule, GradedMap, cyclic_summands
 
 VKey = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
@@ -73,6 +75,8 @@ class OmegaImageModel:
     factor_ns: tuple[int, ...]
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise OmegaModelError(f"p={self.p} must be prime")
         if not self.factor_ns:
             raise OmegaModelError("at least one factor required")
         for n in self.factor_ns:
@@ -430,6 +434,11 @@ class PresentedRing:
         }
 
 
+def tensor_name(a: str, b: str) -> str:
+    """The name of the class a (x) b, the unit "1" dropped."""
+    return a if b == "1" else (b if a == "1" else f"{a}*{b}")
+
+
 def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
     """Tensor product ring over Z_(p); orders combine as p^min(e_a, e_b)."""
     if A.p != B.p:
@@ -442,9 +451,8 @@ def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
                 exp = min(a.torsion_exp, b.torsion_exp)
             else:
                 exp = max(a.torsion_exp, b.torsion_exp)
-            name = a.name if b.name == "1" else (b.name if a.name == "1" else f"{a.name}*{b.name}")
             index[(i, j)] = len(basis)
-            basis.append(BasisClass(name=name, degree=a.degree + b.degree, torsion_exp=exp))
+            basis.append(BasisClass(tensor_name(a.name, b.name), a.degree + b.degree, exp))
     mult: dict[tuple[int, int], dict[int, int]] = {}
     pairs = list(index.items())
     ring = PresentedRing(
@@ -468,6 +476,45 @@ def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
             if canon:
                 mult[(k1, k2)] = canon
     return ring
+
+
+def ring_quotient(ring: PresentedRing, killed_names) -> PresentedRing:
+    """The quotient of an audited ring by the span K of the named basis classes.
+
+    K is spanned by basis classes, so it is a direct summand and the surviving
+    classes, in their order and with their orders, are a basis of ring/K.  K is
+    certified to be an ideal by checking g*k in K for every generator g (the
+    whole basis when `generators` is empty) and every killed k.  That suffices:
+    the parent's audit certifies that words in the generators span the ring,
+    so any a*k is a Z_(p)-combination of g_1(g_2(...(g_r k))), and each step
+    stays in K.  The quotient is audited like every ring.
+    """
+    killed = {ring.index_of(name) for name in killed_names}
+    if ring.unit in killed:
+        raise OmegaModelError("the unit cannot be killed")
+    for g in sorted(set(ring.generators or range(len(ring.basis))) - {ring.unit}):
+        for k in sorted(killed):
+            for j in ring._canon_vector(ring.mult.get((g, k), {})):
+                if j not in killed:
+                    raise OmegaModelError(
+                        f"the killed classes span no ideal: {ring.basis[g].name}*"
+                        f"{ring.basis[k].name} has a term {ring.basis[j].name}"
+                    )
+    keep = {k: i for i, k in enumerate(k for k in range(len(ring.basis)) if k not in killed)}
+    mult: dict[tuple[int, int], dict[int, int]] = {}
+    for (a, b), tab in ring.mult.items():
+        vec = {keep[k]: c for k, c in tab.items() if k in keep}
+        if a in keep and b in keep and vec:
+            mult[(keep[a], keep[b])] = vec
+    quotient = PresentedRing(
+        p=ring.p,
+        basis=tuple(ring.basis[k] for k in keep),
+        unit=keep[ring.unit],
+        mult=mult,
+        generators=tuple(keep[g] for g in ring.generators if g in keep),
+    )
+    quotient.audit()
+    return quotient
 
 
 # ---------------------------------------------------------------------------

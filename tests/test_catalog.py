@@ -1,7 +1,12 @@
 """Catalog entries against hand-expanded degree tables."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from rostcalc import catalog
 from rostcalc.catalog import (
     CATALOG_IDS,
     CatalogError,
@@ -148,6 +153,11 @@ def test_parameter_validation():
         catalog_build("pfister_neighbor_chow", {"p": 3, "n": 2})
     with pytest.raises(CatalogError):
         catalog_build("nonsense", {"p": 2})
+    # a parameter the entry does not read is refused, not ignored
+    with pytest.raises(CatalogError, match="does not read --m; it reads --p, --n"):
+        catalog_build("chow_rost", {"p": 3, "n": 2, "m": 5})
+    with pytest.raises(CatalogError, match="does not read --d"):
+        catalog_build("gr_m_pfister", {"n": 3, "m": 1, "d": 7})
 
 
 def test_excellent_quadric_parameter_constraints():
@@ -177,3 +187,15 @@ def test_every_catalog_id_is_buildable():
     for id_, params in samples.items():
         obj = catalog_build(id_, params)
         assert obj.id == id_
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "catalog_ring_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("entry", PINNED, ids=lambda e: f"{e['ring']}{e['args']}")
+def test_ring_tables_are_pinned(entry):
+    # sha256 of the sorted-key JSON of each ring, recorded from the
+    # hand-written product tables the quotient and tower builders replaced
+    ring = getattr(catalog, entry["ring"])(*entry["args"])
+    digest = hashlib.sha256(json.dumps(ring.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == entry["sha256"]

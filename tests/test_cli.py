@@ -1,8 +1,11 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +89,36 @@ def test_verify_rejects_flags_the_claim_does_not_read(capsys):
     code, _, _ = run(capsys, "verify", "cor-7.3", "--n", "3", "--m", "1", "--s", "2",
                      "--p", "2", "--image", "versal")
     assert code == 0
+
+
+def test_verify_rejects_a_prime_that_is_not_one(capsys):
+    # p = 1 would check no identity at all and still print "verified"
+    for p in ("4", "1"):
+        code, out, err = run(capsys, "verify", "lemma-3.2", "--p", p, "--n", "3")
+        assert (code, out) == (2, "")
+        assert f"p={p} must be prime" in err
+
+
+def test_catalog_verbs_reject_flags_no_entry_reads(capsys):
+    code, out, err = run(capsys, "build", "chow_rost", "--p", "3", "--n", "2", "--m", "5")
+    assert (code, out) == (2, "")
+    assert "chow_rost does not read --m; it reads --p, --n" in err
+    code, out, err = run(
+        capsys, "quotient", "chow_rost", "--p", "3", "--n", "2", "--s", "2", "--kill", "c_1(y)"
+    )
+    assert (code, out) == (2, "")
+    assert "--s" in err
+    code, out, err = run(
+        capsys, "tensor", "chow_rost", "bar_rost", "--p", "3", "--n", "2", "--d", "4"
+    )
+    assert (code, out) == (2, "")
+    assert "neither chow_rost nor bar_rost reads --d" in err
+    # a flag one side reads goes to that side only
+    code, out, _ = run(
+        capsys, "tensor", "gr_m_rost", "chow_rost", "--p", "3", "--n", "2", "--m", "1"
+    )
+    assert code == 0
+    assert json.loads(out)["degrees"]["2"] == {"free": 0, "torsion": [1, 1]}
 
 
 def test_verify_unknown_id_fails_argparse():
@@ -182,3 +215,32 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "excellent_quadric_chow" in proc.stdout
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_cli_examples_run(capsys):
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("rostcalc ")]
+    assert len(lines) >= 9
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
+        assert out
+
+
+def test_slot_tables_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "slot_tables.py"), "gr_m_pfister",
+         "--n", "3", "--m", "1", "--s", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "degree  13: Z" in proc.stdout
+    assert "slot 1:" in proc.stdout

@@ -20,6 +20,7 @@ from rostcalc.omega import (
     _canon_coeff,
     chow_collapse,
     ideal_power_witness,
+    ring_quotient,
     ring_tensor,
     torsion_ideal,
 )
@@ -31,6 +32,12 @@ def test_degree_rule_tables():
     assert DegreeRule(3, 2).c_degree(1) == 2
     assert DegreeRule(3, 2).c_degree(0, 2) == 8
     assert DegreeRule(2, 3).c_degree(2) == 4
+
+
+def test_model_requires_a_prime():
+    for p in (4, 1):
+        with pytest.raises(OmegaModelError, match="must be prime"):
+            OmegaImageModel(p=p, factor_ns=(3,))
 
 
 def test_monomial_truncation():
@@ -280,3 +287,16 @@ def test_canon_coeff_integers_and_fractions():
     assert _canon_coeff(Fraction(1, 2), 0, 3) == Fraction(1, 2)
     with pytest.raises(OmegaModelError, match="not p-local"):
         _canon_coeff(Fraction(1, 3), 1, 3)
+
+
+def test_ring_quotient_needs_an_ideal():
+    ring = chow_rost_ring(3, 2)
+    # c_0(y)^2 = 3 c_0(y^2), so the span of c_0(y) is no ideal
+    with pytest.raises(OmegaModelError, match=r"c_0\(y\)\*c_0\(y\) has a term c_0\(y\^2\)"):
+        ring_quotient(ring, ["c_0(y)"])
+    with pytest.raises(OmegaModelError, match="unit"):
+        ring_quotient(ring, ["1"])
+    quotient = ring_quotient(ring, ["c_1(y)", "c_1(y^2)"])
+    assert [b.name for b in quotient.basis] == ["1", "c_0(y)", "c_0(y^2)"]
+    c0 = quotient.basis_vector("c_0(y)")
+    assert quotient.multiply(c0, c0) == {quotient.index_of("c_0(y^2)"): 3}

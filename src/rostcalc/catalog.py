@@ -6,7 +6,8 @@ between them, and where relevant a presentation over k_m* or the ambient
 image model.  Two functions write product rules: `chow_rost_ring`, the stated
 Chow presentation of a Rost-type motive, and `tower_ring`, a truncated
 polynomial ring in one class with side towers (the split forms and the quadric
-Chow rings).  The gr_m rings are certified quotients of these (`ring_quotient`).
+Chow rings).  The gr_m rings are certified quotients of these (`ring_quotient`),
+as is their Kunneth ring gr_m(R')^{(x) s}/J (`kunneth.kunneth_quotient_ring`).
 Independent construction paths (ambient collapse, v -> 0 of the k_m*
 presentation) live in other modules and are compared against these in the
 verifier suite.
@@ -447,25 +448,27 @@ def build_excellent_quadric_chow(n: int, d: int, di=(), p: int = 2) -> CatalogOb
 
 
 class Entry:
-    """A catalog builder, the keyword parameters it reads, and those of them
-    it has a default for.  A plain class: a dataclass or NamedTuple here adds
-    1 to 3 ms to the package import."""
+    """A catalog builder, the keyword parameters it reads, those of them it
+    has a default for, and whether its object carries a ring.  A plain class:
+    a dataclass or NamedTuple here adds 1 to 3 ms to the package import."""
 
-    def __init__(self, build: Callable[..., CatalogObject], params, optional=()):
+    def __init__(self, build: Callable[..., CatalogObject], params, optional=(), ring=True):
         self.build = build
         self.params: tuple[str, ...] = params
         self.optional: tuple[str, ...] = optional
+        self.ring = ring
 
 
 # Every catalog id with its builder and the parameters it reads; the id list
-# and the CLI choices come from it.  Entries are build_* functions only: a ring
-# constructor held here would be called past any wrapper later bound to its
-# module name, such as the benchmark tracer's.
+# and the CLI choices (for the ring verbs, RING_IDS) come from it.  Entries
+# are build_* functions only: a ring constructor held here would be called
+# past any wrapper later bound to its module name, such as the benchmark
+# tracer's.
 CATALOG: dict[str, Entry] = {
     "chow_rost": Entry(build_chow_rost, ("p", "n")),
     "bar_rost": Entry(build_bar_rost, ("p", "n")),
-    "omega_image_rost": Entry(build_omega_image_rost, ("p", "n")),
-    "km_rost": Entry(build_km_rost, ("p", "n", "m")),
+    "omega_image_rost": Entry(build_omega_image_rost, ("p", "n"), ring=False),
+    "km_rost": Entry(build_km_rost, ("p", "n", "m"), ring=False),
     "gr_m_rost": Entry(build_gr_m_rost, ("p", "n", "m")),
     "product_rost": Entry(build_product_rost, ("p", "n")),
     "pfister_neighbor_chow": Entry(build_pfister_neighbor_chow, ("p", "n"), ("p",)),
@@ -476,6 +479,7 @@ CATALOG: dict[str, Entry] = {
 }
 
 CATALOG_IDS = tuple(CATALOG)
+RING_IDS = tuple(id_ for id_, entry in CATALOG.items() if entry.ring)
 
 
 def flags(names) -> str:

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .catalog import CATALOG, CATALOG_IDS, CatalogError, catalog_build, flags
+from .catalog import CATALOG, CATALOG_IDS, RING_IDS, CatalogError, catalog_build, flags
 from .graded import _fmt, kill_generator, normalize, tensor_product
 from .km import gr_geometric, localize_v, to_chow
 from .kunneth import IMAGE_PRESETS, THEOREM_IDS, default_grid, verify_theorem
@@ -72,13 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(ls)
 
     t = sp.add_parser("tensor", help="tensor product of two catalog modules")
-    t.add_argument("left", choices=CATALOG_IDS)
-    t.add_argument("right", choices=CATALOG_IDS)
+    t.add_argument("left", choices=RING_IDS)
+    t.add_argument("right", choices=RING_IDS)
     _add_params(t)
     _add_output(t)
 
     q = sp.add_parser("quotient", help="kill named generators of a catalog module")
-    q.add_argument("id", choices=CATALOG_IDS)
+    q.add_argument("id", choices=RING_IDS)
     q.add_argument("--kill", action="append", default=[], metavar="NAME")
     _add_params(q)
     _add_output(q)

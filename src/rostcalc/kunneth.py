@@ -18,7 +18,7 @@ import itertools
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 from .catalog import (
     GR_M_PFISTER_NOTE,
@@ -51,12 +51,13 @@ from .graded import (
 )
 from .km import check_cor_3_5_second, free_km, gr_geometric, v_torsion_generators
 from .omega import (
-    BasisClass,
     DegreeRule,
     OmegaImageModel,
     PresentedRing,
     _canon_coeff,
     ideal_power_witness,
+    ring_quotient,
+    ring_tensor,
     tensor_name,
     torsion_ideal,
 )
@@ -454,10 +455,7 @@ def tilde_quotient(M: GradedFPModule, nfactors: int) -> GradedFPModule:
 
 def bar_tensor_module(p: int, ns) -> GradedFPModule:
     mods = [bar_rost_ring(p, n, var=f"y_{t + 1}").module() for t, n in enumerate(ns)]
-    out = mods[0]
-    for m_ in mods[1:]:
-        out = tensor_product(out, m_)
-    return out
+    return reduce(tensor_product, mods)
 
 
 def tilde_bar_module(p: int, ns) -> GradedFPModule:
@@ -549,11 +547,10 @@ def second_display_sides(p: int, s: int, n: int, m: int):
 
 
 def kunneth_quotient_ring(p: int, n: int, m: int, s: int) -> PresentedRing:
-    """The s-fold product of the surviving-class rings modulo the ideal.
-
-    Basis words carry one label per active factor (zero-label = free class,
-    torsion label = c_m); the ideal identifies all arrangements of the
-    torsion labels over the active slots, so canonical words put them first.
+    """The ring gr_m(R')^{(x) s}/J of cor-1.3: the s-fold tensor product of the
+    gr_m Rost rings, factor t on y_t, modulo the ideal J of `j_ideal`, which
+    identifies c_m(Y)*c_0(Y') with c_0(Y)*c_m(Y') on every two factors.  The
+    word kept for each class puts the torsion labels on its first factors.
     """
     if not is_prime(p):
         raise KunnethError(f"p={p} must be prime")
@@ -561,89 +558,11 @@ def kunneth_quotient_ring(p: int, n: int, m: int, s: int) -> PresentedRing:
         raise KunnethError("need 1 <= m <= n-1 so the factors carry c_m")
     if s < 1:
         raise KunnethError("need at least one factor")
-    rule = DegreeRule(p, n)
-    delta = p**m - 1
-
-    # canonical word: (active slots, exponent per active slot, torsion count)
-    Word = tuple[tuple[int, ...], tuple[int, ...], int]
-
-    def word_name(w: Word) -> str:
-        slots, exps, ktor = w
-        if not slots:
-            return "1"
-        parts = []
-        for pos, (t, j) in enumerate(zip(slots, exps)):
-            label = m if pos < ktor else 0
-            parts.append(_c(label, j, f"y_{t + 1}"))
-        return "*".join(parts)
-
-    def word_degree(w: Word) -> int:
-        slots, exps, ktor = w
-        return sum(j * rule.y_degree for j in exps) - ktor * delta
-
-    words: list[Word] = [((), (), 0)]
-    for size in range(1, s + 1):
-        for slots in itertools.combinations(range(s), size):
-            for exps in itertools.product(range(1, p), repeat=size):
-                for ktor in range(0, size + 1):
-                    words.append((slots, exps, ktor))
-    words.sort(key=lambda w: (word_degree(w), word_name(w)))
-    index = {w: i for i, w in enumerate(words)}
-    basis = tuple(
-        BasisClass(word_name(w), word_degree(w), 0 if w[2] == 0 else 1) for w in words
-    )
-    unit = index[((), (), 0)]
-
-    def multiply_words(wa: Word, wb: Word) -> tuple[int, Word] | None:
-        sa, ea, ka = wa
-        sb, eb, kb = wb
-        # clash unless overlapping slots pair two free labels within range
-        tor_a = set(sa[:ka])
-        tor_b = set(sb[:kb])
-        coeff = 1
-        out: dict[int, tuple[int, int]] = {}  # slot -> (label, exp)
-        for t, j in zip(sa, ea):
-            out[t] = (m if t in tor_a else 0, j)
-        for t, j in zip(sb, eb):
-            label = m if t in tor_b else 0
-            if t not in out:
-                out[t] = (label, j)
-                continue
-            l0, j0 = out[t]
-            if l0 != 0 or label != 0 or j0 + j > p - 1:
-                return None
-            out[t] = (0, j0 + j)
-            coeff *= p
-        ktor = sum(1 for l, _ in out.values() if l != 0)
-        if ktor and coeff % p == 0:
-            return None
-        # exponents stay attached to their slots; the ideal only forgets
-        # which of the active slots carry the torsion labels
-        slots = tuple(sorted(out))
-        exps = tuple(out[t][1] for t in slots)
-        return coeff, (slots, exps, ktor)
-
-    mult: dict[tuple[int, int], dict[int, int]] = {}
-    for a, wa in enumerate(words):
-        for b, wb in enumerate(words):
-            got = multiply_words(wa, wb)
-            if got is None:
-                continue
-            coeff, w = got
-            c = _canon_coeff(coeff, basis[index[w]].torsion_exp, p)
-            if c:
-                mult[(a, b)] = {index[w]: c}
-    singles = [
-        index[((t,), (j,), ktor)]
-        for t in range(s)
-        for j in range(1, p)
-        for ktor in (0, 1)
-    ]
-    ring = PresentedRing(
-        p=p, basis=basis, unit=unit, mult=mult, generators=tuple(singles)
-    )
-    ring.audit()
-    return ring
+    factors = [gr_m_rost_ring(p, n, m, var=f"y_{t}") for t in range(1, s + 1)]
+    if s == 1:
+        return factors[0]
+    pairs = [(g.positive_name, g.negative_name) for g in j_ideal(p, m, s).generators]
+    return ring_quotient(reduce(ring_tensor, factors), identified=pairs)
 
 
 # ---------------------------------------------------------------------------

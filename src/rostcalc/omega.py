@@ -48,9 +48,6 @@ class DegreeRule:
     def c_degree(self, i: int, j: int = 1) -> int:
         return j * self.y_degree - (self.p**i - 1)
 
-    def v_weight(self, i: int) -> int:
-        return self.p**i - 1
-
 
 def class_name(i: int, j: int, factor: int | None = None) -> str:
     y = "y" if factor is None else f"y_{factor}"
@@ -91,9 +88,6 @@ class OmegaImageModel:
         return DegreeRule(self.p, self.factor_ns[t])
 
     # -- elements ----------------------------------------------------------
-
-    def zero(self) -> Element:
-        return {}
 
     def monomial(self, coeff: int, v: VKey, y: YKey) -> Element:
         if len(y) != self.nfactors:
@@ -440,79 +434,134 @@ def tensor_name(a: str, b: str) -> str:
 
 
 def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
-    """Tensor product ring over Z_(p); orders combine as p^min(e_a, e_b)."""
+    """Tensor product ring over Z_(p); orders combine as p^min(e_a, e_b).
+
+    (a (x) b)(a' (x) b') = aa' (x) bb', so the table comes from the nnz(A) *
+    nnz(B) pairs of nonzero products.  It needs no audit of its own: a tensor
+    product of audited rings is a commutative ring that the factors'
+    generators span, so `ring_quotient`'s ideal check on it is sound, and the
+    quotient is audited.
+    """
     if A.p != B.p:
         raise OmegaModelError("prime mismatch")
     basis = []
     index: dict[tuple[int, int], int] = {}
     for i, a in enumerate(A.basis):
         for j, b in enumerate(B.basis):
-            if a.torsion_exp and b.torsion_exp:
-                exp = min(a.torsion_exp, b.torsion_exp)
-            else:
-                exp = max(a.torsion_exp, b.torsion_exp)
+            exp = min((e for e in (a.torsion_exp, b.torsion_exp) if e), default=0)
             index[(i, j)] = len(basis)
             basis.append(BasisClass(tensor_name(a.name, b.name), a.degree + b.degree, exp))
-    mult: dict[tuple[int, int], dict[int, int]] = {}
-    pairs = list(index.items())
     ring = PresentedRing(
         p=A.p,
         basis=tuple(basis),
         unit=index[(A.unit, B.unit)],
-        mult=mult,
+        mult={},
         generators=tuple(index[(g, B.unit)] for g in A.generators or range(len(A.basis)))
         + tuple(index[(A.unit, g)] for g in B.generators or range(len(B.basis))),
     )
-    for (i1, j1), k1 in pairs:
-        for (i2, j2), k2 in pairs:
-            ta = A.mult.get((i1, i2), {})
-            tb = B.mult.get((j1, j2), {})
-            acc: dict[int, int] = {}
-            for ia, ca in ta.items():
-                for jb, cb in tb.items():
-                    kk = index[(ia, jb)]
-                    acc[kk] = acc.get(kk, 0) + ca * cb
-            canon = ring._canon_vector(acc)
-            if canon:
-                mult[(k1, k2)] = canon
+    for (a1, a2), ta in A.mult.items():
+        for (b1, b2), tb in B.mult.items():
+            vec = ring._canon_vector(
+                {index[(i, j)]: ca * cb for i, ca in ta.items() for j, cb in tb.items()}
+            )
+            if vec:
+                ring.mult[(index[(a1, b1)], index[(a2, b2)])] = vec
     return ring
 
 
-def ring_quotient(ring: PresentedRing, killed_names) -> PresentedRing:
-    """The quotient of an audited ring by the span K of the named basis classes.
+def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> PresentedRing:
+    """The quotient of an audited ring by the span I of the named classes k and
+    of the differences a - b of the identified pairs of named classes.
 
-    K is spanned by basis classes, so it is a direct summand and the surviving
-    classes, in their order and with their orders, are a basis of ring/K.  K is
-    certified to be an ideal by checking g*k in K for every generator g (the
-    whole basis when `generators` is empty) and every killed k.  That suffices:
-    the parent's audit certifies that words in the generators span the ring,
-    so any a*k is a Z_(p)-combination of g_1(g_2(...(g_r k))), and each step
-    stays in K.  The quotient is audited like every ring.
+    Closure: in a union-find, each pair (a, b) that merges two classes is
+    multiplied by every generator g (the whole basis when `generators` is
+    empty); g*a and g*b must both vanish or be single terms c*x and c*y with
+    one c, and then x ~ y; anything else is an error.  Identified classes
+    share degree, order and being killed, so the lowest index of each class
+    not killed is a basis of ring/I, listed by (degree, name).  Certificate,
+    with pi the projection to ring/I: pi(g*k) = 0 for every killed k, and
+    pi(g*x) = pi(g*r) for every identified x with survivor r.  So g*I lies in
+    I, which suffices: the parent's audit certifies that words in the
+    generators span the ring, so any a*i is a Z_(p)-combination of
+    g_1(g_2(...(g_r i))), each step in I.  The quotient is audited.
     """
+    n, names = len(ring.basis), [b.name for b in ring.basis]
     killed = {ring.index_of(name) for name in killed_names}
     if ring.unit in killed:
         raise OmegaModelError("the unit cannot be killed")
-    for g in sorted(set(ring.generators or range(len(ring.basis))) - {ring.unit}):
-        for k in sorted(killed):
-            for j in ring._canon_vector(ring.mult.get((g, k), {})):
-                if j not in killed:
-                    raise OmegaModelError(
-                        f"the killed classes span no ideal: {ring.basis[g].name}*"
-                        f"{ring.basis[k].name} has a term {ring.basis[j].name}"
-                    )
-    keep = {k: i for i, k in enumerate(k for k in range(len(ring.basis)) if k not in killed)}
-    mult: dict[tuple[int, int], dict[int, int]] = {}
-    for (a, b), tab in ring.mult.items():
-        vec = {keep[k]: c for k, c in tab.items() if k in keep}
-        if a in keep and b in keep and vec:
-            mult[(keep[a], keep[b])] = vec
+    gens = sorted(set(ring.generators or range(n)) - {ring.unit})
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    pairs = [(ring.index_of(a), ring.index_of(b)) for a, b in identified]
+    while pairs:
+        a, b = pairs.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        A, B = ring.basis[a], ring.basis[b]
+        for what, x, y in (
+            ("degrees", A.degree, B.degree),
+            ("torsion exponents", A.torsion_exp, B.torsion_exp),
+            ("killed", a in killed, b in killed),
+        ):
+            if x != y:
+                raise OmegaModelError(
+                    f"cannot identify {A.name} with {B.name}: {what} {x} and {y}"
+                )
+        root[max(ra, rb)] = min(ra, rb)
+        for g in gens:
+            va = ring._canon_vector(ring.mult.get((g, a), {}))
+            vb = ring._canon_vector(ring.mult.get((g, b), {}))
+            if (va or vb) and not (len(va) == len(vb) == 1 and [*va.values()] == [*vb.values()]):
+                raise OmegaModelError(
+                    f"identifying {A.name} with {B.name} needs {names[g]}*{A.name} "
+                    f"- {names[g]}*{B.name} to be a difference of two equal single terms"
+                )
+            if va:
+                pairs.append((*va, *vb))  # the classes of the two single terms
+
+    survivors = sorted(
+        {find(k) for k in range(n) if k not in killed},
+        key=lambda k: (ring.basis[k].degree, names[k]),
+    )
+    new = {k: i for i, k in enumerate(survivors)}
+    image = {k: new[find(k)] for k in range(n) if k not in killed}
     quotient = PresentedRing(
         p=ring.p,
-        basis=tuple(ring.basis[k] for k in keep),
-        unit=keep[ring.unit],
-        mult=mult,
-        generators=tuple(keep[g] for g in ring.generators if g in keep),
+        basis=tuple(ring.basis[k] for k in survivors),
+        unit=image[ring.unit],
+        mult={},
+        generators=tuple(image[g] for g in ring.generators if g in image),
     )
+
+    def project(vec: dict) -> dict[int, int]:
+        out: dict = {}
+        for k, c in vec.items():
+            if k in image:
+                out[image[k]] = out.get(image[k], 0) + c
+        return quotient._canon_vector(out)
+
+    for g in gens:
+        for x in (x for x in range(n) if x not in new):
+            gx = project(ring.mult.get((g, x), {}))
+            if x in killed and gx:
+                raise OmegaModelError(
+                    f"the killed classes span no ideal: {names[g]}*{names[x]} has a term "
+                    f"{quotient.basis[min(gx)].name}"
+                )
+            if x in image and gx != project(ring.mult.get((g, survivors[image[x]]), {})):
+                raise OmegaModelError(
+                    f"the identified classes span no ideal: {names[g]}*{names[x]} "
+                    f"!= {names[g]}*{names[survivors[image[x]]]} in the quotient"
+                )
+    for (a, b), tab in ring.mult.items():
+        if a in new and b in new and (vec := project(tab)):
+            quotient.mult[(new[a], new[b])] = vec
     quotient.audit()
     return quotient
 

@@ -9,6 +9,7 @@ import pytest
 from rostcalc import catalog
 from rostcalc.catalog import (
     CATALOG_IDS,
+    RING_IDS,
     CatalogError,
     catalog_build,
     restriction_map,
@@ -187,6 +188,8 @@ def test_every_catalog_id_is_buildable():
     for id_, params in samples.items():
         obj = catalog_build(id_, params)
         assert obj.id == id_
+        # the ring verbs' choices are exactly the entries that carry a ring
+        assert (obj.ring is not None) == (id_ in RING_IDS)
 
 
 PINNED = json.loads((Path(__file__).parent / "data" / "catalog_ring_sha256.json").read_text())

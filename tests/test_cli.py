@@ -127,6 +127,20 @@ def test_verify_unknown_id_fails_argparse():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("id_", ["omega_image_rost", "km_rost"])
+def test_ring_verbs_offer_only_entries_with_a_ring(id_, capsys):
+    # neither entry carries a ring, so argparse refuses them as choices
+    for argv in (["tensor", id_, "chow_rost"], ["tensor", "chow_rost", id_], ["quotient", id_]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--p", "2", "--n", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    # build still renders both
+    extra = ["--m", "1"] if id_ == "km_rost" else []
+    code, out, _ = run(capsys, "build", id_, "--p", "2", "--n", "2", *extra)
+    assert code == 0 and out
+
+
 def test_verify_report_round_trips(capsys):
     _, out, _ = run(capsys, "verify", "lemma-4.1", "--p", "2", "--n1", "2", "--n2", "2", "--m", "1")
     report = TheoremReport.from_json(json.loads(out))

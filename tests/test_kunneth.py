@@ -1,5 +1,6 @@
 """Product decompositions, the identification ideal, and the verifier suite."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -167,6 +168,18 @@ def test_kunneth_quotient_ring_audits():
         ring = kunneth_quotient_ring(p, n, m, s)
         names = [b.name for b in ring.basis]
         assert "1" in names
+
+
+PINNED_RINGS = json.loads((Path(__file__).parent / "data" / "kunneth_ring_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("entry", PINNED_RINGS, ids=lambda e: str(e["args"]))
+def test_kunneth_quotient_ring_is_pinned(entry):
+    # sha256 of the sorted-key JSON of each ring (p, n, m, s), recorded from
+    # the hand-written word table that gr_m(R')^{(x) s}/J replaced
+    ring = kunneth_quotient_ring(*entry["args"])
+    digest = hashlib.sha256(json.dumps(ring.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == entry["sha256"]
 
 
 def test_kunneth_quotient_ring_identifies_mixed_words():

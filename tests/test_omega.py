@@ -1,6 +1,7 @@
 """The ambient-image model, presented rings, and torsion-ideal certificates."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -8,6 +9,7 @@ from rostcalc.catalog import (
     build_chow_rost,
     build_pfister_neighbor_chow,
     chow_rost_ring,
+    gr_m_rost_ring,
     restriction_map,
 )
 from rostcalc.graded import GradedMap, free_module
@@ -300,3 +302,48 @@ def test_ring_quotient_needs_an_ideal():
     assert [b.name for b in quotient.basis] == ["1", "c_0(y)", "c_0(y^2)"]
     c0 = quotient.basis_vector("c_0(y)")
     assert quotient.multiply(c0, c0) == {quotient.index_of("c_0(y^2)"): 3}
+
+
+def test_ring_quotient_identifies_only_classes_of_one_degree_and_order():
+    with pytest.raises(OmegaModelError, match="degrees 2 and 6"):
+        ring_quotient(chow_rost_ring(3, 2), identified=[("c_1(y)", "c_1(y^2)")])
+    # c_0(y_2) is free, c_0(y_1)*c_2(y_2) has order 2, both in degree 7
+    T = ring_tensor(chow_rost_ring(2, 2, var="y_1"), chow_rost_ring(2, 3, var="y_2"))
+    with pytest.raises(OmegaModelError, match="torsion exponents 0 and 1"):
+        ring_quotient(T, identified=[("c_0(y_2)", "c_0(y_1)*c_2(y_2)")])
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # c_0(y_1)*c_0(y_1) = 3 c_0(y_1^2) but c_0(y_1)*c_0(y_2) has coefficient 1
+        ("c_0(y_1)", "c_0(y_2)"),
+        # c_0(y_2)*c_1(y_1) is a class, c_0(y_2)*c_1(y_2) = 0
+        ("c_1(y_1)", "c_1(y_2)"),
+    ],
+)
+def test_ring_quotient_closure_needs_equal_single_terms(pair):
+    T = ring_tensor(gr_m_rost_ring(3, 2, 1, var="y_1"), gr_m_rost_ring(3, 2, 1, var="y_2"))
+    with pytest.raises(OmegaModelError, match="difference of two equal single terms"):
+        ring_quotient(T, identified=[pair])
+
+
+def test_ring_quotient_closes_the_pairs_under_the_generators():
+    T = reduce(ring_tensor, [gr_m_rost_ring(2, 2, 1, var=f"y_{t}") for t in (1, 2, 3)])
+    # only two-factor pairs, as in the Kunneth ideal J
+    pairs = [
+        (f"c_1(y_{r})*c_0(y_{t})", f"c_0(y_{r})*c_1(y_{t})")
+        for r, t in [(1, 2), (1, 3), (2, 3)]
+    ]
+    quotient = ring_quotient(T, identified=pairs)
+    names = [b.name for b in quotient.basis]
+    assert "c_1(y_1)*c_0(y_2)*c_0(y_3)" in names
+    assert "c_0(y_1)*c_1(y_2)*c_0(y_3)" not in names
+    assert "c_0(y_1)*c_0(y_2)*c_1(y_3)" not in names
+    # one class lost per two-factor pair, two per three-factor torsion count
+    assert len(names) == len(T.basis) - 3 - 2 - 2
+    assert names == [b.name for b in sorted(quotient.basis, key=lambda b: (b.degree, b.name))]
+    word = quotient.multiply(
+        quotient.basis_vector("c_0(y_1)"), quotient.basis_vector("c_1(y_2)*c_0(y_3)")
+    )
+    assert word == quotient.basis_vector("c_1(y_1)*c_0(y_2)*c_0(y_3)")

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the p-local integers and over F_p[v].
+"""Exact linear algebra over the p-local integers.
 
 Everything here works with plain Python big integers; no floating point
 anywhere.  A matrix over Z_(p) (integers localized at the prime p) is stored
@@ -17,8 +17,9 @@ Elimination over Z_(p) has two bounded paths:
   prime-to-p content after every operation, then integer back-substitution.
   `membership` audits its solution exactly against M.
 
-Over the DVR Z_(p)[v]_(p) (`dvr_exponents`) the pivot is an entry of least
-Gauss valuation; no minors are enumerated.
+The polynomial routines at the end (`snf_fp_poly` over F_p[v], `zp_poly_det`
+over Z[v]) have no caller in the package: they remain as test oracles and
+as targets of the per-layer tracer.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ def pvaluation(x: int, p: int) -> int:
         x //= p
         e += 1
     return e
-
-
-def unit_part(x: int, p: int) -> int:
-    """x / p^{v_p(x)}; the part of x that is invertible in Z_(p)."""
-    return x // p ** pvaluation(x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -464,28 +460,6 @@ def kernel_basis(M: PLocalMatrix) -> list[tuple[int, ...]]:
     return [tuple(vec) for vec in _echelon(M).kernel_vectors()]
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # polynomials over F_p (coefficient tuples, ascending powers of v)
 # ---------------------------------------------------------------------------
@@ -712,63 +686,6 @@ def zp_mul(a, b) -> tuple[int, ...]:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return zp_trim(out)
-
-
-def zp_gauss_valuation(a, p: int) -> int:
-    """min_i v_p(coeff_i): the p-valuation of a in Z_(p)[v] localized at (p)."""
-    if not a:
-        raise ExactLinalgError("valuation of zero is undefined")
-    return min(pvaluation(c, p) for c in a if c)
-
-
-def _unit_normalized_row(row: list[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
-    """The row divided by its prime-to-p content and its common power of v.
-
-    Both are units of Z_(p)[v]_(p), so the row spans the same submodule.
-    """
-    g = _prime_to_p_content([c for a in row for c in a], p)
-    shift = min(next(k for k, c in enumerate(a) if c) for a in row if a)
-    return [tuple(c // g for c in a[shift:]) if a else a for a in row]
-
-
-def dvr_exponents(matrix: list[list[tuple[int, ...]]], p: int) -> tuple[int, ...]:
-    """SNF exponents over the DVR Z_(p)[v]_(p), ascending; the rank is their number.
-
-    Z_(p)[v] localized at the prime (p) is a discrete valuation ring with
-    uniformizer p and the Gauss valuation (least coefficient valuation).  The
-    pivot is an entry a = p^alpha*u of least Gauss valuation: u has content
-    prime to p, so it is a unit, and the row operation
-        row_i <- u*row_i - p^(beta-alpha)*w*row_k      (b = p^beta*w)
-    clears b invertibly.  Every other entry of the pivot row has valuation at
-    least alpha, so is divisible by a, and the row is dropped without column
-    operations.  Rows are kept small by `_unit_normalized_row`.
-    """
-    rows = [list(row) for row in matrix if any(row)]
-    exps: list[int] = []
-    while rows:
-        best = None
-        for i, row in enumerate(rows):
-            for j, a in enumerate(row):
-                if a:
-                    val = zp_gauss_valuation(a, p)
-                    if best is None or val < best[0]:
-                        best = (val, i, j)
-        alpha, pi, pj = best
-        prow = rows.pop(pi)
-        pa = p**alpha
-        u = tuple(c // pa for c in prow[pj])
-        exps.append(alpha)
-        kept = []
-        for row in rows:
-            if row[pj]:
-                w = tuple(c // pa for c in row[pj])
-                row = [zp_sub(zp_mul(u, x), zp_mul(w, y)) for x, y in zip(row, prow)]
-                if not any(row):
-                    continue
-                row = _unit_normalized_row(row, p)
-            kept.append(row)
-        rows = kept
-    return tuple(exps)
 
 
 def zp_poly_det(rows: list[list[tuple[int, ...]]]) -> tuple[int, ...]:

@@ -2,28 +2,21 @@
 
 Z_(p)[v] is not a principal ideal domain, so there is no single normal form;
 instead the module invariants are extracted through base changes that do have
-one: v -> 0 (a discrete valuation ring), reduction mod p (Euclidean, possibly
-Laurent), and the rational rank, together with a bounded certification of
-v-torsion.  For every shape occurring in the catalog these invariants are
+one: v -> 0 and the localization at v, together with a bounded certification
+of v-torsion.  For every shape occurring in the catalog these invariants are
 complete.
 
 Relation entries are polynomials in v with integer coefficients, stored as
 ascending coefficient tuples.  All relations must be homogeneous for the
-grading deg(f * g) = deg(g) - deg_v(f) * (p^m - 1).
+grading deg(f * g) = deg(g) - deg_v(f) * (p^m - 1), so every entry is a single
+term c * v^k whose exponent k is fixed by the degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import (
-    FpPolyMatrix,
-    dvr_exponents,
-    fp_deg,
-    snf_fp_poly,
-    solve_sparse,
-    zp_trim,
-)
+from .exact_linalg import PLocalMatrix, is_prime, snf_exponents, solve_sparse
 from .graded import (
     DegreeComponent,
     GradedFPModule,
@@ -50,6 +43,8 @@ class KmPresentation:
     rel_degrees: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise KmModuleError(f"p={self.p} must be prime")
         if self.m < 1:
             raise KmModuleError("m must be >= 1")
         for rel in self.rels:
@@ -84,19 +79,6 @@ class KmPresentation:
 
 def free_km(p: int, m: int, gens) -> KmPresentation:
     return KmPresentation(p=p, m=m, gens=tuple(gens), rels=())
-
-
-def km_quotient(M: KmPresentation, extra_rels) -> KmPresentation:
-    rels = M.rels + tuple(tuple(zp_trim(p_) for p_ in rel) for rel in extra_rels)
-    return KmPresentation(p=M.p, m=M.m, gens=M.gens, rels=rels)
-
-
-def rel_unit(M: KmPresentation, name: str, shift: int = 0, coeff: int = 1) -> tuple[Poly, ...]:
-    """The relation vector coeff * v^shift * e_name."""
-    vec: list[Poly] = [()] * len(M.gens)
-    poly = [0] * shift + [coeff]
-    vec[M.gen_index(name)] = zp_trim(poly)
-    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +200,10 @@ def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
 class KmLocalizedInvariants:
     """Invariants of M[v^-1] over Z_(p)[v, v^-1].
 
-    free_rank counts free summands; torsion lists p-power exponents.  Both are
-    computed through the localization at the prime (p), whose valuation on
-    polynomials is the minimum coefficient valuation; torsion prime to (p, v)
-    would be invisible here and is therefore scanned for separately and
-    reported in `anomalies` rather than silently dropped.
+    free_rank counts free summands; torsion lists p-power exponents; per_class
+    splits both by generator degree mod vdeg.  For homogeneous relations these
+    are complete (see `localize_v`); the JSON form keeps an "anomalies" key
+    that is always empty.
     """
 
     p: int
@@ -230,7 +211,6 @@ class KmLocalizedInvariants:
     free_rank: int
     torsion: tuple[int, ...]
     per_class: tuple[tuple[int, tuple[int, tuple[int, ...]]], ...]
-    anomalies: tuple[str, ...] = ()
 
     def aggregate(self) -> tuple[int, tuple[int, ...]]:
         return self.free_rank, self.torsion
@@ -245,7 +225,7 @@ class KmLocalizedInvariants:
                 str(c): {"free": fr, "torsion": list(tors)}
                 for c, (fr, tors) in self.per_class
             },
-            "anomalies": list(self.anomalies),
+            "anomalies": [],
         }
 
 
@@ -263,38 +243,36 @@ def _class_matrix(M: KmPresentation, cls: int) -> tuple[list[int], list[list[Pol
 
 
 def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
+    """Invariants of M[v^-1], one degree class mod vdeg at a time.
+
+    Write the generator and relation degrees of a class as cls + a_i*vdeg
+    and cls + b_j*vdeg.  Homogeneity makes entry (i, j) of the class matrix
+    c_ij * v^(a_i - b_j), so the matrix is D_g * C * D_r^-1 with D_g, D_r
+    diagonal powers of v and C = (c_ij) the matrix at v = 1.  Powers of v are
+    units of Z_(p)[v, v^-1], so the class has the invariants of C over Z_(p),
+    `snf_exponents(C)`.  The same holds mod p over F_p[v, v^-1], where every
+    invariant factor is therefore a constant: no torsion prime to (p, v).
+    """
     vdeg = M.vdeg
     per_class: dict[int, tuple[int, tuple[int, ...]]] = {}
     free_total = 0
     torsion_total: list[int] = []
     for cls in sorted({d % vdeg for _, d in M.gens}):
         gen_idx, matrix = _class_matrix(M, cls)
-        exps = dvr_exponents(matrix, M.p)
+        at_one = [[sum(a) for a in row] for row in matrix]
+        exps = snf_exponents(PLocalMatrix.from_rows(M.p, at_one, cols=len(matrix[0])))
         free = len(gen_idx) - len(exps)
         torsion = tuple(e for e in exps if e)
         if free or torsion:
             per_class[cls] = (free, torsion)
         free_total += free
         torsion_total.extend(torsion)
-    anomalies = []
-    if M.rels:
-        fp_rows = []
-        for i in range(len(M.gens)):
-            fp_rows.append([tuple(c % M.p for c in rel[i]) for rel in M.rels])
-        fpm = FpPolyMatrix.from_rows(M.p, fp_rows, cols=len(M.rels), laurent=True)
-        for div in snf_fp_poly(fpm):
-            if div and fp_deg(div) > 0:
-                anomalies.append(
-                    "mod-p invariant factor of positive degree: invariants may be incomplete"
-                )
-                break
     return KmLocalizedInvariants(
         p=M.p,
         m=M.m,
         free_rank=free_total,
         torsion=tuple(sorted(torsion_total)),
         per_class=tuple(sorted(per_class.items())),
-        anomalies=tuple(anomalies),
     )
 
 

@@ -54,6 +54,7 @@ from .omega import (
     DegreeRule,
     OmegaImageModel,
     PresentedRing,
+    SparseElements,
     _canon_coeff,
     ideal_power_witness,
     ring_quotient,
@@ -227,17 +228,17 @@ def j_quotient(M: GradedFPModule, ideal: KunnethIdeal) -> GradedFPModule:
 # ---------------------------------------------------------------------------
 
 Mono = tuple[int, ...]
-BarElement = dict[Mono, tuple[int, ...]]  # monomial -> coefficients of v^0, v^1, ...
+BarElement = dict[tuple[Mono, int], int]  # (monomial, power of v) -> coefficient
 
 
 @dataclass(frozen=True)
-class BarKmModel:
+class BarKmModel(SparseElements):
     """Free Z_(p)[v]-module on y-monomials of the split product, y_t^p = 0.
 
     Image membership is decided degreewise: for homogeneous data the only
     admissible multiplier of a generator is a single power of v fixed by the
     degrees, so the span question becomes finite exact linear algebra over
-    Z_(p) on (monomial, v-power) coordinates.
+    Z_(p) on the (monomial, v-power) keys of the elements.
     """
 
     p: int
@@ -256,59 +257,21 @@ class BarKmModel:
         exps = tuple(exps)
         if len(exps) != self.nfactors:
             raise KunnethError("exponent vector length mismatch")
-        if any(e >= self.p for e in exps):
+        if any(e >= self.p for e in exps) or coeff == 0:
             return {}
-        if coeff == 0:
-            return {}
-        return {exps: tuple([0] * vpow + [coeff])}
-
-    def add(self, a: BarElement, b: BarElement) -> BarElement:
-        out = dict(a)
-        for mono, poly in b.items():
-            cur = list(out.get(mono, ()))
-            cur += [0] * (len(poly) - len(cur))
-            for k, c in enumerate(poly):
-                cur[k] += c
-            while cur and cur[-1] == 0:
-                cur.pop()
-            if cur:
-                out[mono] = tuple(cur)
-            else:
-                out.pop(mono, None)
-        return out
-
-    def scale(self, c: int, a: BarElement) -> BarElement:
-        if c == 0:
-            return {}
-        return {m_: tuple(c * x for x in poly) for m_, poly in a.items()}
-
-    def sub(self, a: BarElement, b: BarElement) -> BarElement:
-        return self.add(a, self.scale(-1, b))
+        return {(exps, vpow): coeff}
 
     def mul(self, a: BarElement, b: BarElement) -> BarElement:
         out: BarElement = {}
-        for ma, pa in a.items():
-            for mb, pb in b.items():
+        for (ma, ka), ca in a.items():
+            for (mb, kb), cb in b.items():
                 mono = tuple(x + y for x, y in zip(ma, mb))
-                if any(e >= self.p for e in mono):
-                    continue
-                conv = [0] * (len(pa) + len(pb) - 1)
-                for i, ca in enumerate(pa):
-                    for j, cb in enumerate(pb):
-                        conv[i + j] += ca * cb
-                out = self.add(out, {mono: tuple(conv)})
+                if all(e < self.p for e in mono):
+                    self._add_term(out, (mono, ka + kb), ca * cb)
         return out
 
-    def vmul(self, a: BarElement, k: int) -> BarElement:
-        return {m_: tuple([0] * k + list(poly)) for m_, poly in a.items()}
-
     def degree(self, a: BarElement) -> int | None:
-        degs = set()
-        for mono, poly in a.items():
-            base = sum(e * yd for e, yd in zip(mono, self.ydegs))
-            for k, c in enumerate(poly):
-                if c:
-                    degs.add(base - k * self.vdeg)
+        degs = {sum(e * yd for e, yd in zip(mono, self.ydegs)) - k * self.vdeg for mono, k in a}
         if not degs:
             return None
         if len(degs) > 1:
@@ -324,13 +287,9 @@ class BarKmModel:
         for g in gens:
             gdeg = self.degree(g)
             if gdeg is not None and gdeg >= tdeg and (gdeg - tdeg) % self.vdeg == 0:
-                cols.append(_coords(self.vmul(g, (gdeg - tdeg) // self.vdeg)))
-        return solve_sparse(self.p, cols, _coords(target)) is not None
-
-
-def _coords(el: BarElement) -> dict[tuple[Mono, int], int]:
-    """The element on (monomial, v-power) coordinates."""
-    return {(mono, k): c for mono, poly in el.items() for k, c in enumerate(poly) if c}
+                k = (gdeg - tdeg) // self.vdeg
+                cols.append({(mono, j + k): c for (mono, j), c in g.items()})
+        return solve_sparse(self.p, cols, target) is not None
 
 
 def mono_name(exps) -> str:

@@ -64,8 +64,36 @@ def _vkey_mul(a: VKey, b: VKey) -> VKey:
     return tuple(sorted(acc.items()))
 
 
+class SparseElements:
+    """add, scale and sub on elements {key: int} that hold no zero coefficient.
+
+    The element arithmetic of `OmegaImageModel` and `kunneth.BarKmModel`.
+    """
+
+    @staticmethod
+    def _add_term(out: dict, key, c: int) -> None:
+        """out[key] += c, dropping the key when the sum is zero."""
+        nc = out.get(key, 0) + c
+        if nc:
+            out[key] = nc
+        else:
+            out.pop(key, None)
+
+    def add(self, a: dict, b: dict) -> dict:
+        out = dict(a)
+        for k, c in b.items():
+            self._add_term(out, k, c)
+        return out
+
+    def scale(self, c: int, a: dict) -> dict:
+        return {k: c * x for k, x in a.items()} if c else {}
+
+    def sub(self, a: dict, b: dict) -> dict:
+        return self.add(a, self.scale(-1, b))
+
+
 @dataclass(frozen=True)
-class OmegaImageModel:
+class OmegaImageModel(SparseElements):
     """Ambient model for a product of Rost-type factors with exponents n_t."""
 
     p: int
@@ -98,24 +126,6 @@ class OmegaImageModel:
             return {}
         return {(tuple(sorted(v)), tuple(y)): coeff}
 
-    def add(self, a: Element, b: Element) -> Element:
-        out = dict(a)
-        for k, c in b.items():
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return out
-
-    def scale(self, c: int, a: Element) -> Element:
-        if c == 0:
-            return {}
-        return {k: c * v for k, v in a.items()}
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.scale(-1, b))
-
     def mul(self, a: Element, b: Element) -> Element:
         out: Element = {}
         for (va, ya), ca in a.items():
@@ -123,12 +133,7 @@ class OmegaImageModel:
                 y = tuple(x + z for x, z in zip(ya, yb))
                 if any(e >= self.p for e in y):
                     continue  # y_t^p = 0
-                key = (_vkey_mul(va, vb), y)
-                nc = out.get(key, 0) + ca * cb
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
+                self._add_term(out, (_vkey_mul(va, vb), y), ca * cb)
         return out
 
     def term_degree(self, key: tuple[VKey, YKey]) -> int:
@@ -190,20 +195,6 @@ class OmegaImageModel:
             i, j = cls
             acc = self.mul(acc, self.res_class(t, i, j))
         return acc
-
-    def image_coefficients_in_ideal(self) -> bool:
-        """Positive-degree generators have all coefficients in (p, v_1..v_{n-1})."""
-        for name, combo in self.image_generators():
-            if name == "1":
-                continue
-            el = self.res_word(combo)
-            for (v, _y), coeff in el.items():
-                if coeff % self.p == 0:
-                    continue
-                if any(1 <= i <= max(self.factor_ns) - 1 and e > 0 for i, e in v):
-                    continue
-                return False
-        return True
 
     def check_commutation_identity(self, r: int, s: int, j: int = 1, t: int = 0) -> bool:
         """v_s * res(c_r(Y)) == v_r * res(c_s(Y)), with v_0 = p."""

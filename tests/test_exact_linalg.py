@@ -13,7 +13,6 @@ from rostcalc.exact_linalg import (
     ExactLinalgError,
     FpPolyMatrix,
     PLocalMatrix,
-    det_int,
     fp_divmod,
     fp_from_string,
     fp_mul,
@@ -27,10 +26,36 @@ from rostcalc.exact_linalg import (
     snf_fp_poly,
     snf_p_local,
     solve_sparse,
-    unit_part,
 )
 
 PRIMES = (2, 3, 5)
+
+
+def unit_part(x: int, p: int) -> int:
+    """x / p^{v_p(x)}; the part of x that is invertible in Z_(p)."""
+    return x // p ** pvaluation(x, p)
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def minor_valuations(rows, p):

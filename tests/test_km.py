@@ -8,14 +8,7 @@ import pytest
 
 from rostcalc.catalog import chow_rost_ring, km_rost
 from rostcalc.cli import main
-from rostcalc.exact_linalg import (
-    PLocalMatrix,
-    dvr_exponents,
-    snf_exponents,
-    zp_gauss_valuation,
-    zp_poly_det,
-    zp_trim,
-)
+from rostcalc.exact_linalg import PLocalMatrix, pvaluation, snf_exponents, zp_poly_det, zp_trim
 from rostcalc.graded import iso_equal, normalize
 from rostcalc.km import (
     KmModuleError,
@@ -24,9 +17,7 @@ from rostcalc.km import (
     check_cor_3_5_second,
     free_km,
     gr_geometric,
-    km_quotient,
     localize_v,
-    rel_unit,
     slice_membership,
     to_chow,
     v_torsion_generators,
@@ -35,9 +26,32 @@ from rostcalc.km import (
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def km_quotient(M: KmPresentation, extra_rels) -> KmPresentation:
+    rels = M.rels + tuple(tuple(zp_trim(p_) for p_ in rel) for rel in extra_rels)
+    return KmPresentation(p=M.p, m=M.m, gens=M.gens, rels=rels)
+
+
+def rel_unit(M: KmPresentation, name: str, shift: int = 0, coeff: int = 1):
+    """The relation vector coeff * v^shift * e_name."""
+    vec = [()] * len(M.gens)
+    vec[M.gen_index(name)] = zp_trim([0] * shift + [coeff])
+    return tuple(vec)
+
+
 def test_homogeneity_enforced():
     with pytest.raises(KmModuleError):
         KmPresentation(p=2, m=1, gens=(("a", 0), ("b", 3)), rels=(((1,), (1,)),))
+    # a single entry 1 + v spans two degrees; `localize_v` relies on
+    # every entry being one term c * v^k
+    with pytest.raises(KmModuleError, match="inhomogeneous"):
+        KmPresentation(p=2, m=1, gens=(("a", 3),), rels=(((1, 1),),))
+
+
+def test_non_prime_p_is_rejected():
+    # at p = 4 the relation 4*a = 0 would be read as torsion of exponent 1
+    for p in (4, 1):
+        with pytest.raises(KmModuleError, match="must be prime"):
+            KmPresentation(p=p, m=1, gens=(("a", 0), ("b", 3)), rels=(((4,), ()),))
 
 
 def test_rel_unit_shapes():
@@ -80,7 +94,7 @@ def test_localize_on_pure_p_torsion():
     M = km_quotient(M, [rel_unit(M, "g", coeff=2)])
     inv = localize_v(M)
     assert inv.aggregate() == (0, (1,))
-    assert not inv.anomalies
+    assert inv.to_json()["anomalies"] == []
 
 
 def test_localize_kills_v_torsion():
@@ -93,7 +107,7 @@ def test_localize_km_rost_is_free_of_rank_p():
     for p, n, m in [(2, 3, 1), (3, 2, 1)]:
         inv = localize_v(km_rost(p, n, m))
         assert inv.aggregate() == (p, ())
-        assert not inv.anomalies
+        assert inv.to_json()["anomalies"] == []
 
 
 def test_amalgam_membership_in_slices():
@@ -127,7 +141,7 @@ def test_second_display_comparison():
         assert report.verdict == "verified", (p, n, m, report.notes)
 
 
-# --- DVR elimination against a minor-enumeration oracle ----------------------
+# --- class invariants at v = 1 against a minor-enumeration oracle -----------
 
 
 def _components(matrix):
@@ -153,8 +167,13 @@ def _components(matrix):
     return blocks
 
 
+def gauss_valuation(a, p):
+    """min_i v_p(coeff_i): the p-valuation of a in Z_(p)[v] localized at (p)."""
+    return min(pvaluation(c, p) for c in a if c)
+
+
 def minor_oracle(matrix, p):
-    """DVR exponents from Gauss valuations of all k-minors (zp_poly_det).
+    """SNF exponents over the DVR Z_(p)[v]_(p) from all k-minors (zp_poly_det).
 
     The k-th exponent is d_k - d_(k-1), d_k the least Gauss valuation of a
     nonzero k-minor.  A block-diagonal matrix is split into its blocks
@@ -165,7 +184,7 @@ def minor_oracle(matrix, p):
         prev = 0
         for k in range(1, min(len(rows), len(cols)) + 1):
             vals = [
-                zp_gauss_valuation(det, p)
+                gauss_valuation(det, p)
                 for rset in itertools.combinations(rows, k)
                 for cset in itertools.combinations(cols, k)
                 if (det := zp_poly_det([[matrix[i][j] for j in cset] for i in rset]))
@@ -191,20 +210,13 @@ def random_homogeneous(rng, p):
     ]
 
 
-def test_dvr_elimination_matches_minor_oracle_on_random_matrices():
+def test_snf_at_v_1_matches_minor_oracle_on_random_matrices():
     rng = random.Random(20261018)
     for _ in range(150):
         p = rng.choice((2, 3, 5))
         hom = random_homogeneous(rng, p)
-        assert dvr_exponents(hom, p) == minor_oracle(hom, p), (hom, p)
-        # the elimination does not rely on homogeneity
-        nr, nc = rng.randint(1, 3), rng.randint(1, 3)
-        mixed = [
-            [zp_trim([rng.choice((0, 1, -1, p, 2)) for _ in range(rng.randint(0, 3))])
-             for _ in range(nc)]
-            for _ in range(nr)
-        ]
-        assert dvr_exponents(mixed, p) == minor_oracle(mixed, p), (mixed, p)
+        at_one = [[sum(a) for a in row] for row in hom]
+        assert snf_exponents(PLocalMatrix.from_rows(p, at_one)) == minor_oracle(hom, p), (hom, p)
 
 
 KM_ROST_CASES = sorted(
@@ -238,7 +250,7 @@ def test_km_rost_5_4_1_pinned_and_rank_cross_checked(capsys):
     assert capsys.readouterr().out == (DATA / "build_km_rost_p5_n4_m1.json").read_text()
     M = km_rost(5, 4, 1)
     inv = localize_v(M)
-    assert inv.aggregate() == (5, ()) and not inv.anomalies
+    assert inv.aggregate() == (5, ()) and inv.to_json()["anomalies"] == []
     gen_idx, matrix = _class_matrix(M, 0)
     # rank over Q(v) is the largest rank over Q at integer values of v
     assert len(gen_idx) - inv.free_rank == max(_rank_at(matrix, t) for t in (1, 2, 3, 7)) == 12

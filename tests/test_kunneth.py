@@ -110,6 +110,15 @@ def test_image_preset_dispatch():
         image_preset(model, "wat")
 
 
+def test_bar_element_form():
+    model = BarKmModel(p=3, m=1, ydegs=(4,))
+    assert model.monomial(2, (1,), 1) == {((1,), 1): 2}
+    y_v = model.monomial(1, (1,), 1)
+    assert model.mul(y_v, model.monomial(5, (1,), 2)) == {((2,), 3): 5}  # v-powers add
+    assert model.mul(y_v, model.monomial(1, (2,), 0)) == {}  # y^3 = 0 at p = 3
+    assert model.sub(y_v, y_v) == {}
+
+
 def test_span_membership_sees_v_shifts():
     model = BarKmModel(p=2, m=1, ydegs=(3,))
     g = model.monomial(2, (1,), 0)  # 2*y

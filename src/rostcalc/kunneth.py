@@ -4,7 +4,8 @@ The pieces: the mixed-class decomposition C_0 + C_1 + C_2 of a two-factor
 product, the identification ideal J_s, tilde quotients (kill everything
 supported on a proper subset of factors), the comparison map into a product
 with split second factor, the image-membership criterion (**) in the ambient
-periodic split module, and one verifier per published claim id.
+periodic split module (`omega.OmegaImageModel` with v = v_m), and one
+verifier per published claim id.
 
 Verifiers construct both sides of each isomorphism through independent code
 paths and compare exact invariants; a verdict of "verified" never comes from
@@ -52,9 +53,9 @@ from .graded import (
 from .km import check_cor_3_5_second, free_km, gr_geometric, v_torsion_generators
 from .omega import (
     DegreeRule,
+    Element,
     OmegaImageModel,
     PresentedRing,
-    SparseElements,
     _canon_coeff,
     ideal_power_witness,
     ring_quotient,
@@ -227,68 +228,37 @@ def j_quotient(M: GradedFPModule, ideal: KunnethIdeal) -> GradedFPModule:
 # the ambient periodic split module and the criterion (**)
 # ---------------------------------------------------------------------------
 
-Mono = tuple[int, ...]
-BarElement = dict[tuple[Mono, int], int]  # (monomial, power of v) -> coefficient
-
 
 @dataclass(frozen=True)
-class BarKmModel(SparseElements):
-    """Free Z_(p)[v]-module on y-monomials of the split product, y_t^p = 0.
+class BarKmModel(OmegaImageModel):
+    """The ambient model of the split product read with one variable v = v_m.
 
+    res(c_0(Y)) = p*Y and res(c_m(Y)) = v_m*Y on the y-monomials Y, y_t^p = 0.
     Image membership is decided degreewise: for homogeneous data the only
-    admissible multiplier of a generator is a single power of v fixed by the
-    degrees, so the span question becomes finite exact linear algebra over
-    Z_(p) on the (monomial, v-power) keys of the elements.
+    admissible multiplier of a generator is a single power of v_m fixed by
+    the degrees, so the span question becomes finite exact linear algebra
+    over Z_(p) on the (v-monomial, y-exponents) keys of the elements.
     """
 
-    p: int
     m: int
-    ydegs: tuple[int, ...]
 
-    @property
-    def nfactors(self) -> int:
-        return len(self.ydegs)
+    def __post_init__(self):
+        super().__post_init__()
+        if not 1 <= self.m <= min(self.factor_ns) - 1:
+            raise KunnethError(
+                f"m={self.m} out of range: every factor must carry the class c_m "
+                f"(need 1 <= m <= {min(self.factor_ns) - 1})"
+            )
 
-    @property
-    def vdeg(self) -> int:
-        return self.p**self.m - 1
+    def vm_monomial(self, coeff: int, exps, k: int) -> Element:
+        return self.monomial(coeff, ((self.m, k),) if k else (), exps)
 
-    def monomial(self, coeff: int, exps, vpow: int = 0) -> BarElement:
-        exps = tuple(exps)
-        if len(exps) != self.nfactors:
-            raise KunnethError("exponent vector length mismatch")
-        if any(e >= self.p for e in exps) or coeff == 0:
-            return {}
-        return {(exps, vpow): coeff}
-
-    def mul(self, a: BarElement, b: BarElement) -> BarElement:
-        out: BarElement = {}
-        for (ma, ka), ca in a.items():
-            for (mb, kb), cb in b.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                if all(e < self.p for e in mono):
-                    self._add_term(out, (mono, ka + kb), ca * cb)
-        return out
-
-    def degree(self, a: BarElement) -> int | None:
-        degs = {sum(e * yd for e, yd in zip(mono, self.ydegs)) - k * self.vdeg for mono, k in a}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise KunnethError(f"malformed element: mixed degrees {sorted(degs)}")
-        return degs.pop()
-
-    def span_contains(self, gens, target: BarElement) -> bool:
-        """Is target in the Z_(p)[v]-span of the (homogeneous) generators?"""
-        tdeg = self.degree(target)
-        if tdeg is None:
+    def span_contains(self, gens, target: Element) -> bool:
+        """Is target in the Z_(p)[v_m]-span of the (degree, element) generators?"""
+        d = self.element_degree(target)
+        if d is None:
             return True
-        cols = []
-        for g in gens:
-            gdeg = self.degree(g)
-            if gdeg is not None and gdeg >= tdeg and (gdeg - tdeg) % self.vdeg == 0:
-                k = (gdeg - tdeg) // self.vdeg
-                cols.append({(mono, j + k): c for (mono, j), c in g.items()})
+        cols = [el for _, _, el in self.v_translates(gens, d, (self.m,))]
         return solve_sparse(self.p, cols, target) is not None
 
 
@@ -298,30 +268,25 @@ def mono_name(exps) -> str:
 
 
 def j_res_vanishes(ideal: KunnethIdeal, model: BarKmModel) -> bool:
-    """Every ideal generator restricts to zero: vp - pv on the same monomial."""
+    """Every ideal generator restricts to zero: res(c_m(Y)c_0(Y')) = res(c_0(Y)c_m(Y'))."""
     for g in ideal.generators:
-        first = model.mul(
-            model.monomial(1, [g.i if t == g.r - 1 else 0 for t in range(model.nfactors)], 1),
-            model.monomial(model.p, [g.j if t == g.t - 1 else 0 for t in range(model.nfactors)], 0),
-        )
-        second = model.mul(
-            model.monomial(model.p, [g.i if t == g.r - 1 else 0 for t in range(model.nfactors)], 0),
-            model.monomial(1, [g.j if t == g.t - 1 else 0 for t in range(model.nfactors)], 1),
-        )
-        if model.sub(first, second):
+        first, second = [None] * model.nfactors, [None] * model.nfactors
+        first[g.r - 1], first[g.t - 1] = (g.m, g.i), (0, g.j)
+        second[g.r - 1], second[g.t - 1] = (0, g.i), (g.m, g.j)
+        if model.sub(model.res_word(first), model.res_word(second)):
             return False
     return True
 
 
 def star_star_check(model: BarKmModel, image_generators) -> dict[str, dict[str, bool]]:
     """For each full-support monomial Y: is p*Y or v*Y in the image span?"""
-    for g in image_generators:
-        model.degree(g)  # raises on malformed input
+    # the degrees raise on malformed input, and are the same for every target
+    gens = [(model.element_degree(g), g) for g in image_generators if g]
     out: dict[str, dict[str, bool]] = {}
     for exps in itertools.product(range(1, model.p), repeat=model.nfactors):
         out[mono_name(exps)] = {
-            "p": model.span_contains(image_generators, model.monomial(model.p, exps, 0)),
-            "v": model.span_contains(image_generators, model.monomial(1, exps, 1)),
+            "p": model.span_contains(gens, model.vm_monomial(model.p, exps, 0)),
+            "v": model.span_contains(gens, model.vm_monomial(1, exps, 1)),
         }
     return out
 
@@ -330,47 +295,38 @@ def star_star_holds(result: dict[str, dict[str, bool]]) -> bool:
     return not any(hit["p"] or hit["v"] for hit in result.values())
 
 
-def versal_image(model: BarKmModel) -> list[BarElement]:
+def versal_image(model: BarKmModel) -> list[Element]:
     """Image generators asserted for versal-type factors.
 
     Every class restricts to p*Y or v*Y per factor, so the image is spanned
-    by all products of those over nonempty factor subsets.  This is input
-    data (the torsion-index argument), not computed geometry.
+    by the restrictions of all nonempty words in the c_0 and c_m classes,
+    each distinct restriction once.  This is input data (the torsion-index
+    argument), not computed geometry.
     """
-    gens: list[BarElement] = []
-    seen = set()
-    s = model.nfactors
-    for mask in range(1, 2**s):
-        slots = [t for t in range(s) if mask >> t & 1]
-        for exps in itertools.product(range(1, model.p), repeat=len(slots)):
-            full = [0] * s
-            for t, e in zip(slots, exps):
-                full[t] = e
-            for nv in range(0, len(slots) + 1):
-                coeff = model.p ** (len(slots) - nv)
-                key = (tuple(full), nv, coeff)
-                if key in seen:
-                    continue
-                seen.add(key)
-                gens.append(model.monomial(coeff, full, nv))
-    return gens
+    slot = [None] + [(i, j) for i in (0, model.m) for j in range(1, model.p)]
+    gens: dict[tuple, Element] = {}
+    for combo in itertools.product(slot, repeat=model.nfactors):
+        if any(combo):
+            el = model.res_word(combo)
+            gens.setdefault(tuple(el.items()), el)
+    return list(gens.values())
 
 
-def product_image(model: BarKmModel) -> list[BarElement]:
+def product_image(model: BarKmModel) -> list[Element]:
     """Image generators when every factor after the first is split.
 
     The split factors contribute their monomials with unit coefficient, so
     mixed monomials appear with a bare p and a bare v: (**) fails.
     """
     s = model.nfactors
-    gens: list[BarElement] = []
+    gens: list[Element] = []
     for exps in itertools.product(range(0, model.p), repeat=s - 1):
         tail = (0,) + exps
-        gens.append(model.monomial(1, tail, 0))
+        gens.append(model.vm_monomial(1, tail, 0))
         for i in range(1, model.p):
             full = (i,) + exps
-            gens.append(model.monomial(model.p, full, 0))
-            gens.append(model.monomial(1, full, 1))
+            gens.append(model.vm_monomial(model.p, full, 0))
+            gens.append(model.vm_monomial(1, full, 1))
     return [g for g in gens if g]
 
 
@@ -378,7 +334,7 @@ def product_image(model: BarKmModel) -> list[BarElement]:
 IMAGE_PRESETS = {"versal": versal_image, "product": product_image, "none": lambda model: None}
 
 
-def image_preset(model: BarKmModel, preset: str) -> list[BarElement] | None:
+def image_preset(model: BarKmModel, preset: str) -> list[Element] | None:
     if preset not in IMAGE_PRESETS:
         raise KunnethError(f"unknown image preset {preset!r} (choose from {tuple(IMAGE_PRESETS)})")
     return IMAGE_PRESETS[preset](model)
@@ -675,7 +631,7 @@ def _verify_lemma_4_1(params: dict) -> TheoremReport:
     m = params.get("m", 1)
     dec = c_decomposition(p, n1, n2, m)
     ideal = j_ideal(p, m, 2)
-    model = BarKmModel(p, m, (DegreeRule(p, n1).y_degree, DegreeRule(p, n2).y_degree))
+    model = BarKmModel(p=p, factor_ns=(n1, n2), m=m)
     res_ok = j_res_vanishes(ideal, model)
     c2q = j_quotient(dec.c2, ideal)
     left = {
@@ -708,10 +664,7 @@ def _verify_cor_4_2(params: dict) -> TheoremReport:
     p = params.get("p", 2)
     n = params.get("n", 2)
     m = params.get("m", 1)
-    if not is_prime(p):
-        raise KunnethError(f"p={p} must be prime")
-    ydeg = DegreeRule(p, n).y_degree
-    model = BarKmModel(p, m, (ydeg, ydeg))
+    model = BarKmModel(p=p, factor_ns=(n, n), m=m)
     result = star_star_check(model, versal_image(model))
     clear = {mono: {"p": False, "v": False} for mono in result}
     verdict = VERIFIED if result == clear else REFUTED
@@ -733,6 +686,7 @@ def _verify_remark_4_2_negative(params: dict) -> TheoremReport:
     p = params.get("p", 2)
     n = params.get("n", 2)
     m = params.get("m", 1)
+    model = BarKmModel(p=p, factor_ns=(n, n), m=m)
     target = build_product_rost(p, n)
     gm = kunneth_map(p, n, target)
     killed = []
@@ -743,8 +697,6 @@ def _verify_remark_4_2_negative(params: dict) -> TheoremReport:
             if all(row[col] == 0 for row in mat) and class_is_nonzero(gm.source, nm):
                 killed.append(nm)
     killed.sort()
-    ydeg = DegreeRule(p, n).y_degree
-    model = BarKmModel(p, m, (ydeg, ydeg))
     result = star_star_check(model, product_image(model))
     fails = not star_star_holds(result)
     verdict = VERIFIED if (killed and fails) else REFUTED
@@ -794,11 +746,8 @@ def _star_star_report(id_: str, params: dict, s: int | None = None) -> TheoremRe
         raise KunnethError(f"{id_} concerns quadratic forms: p must be 2")
     n = params.get("n", 2 if s == 2 else 3)
     m = params.get("m", 1)
-    if not (1 <= m <= n - 1):
-        raise KunnethError("need 1 <= m <= n-1")
     preset = params.get("image", "versal")
-    ydeg = 2**n - 1
-    model = BarKmModel(2, m, (ydeg,) * s)
+    model = BarKmModel(p=2, factor_ns=(n,) * s, m=m)
     img = image_preset(model, preset)
     notes = [_VERSAL_NOTE, _EXTENSION_NOTE, GR_M_PFISTER_NOTE]
     if img is None:

@@ -11,13 +11,19 @@ submodule is spanned over all v-monomial translates of the images
 v-positive translates yields a graded ring with an explicit basis; the
 structure constants are recovered by exact membership computations in the
 ambient, not postulated.
+
+`OmegaImageModel` is the package's one ambient model and element format;
+`kunneth.BarKmModel` is the same model read with the single variable v = v_m
+for the (**) criterion.  Both build their degree slices with
+`OmegaImageModel.v_translates`: the collapse over v_1, v_2, ..., the
+criterion over v_m alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_linalg import (
@@ -64,11 +70,34 @@ def _vkey_mul(a: VKey, b: VKey) -> VKey:
     return tuple(sorted(acc.items()))
 
 
-class SparseElements:
-    """add, scale and sub on elements {key: int} that hold no zero coefficient.
+@dataclass(frozen=True)
+class OmegaImageModel:
+    """Ambient model for a product of Rost-type factors with exponents n_t.
 
-    The element arithmetic of `OmegaImageModel` and `kunneth.BarKmModel`.
+    Elements are dicts {(v-monomial, y-exponents): int} holding no zero
+    coefficient; the y-degrees of the factors are computed once, here.
     """
+
+    p: int
+    factor_ns: tuple[int, ...]
+    ydegs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise OmegaModelError(f"p={self.p} must be prime")
+        if not self.factor_ns:
+            raise OmegaModelError("at least one factor required")
+        for n in self.factor_ns:
+            if n < 2:
+                raise OmegaModelError("factor exponent n must be >= 2")
+        ydegs = tuple(DegreeRule(self.p, n).y_degree for n in self.factor_ns)
+        object.__setattr__(self, "ydegs", ydegs)
+
+    @property
+    def nfactors(self) -> int:
+        return len(self.factor_ns)
+
+    # -- elements ----------------------------------------------------------
 
     @staticmethod
     def _add_term(out: dict, key, c: int) -> None:
@@ -79,43 +108,17 @@ class SparseElements:
         else:
             out.pop(key, None)
 
-    def add(self, a: dict, b: dict) -> dict:
+    def add(self, a: Element, b: Element) -> Element:
         out = dict(a)
         for k, c in b.items():
             self._add_term(out, k, c)
         return out
 
-    def scale(self, c: int, a: dict) -> dict:
+    def scale(self, c: int, a: Element) -> Element:
         return {k: c * x for k, x in a.items()} if c else {}
 
-    def sub(self, a: dict, b: dict) -> dict:
+    def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.scale(-1, b))
-
-
-@dataclass(frozen=True)
-class OmegaImageModel(SparseElements):
-    """Ambient model for a product of Rost-type factors with exponents n_t."""
-
-    p: int
-    factor_ns: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise OmegaModelError(f"p={self.p} must be prime")
-        if not self.factor_ns:
-            raise OmegaModelError("at least one factor required")
-        for n in self.factor_ns:
-            if n < 2:
-                raise OmegaModelError("factor exponent n must be >= 2")
-
-    @property
-    def nfactors(self) -> int:
-        return len(self.factor_ns)
-
-    def rule(self, t: int = 0) -> DegreeRule:
-        return DegreeRule(self.p, self.factor_ns[t])
-
-    # -- elements ----------------------------------------------------------
 
     def monomial(self, coeff: int, v: VKey, y: YKey) -> Element:
         if len(y) != self.nfactors:
@@ -136,11 +139,15 @@ class OmegaImageModel(SparseElements):
                 self._add_term(out, (_vkey_mul(va, vb), y), ca * cb)
         return out
 
+    @staticmethod
+    def v_shift(vm: VKey, a: Element) -> Element:
+        """The element vm * a for a v-monomial vm."""
+        return {(_vkey_mul(vm, v), y): c for (v, y), c in a.items()}
+
     def term_degree(self, key: tuple[VKey, YKey]) -> int:
         v, y = key
-        d = sum(j * self.rule(t).y_degree for t, j in enumerate(y))
-        d -= sum(e * (self.p**i - 1) for i, e in v)
-        return d
+        d = sum(j * yd for j, yd in zip(y, self.ydegs))
+        return d - sum(e * (self.p**i - 1) for i, e in v)
 
     def element_degree(self, a: Element) -> int | None:
         """Common Chow degree of a homogeneous element (None for 0)."""
@@ -148,8 +155,26 @@ class OmegaImageModel(SparseElements):
         if not a:
             return None
         if len(degs) != 1:
-            raise OmegaModelError("element is not homogeneous")
+            raise OmegaModelError(f"element is not homogeneous: mixed degrees {sorted(degs)}")
         return degs.pop()
+
+    def v_translates(self, gens, d: int, indices) -> list[tuple[VKey, int, Element]]:
+        """The translates into degree d of the (degree, element) generators.
+
+        One triple (v_I, k, v_I * g_k) for each generator g_k and each
+        v-monomial v_I in the v_i, i in the ascending `indices`, of weight
+        deg g_k - d: generators in order, v-monomials sorted.  The monomials
+        are enumerated once per distinct generator degree.
+        """
+        monomials: dict[int, list[VKey]] = {}
+        out = []
+        for k, (deg, el) in enumerate(gens):
+            if deg < d:
+                continue
+            if deg not in monomials:
+                monomials[deg] = _v_monomials(deg - d, indices, self.p)
+            out.extend((vm, k, self.v_shift(vm, el)) for vm in monomials[deg])
+        return out
 
     # -- the image submodule ----------------------------------------------
 
@@ -200,12 +225,7 @@ class OmegaImageModel(SparseElements):
         """v_s * res(c_r(Y)) == v_r * res(c_s(Y)), with v_0 = p."""
 
         def times_v(i: int, el: Element) -> Element:
-            if i == 0:
-                return self.scale(self.p, el)
-            out: Element = {}
-            for (v, y), c in el.items():
-                out[(_vkey_mul(v, ((i, 1),)), y)] = c
-            return out
+            return self.scale(self.p, el) if i == 0 else self.v_shift(((i, 1),), el)
 
         lhs = times_v(s, self.res_class(t, r, j))
         rhs = times_v(r, self.res_class(t, s, j))
@@ -562,24 +582,26 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
 # ---------------------------------------------------------------------------
 
 
-def _v_monomials(weight: int, max_index: int, p: int) -> list[VKey]:
-    """All v-monomials in v_1..v_max of exact weight sum e_i*(p^i-1)."""
+def _v_monomials(weight: int, indices, p: int) -> list[VKey]:
+    """All v-monomials in the v_i, i in the ascending `indices`, of exact
+    weight sum e_i*(p^i-1)."""
     out: list[VKey] = []
 
-    def rec(w: int, i: int, acc: list[tuple[int, int]]):
+    def rec(w: int, pos: int, acc: list[tuple[int, int]]):
         if w == 0:
             out.append(tuple(acc))
             return
-        if i > max_index:
+        if pos == len(indices):
             return
+        i = indices[pos]
         step = p**i - 1
-        rec(w, i + 1, acc)
+        rec(w, pos + 1, acc)
         e = 1
         while e * step <= w:
-            rec(w - e * step, i + 1, acc + [(i, e)])
+            rec(w - e * step, pos + 1, acc + [(i, e)])
             e += 1
 
-    rec(weight, 1, [])
+    rec(weight, 0, [])
     return sorted(out)
 
 
@@ -594,40 +616,26 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     if model.nfactors != 1:
         raise OmegaModelError("collapse implemented for single-factor models")
     p = model.p
-    rule = model.rule()
-    top = (p - 1) * rule.y_degree
+    top = (p - 1) * model.ydegs[0]
     vmax = 1
     while p ** (vmax + 1) - 1 <= top:
         vmax += 1
 
     gens = model.image_generators()  # (name, combo)
+    names = [name for name, _ in gens]
     gen_elements = {name: model.res_word(combo) for name, combo in gens}
-    gen_degree = {
-        name: (0 if name == "1" else model.element_degree(el))
-        for name, el in gen_elements.items()
-    }
+    graded = [(model.element_degree(el), el) for el in gen_elements.values()]
 
-    # per degree: spanning set (v-monomial, generator) of the image submodule
+    # per degree: the v-translates of the generators span the image submodule
     slices: dict[int, dict] = {}
     for d in range(0, top + 1):
-        cols: list[tuple[VKey, str]] = []
-        for name, _ in gens:
-            w = gen_degree[name] - d
-            if w < 0:
-                continue
-            if w == 0:
-                cols.append(((), name))
-            else:
-                cols.extend((vm, name) for vm in _v_monomials(w, vmax, p))
-        if not cols:
-            continue
-        slices[d] = {
-            "cols": cols,
-            "elements": [
-                model.mul(model.monomial(1, vm, (0,)), gen_elements[name]) for vm, name in cols
-            ],
-            "survivors": [idx for idx, (vm, _) in enumerate(cols) if vm == ()],
-        }
+        translates = model.v_translates(graded, d, range(1, vmax + 1))
+        if translates:
+            slices[d] = {
+                "names": [names[k] for _, k, _ in translates],
+                "elements": [el for _, _, el in translates],
+                "survivors": [idx for idx, (vm, _, _) in enumerate(translates) if vm == ()],
+            }
 
     # additive certification: in each degree the surviving classes form
     # independent cyclic summands with order read off the index pattern
@@ -639,11 +647,8 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
             continue
         kern = kernel_basis(sparse_matrix(p, sl["elements"])[0])
         restricted = [{pos: vec[i] for pos, i in enumerate(surv) if vec[i]} for vec in kern]
-        orders = []
-        for i in surv:
-            name = sl["cols"][i][1]
-            exp = 0 if name == "1" or name.startswith("c_0(") else 1
-            orders.append(exp)
+        surv_names = [sl["names"][i] for i in surv]
+        orders = [0 if name == "1" or name.startswith("c_0(") else 1 for name in surv_names]
         # relation span must equal span{p * e_t : torsion t}
         for vec in restricted:
             for pos, c in vec.items():
@@ -654,11 +659,10 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
         for pos, exp in enumerate(orders):
             if exp and solve_sparse(p, restricted, {pos: p}) is None:
                 raise OmegaModelError(
-                    f"class {sl['cols'][surv[pos]][1]} is not p-torsion in degree {d}"
+                    f"class {surv_names[pos]} is not p-torsion in degree {d}"
                 )
-        for pos, i in enumerate(surv):
-            name = sl["cols"][i][1]
-            basis.append(BasisClass(name=name, degree=d, torsion_exp=orders[pos]))
+        for name, exp in zip(surv_names, orders):
+            basis.append(BasisClass(name=name, degree=d, torsion_exp=exp))
 
     index = {b.name: k for k, b in enumerate(basis)}
     unit = index["1"]
@@ -675,8 +679,7 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
             raise OmegaModelError("element is not in the image submodule")
         out: dict[int, int] = {}
         for i in sl["survivors"]:
-            name = sl["cols"][i][1]
-            k = index[name]
+            k = index[sl["names"][i]]
             c = _canon_coeff(x[i], basis[k].torsion_exp, p)
             if c:
                 out[k] = c

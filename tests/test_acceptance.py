@@ -102,7 +102,7 @@ def test_criterion_6_noninjectivity_with_antivacuity():
     vec[i] = 1
     assert not any(f.apply(d, vec))
     assert class_is_nonzero(f.source, "1*c_1(y_2)")
-    model = BarKmModel(p=2, m=1, ydegs=(3, 3))
+    model = BarKmModel(p=2, m=1, factor_ns=(2, 2))
     assert not star_star_holds(star_star_check(model, product_image(model)))
 
 

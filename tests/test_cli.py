@@ -99,6 +99,24 @@ def test_verify_rejects_a_prime_that_is_not_one(capsys):
         assert f"p={p} must be prime" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cor-4.2", "--p", "3", "--n", "2", "--m", "0"),
+        ("remark-4.2-negative", "--p", "3", "--n", "2", "--m", "0"),
+        ("cor-4.2", "--p", "2", "--n", "1"),
+        ("cor-4.2", "--p", "3", "--n", "2", "--m", "5"),
+        ("remark-4.2-negative", "--p", "2", "--n", "2", "--m", "4"),
+    ],
+)
+def test_verify_rejects_objects_without_the_class_c_m(argv, capsys):
+    # m = 0 divided by deg v_0 = 0; the others printed "verified" for factors
+    # that carry no class c_m
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_catalog_verbs_reject_flags_no_entry_reads(capsys):
     code, out, err = run(capsys, "build", "chow_rost", "--p", "3", "--n", "2", "--m", "5")
     assert (code, out) == (2, "")

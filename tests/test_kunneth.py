@@ -1,6 +1,7 @@
 """Product decompositions, the identification ideal, and the verifier suite."""
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from rostcalc.kunneth import (
     versal_image,
     word_slot_module,
 )
+from rostcalc.omega import OmegaModelError
 
 
 # --- decomposition ---------------------------------------------------------
@@ -80,15 +82,54 @@ def test_j_generator_names():
 
 def test_j_res_vanishes_everywhere():
     for p, m, s, n in [(2, 1, 2, 3), (3, 1, 2, 2), (2, 1, 3, 3)]:
-        model = BarKmModel(p=p, m=m, ydegs=((p**n - 1) // (p - 1),) * s)
+        model = BarKmModel(p=p, m=m, factor_ns=(n,) * s)
         assert j_res_vanishes(j_ideal(p, m, s), model)
+
+
+def test_j_shaped_difference_on_different_monomials_does_not_restrict_to_zero():
+    # anti-vacuity: c_m(y_1) c_0(y_2^2) - c_0(y_1^2) c_m(y_2) moves the labels
+    # and the monomial at once (y_1 y_2^2 against y_1^2 y_2), so it survives
+    model = BarKmModel(p=3, m=1, factor_ns=(2, 2))
+    first = model.res_word(((1, 1), (0, 2)))
+    second = model.res_word(((0, 2), (1, 1)))
+    assert model.sub(first, second) == {
+        (((1, 1),), (1, 2)): 3,
+        (((1, 1),), (2, 1)): -3,
+    }
 
 
 # --- (**) ------------------------------------------------------------------
 
 
+def hand_versal_image(model):
+    # the generators listed by hand: p^(|slots| - nv) v^nv Y for every Y with
+    # support `slots` and every 0 <= nv <= |slots|
+    gens = []
+    s = model.nfactors
+    for mask in range(1, 2**s):
+        slots = [t for t in range(s) if mask >> t & 1]
+        for exps in itertools.product(range(1, model.p), repeat=len(slots)):
+            full = [0] * s
+            for t, e in zip(slots, exps):
+                full[t] = e
+            for nv in range(0, len(slots) + 1):
+                gens.append(model.vm_monomial(model.p ** (len(slots) - nv), full, nv))
+    return gens
+
+
+def test_versal_image_is_the_restriction_of_the_c0_cm_words():
+    for p in (2, 3, 5):
+        for s in (1, 2, 3):
+            for n, m in [(2, 1), (3, 2)]:
+                model = BarKmModel(p=p, m=m, factor_ns=(n,) * s)
+                derived = versal_image(model)
+                as_set = {tuple(sorted(g.items())) for g in derived}
+                assert len(as_set) == len(derived), (p, s, n, m)  # deduplicated
+                assert as_set == {tuple(sorted(g.items())) for g in hand_versal_image(model)}
+
+
 def test_versal_image_blocks_both_multiples():
-    model = BarKmModel(p=2, m=1, ydegs=(7, 7))
+    model = BarKmModel(p=2, m=1, factor_ns=(3, 3))
     result = star_star_check(model, versal_image(model))
     assert star_star_holds(result)
     assert set(result) == {"y_1*y_2"}
@@ -96,14 +137,14 @@ def test_versal_image_blocks_both_multiples():
 
 
 def test_product_image_breaks_the_criterion():
-    model = BarKmModel(p=2, m=1, ydegs=(7, 7))
+    model = BarKmModel(p=2, m=1, factor_ns=(3, 3))
     result = star_star_check(model, product_image(model))
     assert not star_star_holds(result)
     assert result["y_1*y_2"]["p"] and result["y_1*y_2"]["v"]
 
 
 def test_image_preset_dispatch():
-    model = BarKmModel(p=2, m=1, ydegs=(3, 3))
+    model = BarKmModel(p=2, m=1, factor_ns=(2, 2))
     assert image_preset(model, "none") is None
     assert image_preset(model, "versal")
     with pytest.raises(KunnethError):
@@ -111,26 +152,37 @@ def test_image_preset_dispatch():
 
 
 def test_bar_element_form():
-    model = BarKmModel(p=3, m=1, ydegs=(4,))
-    assert model.monomial(2, (1,), 1) == {((1,), 1): 2}
-    y_v = model.monomial(1, (1,), 1)
-    assert model.mul(y_v, model.monomial(5, (1,), 2)) == {((2,), 3): 5}  # v-powers add
-    assert model.mul(y_v, model.monomial(1, (2,), 0)) == {}  # y^3 = 0 at p = 3
+    model = BarKmModel(p=3, m=1, factor_ns=(2,))
+    assert model.vm_monomial(2, (1,), 1) == {(((1, 1),), (1,)): 2}
+    y_v = model.vm_monomial(1, (1,), 1)
+    assert model.mul(y_v, model.vm_monomial(5, (1,), 2)) == {(((1, 3),), (2,)): 5}  # v-powers add
+    assert model.mul(y_v, model.vm_monomial(1, (2,), 0)) == {}  # y^3 = 0 at p = 3
     assert model.sub(y_v, y_v) == {}
 
 
 def test_span_membership_sees_v_shifts():
-    model = BarKmModel(p=2, m=1, ydegs=(3,))
-    g = model.monomial(2, (1,), 0)  # 2*y
-    assert model.span_contains([g], model.monomial(2, (1,), 1))  # 2vy = v * (2y)
-    assert not model.span_contains([g], model.monomial(1, (1,), 0))
+    model = BarKmModel(p=2, m=1, factor_ns=(2,))
+    g = model.vm_monomial(2, (1,), 0)  # 2*y
+    gens = [(model.element_degree(g), g)]
+    assert model.span_contains(gens, model.vm_monomial(2, (1,), 1))  # 2vy = v * (2y)
+    assert not model.span_contains(gens, model.vm_monomial(1, (1,), 0))
 
 
 def test_malformed_image_generator_raises():
-    model = BarKmModel(p=2, m=1, ydegs=(3, 3))
-    mixed = model.add(model.monomial(1, (1, 0), 0), model.monomial(1, (1, 1), 0))
-    with pytest.raises(KunnethError, match="mixed degrees"):
+    model = BarKmModel(p=2, m=1, factor_ns=(2, 2))
+    mixed = model.add(model.vm_monomial(1, (1, 0), 0), model.vm_monomial(1, (1, 1), 0))
+    with pytest.raises(OmegaModelError, match="mixed degrees"):
         star_star_check(model, [mixed])
+
+
+def test_bar_model_rejects_objects_without_c_m():
+    for p, ns, m in [(3, (2, 2), 0), (3, (2, 2), 5), (2, (2, 2), 4), (2, (3, 2), 2)]:
+        with pytest.raises(KunnethError, match="carry the class c_m"):
+            BarKmModel(p=p, m=m, factor_ns=ns)
+    with pytest.raises(OmegaModelError, match="n must be >= 2"):
+        BarKmModel(p=2, m=1, factor_ns=(1, 1))
+    with pytest.raises(OmegaModelError, match="must be prime"):
+        BarKmModel(p=4, m=1, factor_ns=(2, 2))
 
 
 # --- tilde quotients and word slots ---------------------------------------
@@ -352,13 +404,21 @@ def test_every_claim_has_a_grid_in_table_order():
 
 
 def test_grid_reports_match_recorded_bytes():
-    # the recorded benchmark answers pin every grid report byte for byte
-    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "grid.json"
-    recorded = json.loads(golden.read_text())["outputs"]
+    # the recorded benchmark answers pin every grid and frontier report byte for byte
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    recorded = json.loads((golden / "grid.json").read_text())["outputs"]
     assert len(recorded) == len(default_grid())
-    for id_, params in default_grid():
-        text = json.dumps(verify_theorem(id_, params).to_json(), sort_keys=True, indent=2)
-        assert text == recorded[f"{id_} {json.dumps(params, sort_keys=True)}"], (id_, params)
+    assert {f"{id_} {json.dumps(params, sort_keys=True)}" for id_, params in default_grid()} == set(
+        recorded
+    )
+    frontier = json.loads((golden / "frontier.json").read_text())["outputs"]
+    assert len(frontier) == 5
+    recorded.update(frontier)
+    for key, expected in recorded.items():
+        id_, params = key.split(" ", 1)
+        report = verify_theorem(id_, json.loads(params))
+        text = json.dumps(report.to_json(), sort_keys=True, indent=2)
+        assert text == expected, key
 
 
 def test_left_right_tensor_path_equals_report():

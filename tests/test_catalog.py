@@ -15,7 +15,7 @@ from rostcalc.catalog import (
     restriction_map,
 )
 from rostcalc.graded import iso_equal, normalize, tensor_product
-from rostcalc.omega import chow_collapse
+from rostcalc.omega import OmegaImageModel, chow_collapse
 
 
 def table(obj):
@@ -200,5 +200,23 @@ def test_ring_tables_are_pinned(entry):
     # sha256 of the sorted-key JSON of each ring, recorded from the
     # hand-written product tables the quotient and tower builders replaced
     ring = getattr(catalog, entry["ring"])(*entry["args"])
-    digest = hashlib.sha256(json.dumps(ring.to_json(), sort_keys=True).encode()).hexdigest()
-    assert digest == entry["sha256"]
+    assert sha256(ring) == entry["sha256"]
+
+
+def sha256(ring) -> str:
+    return hashlib.sha256(json.dumps(ring.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+DERIVED = {
+    "product_rost.ring": lambda p, n: catalog.build_product_rost(p, n).ring,
+    "product_rost.bar": lambda p, n: catalog.build_product_rost(p, n).bar,
+    "chow_collapse": lambda p, n: chow_collapse(OmegaImageModel(p, (n,))),
+}
+PINNED_DERIVED = json.loads((Path(__file__).parent / "data" / "derived_ring_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("entry", PINNED_DERIVED, ids=lambda e: f"{e['ring']}{e['args']}")
+def test_derived_ring_tables_are_pinned(entry):
+    # sha256 of the sorted-key JSON of the tensor and collapse rings,
+    # recorded from the product tables of the full-table representation
+    assert sha256(DERIVED[entry["ring"]](*entry["args"])) == entry["sha256"]

@@ -3,10 +3,10 @@
 Each entry builds an explicit object: a ring with basis and structure
 constants, usually together with its split form (`bar`), the restriction map
 between them, and where relevant a presentation over k_m* or the ambient
-image model.  Two functions write product rules: `chow_rost_ring`, the stated
-Chow presentation of a Rost-type motive, and `tower_ring`, a truncated
-polynomial ring in one class with side towers (the split forms and the quadric
-Chow rings).  The gr_m rings are certified quotients of these (`ring_quotient`),
+image model.  Two functions write rules, the products g*x of each generator g
+with the basis classes x: `chow_rost_ring`, the stated Chow presentation of a
+Rost-type motive, and `tower_ring`, a truncated polynomial ring in one class
+with side towers (the split forms and the quadric Chow rings).  The gr_m rings are certified quotients of these (`ring_quotient`),
 as is their Kunneth ring gr_m(R')^{(x) s}/J (`kunneth.kunneth_quotient_ring`).
 Independent construction paths (ambient collapse, v -> 0 of the k_m*
 presentation) live in other modules and are compared against these in the
@@ -82,33 +82,21 @@ def map_from_rules(
     return gm
 
 
-def _sorted_ring(p: int, classes, products, generators=()) -> PresentedRing:
-    """Assemble a PresentedRing from (class list, name-level product rules).
+def _sorted_ring(p: int, classes, generators, rules) -> PresentedRing:
+    """Assemble and audit a PresentedRing from name-level data.
 
-    `products` maps unordered pairs of non-unit names to ((name, coeff), ...);
-    missing pairs multiply to zero; the unit acts as identity automatically.
+    `rules` maps (generator, class) name pairs to ((name, coeff), ...), the
+    product g*x; missing pairs multiply to zero and g*1 = g is added.
     """
     classes = sorted(classes, key=lambda b: (b.degree, b.name))
     index = {b.name: k for k, b in enumerate(classes)}
     unit = index["1"]
-    mult: dict[tuple[int, int], dict[int, int]] = {}
-    for k in range(len(classes)):
-        mult[(unit, k)] = {k: 1}
-        mult[(k, unit)] = {k: 1}
-    for (x, y), terms in products.items():
-        out: dict[int, int] = {}
+    ops = {index[g]: {unit: {index[g]: 1}} for g in generators}
+    for (g, x), terms in rules.items():
+        col = ops[index[g]].setdefault(index[x], {})
         for name, coeff in terms:
-            out[index[name]] = out.get(index[name], 0) + coeff
-        if out:
-            mult[(index[x], index[y])] = out
-            mult[(index[y], index[x])] = dict(out)
-    ring = PresentedRing(
-        p=p,
-        basis=tuple(classes),
-        unit=unit,
-        mult=mult,
-        generators=tuple(index[g] for g in generators),
-    )
+            col[index[name]] = col.get(index[name], 0) + coeff
+    ring = PresentedRing(p, tuple(classes), unit, ops)
     ring.audit()
     return ring
 
@@ -154,13 +142,13 @@ def chow_rost_ring(p: int, n: int, var: str = "y") -> PresentedRing:
         classes.append(BasisClass(_c(0, j, var), rule.c_degree(0, j), 0))
         for i in range(1, n):
             classes.append(BasisClass(_c(i, j, var), rule.c_degree(i, j), 1))
-    products = {
+    rules = {
         (_c(0, a, var), _c(0, b, var)): ((_c(0, a + b, var), p),)
         for a in range(1, p)
-        for b in range(a, p - a)
+        for b in range(1, p - a)
     }
     gens = [_c(i, j, var) for j in range(1, p) for i in range(0, n)]
-    return _sorted_ring(p, classes, products, generators=gens)
+    return _sorted_ring(p, classes, gens, rules)
 
 
 def tower_ring(
@@ -177,20 +165,17 @@ def tower_ring(
     """
     power = [_power(var, k) for k in range(top + 1)]
     classes = [BasisClass(power[k], k * var_degree, 0) for k in range(top + 1)]
-    products = {}
-    for a in range(1, top + 1):
-        for b in range(a, top + 1):
-            over = a + b - top - 1
-            if over < 0:
-                products[(power[a], power[b])] = ((power[a + b], 1),)
-            elif wrap and over < towers[0][2]:
-                products[(power[a], power[b])] = ((_times(towers[0][0], var, over), wrap),)
+    rules = {(var, power[k]): ((power[k + 1], 1),) for k in range(1, top)}
+    if wrap:
+        rules[(var, power[top])] = ((towers[0][0], wrap),)
     for name, degree, length, exp in towers:
         for k in range(length):
             classes.append(BasisClass(_times(name, var, k), degree + k * var_degree, exp))
-            for a in range(1, min(top + 1, length - k)):
-                products[(power[a], _times(name, var, k))] = ((_times(name, var, k + a), 1),)
-    return _sorted_ring(p, classes, products, generators=[var] + [t[0] for t in towers])
+            if k + 1 < length:
+                rules[(var, _times(name, var, k))] = ((_times(name, var, k + 1), 1),)
+            if 0 < k <= top:
+                rules[(name, power[k])] = ((_times(name, var, k), 1),)
+    return _sorted_ring(p, classes, [var] + [t[0] for t in towers], rules)
 
 
 def bar_rost_ring(p: int, n: int, var: str = "y") -> PresentedRing:

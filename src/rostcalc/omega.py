@@ -17,6 +17,11 @@ ambient, not postulated.
 for the (**) criterion.  Both build their degree slices with
 `OmegaImageModel.v_translates`: the collapse over v_1, v_2, ..., the
 criterion over v_m alone.
+
+A `PresentedRing` is the operators L_g : x -> g*x of its generators g on an
+explicit basis, certified by the commuting-operator criterion in `audit`;
+every other product is read off words in the generators.  `chow_collapse`,
+`ring_tensor` and `ring_quotient` each emit operators, not product tables.
 """
 
 from __future__ import annotations
@@ -249,55 +254,113 @@ def _canon_coeff(c, exp: int, p: int):
     if isinstance(c, int):
         return c % p**exp if exp else c
     c = Fraction(c)
+    if c.denominator % p == 0:
+        raise OmegaModelError("coefficient is not p-local")
     if exp == 0:
         return int(c) if c.denominator == 1 else c
     mod = p**exp
-    if c.denominator % p == 0:
-        raise OmegaModelError("coefficient is not p-local")
     return (c.numerator * pow(c.denominator, -1, mod)) % mod
+
+
+def _canon_vector(vec: dict, basis, p: int) -> dict[int, int]:
+    """The vector with canonical coefficients and no zero terms."""
+    canon = {}
+    for k, c in vec.items():
+        c = _canon_coeff(c, basis[k].torsion_exp, p)
+        if c:
+            canon[k] = c
+    return canon
+
+
+Operator = dict[int, dict[int, int]]  # columns x -> the nonzero vector L(x)
 
 
 @dataclass
 class PresentedRing:
-    """Graded commutative ring on an explicit basis with structure constants."""
+    """Graded commutative ring on an explicit basis, given by the operators
+    of its generators: ops[g][x] is the vector g*x (zero columns omitted).
+
+    The generators are the keys of `ops`.  Coefficients are made canonical
+    on construction; `audit` certifies that the operators define a ring.
+    """
 
     p: int
     basis: tuple[BasisClass, ...]
     unit: int
-    mult: dict[tuple[int, int], dict[int, int]]
-    generators: tuple[int, ...] = ()
+    ops: dict[int, Operator]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _words: dict | None = field(init=False, repr=False, compare=False)
+    _derived: dict[int, Operator] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, names = len(self.basis), [b.name for b in self.basis]
+        self._index = {name: k for k, name in enumerate(names)}
+        self._words, self._derived = None, {}
+        if not 0 <= self.unit < n:
+            raise OmegaModelError(f"unit index {self.unit} names no basis class")
+        ops = {}
+        for g, op in self.ops.items():
+            if not 0 <= g < n:
+                raise OmegaModelError(f"generator index {g} names no basis class")
+            if g == self.unit:
+                raise OmegaModelError("the unit cannot be a generator")
+            for x, vec in op.items():
+                if not (0 <= x < n and all(0 <= k < n for k in vec)):
+                    raise OmegaModelError(f"column {x} of L_{names[g]} names no basis class")
+            ops[g] = {x: v for x, u in op.items() if (v := _canon_vector(u, self.basis, self.p))}
+        self.ops = ops
 
     def index_of(self, name: str) -> int:
-        for k, b in enumerate(self.basis):
-            if b.name == name:
-                return k
-        raise OmegaModelError(f"no basis class named {name!r}")
+        k = self._index.get(name)
+        if k is None:
+            raise OmegaModelError(f"no basis class named {name!r}")
+        return k
 
     def basis_vector(self, name: str) -> dict[int, int]:
         return {self.index_of(name): 1}
 
     def multiply(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         out: dict = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                table = self.mult.get((i, j), {})
-                for k, ck in table.items():
-                    out[k] = out.get(k, 0) + ca * cb * ck
-        return self._canon_vector(out)
+        for k, cb in b.items():
+            op = self.operator(k)
+            for x, ca in a.items():
+                for j, c in op.get(x, {}).items():
+                    out[j] = out.get(j, 0) + ca * cb * c
+        return _canon_vector(out, self.basis, self.p)
 
-    def _canon_vector(self, vec: dict) -> dict[int, int]:
-        canon = {}
+    def operator(self, k: int) -> Operator:
+        """L_k : x -> k*x.  For a generator this is ops[k]; for any other
+        class it is derived once from the word of k (`words`) and cached."""
+        op = self.ops.get(k, self._derived.get(k))
+        if op is None and k == self.unit:
+            op = self._derived[k] = {x: {x: 1} for x in range(len(self.basis))}
+        if op is not None:
+            return op
+        words, needed, todo = self.words(), set(), [k]
+        while todo:  # k and, transitively, the classes its word needs
+            x = todo.pop()
+            if x not in needed and x not in self.ops and x not in self._derived and x != self.unit:
+                needed.add(x)
+                todo += [j for _, _, j in words[x]]
+        for x in sorted(needed, key=lambda x: self.basis[x].degree):  # a word's classes first
+            acc: dict[int, dict] = {}
+            for c, g, j in words[x]:  # L_x = sum of c L_g L_j
+                for y, vec in self.operator(j).items():
+                    col = acc.setdefault(y, {})
+                    for t, d in self._apply(self.ops[g], vec).items():
+                        col[t] = col.get(t, 0) + c * d
+            self._derived[x] = {
+                y: v for y, col in acc.items() if (v := _canon_vector(col, self.basis, self.p))
+            }
+        return self._derived[k]
+
+    def _apply(self, op: Operator, vec: dict) -> dict[int, int]:
+        """The operator with columns op[x] applied to the vector vec."""
+        acc: dict = {}
         for k, c in vec.items():
-            c = _canon_coeff(c, self.basis[k].torsion_exp, self.p)
-            if c:
-                canon[k] = c
-        return canon
-
-    def power(self, vec: dict[int, int], m: int) -> dict[int, int]:
-        acc = {self.unit: 1}
-        for _ in range(m):
-            acc = self.multiply(acc, vec)
-        return acc
+            for j, d in op.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + c * d
+        return _canon_vector(acc, self.basis, self.p)
 
     def module(self) -> GradedFPModule:
         return cyclic_summands(
@@ -308,122 +371,93 @@ class PresentedRing:
         return tuple(b.name for b in self.basis if b.torsion_exp)
 
     def audit(self) -> None:
-        """Exhaustive certificate that `mult` defines a graded commutative ring.
+        """Certificate that the generator operators define a graded
+        commutative ring on M, the sum of Z_(p)/p^{e_x} over the basis.
 
-        The table is read as the regular representation L_a : x -> a*x on the
-        module M = sum of Z_(p)/p^{e_k} over the basis, and six facts are
-        checked, exhaustively at every basis size:
+        1. each L_g is well defined on M and raises degree by deg g: every
+           term of g*x has degree deg g + deg x, and p^{e_x} (g*x) = 0;
+        2. L_g(1) = g;
+        3. the L_g commute pairwise;
+        4. `words` writes every class as a sum of c*g*e_j with each e_j the
+           unit or of lower degree.
 
-        1. unit: 1*x = x for every class x;
-        2. commutativity: a*b = b*a;
-        3. grading: every term of a*b has degree deg a + deg b;
-        4. torsion compatibility: p^{e_a} (a*b) = 0 when a has order p^{e_a};
-        5. generation: the words in the generators (the whole basis when
-           `generators` is empty) applied to the unit span every degree of M
-           over Z_(p);
-        6. g(c*x) = c(g*x) for every generator g and classes c, x.
-
-        Checks 1-4 make the table a commutative bilinear product on M.  From
-        6 and commutativity, (g*a)x = x(g*a) = g(x*a) = g(a*x), so L_{g*a} =
-        L_g L_a; with 5, every L_a is a polynomial in the pairwise commuting
-        L_g, hence L_{a*b} = L_a L_b, which is associativity.  The work is
-        about |G| * nnz(mult) products instead of N^3.
+        Proof.  By 1 and 3, M is a module over S = Z_(p)[T_g : g a
+        generator] with T_g acting as L_g.  By 4 and induction on degree,
+        every class is P(L)*1 for some P in S, so P -> P(L)*1 maps S onto M
+        and M = S/Ann(1).  The ring structure of S/Ann(1) carried over is
+        a*b = P_a(L)*b for any P_a with P_a(L)*1 = a.  It is well defined:
+        if P(L)*1 = Q(L)*1 then (P - Q)(L)*b = P_b(L)(P - Q)(L)*1 = 0, as the
+        L_g commute.  It is commutative, associative and has unit 1, and it
+        is graded by 1.  By 2, T_g is a P_g for the class g, so
+        multiplication by g is L_g, and `multiply` reads each P_a off the
+        words.  The work is |G|^2 operator products on nonzero columns, with
+        no table of N^2 products.
         """
-        n, p, unit = len(self.basis), self.p, self.unit
         names = [b.name for b in self.basis]
         deg = [b.degree for b in self.basis]
         exp = [b.torsion_exp for b in self.basis]
-        if not 0 <= unit < n:
-            raise OmegaModelError(f"unit index {unit} names no basis class")
-        L: list[dict[int, dict]] = [{} for _ in range(n)]  # L[a][x] = a*x, nonzero
-        for (a, b), tab in self.mult.items():
-            if not (0 <= a < n and 0 <= b < n and all(0 <= k < n for k in tab)):
-                raise OmegaModelError(f"product entry {a},{b} names no basis class")
-            fractions = [Fraction(c) for c in tab.values() if not isinstance(c, int)]
-            if any(c.denominator % p == 0 for c in fractions):
-                raise OmegaModelError(f"coefficient of {names[a]}*{names[b]} is not p-local")
-            vec = self._canon_vector(tab)
-            if vec:
-                L[a][b] = vec
-
-        for x in range(n):
-            if L[unit].get(x) != {x: 1}:
-                raise OmegaModelError(f"unit fails on {names[x]}")
-        for a in range(n):
-            for b, vec in L[a].items():
-                if L[b].get(a) != vec:
-                    raise OmegaModelError(f"not commutative at {names[a]}, {names[b]}")
+        for g, op in self.ops.items():
+            for x, vec in op.items():
                 for k, c in vec.items():
-                    if deg[k] != deg[a] + deg[b]:
+                    if deg[k] != deg[g] + deg[x]:
                         raise OmegaModelError(
-                            f"{names[a]}*{names[b]} has a term {names[k]} of the wrong degree"
+                            f"{names[g]}*{names[x]} has a term {names[k]} of the wrong degree"
                         )
-                    if exp[a] and _canon_coeff(p ** exp[a] * c, exp[k], p):
+                    if exp[x] and _canon_coeff(self.p ** exp[x] * c, exp[k], self.p):
                         raise OmegaModelError(
-                            f"{names[a]}*{names[b]} is not killed by the order of {names[a]}"
+                            f"{names[g]}*{names[x]} is not killed by the order of {names[x]}"
                         )
+            if op.get(self.unit) != {g: 1}:
+                raise OmegaModelError(f"L_{names[g]}(1) is not {names[g]}")
+        gens = list(self.ops)
+        for i, g in enumerate(gens):
+            for h in gens[i + 1:]:
+                Lg, Lh = self.ops[g], self.ops[h]
+                for x in Lg.keys() | Lh.keys():
+                    if self._apply(Lg, Lh.get(x, {})) != self._apply(Lh, Lg.get(x, {})):
+                        raise OmegaModelError(
+                            f"L_{names[g]} and L_{names[h]} do not commute on {names[x]}"
+                        )
+        self.words()
 
-        gens = sorted(set(self.generators or range(n)) - {unit})
-        if any(not 0 <= g < n for g in gens):
-            raise OmegaModelError("generator index names no basis class")
-        by_degree: dict[int, list[int]] = {}
-        for k in range(n):
-            by_degree.setdefault(deg[k], []).append(k)
-        for d in sorted(by_degree):
-            # the unit and every class of lower degree are already spanned
-            spanning = [
-                L[g][k]
-                for g in gens
-                for k in by_degree.get(d - deg[g], ())
-                if (k == unit or deg[k] < d) and k in L[g]
+    def words(self) -> dict[int, tuple]:
+        """Every class but the unit as a sum of c*g*e_j, a tuple of (c, g, j)
+        with e_j the unit or of lower degree: a unit multiple of a single
+        term g*e_j where one exists, else solved for over Z_(p) modulo the
+        orders of the classes of its degree.  Raises if the generators do not
+        span some degree."""
+        if self._words is not None:
+            return self._words
+        p, ops, basis, deg = self.p, self.ops, self.basis, [b.degree for b in self.basis]
+        terms = [(g, j) for g, op in ops.items() for j in op if j == self.unit or deg[g] > 0]
+        words: dict[int, tuple] = {}
+        for g, j in terms:
+            ((k, c), *more) = ops[g][j].items()
+            if not more and k not in words and (c if isinstance(c, int) else c.numerator) % p:
+                words[k] = ((_canon_coeff(1 / Fraction(c), basis[k].torsion_exp, p), g, j),)
+        rest = [k for k in range(len(basis)) if k != self.unit and k not in words]
+        for d in sorted({deg[k] for k in rest}):
+            here = [(g, j) for g, j in terms if deg[g] + deg[j] == d]
+            scales = [
+                math.lcm(*(Fraction(c).denominator for c in ops[g][j].values())) for g, j in here
             ]
-            covered = {
-                k for vec in spanning if len(vec) == 1 for k, c in vec.items() if c.numerator % p
-            }
-            rest = [k for k in by_degree[d] if k != unit and k not in covered]
-            if rest and not self._spans(rest, spanning):
-                raise OmegaModelError(
-                    f"generators do not span degree {d}: {', '.join(names[k] for k in rest)}"
-                )
-
-        for g in gens:
-            for x in range(n):
-                # right[c] = c(g*x), the sum of w (k*c) over the terms w e_k of
-                # g*x; both sides vanish for every c not walked here
-                right: dict[int, dict] = {}
-                for k, w in L[g].get(x, {}).items():
-                    for c, vec in L[k].items():
-                        acc = right.setdefault(c, {})
-                        for j, d in vec.items():
-                            acc[j] = acc.get(j, 0) + w * d
-                for c in L[x].keys() | right.keys():
-                    if self._apply(L[g], L[x].get(c, {})) != self._canon_vector(right.get(c, {})):
-                        raise OmegaModelError(
-                            f"associativity fails: {names[g]}({names[c]}*{names[x]}) "
-                            f"!= {names[c]}({names[g]}*{names[x]})"
-                        )
-
-    def _apply(self, op: dict[int, dict], vec: dict) -> dict[int, int]:
-        """The operator with columns op[x] applied to the vector vec."""
-        acc: dict = {}
-        for k, c in vec.items():
-            for j, d in op.get(k, {}).items():
-                acc[j] = acc.get(j, 0) + c * d
-        return self._canon_vector(acc)
-
-    def _spans(self, rows: list[int], vectors: list[dict]) -> bool:
-        """Do the vectors span the classes `rows` modulo all other classes?"""
-        cols = []
-        for vec in vectors:
-            scale = math.lcm(*(Fraction(c).denominator for c in vec.values()))
-            cols.append({k: vec[k] * scale for k in rows if k in vec})
-        for k in rows:  # the order relation p^{e_k} e_k = 0
-            if self.basis[k].torsion_exp:
-                cols.append({k: self.p ** self.basis[k].torsion_exp})
-        exps = snf_exponents(sparse_matrix(self.p, cols)[0])
-        return len(exps) == len(rows) and not any(exps)
+            columns = [{k: c * s for k, c in ops[g][j].items()} for (g, j), s in zip(here, scales)]
+            columns += [{k: p**basis[k].torsion_exp} for k in range(len(basis))
+                        if deg[k] == d and basis[k].torsion_exp]
+            unspanned = []
+            for x in (k for k in rest if deg[k] == d):
+                if (sol := solve_sparse(p, columns, {x: 1})) is None:
+                    unspanned.append(basis[x].name)
+                else:
+                    words[x] = tuple((_canon_coeff(c * s, 0, p), g, j)
+                                     for c, s, (g, j) in zip(sol, scales, here) if c)
+            if unspanned:
+                raise OmegaModelError(f"generators do not span degree {d}: {', '.join(unspanned)}")
+        self._words = words
+        return words
 
     def to_json(self) -> dict:
+        """The ring with its full product table, the one place it is built."""
         return {
             "p": self.p,
             "unit": self.unit,
@@ -432,9 +466,9 @@ class PresentedRing:
                 for b in self.basis
             ],
             "mult": {
-                f"{i},{j}": {str(k): (str(c) if isinstance(c, Fraction) else c) for k, c in tab.items()}
-                for (i, j), tab in sorted(self.mult.items())
-                if tab
+                f"{i},{j}": {str(k): str(c) if isinstance(c, Fraction) else c for k, c in v.items()}
+                for i in range(len(self.basis))
+                for j, v in sorted(self.operator(i).items())
             },
         }
 
@@ -447,37 +481,34 @@ def tensor_name(a: str, b: str) -> str:
 def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
     """Tensor product ring over Z_(p); orders combine as p^min(e_a, e_b).
 
-    (a (x) b)(a' (x) b') = aa' (x) bb', so the table comes from the nnz(A) *
-    nnz(B) pairs of nonzero products.  It needs no audit of its own: a tensor
-    product of audited rings is a commutative ring that the factors'
+    Its generators are the g (x) 1 and the 1 (x) h, with L_{g (x) 1} =
+    L_g (x) I and L_{1 (x) h} = I (x) L_h.  It needs no audit of its own: a
+    tensor product of audited rings is a commutative ring that the factors'
     generators span, so `ring_quotient`'s ideal check on it is sound, and the
     quotient is audited.
     """
     if A.p != B.p:
         raise OmegaModelError("prime mismatch")
+    nb = len(B.basis)  # the class a_i (x) b_j has index i * nb + j
     basis = []
-    index: dict[tuple[int, int], int] = {}
-    for i, a in enumerate(A.basis):
-        for j, b in enumerate(B.basis):
+    for a in A.basis:
+        for b in B.basis:
             exp = min((e for e in (a.torsion_exp, b.torsion_exp) if e), default=0)
-            index[(i, j)] = len(basis)
             basis.append(BasisClass(tensor_name(a.name, b.name), a.degree + b.degree, exp))
-    ring = PresentedRing(
-        p=A.p,
-        basis=tuple(basis),
-        unit=index[(A.unit, B.unit)],
-        mult={},
-        generators=tuple(index[(g, B.unit)] for g in A.generators or range(len(A.basis)))
-        + tuple(index[(A.unit, g)] for g in B.generators or range(len(B.basis))),
-    )
-    for (a1, a2), ta in A.mult.items():
-        for (b1, b2), tb in B.mult.items():
-            vec = ring._canon_vector(
-                {index[(i, j)]: ca * cb for i, ca in ta.items() for j, cb in tb.items()}
-            )
-            if vec:
-                ring.mult[(index[(a1, b1)], index[(a2, b2)])] = vec
-    return ring
+    ops = {}
+    for g, op in A.ops.items():
+        ops[g * nb + B.unit] = {
+            i * nb + j: {k * nb + j: c for k, c in vec.items()}
+            for i, vec in op.items()
+            for j in range(nb)
+        }
+    for h, op in B.ops.items():
+        ops[A.unit * nb + h] = {
+            i * nb + j: {i * nb + k: c for k, c in vec.items()}
+            for j, vec in op.items()
+            for i in range(len(A.basis))
+        }
+    return PresentedRing(A.p, tuple(basis), A.unit * nb + B.unit, ops)
 
 
 def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> PresentedRing:
@@ -485,22 +516,21 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
     of the differences a - b of the identified pairs of named classes.
 
     Closure: in a union-find, each pair (a, b) that merges two classes is
-    multiplied by every generator g (the whole basis when `generators` is
-    empty); g*a and g*b must both vanish or be single terms c*x and c*y with
-    one c, and then x ~ y; anything else is an error.  Identified classes
-    share degree, order and being killed, so the lowest index of each class
-    not killed is a basis of ring/I, listed by (degree, name).  Certificate,
-    with pi the projection to ring/I: pi(g*k) = 0 for every killed k, and
-    pi(g*x) = pi(g*r) for every identified x with survivor r.  So g*I lies in
-    I, which suffices: the parent's audit certifies that words in the
-    generators span the ring, so any a*i is a Z_(p)-combination of
-    g_1(g_2(...(g_r i))), each step in I.  The quotient is audited.
+    multiplied by every generator g; g*a and g*b must both vanish or be
+    single terms c*x and c*y with one c, and then x ~ y; anything else is an
+    error.  Identified classes share degree, order and being killed, so the
+    lowest index of each class not killed is a basis of ring/I, listed by
+    (degree, name).  Certificate, with pi the projection to ring/I:
+    pi(g*k) = 0 for every killed k, and pi(g*x) = pi(g*r) for every
+    identified x with survivor r.  So g*I lies in I, which suffices: the
+    parent's audit certifies that words in the generators span the ring, so
+    any a*i is a Z_(p)-combination of g_1(g_2(...(g_r i))), each step in I.
+    The operators of the quotient are pi L_g on the survivors; it is audited.
     """
     n, names = len(ring.basis), [b.name for b in ring.basis]
     killed = {ring.index_of(name) for name in killed_names}
     if ring.unit in killed:
         raise OmegaModelError("the unit cannot be killed")
-    gens = sorted(set(ring.generators or range(n)) - {ring.unit})
     root = list(range(n))
 
     def find(x: int) -> int:
@@ -525,9 +555,8 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
                     f"cannot identify {A.name} with {B.name}: {what} {x} and {y}"
                 )
         root[max(ra, rb)] = min(ra, rb)
-        for g in gens:
-            va = ring._canon_vector(ring.mult.get((g, a), {}))
-            vb = ring._canon_vector(ring.mult.get((g, b), {}))
+        for g, op in ring.ops.items():
+            va, vb = op.get(a, {}), op.get(b, {})
             if (va or vb) and not (len(va) == len(vb) == 1 and [*va.values()] == [*vb.values()]):
                 raise OmegaModelError(
                     f"identifying {A.name} with {B.name} needs {names[g]}*{A.name} "
@@ -542,37 +571,34 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
     )
     new = {k: i for i, k in enumerate(survivors)}
     image = {k: new[find(k)] for k in range(n) if k not in killed}
-    quotient = PresentedRing(
-        p=ring.p,
-        basis=tuple(ring.basis[k] for k in survivors),
-        unit=image[ring.unit],
-        mult={},
-        generators=tuple(image[g] for g in ring.generators if g in image),
-    )
+    basis = tuple(ring.basis[k] for k in survivors)
 
     def project(vec: dict) -> dict[int, int]:
         out: dict = {}
         for k, c in vec.items():
             if k in image:
                 out[image[k]] = out.get(image[k], 0) + c
-        return quotient._canon_vector(out)
+        return _canon_vector(out, basis, ring.p)
 
-    for g in gens:
+    for g, op in ring.ops.items():
         for x in (x for x in range(n) if x not in new):
-            gx = project(ring.mult.get((g, x), {}))
+            gx = project(op.get(x, {}))
             if x in killed and gx:
                 raise OmegaModelError(
                     f"the killed classes span no ideal: {names[g]}*{names[x]} has a term "
-                    f"{quotient.basis[min(gx)].name}"
+                    f"{basis[min(gx)].name}"
                 )
-            if x in image and gx != project(ring.mult.get((g, survivors[image[x]]), {})):
+            if x in image and gx != project(op.get(survivors[image[x]], {})):
                 raise OmegaModelError(
                     f"the identified classes span no ideal: {names[g]}*{names[x]} "
                     f"!= {names[g]}*{names[survivors[image[x]]]} in the quotient"
                 )
-    for (a, b), tab in ring.mult.items():
-        if a in new and b in new and (vec := project(tab)):
-            quotient.mult[(new[a], new[b])] = vec
+    ops = {
+        image[g]: {new[x]: project(vec) for x, vec in op.items() if x in new}
+        for g, op in ring.ops.items()
+        if g in image
+    }
+    quotient = PresentedRing(ring.p, basis, image[ring.unit], ops)
     quotient.audit()
     return quotient
 
@@ -677,33 +703,18 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
         x = solve_sparse(p, sl["elements"], el)
         if x is None:
             raise OmegaModelError("element is not in the image submodule")
-        out: dict[int, int] = {}
-        for i in sl["survivors"]:
-            k = index[sl["names"][i]]
-            c = _canon_coeff(x[i], basis[k].torsion_exp, p)
-            if c:
-                out[k] = c
-        return out
+        return _canon_vector({index[sl["names"][i]]: x[i] for i in sl["survivors"]}, basis, p)
 
-    mult: dict[tuple[int, int], dict[int, int]] = {}
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            ea = gen_elements[basis[a].name]
-            eb = gen_elements[basis[b].name]
-            prod = model.mul(ea, eb)
-            if not prod:
-                continue
-            d = basis[a].degree + basis[b].degree
-            vec = class_of(prod, d)
-            if vec:
-                mult[(a, b)] = vec
-    ring = PresentedRing(
-        p=p,
-        basis=tuple(basis),
-        unit=unit,
-        mult=mult,
-        generators=tuple(k for k, b in enumerate(basis) if k != unit),
-    )
+    # every class but the unit is a generator; one column per class each
+    ops = {
+        g: {
+            x: class_of(model.mul(gen_elements[a.name], gen_elements[b.name]), a.degree + b.degree)
+            for x, b in enumerate(basis)
+        }
+        for g, a in enumerate(basis)
+        if g != unit
+    }
+    ring = PresentedRing(p, tuple(basis), unit, ops)
     ring.audit()
     return ring
 

@@ -107,11 +107,8 @@ def toy_ring():
         BasisClass("t", 2, 1),
         BasisClass("t2", 4, 1),
     )
-    mult = {(1, 1): {2: 1}, (1, 2): {}, (2, 1): {}, (2, 2): {}}
-    for k in range(3):  # the unit rows are part of the table, not implicit
-        mult[(0, k)] = {k: 1}
-        mult[(k, 0)] = {k: 1}
-    return PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1,))
+    # the one generator t: L_t(1) = t, L_t(t) = t2, L_t(t2) = 0
+    return PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: {1: 1}, 1: {2: 1}}})
 
 
 def test_presented_ring_multiply_and_power():
@@ -119,32 +116,62 @@ def test_presented_ring_multiply_and_power():
     R.audit()
     t = R.basis_vector("t")
     assert R.multiply(t, t) == {2: 1}
-    assert R.power(t, 2) == {2: 1}
-    assert R.power(t, 3) == {}
+    assert R.multiply(R.multiply(t, t), t) == {}
+    # a non-generator class multiplies through its derived operator
+    assert R.multiply(t, {2: 1}) == {}
+    assert R.multiply({0: 1}, {2: 1}) == {2: 1}
     # torsion coefficients are reduced mod p
     assert R.multiply({1: 2}, t) == {}
 
 
 def test_audit_catches_broken_unit():
     basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0))
-    bad = PresentedRing(
-        p=2, basis=basis, unit=0, mult={(0, 1): {1: 2}, (1, 0): {1: 2}}, generators=(1,)
-    )
-    with pytest.raises(OmegaModelError):
+    bad = PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: {1: 2}}})
+    with pytest.raises(OmegaModelError, match=r"L_x\(1\) is not x"):
         bad.audit()
 
 
 def test_audit_catches_noncommutative_table():
-    basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("y", 2, 0))
-    bad = PresentedRing(
-        p=2,
-        basis=basis,
-        unit=0,
-        mult={(1, 2): {1: 1}, (2, 1): {2: 1}},
-        generators=(1, 2),
-    )
-    with pytest.raises(OmegaModelError):
-        bad.audit()
+    # degree-0 classes with x*y = x but y*x = y: L_x L_y(1) = x, L_y L_x(1) = y
+    basis = (BasisClass("1", 0, 0), BasisClass("x", 0, 0), BasisClass("y", 0, 0))
+    ops = {1: {0: {1: 1}, 2: {1: 1}}, 2: {0: {2: 1}, 1: {2: 1}}}
+    with pytest.raises(OmegaModelError, match="L_x and L_y do not commute on 1"):
+        PresentedRing(p=2, basis=basis, unit=0, ops=ops).audit()
+
+
+def test_ops_input_errors():
+    basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("t", 2, 1))
+    cases = [
+        ({0: {0: {0: 1}}}, "the unit cannot be a generator"),
+        ({3: {0: {3: 1}}}, "generator index 3 names no basis class"),
+        ({1: {0: {1: 1}, 5: {1: 1}}}, r"column 5 of L_x names no basis class"),
+        ({1: {0: {1: 1}, 1: {7: 1}}}, r"column 1 of L_x names no basis class"),
+        ({1: {0: {1: Fraction(1, 2)}}}, "coefficient is not p-local"),
+        ({2: {0: {2: Fraction(1, 4)}}}, "coefficient is not p-local"),
+    ]
+    for ops, message in cases:
+        with pytest.raises(OmegaModelError, match=message):
+            PresentedRing(p=2, basis=basis, unit=0, ops=ops)
+    with pytest.raises(OmegaModelError, match="unit index 3 names no basis class"):
+        PresentedRing(p=2, basis=basis, unit=3, ops={})
+    # a p-local fraction is kept on a free class and reduced on a torsion one
+    ring = PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: {1: 1, 2: Fraction(5, 3)}}})
+    assert ring.ops[1][0] == {1: 1, 2: 1}
+
+
+def test_audit_catches_two_noncommuting_generators():
+    # Z_(3)[x, y]/(x, y)^3 with xy = x^2 on one side only: L_x(y) = x^2 + y^2
+    # while L_y(x) = xy, so L_x L_y(1) != L_y L_x(1)
+    names = ("1", "x", "y", "x^2", "xy", "y^2")
+    basis = tuple(BasisClass(nm, d, 0) for nm, d in zip(names, (0, 2, 2, 4, 4, 4)))
+    ops = {
+        1: {0: {1: 1}, 1: {3: 1}, 2: {4: 1}},
+        2: {0: {2: 1}, 1: {4: 1}, 2: {5: 1}},
+    }
+    PresentedRing(p=3, basis=basis, unit=0, ops=ops).audit()
+    ops[1][2] = {3: 1, 5: 1}
+    with pytest.raises(OmegaModelError, match="L_x and L_y do not commute on 1"):
+        PresentedRing(p=3, basis=basis, unit=0, ops=ops).audit()
 
 
 def test_ring_tensor_torsion_exponents():
@@ -219,58 +246,64 @@ def test_pfister_torsion_square_vanishes():
     assert ideal_power_witness(obj.ring, names, 2) is None
 
 
-def truncated_polynomial_ring(p, top):
-    """Z_(p)[a]/(a^top) on the basis a^0 .. a^(top-1), generated by a."""
+def truncated_polynomial_ring(p, top, generators=(1,)):
+    """Z_(p)[a]/(a^top) on the basis a^0 .. a^(top-1), with the generators
+    a^g for g in `generators`: L_{a^g}(a^i) = a^(g+i)."""
     basis = tuple(BasisClass(f"a^{i}", 2 * i, 0) for i in range(top))
-    mult = {(i, j): {i + j: 1} for i in range(top) for j in range(top) if i + j < top}
-    return PresentedRing(p=p, basis=basis, unit=0, mult=mult, generators=(1,))
+    ops = {g: {i: {g + i: 1} for i in range(top - g)} for g in generators}
+    return PresentedRing(p=p, basis=basis, unit=0, ops=ops)
 
 
 def test_audit_accepts_truncated_polynomial_ring():
-    truncated_polynomial_ring(3, 35).audit()
+    ring = truncated_polynomial_ring(3, 35)
+    ring.audit()
+    # a^34 is a word of length 34; its operator is derived without recursion
+    assert ring.multiply({17: 1}, {17: 1}) == {34: 1}
+    truncated_polynomial_ring(3, 35, generators=(1, 3)).audit()
 
 
 def test_audit_catches_nonassociative_large_table():
-    # 35^3 basis triples: a sampled audit missed this; (a^3 a^3) a != a^3 (a^3 a)
-    bad = truncated_polynomial_ring(3, 35)
-    bad.mult[(3, 3)] = {6: 2}
-    with pytest.raises(OmegaModelError, match="associativity"):
+    # a sampled table audit missed (a^3 a^3) a != a^3 (a^3 a); as operators,
+    # a wrong a^3*a^3 entry in the operator of the second generator a^3
+    # breaks commutation
+    good = truncated_polynomial_ring(3, 35, generators=(1, 3))
+    ops = {g: dict(op) for g, op in good.ops.items()}
+    ops[3][3] = {6: 2}
+    bad = PresentedRing(p=3, basis=good.basis, unit=0, ops=ops)
+    with pytest.raises(OmegaModelError, match="L_a\\^1 and L_a\\^3 do not commute on a\\^2"):
         bad.audit()
 
 
 def test_audit_catches_product_in_wrong_degree():
     basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("y", 6, 0))
-    mult = {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in range(3)}
-    mult[(1, 1)] = {2: 1}
-    bad = PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1, 2))
+    ops = {1: {0: {1: 1}, 1: {2: 1}}, 2: {0: {2: 1}}}
+    bad = PresentedRing(p=2, basis=basis, unit=0, ops=ops)
     with pytest.raises(OmegaModelError, match="wrong degree"):
         bad.audit()
 
 
 def test_audit_catches_torsion_product_on_free_class():
     basis = (BasisClass("1", 0, 0), BasisClass("t", 2, 1), BasisClass("x", 4, 0))
-    mult = {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in range(3)}
-    mult[(1, 1)] = {2: 1}  # 2 * t^2 = (2t) t = 0, but 2x != 0
-    bad = PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1, 2))
+    ops = {1: {0: {1: 1}, 1: {2: 1}}, 2: {0: {2: 1}}}  # 2 * t^2 = (2t) t = 0, but 2x != 0
+    bad = PresentedRing(p=2, basis=basis, unit=0, ops=ops)
     with pytest.raises(OmegaModelError, match="not killed"):
         bad.audit()
 
 
 def test_audit_catches_generators_that_do_not_span():
     basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("y", 2, 0))
-    mult = {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in range(3)}
-    bad = PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1,))
-    with pytest.raises(OmegaModelError, match="do not span"):
+    bad = PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: {1: 1}}})
+    with pytest.raises(OmegaModelError, match="do not span degree 2: y"):
         bad.audit()
     # idempotents g = (1,1,0), h = (0,1,0) of Z_(2)^3: g*h = h, yet g alone
     # generates only span(1, g); a generator may not vouch for its own degree
     basis = (BasisClass("1", 0, 0), BasisClass("g", 0, 0), BasisClass("h", 0, 0))
-    mult = {(0, k): {k: 1} for k in range(3)} | {(k, 0): {k: 1} for k in range(3)}
-    mult |= {(1, 1): {1: 1}, (1, 2): {2: 1}, (2, 1): {2: 1}, (2, 2): {2: 1}}
-    bad = PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1,))
-    with pytest.raises(OmegaModelError, match="do not span"):
+    L_g = {0: {1: 1}, 1: {1: 1}, 2: {2: 1}}
+    L_h = {0: {2: 1}, 1: {2: 1}, 2: {2: 1}}
+    bad = PresentedRing(p=2, basis=basis, unit=0, ops={1: L_g})
+    with pytest.raises(OmegaModelError, match="do not span degree 0: h"):
         bad.audit()
-    PresentedRing(p=2, basis=basis, unit=0, mult=mult, generators=(1, 2)).audit()
+    PresentedRing(p=2, basis=basis, unit=0, ops={1: L_g, 2: L_h}).audit()
 
 
 def square_zero_pair_ring(xy_on_w):
@@ -278,15 +311,23 @@ def square_zero_pair_ring(xy_on_w):
     x^2 = u + w, xy = u + xy_on_w * w, y^2 = 0 and nothing in degree 6."""
     names = ("1", "x", "y", "u", "w")
     basis = tuple(BasisClass(nm, d, 0) for nm, d in zip(names, (0, 2, 2, 4, 4)))
-    mult = {(0, k): {k: 1} for k in range(5)} | {(k, 0): {k: 1} for k in range(5)}
-    mult[(1, 1)] = {3: 1, 4: 1}
-    mult[(1, 2)] = mult[(2, 1)] = {3: 1, 4: xy_on_w}
-    return PresentedRing(p=3, basis=basis, unit=0, mult=mult, generators=(1, 2))
+    xy = {3: 1, 4: xy_on_w}
+    ops = {1: {0: {1: 1}, 1: {3: 1, 4: 1}, 2: xy}, 2: {0: {2: 1}, 1: xy}}
+    return PresentedRing(p=3, basis=basis, unit=0, ops=ops)
 
 
 def test_audit_generation_needs_a_unimodular_span():
     # no single product is a unit multiple of u or w; together they span
-    square_zero_pair_ring(2).audit()
+    ring = square_zero_pair_ring(2)
+    ring.audit()
+    # u = 2x^2 - xy and w = xy - x^2 come out of the solver as words
+    for k, word in ring.words().items():
+        total: dict = {}
+        for c, g, j in word:
+            for t, d in ring.ops[g][j].items():
+                total[t] = total.get(t, 0) + c * d
+        assert {t: d for t, d in total.items() if d} == {k: 1}
+    assert ring.multiply(ring.basis_vector("x"), ring.basis_vector("u")) == {}
     # x^2 and xy span a sublattice of index 3 in degree 4
     with pytest.raises(OmegaModelError, match="do not span"):
         square_zero_pair_ring(4).audit()
@@ -303,6 +344,8 @@ def test_canon_coeff_integers_and_fractions():
     assert _canon_coeff(Fraction(1, 2), 0, 3) == Fraction(1, 2)
     with pytest.raises(OmegaModelError, match="not p-local"):
         _canon_coeff(Fraction(1, 3), 1, 3)
+    with pytest.raises(OmegaModelError, match="not p-local"):
+        _canon_coeff(Fraction(1, 3), 0, 3)
 
 
 def test_ring_quotient_needs_an_ideal():

@@ -421,6 +421,18 @@ def test_grid_reports_match_recorded_bytes():
         assert text == expected, key
 
 
+OFF_GRID = json.loads((Path(__file__).parent / "data" / "offgrid_reports.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(OFF_GRID))
+def test_off_grid_reports_match_recorded_bytes(key):
+    # lemma-4.1 with n1 != n2 and thm-6.9 past the grid, recorded before their
+    # left sides moved onto the Kunneth word ring
+    id_, params = key.split(" ", 1)
+    report = verify_theorem(id_, json.loads(params))
+    assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]
+
+
 def test_left_right_tensor_path_equals_report():
     # independent recomputation of the thm-1.1 left side
     from rostcalc.catalog import gr_m_rost_ring

@@ -25,7 +25,6 @@ from .kunneth import (
     j_ideal,
     kunneth_map,
     star_star_check,
-    tilde_quotient,
     verify_theorem,
 )
 from .omega import (
@@ -69,7 +68,6 @@ __all__ = [
     "snf_p_local",
     "star_star_check",
     "tensor_product",
-    "tilde_quotient",
     "to_chow",
     "torsion_ideal",
     "v_torsion_generators",

@@ -2,9 +2,9 @@
 
 Z_(p)[v] is not a principal ideal domain, so there is no single normal form;
 instead the module invariants are extracted through base changes that do have
-one: v -> 0 and the localization at v, together with a bounded certification
-of v-torsion.  For every shape occurring in the catalog these invariants are
-complete.
+one: v -> 0 and the localization at v, which also decides v-torsion (a class
+is v-torsion exactly when it vanishes once v is inverted).  For every shape
+occurring in the catalog these invariants are complete.
 
 Relation entries are polynomials in v with integer coefficients, stored as
 ascending coefficient tuples.  All relations must be homogeneous for the
@@ -155,40 +155,14 @@ def graded_slice(M: KmPresentation, D: int) -> list[dict[tuple[int, int], int]]:
 
 
 def slice_membership(M: KmPresentation, target: dict[tuple[int, int], int], D: int) -> bool:
-    """Is the degree-D element sum c * v^a * e_i in the relation span?"""
+    """Is the degree-D element sum c * v^a * e_i in the relation span?
+
+    No caller in the package: it stays as the test oracle of
+    `v_torsion_generators` and as a target of the per-layer tracer."""
     for (i, a), c in target.items():
         if c and not (0 <= i < len(M.gens) and a >= 0 and M.gens[i][1] - a * M.vdeg == D):
             raise KmModuleError("target outside the slice")
     return solve_sparse(M.p, graded_slice(M, D), target) is not None
-
-
-def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
-    """Generators killed by a power of v, certified within the degree window.
-
-    For degrees below every generator and relation degree, the slice in
-    degree D is exactly v times the slice in degree D + vdeg, so membership
-    of v^N * g stabilizes; testing up to the bound is a complete certificate.
-    """
-    if not M.gens:
-        return ()
-    vdeg = M.vdeg
-    degree_floor = min(d for _, d in M.gens)
-    rel_degs = [d for d in M.rel_degrees if d is not None]
-    if rel_degs:
-        degree_floor = min(degree_floor, min(rel_degs))
-    out = []
-    for i, (name, gdeg) in enumerate(M.gens):
-        nbound = (gdeg - degree_floor) // vdeg + 1
-        if nbound < 1:
-            nbound = 1
-        torsion = False
-        for N in range(1, nbound + 1):
-            D = gdeg - N * vdeg
-            if slice_membership(M, {(i, N): 1}, D):
-                torsion = True
-                break
-        out.append((name, torsion))
-    return tuple(name for name, t in out if t)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +216,12 @@ def _class_matrix(M: KmPresentation, cls: int) -> tuple[list[int], list[list[Pol
     return gen_idx, matrix
 
 
+def _class_at_one(M: KmPresentation, cls: int) -> tuple[list[int], list[list[int]]]:
+    """The class matrix at v = 1: each entry is one term c * v^k, read as c."""
+    gen_idx, matrix = _class_matrix(M, cls)
+    return gen_idx, [[sum(a) for a in row] for row in matrix]
+
+
 def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
     """Invariants of M[v^-1], one degree class mod vdeg at a time.
 
@@ -258,9 +238,8 @@ def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
     free_total = 0
     torsion_total: list[int] = []
     for cls in sorted({d % vdeg for _, d in M.gens}):
-        gen_idx, matrix = _class_matrix(M, cls)
-        at_one = [[sum(a) for a in row] for row in matrix]
-        exps = snf_exponents(PLocalMatrix.from_rows(M.p, at_one, cols=len(matrix[0])))
+        gen_idx, at_one = _class_at_one(M, cls)
+        exps = snf_exponents(PLocalMatrix.from_rows(M.p, at_one, cols=len(at_one[0])))
         free = len(gen_idx) - len(exps)
         torsion = tuple(e for e in exps if e)
         if free or torsion:
@@ -274,6 +253,28 @@ def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
         torsion=tuple(sorted(torsion_total)),
         per_class=tuple(sorted(per_class.items())),
     )
+
+
+def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
+    """Generators killed by a power of v, in generator order.
+
+    e_i is killed by a power of v exactly when it is zero in M[v^-1].  In its
+    degree class mod vdeg, M[v^-1] is the cokernel of D_g * C * D_r^-1 (see
+    `localize_v`), with C the class matrix at v = 1 and D_g, D_r diagonal
+    powers of v, units once v is inverted.  D_g^-1 e_i is a unit multiple of
+    e_i, so e_i = 0 there exactly when e_i is a Z_(p)[v, v^-1]-combination of
+    the columns of C.  C has entries in Z_(p); comparing the coefficients of
+    v^0 shows that this holds exactly when e_i is a Z_(p)-combination of
+    them.  One `solve_sparse` per generator decides it.
+    """
+    killed = set()
+    for cls in sorted({d % M.vdeg for _, d in M.gens}):
+        gen_idx, at_one = _class_at_one(M, cls)
+        cols = [{r: c for r, c in enumerate(col) if c} for col in zip(*at_one)]
+        for r, i in enumerate(gen_idx):
+            if solve_sparse(M.p, cols, {r: 1}) is not None:
+                killed.add(i)
+    return tuple(name for i, (name, _) in enumerate(M.gens) if i in killed)
 
 
 # ---------------------------------------------------------------------------

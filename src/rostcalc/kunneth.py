@@ -1,9 +1,10 @@
 """Products of motives and the theorem verifiers.
 
 The pieces: the mixed-class decomposition C_0 + C_1 + C_2 of a two-factor
-product, the identification ideal J_s, tilde quotients (kill everything
-supported on a proper subset of factors), the comparison map into a product
-with split second factor, the image-membership criterion (**) in the ambient
+product, the identification ideal J_s and the word ring gr_m(R')^{(x) s}/J
+whose slots the second display reads, the tilde split module (the monomials
+supported on every factor), the comparison map into a product with split
+second factor, the image-membership criterion (**) in the ambient
 periodic split module (`omega.OmegaImageModel` with v = v_m), and one
 verifier per published claim id.
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -34,19 +34,18 @@ from .catalog import (
     flags,
     gr_m_rost_ring,
     km_rost,
+    map_from_rules,
+    rost_res_rules,
 )
 from .exact_linalg import is_prime, membership, solve_sparse
 from .graded import (
-    DegreeComponent,
     GradedFPModule,
     GradedMap,
     cyclic_summands,
     direct_sum,
     gr_ps,
     iso_equal,
-    kill_generator,
     normalize,
-    quotient,
     tensor_product,
     zero_module,
 )
@@ -205,25 +204,6 @@ def j_ideal(p: int, m: int, s: int) -> KunnethIdeal:
     return ideal
 
 
-def _difference_relation(M: GradedFPModule, pos: str, neg: str) -> tuple[int, list[int]]:
-    d1, i1 = M.generator_index(pos)
-    d2, i2 = M.generator_index(neg)
-    if d1 != d2:
-        raise KunnethError(f"difference {pos} - {neg} is not homogeneous")
-    vec = [0] * M.gens_at(d1)
-    vec[i1] += 1
-    vec[i2] -= 1
-    return d1, vec
-
-
-def j_quotient(M: GradedFPModule, ideal: KunnethIdeal) -> GradedFPModule:
-    """Quotient a named module by the ideal generators present in its basis."""
-    rels = []
-    for g in ideal.generators:
-        rels.append(_difference_relation(M, g.positive_name, g.negative_name))
-    return quotient(M, rels)
-
-
 # ---------------------------------------------------------------------------
 # the ambient periodic split module and the criterion (**)
 # ---------------------------------------------------------------------------
@@ -341,118 +321,42 @@ def image_preset(model: BarKmModel, preset: str) -> list[Element] | None:
 
 
 # ---------------------------------------------------------------------------
-# tilde quotients and the second-display machinery
+# the tilde split module and the word slots of the second display
 # ---------------------------------------------------------------------------
-
-_FACTOR_RE = re.compile(r"y_(\d+)")
-
-
-def name_support(name: str) -> frozenset[int]:
-    return frozenset(int(t) for t in _FACTOR_RE.findall(name))
-
-
-def tilde_quotient(M: GradedFPModule, nfactors: int) -> GradedFPModule:
-    """Kill every basis monomial not supported on all factors."""
-    full = frozenset(range(1, nfactors + 1))
-    doomed = []
-    for d in M.degrees():
-        names = M.names_at(d)
-        if names is None:
-            raise KunnethError("unindexed basis: tilde quotient needs generator names")
-        for nm in names:
-            if name_support(nm) != full:
-                doomed.append(nm)
-    out = M
-    for nm in doomed:
-        out = kill_generator(out, nm)
-    return out
-
-
-def bar_tensor_module(p: int, ns) -> GradedFPModule:
-    mods = [bar_rost_ring(p, n, var=f"y_{t + 1}").module() for t, n in enumerate(ns)]
-    return reduce(tensor_product, mods)
 
 
 def tilde_bar_module(p: int, ns) -> GradedFPModule:
-    return tilde_quotient(bar_tensor_module(p, ns), len(ns))
+    """The split product modulo every monomial not supported on all factors:
+    the bar rings are free on the y_t^j, so this is the tensor product of
+    their positive parts."""
+    bars = [bar_rost_ring(p, n, var=f"y_{t + 1}") for t, n in enumerate(ns)]
+    return reduce(tensor_product, [positive_part(bar.module()) for bar in bars])
 
 
-def word_slot_module(p: int, ns, m: int, k: int) -> GradedFPModule:
-    """Full-support words with exactly k zero-labels, as a presented module.
-
-    Generators are all label arrangements; relations are p times any word
-    containing a torsion label, plus the label-swap differences coming from
-    the ideal.  The normal form of this module is one slot of the filtration
-    comparison — computed honestly rather than read off the identification.
-    """
-    s = len(ns)
-    if not (0 <= k <= s):
-        raise KunnethError("zero-label count out of range")
-    rules = [DegreeRule(p, n) for n in ns]
-    delta = p**m - 1
-    gens: list[tuple[frozenset[int], tuple[int, ...]]] = []
-    for mask in itertools.combinations(range(s), k):
-        for jvec in itertools.product(range(1, p), repeat=s):
-            gens.append((frozenset(mask), jvec))
-
-    def word_name(mask, jvec):
-        parts = []
-        for t in range(s):
-            label = 0 if t in mask else m
-            parts.append(_c(label, jvec[t], f"y_{t + 1}"))
-        return "*".join(parts)
-
-    def word_degree(mask, jvec):
-        return sum(rules[t].c_degree(0, jvec[t]) for t in range(s)) - (s - k) * delta
-
-    by_degree: dict[int, list[tuple[frozenset[int], tuple[int, ...]]]] = {}
-    for w in gens:
-        by_degree.setdefault(word_degree(*w), []).append(w)
-    components = {}
-    for d, ws in by_degree.items():
-        idx = {w: i for i, w in enumerate(ws)}
-        rels: list[tuple[int, ...]] = []
-        for w in ws:
-            mask, jvec = w
-            if k < s:
-                col = [0] * len(ws)
-                col[idx[w]] = p
-                rels.append(tuple(col))
-            for r in sorted(mask):
-                for t in range(s):
-                    if t in mask:
-                        continue
-                    swapped = (mask - {r}) | {t}
-                    w2 = (frozenset(swapped), jvec)
-                    col = [0] * len(ws)
-                    col[idx[w]] += 1
-                    col[idx[w2]] -= 1
-                    if any(col):
-                        rels.append(tuple(col))
-        names = tuple(word_name(*w) for w in ws)
-        components[d] = DegreeComponent(gens=len(ws), relations=tuple(rels), names=names)
-    if not components:
-        return zero_module(p)
-    degs = sorted(components)
-    return GradedFPModule(p=p, components=components, window=(degs[0], degs[-1]))
+def word_slots(ring: PresentedRing, s: int) -> dict[str, dict]:
+    """The full-support classes of an s-factor word ring, slot_{k+1} holding
+    those with k c_0 labels.  J swaps a c_0 label with a c_m label, so it
+    keeps the count, and each slot is the sum of the cyclic classes in it."""
+    free, torsion = [0] * (s + 1), [[] for _ in range(s + 1)]
+    for b in ring.basis:
+        labels = b.name.split("*")
+        if len(labels) == s:
+            k = sum(label.startswith("c_0(") for label in labels)
+            if b.torsion_exp:
+                torsion[k].append(b.torsion_exp)
+            else:
+                free[k] += 1
+    return {f"slot_{k + 1}": {"free": free[k], "torsion": sorted(torsion[k])} for k in range(s + 1)}
 
 
 def second_display_sides(p: int, s: int, n: int, m: int):
-    """Left: word-space slots from the quotient presentation.  Right: the
+    """Left: the slots of the word ring gr_m(R')^{(x) s}/J.  Right: the
     p-power filtration of the tilde split module.  Slot t+1 holds the words
     with t zero-labels; the degree shift between the sides is the torsion
     twist, so the verdict compares ungraded slot invariants."""
-    ns = (n,) * s
-    left = {}
-    for k in range(0, s + 1):
-        nf = normalize(word_slot_module(p, ns, m, k))
-        fr, tors = nf.aggregate()
-        left[f"slot_{k + 1}"] = {"free": fr, "torsion": list(tors)}
-    filt = gr_ps(tilde_bar_module(p, ns), s)
-    right = {}
-    for slot in range(1, s + 2):
-        fr, tors = filt.slot_aggregate(slot)
-        right[f"slot_{slot}"] = {"free": fr, "torsion": list(tors)}
+    left = word_slots(kunneth_quotient_ring(p, n, m, s), s)
+    filt = gr_ps(tilde_bar_module(p, (n,) * s), s)
+    right = {f"slot_{k}": _slot_dict(filt.slot_aggregate(k)) for k in range(1, s + 2)}
     return left, right
 
 
@@ -473,10 +377,16 @@ def kunneth_quotient_ring(p: int, n: int, m: int, s: int) -> PresentedRing:
         raise KunnethError("need 1 <= m <= n-1 so the factors carry c_m")
     if s < 1:
         raise KunnethError("need at least one factor")
-    factors = [gr_m_rost_ring(p, n, m, var=f"y_{t}") for t in range(1, s + 1)]
-    if s == 1:
+    return _word_ring(p, (n,) * s, m)
+
+
+def _word_ring(p: int, ns, m: int) -> PresentedRing:
+    """gr_m(R_1) (x) ... (x) gr_m(R_s) / J, factor t on y_t with exponent
+    ns[t-1].  The J pairs have equal degrees for unequal exponents too."""
+    factors = [gr_m_rost_ring(p, n, m, var=f"y_{t}") for t, n in enumerate(ns, 1)]
+    if len(ns) == 1:
         return factors[0]
-    pairs = [(g.positive_name, g.negative_name) for g in j_ideal(p, m, s).generators]
+    pairs = [(g.positive_name, g.negative_name) for g in j_ideal(p, m, len(ns)).generators]
     return ring_quotient(reduce(ring_tensor, factors), identified=pairs)
 
 
@@ -494,45 +404,13 @@ def kunneth_map(p: int, n: int, target: CatalogObject) -> GradedMap:
     if target.bar is None or target.ring is None:
         raise KunnethError("target lacks product bar structure")
     chow1 = chow_rost_ring(p, n, var="y_1")
-    chow2 = chow_rost_ring(p, n, var="y_2")
-    domain = tensor_product(chow1.module(), chow2.module())
-    tmod = target.ring.module()
-    rule = DegreeRule(p, n)
-
-    def res2(name: str) -> list[tuple[str, int]]:
-        # restriction of a second-factor class into the split ring
-        if name == "1":
-            return [("1", 1)]
-        for j in range(1, p):
-            if name == _c(0, j, "y_2"):
-                return [(_power("y_2", j), p)]
-            for i in range(1, n):
-                if name == _c(i, j, "y_2"):
-                    return []
-        raise KunnethError(f"unrecognized class {name!r}")
-
-    matrices: dict[int, list[list[int]]] = {
-        d: [[0] * domain.gens_at(d) for _ in range(tmod.gens_at(d))]
-        for d in domain.degrees()
+    domain = tensor_product(chow1.module(), chow_rost_ring(p, n, var="y_2").module())
+    rules = {
+        f"{a.name}*{b}": tuple((tensor_name(a.name, t), c) for t, c in images)
+        for a in chow1.basis
+        for b, images in rost_res_rules(p, n, var="y_2").items()
     }
-    for d in domain.degrees():
-        names = domain.names_at(d)
-        for col, nm in enumerate(names or ()):
-            a, b = nm.split("*", 1)
-            for tgt, coeff in res2(b):
-                td, row = tmod.generator_index(tensor_name(a, tgt))
-                if td != d:
-                    raise KunnethError("comparison map does not preserve degree")
-                matrices[d][row][col] += coeff
-    gm = GradedMap(
-        source=domain,
-        target=tmod,
-        matrices={d: tuple(tuple(r) for r in m_) for d, m_ in matrices.items()},
-    )
-    check = gm.well_defined()
-    if not check:
-        raise KunnethError("comparison map not well defined: " + "; ".join(check.diffs))
-    return gm
+    return map_from_rules(domain, target.ring.module(), rules)
 
 
 def class_is_nonzero(M: GradedFPModule, name: str) -> bool:
@@ -584,9 +462,7 @@ def _verify_thm_1_1(params: dict) -> TheoremReport:
         raise KunnethError("thm-1.1 is stated for p in {2, 3, 5}")
     n, m = 2, 1
     rule = DegreeRule(p, n)
-    g1 = gr_m_rost_ring(p, n, m, var="y_1").module()
-    g2 = gr_m_rost_ring(p, n, m, var="y_2").module()
-    left_mod = j_quotient(tensor_product(g1, g2), j_ideal(p, m, 2))
+    left_mod = kunneth_quotient_ring(p, n, m, 2).module()
 
     filt = gr_ps(tilde_bar_module(p, (n, n)), 2)
     slot1 = filt.slot_aggregate(1)
@@ -633,10 +509,9 @@ def _verify_lemma_4_1(params: dict) -> TheoremReport:
     ideal = j_ideal(p, m, 2)
     model = BarKmModel(p=p, factor_ns=(n1, n2), m=m)
     res_ok = j_res_vanishes(ideal, model)
-    c2q = j_quotient(dec.c2, ideal)
     left = {
         "slot_1": _slot_dict(normalize(dec.c1).aggregate()),
-        "slot_2": _slot_dict(normalize(c2q).aggregate()),
+        "slot_2": word_slots(_word_ring(p, (n1, n2), m), 2)["slot_2"],
         "slot_3": _slot_dict(normalize(dec.c0).aggregate()),
     }
     filt = gr_ps(tilde_bar_module(p, (n1, n2)), 2)

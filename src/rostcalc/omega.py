@@ -771,18 +771,32 @@ def ideal_power_witness(
 
     Products of s general ideal elements are ring-linear combinations of
     s-fold products of the generators, so exhausting those products is a
-    complete zero-ness certificate.
+    complete zero-ness certificate.  The non-decreasing index tuples are
+    walked depth first, in `combinations_with_replacement` order, and each
+    prefix is multiplied once.  A zero prefix is not extended: the product is
+    associative, so every extension of it is zero too.
     """
     if s < 1:
         raise OmegaModelError("power must be >= 1")
-    idx = [ring.index_of(g) for g in generators]
-    for combo in itertools.combinations_with_replacement(sorted(idx), s):
-        acc = {ring.unit: 1}
-        for k in combo:
-            acc = ring.multiply(acc, {k: 1})
-        if acc:
-            names = tuple(ring.basis[k].name for k in combo)
-            vec = tuple((ring.basis[k].name, c) for k, c in sorted(acc.items()))
-            degree = sum(ring.basis[k].degree for k in combo)
-            return PowerWitness(factors=names, vector=vec, degree=degree)
-    return None
+    idx = sorted(ring.index_of(g) for g in generators)
+
+    def first(combo: tuple[int, ...], start: int, acc: dict[int, int]):
+        """The first s-fold extension of combo, whose product is acc, with a
+        nonzero product: (indices, product), or None."""
+        if len(combo) == s:
+            return combo, acc
+        for pos in range(start, len(idx)):
+            nxt = ring.multiply(acc, {idx[pos]: 1})
+            if nxt and (found := first(combo + (idx[pos],), pos, nxt)):
+                return found
+        return None
+
+    found = first((), 0, {ring.unit: 1})
+    if found is None:
+        return None
+    combo, acc = found
+    return PowerWitness(
+        factors=tuple(ring.basis[k].name for k in combo),
+        vector=tuple((ring.basis[k].name, c) for k, c in sorted(acc.items())),
+        degree=sum(ring.basis[k].degree for k in combo),
+    )

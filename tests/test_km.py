@@ -84,6 +84,56 @@ def test_v_torsion_generators_frozen():
     assert v_torsion_generators(km_rost(2, 2, 2)) == ()
 
 
+def windowed_v_torsion(M: KmPresentation) -> tuple[str, ...]:
+    """The v^N search: below every generator and relation degree the slice
+    in degree D is v times the slice in degree D + vdeg, so trying each N up
+    to that floor decides whether v^N e_i is a relation for some N."""
+    floor = min([d for _, d in M.gens] + [d for d in M.rel_degrees if d is not None])
+    return tuple(
+        name
+        for i, (name, gdeg) in enumerate(M.gens)
+        if any(
+            slice_membership(M, {(i, N): 1}, gdeg - N * M.vdeg)
+            for N in range(1, max(1, (gdeg - floor) // M.vdeg + 1) + 1)
+        )
+    )
+
+
+def random_presentation(rng) -> KmPresentation:
+    """A homogeneous presentation: each relation has one degree, and its
+    entry on a generator of degree g is c * v^k with g - k*vdeg that degree."""
+    p, m = rng.choice((2, 3, 5)), rng.choice((1, 2))
+    vdeg = p**m - 1
+    gens = tuple(
+        (f"g{i}", rng.randint(0, 3) * vdeg + rng.randint(0, min(vdeg - 1, 2)))
+        for i in range(rng.randint(1, 5))
+    )
+    rels = []
+    for _ in range(rng.randint(0, 5)):
+        rdeg = rng.choice(gens)[1] - rng.randint(0, 2) * vdeg
+        rel = []
+        for _, g in gens:
+            k, r = divmod(g - rdeg, vdeg)
+            c = rng.choice((0, 0, 1, -1, p, 2 * p, p * p, 3)) if g >= rdeg and r == 0 else 0
+            rel.append(zp_trim([0] * k + [c]))
+        rels.append(tuple(rel))
+    return KmPresentation(p=p, m=m, gens=gens, rels=tuple(rels))
+
+
+def test_v_torsion_at_v_1_matches_the_windowed_search():
+    rng = random.Random(20261018)
+    killed = 0
+    for _ in range(300):
+        M = random_presentation(rng)
+        got = v_torsion_generators(M)
+        assert got == windowed_v_torsion(M), M
+        killed += len(got)
+    assert killed > 50  # the comparison is not vacuous
+    for p, n, m in KM_ROST_CASES:
+        M = km_rost(p, n, m)
+        assert v_torsion_generators(M) == windowed_v_torsion(M), (p, n, m)
+
+
 def test_gr_geometric_frozen_table():
     nf = normalize(gr_geometric(km_rost(2, 3, 1)))
     assert nf.as_dict() == {0: (1, ()), 6: (0, (1,)), 7: (1, ())}

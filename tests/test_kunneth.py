@@ -7,20 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from rostcalc.catalog import catalog_build
-from rostcalc.graded import iso_equal, normalize, tensor_product
+from rostcalc.catalog import build_product_rost, catalog_build, pfister_neighbor_ring
+from rostcalc.graded import normalize, quotient, tensor_product
 from rostcalc.kunneth import (
     CLAIMS,
     BarKmModel,
     KunnethError,
     THEOREM_IDS,
-    bar_tensor_module,
     c_decomposition,
     class_is_nonzero,
     default_grid,
     image_preset,
     j_ideal,
-    j_quotient,
     j_res_vanishes,
     kunneth_map,
     kunneth_quotient_ring,
@@ -29,12 +27,11 @@ from rostcalc.kunneth import (
     star_star_check,
     star_star_holds,
     tilde_bar_module,
-    tilde_quotient,
     verify_theorem,
     versal_image,
-    word_slot_module,
+    word_slots,
 )
-from rostcalc.omega import OmegaModelError
+from rostcalc.omega import OmegaModelError, ideal_power_witness
 
 
 # --- decomposition ---------------------------------------------------------
@@ -185,34 +182,21 @@ def test_bar_model_rejects_objects_without_c_m():
         BarKmModel(p=4, m=1, factor_ns=(2, 2))
 
 
-# --- tilde quotients and word slots ---------------------------------------
+# --- the tilde module and the word slots ----------------------------------
 
 
 def test_tilde_quotient_keeps_full_support_only():
-    full = bar_tensor_module(2, (2, 2))
-    tilde = tilde_quotient(full, 2)
+    full = build_product_rost(2, 2).bar.module()
     assert normalize(full).aggregate() == (4, ())
-    assert normalize(tilde).aggregate() == (1, ())
-
-
-def test_tilde_quotient_needs_names():
-    from rostcalc.graded import DegreeComponent, GradedFPModule
-
-    anon = GradedFPModule(
-        p=2, components={2: DegreeComponent(gens=1)}, window=(0, 2)
-    )
-    with pytest.raises(KunnethError, match="unindexed"):
-        tilde_quotient(anon, 2)
+    assert normalize(tilde_bar_module(2, (2, 2))).aggregate() == (1, ())
 
 
 def test_word_slot_aggregates():
     p, s = 3, 2
-    ns = (2,) * s
+    slots = word_slots(kunneth_quotient_ring(p, 2, 1, s), s)
     for k in range(0, s):
-        nf = normalize(word_slot_module(p, ns, 1, k))
-        assert nf.aggregate() == (0, (1,) * (p - 1) ** s), k
-    nf = normalize(word_slot_module(p, ns, 1, s))
-    assert nf.aggregate() == ((p - 1) ** s, ())
+        assert slots[f"slot_{k + 1}"] == {"free": 0, "torsion": [1] * (p - 1) ** s}, k
+    assert slots[f"slot_{s + 1}"] == {"free": (p - 1) ** s, "torsion": []}
 
 
 def test_second_display_sides_agree():
@@ -258,14 +242,45 @@ def test_kunneth_quotient_ring_identifies_mixed_words():
 
 
 def test_kunneth_quotient_ring_torsion_powers():
-    from rostcalc.omega import ideal_power_witness
-
     ring = kunneth_quotient_ring(2, 3, 1, 3)
     w = ideal_power_witness(ring, ["c_1(y_1)", "c_1(y_2)", "c_1(y_3)"], 3)
     assert w is not None
     assert w.vector == (("c_1(y_1)*c_1(y_2)*c_1(y_3)", 1),)
     by_name = {b.name: b for b in ring.basis}
     assert by_name["c_1(y_1)*c_1(y_2)*c_1(y_3)"].torsion_exp == 1
+
+
+def brute_force_power(ring, generators, s):
+    """The first nonzero s-fold product in combinations_with_replacement
+    order, each one multiplied up from the unit."""
+    for combo in itertools.combinations_with_replacement(
+        sorted(ring.index_of(g) for g in generators), s
+    ):
+        acc = {ring.unit: 1}
+        for k in combo:
+            acc = ring.multiply(acc, {k: 1})
+        if acc:
+            names = [ring.basis[k].name for k in combo]
+            return [names, [[ring.basis[k].name, c] for k, c in sorted(acc.items())]]
+    return None
+
+
+def power_cases():
+    kq = kunneth_quotient_ring(3, 2, 1, 3)
+    tgens = [f"c_1(y_{t}{j})" for t in (1, 2, 3) for j in ("", "^2")]
+    yield kq, tgens, (1, 2, 3)
+    pf = pfister_neighbor_ring(4)
+    yield pf, pf.torsion_names(), (1, 2)
+    # a free class among the generators: products exist, behind zero prefixes
+    yield pf, ["h^9", *pf.torsion_names()], (1, 2, 3)
+
+
+def test_ideal_power_witness_is_the_first_nonzero_product():
+    for ring, gens, powers in power_cases():
+        for s in powers:
+            w = ideal_power_witness(ring, gens, s)
+            got = None if w is None else [list(w.factors), [list(t) for t in w.vector]]
+            assert got == brute_force_power(ring, gens, s), (gens[:2], s)
 
 
 # --- the comparison map ----------------------------------------------------
@@ -434,11 +449,20 @@ def test_off_grid_reports_match_recorded_bytes(key):
 
 
 def test_left_right_tensor_path_equals_report():
-    # independent recomputation of the thm-1.1 left side
+    # independent recomputation of the thm-1.1 left side: the tensor module
+    # modulo the J differences, written as module relations
     from rostcalc.catalog import gr_m_rost_ring
 
     g1 = gr_m_rost_ring(3, 2, 1, var="y_1").module()
     g2 = gr_m_rost_ring(3, 2, 1, var="y_2").module()
-    M = j_quotient(tensor_product(g1, g2), j_ideal(3, 1, 2))
+    T = tensor_product(g1, g2)
+    rels = []
+    for g in j_ideal(3, 1, 2).generators:
+        (d, i), (d2, j) = T.generator_index(g.positive_name), T.generator_index(g.negative_name)
+        assert d == d2
+        vec = [0] * T.gens_at(d)
+        vec[i], vec[j] = 1, -1
+        rels.append((d, vec))
+    M = quotient(T, rels)
     r = verify_theorem("thm-1.1", {"p": 3})
     assert normalize(M).to_json()["degrees"] == r.left["degrees"]

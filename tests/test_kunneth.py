@@ -442,7 +442,9 @@ OFF_GRID = json.loads((Path(__file__).parent / "data" / "offgrid_reports.json").
 @pytest.mark.parametrize("key", sorted(OFF_GRID))
 def test_off_grid_reports_match_recorded_bytes(key):
     # lemma-4.1 with n1 != n2 and thm-6.9 past the grid, recorded before their
-    # left sides moved onto the Kunneth word ring
+    # left sides moved onto the Kunneth word ring; cor-4.2 and
+    # remark-4.2-negative at p=13 and at m=2 (the v_m-degree path), recorded
+    # before star_star_check moved onto one factored span per degree
     id_, params = key.split(" ", 1)
     report = verify_theorem(id_, json.loads(params))
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]

@@ -12,10 +12,11 @@ Elimination over Z_(p) has two bounded paths:
   with p^K above the Hadamard bound on every minor, computed in integers as
   p^(2K) > product of max(1, |col|^2); every exponent is then below K, so
   the reduction loses none and the rank is the number of pivots.
-- Transforms (`snf_p_local`, `membership`, `kernel_basis`, `solve_sparse`):
-  row echelon form of [M | I] with the row of [A | U] divided by its
-  prime-to-p content after every operation, then integer back-substitution.
-  `membership` audits its solution exactly against M.
+- Transforms (`SpanSolver`, behind `snf_p_local` and `kernel_basis`): row
+  echelon form of [M | I] with the row of [A | U] divided by its prime-to-p
+  content after every operation, then integer back-substitution.  One
+  factorisation answers many targets, each in integers and audited exactly
+  (M X = D B); `membership` and `solve_sparse` are its one-target forms.
 
 The polynomial routines at the end (`snf_fp_poly` over F_p[v], `zp_poly_det`
 over Z[v]) have no caller in the package: they remain as test oracles and
@@ -217,17 +218,26 @@ def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
 # -- transform path ----------------------------------------------------------
 
 
-class _Echelon:
-    """U * M * P = R: U invertible over Z_(p), P the column permutation `perm`.
+class SpanSolver:
+    """The Z_(p)-span of the columns of M, factored once for many targets.
 
-    R (the rows of U * M, columns taken in `perm` order) is upper echelon:
-    R[i][i] for i < rank is a pivot of least valuation among the rows and
-    columns from i on when it was chosen, so it divides the rest of row i
-    over Z_(p); rows from `rank` on are zero.
+    The factorisation is U * M * P = R (`_echelon`): U invertible over Z_(p),
+    P the column permutation `perm`.  R (the rows of U * M, columns taken in
+    `perm` order) is upper echelon: R[i][i] for i < rank is a pivot of least
+    valuation among the rows and columns from i on when it was chosen, so it
+    divides the rest of row i over Z_(p); rows from `rank` on are zero.
+
+    A target, a dict from row name (`coords`, default 0, 1, ...) to integer,
+    is answered in integers: c = U * B, the pivot test, `back_solve` and the
+    exactness audit M X = D B.  One with an entry outside `coords` is not in
+    the span; any other gets the x of M built with its coordinates in rows.
     """
 
-    def __init__(self, p: int, R: list[list[int]], U: list[list[int]], perm: list[int], rank: int):
-        self.p, self.R, self.U, self.perm, self.rank = p, R, U, perm, rank
+    def __init__(self, M: PLocalMatrix, coords=None):
+        self.p, (self.R, self.U, self.perm, self.rank) = M.p, _echelon(M)
+        self.row = {k: i for i, k in enumerate(range(M.rows) if coords is None else coords)}
+        self.columns = [{i: r[j] for i, r in enumerate(M.entries) if r[j]} for j in range(M.cols)]
+        self.pivot_pe = [M.p ** pvaluation(self.R[i][i], M.p) for i in range(self.rank)]
 
     def back_solve(self, c) -> tuple[list[int], int]:
         """(Y, D): y = Y/D solves R[:rank, :rank] y = c[:rank], zero beyond.
@@ -269,9 +279,36 @@ class _Echelon:
             out.append(self.lift(Y, D)[1])
         return out
 
+    def solve_int(self, target) -> tuple[list[int], int] | None:
+        """(X, D) with M X = D B and D > 0 prime to p, or None off the span."""
+        B = {self.row.get(k): _integral(v) for k, v in target.items() if v}
+        if None in B:  # a coordinate outside the rows
+            return None
+        c = [sum(row[i] * v for i, v in B.items()) for row in self.U]
+        if any(c[self.rank :]) or any(t % pe for t, pe in zip(c, self.pivot_pe)):
+            return None
+        Y, D = self.back_solve(c)
+        X = [0] * len(self.columns)
+        MX: dict[int, int] = {}  # the exactness audit, on integers
+        for j, t in zip(self.perm, Y):
+            X[j] = t
+            for i, a in self.columns[j].items() if t else ():
+                MX[i] = MX.get(i, 0) + a * t
+        if {i: t for i, t in MX.items() if t} != {i: D * v for i, v in B.items()}:
+            raise ExactLinalgError("exactness audit failed: M x != b for the back-solved x")
+        return X, D
 
-def _echelon(M: PLocalMatrix) -> _Echelon:
-    """Transform path: row elimination of [M | I] over Z_(p).
+    def solve(self, target, den: int = 1) -> tuple[Fraction, ...] | None:
+        """x with M x = target / den, or None when it is not in the span."""
+        sol = self.solve_int(target)
+        return None if sol is None else tuple(Fraction(t, sol[1] * den) for t in sol[0])
+
+    def contains(self, target) -> bool:
+        return self.solve_int(target) is not None
+
+
+def _echelon(M: PLocalMatrix) -> tuple[list[list[int]], list[list[int]], list[int], int]:
+    """Transform path: row elimination of [M | I] over Z_(p), to (R, U, perm, rank).
 
     Pivot rule: entry of minimal p-valuation, ties broken by lowest (row,
     col).  Clearing an entry b with pivot a = u*p^alpha uses the integer row
@@ -325,7 +362,7 @@ def _echelon(M: PLocalMatrix) -> _Echelon:
                     both = [x // g for x in both]
                 A[i], U[i] = both[:nc], both[nc:]
         k += 1
-    return _Echelon(p=p, R=A, U=U, perm=perm, rank=k)
+    return A, U, perm, k
 
 
 @dataclass(frozen=True)
@@ -369,10 +406,9 @@ def snf_p_local(M: PLocalMatrix) -> SNFResult:
     and V is invertible over Z_(p).  Callers that need only the exponents
     use `snf_exponents`.
     """
-    ech = _echelon(M)
+    ech = SpanSolver(M)
     p, nc = M.p, M.cols
-    columns = []
-    diag = []
+    columns, diag = [], []
     for i in range(ech.rank):
         # R (s*y) = s e_i with s*y integral, so s is an integer
         scale, vec = ech.lift(*ech.back_solve([int(i == t) for t in range(ech.rank)]))
@@ -400,43 +436,20 @@ def membership(M: PLocalMatrix, b) -> tuple[Fraction, ...] | None:
 
     b may contain ints or Fractions whose denominators are prime to p.
     """
-    p = M.p
     b = [Fraction(x) for x in b]
-    for x in b:
-        if x.denominator % p == 0:
-            raise ExactLinalgError("target vector is not p-local")
+    if any(x.denominator % M.p == 0 for x in b):
+        raise ExactLinalgError("target vector is not p-local")
     if len(b) != M.rows:
         raise ExactLinalgError("length of b does not match row count")
-    ech = _echelon(M)
     L = math.lcm(*(x.denominator for x in b))
-    B = [int(x * L) for x in b]
-    c = [sum(u * t for u, t in zip(row, B) if u) for row in ech.U]
-    if any(c[ech.rank :]):
-        return None
-    for i in range(ech.rank):
-        if c[i] and pvaluation(c[i], p) < pvaluation(ech.R[i][i], p):
-            return None
-    Y, D = ech.back_solve(c)
-    x = [Fraction(0)] * M.cols
-    for pos, col in enumerate(ech.perm):
-        x[col] = Fraction(Y[pos], D * L)
-    # exactness audit, on integers over the common denominator of x
-    den = math.lcm(*(t.denominator for t in x))
-    X = [int(t * den) for t in x]
-    for i, row in enumerate(M.entries):
-        if sum(a * t for a, t in zip(row, X) if a) != b[i] * den:
-            raise ExactLinalgError("internal SNF inconsistency")
-    return tuple(x)
+    return SpanSolver(M).solve({i: int(x * L) for i, x in enumerate(b)}, L)
 
 
-def sparse_matrix(p: int, columns, target=None) -> tuple[PLocalMatrix, list]:
-    """The matrix whose columns are the sparse vectors `columns`.
-
-    Each vector is a dict from coordinate to integer; the rows are the sorted
-    union of the nonzero coordinates of the columns and of `target`, and are
-    returned with the matrix.
-    """
-    coords = sorted({k for vec in (*columns, target or {}) for k, c in vec.items() if c})
+def sparse_matrix(p: int, columns) -> tuple[PLocalMatrix, list]:
+    """The matrix whose columns are the sparse vectors (dicts from coordinate
+    to integer) `columns`, with its rows: the sorted union of their nonzero
+    coordinates."""
+    coords = sorted({k for vec in columns for k, c in vec.items() if c})
     dense = [[vec.get(k, 0) for k in coords] for vec in columns]
     return PLocalMatrix.from_columns(p, dense, rows=len(coords)), coords
 
@@ -447,17 +460,12 @@ def solve_sparse(p: int, columns, target) -> tuple[Fraction, ...] | None:
     Vectors are dicts from coordinate to integer, as in `sparse_matrix`.
     Returns `membership`'s x, or None when target is not in the span.
     """
-    if not any(target.values()):
-        return (Fraction(0),) * len(columns)
-    if not columns:
-        return None
-    A, coords = sparse_matrix(p, columns, target)
-    return membership(A, [target.get(k, 0) for k in coords])
+    return SpanSolver(*sparse_matrix(p, columns)).solve(target)
 
 
 def kernel_basis(M: PLocalMatrix) -> list[tuple[int, ...]]:
     """Integer vectors spanning {x : Mx = 0} over Z_(p)."""
-    return [tuple(vec) for vec in _echelon(M).kernel_vectors()]
+    return [tuple(vec) for vec in SpanSolver(M).kernel_vectors()]
 
 
 # ---------------------------------------------------------------------------

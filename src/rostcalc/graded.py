@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import PLocalMatrix, is_prime, membership, snf_exponents
+from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, snf_exponents
 
 
 class GradedModuleError(ValueError):
@@ -419,16 +419,10 @@ class GradedMap:
             comp = self.source.components[d]
             if not comp.relations:
                 continue
-            if self.target.gens_at(d) == 0:
-                tmat = None
-            else:
-                tmat = self.target.relation_matrix(d)
+            span = None  # the target relations, factored once for every image
             for col in comp.relations:
-                image = self.apply(d, col)
-                if tmat is None:
-                    if any(image):
-                        problems.append(f"degree {d}: relation maps to nonzero in zero target")
-                    continue
-                if any(image) and membership(tmat, list(image)) is None:
-                    problems.append(f"degree {d}: relation image not in target relations")
+                if any(image := self.apply(d, col)):
+                    span = span or SpanSolver(self.target.relation_matrix(d))
+                    if not span.contains(dict(enumerate(image))):
+                        problems.append(f"degree {d}: relation image not in target relations")
         return IsoResult(equal=not problems, diffs=tuple(problems))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import PLocalMatrix, is_prime, snf_exponents, solve_sparse
+from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, snf_exponents, solve_sparse
 from .graded import (
     DegreeComponent,
     GradedFPModule,
@@ -216,10 +216,11 @@ def _class_matrix(M: KmPresentation, cls: int) -> tuple[list[int], list[list[Pol
     return gen_idx, matrix
 
 
-def _class_at_one(M: KmPresentation, cls: int) -> tuple[list[int], list[list[int]]]:
+def _class_at_one(M: KmPresentation, cls: int) -> tuple[list[int], PLocalMatrix]:
     """The class matrix at v = 1: each entry is one term c * v^k, read as c."""
     gen_idx, matrix = _class_matrix(M, cls)
-    return gen_idx, [[sum(a) for a in row] for row in matrix]
+    at_one = [[sum(a) for a in row] for row in matrix]
+    return gen_idx, PLocalMatrix.from_rows(M.p, at_one, cols=len(at_one[0]))
 
 
 def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
@@ -239,7 +240,7 @@ def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
     torsion_total: list[int] = []
     for cls in sorted({d % vdeg for _, d in M.gens}):
         gen_idx, at_one = _class_at_one(M, cls)
-        exps = snf_exponents(PLocalMatrix.from_rows(M.p, at_one, cols=len(at_one[0])))
+        exps = snf_exponents(at_one)
         free = len(gen_idx) - len(exps)
         torsion = tuple(e for e in exps if e)
         if free or torsion:
@@ -265,15 +266,13 @@ def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
     e_i, so e_i = 0 there exactly when e_i is a Z_(p)[v, v^-1]-combination of
     the columns of C.  C has entries in Z_(p); comparing the coefficients of
     v^0 shows that this holds exactly when e_i is a Z_(p)-combination of
-    them.  One `solve_sparse` per generator decides it.
+    them.  One factored span per class decides it for all its generators.
     """
     killed = set()
     for cls in sorted({d % M.vdeg for _, d in M.gens}):
         gen_idx, at_one = _class_at_one(M, cls)
-        cols = [{r: c for r, c in enumerate(col) if c} for col in zip(*at_one)]
-        for r, i in enumerate(gen_idx):
-            if solve_sparse(M.p, cols, {r: 1}) is not None:
-                killed.add(i)
+        span = SpanSolver(at_one)
+        killed.update(i for r, i in enumerate(gen_idx) if span.contains({r: 1}))
     return tuple(name for i, (name, _) in enumerate(M.gens) if i in killed)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_linalg import (
-    PLocalMatrix, is_prime, kernel_basis, snf_exponents, solve_sparse, sparse_matrix
+    PLocalMatrix, SpanSolver, is_prime, kernel_basis, snf_exponents, sparse_matrix
 )
 from .graded import GradedFPModule, GradedMap, cyclic_summands
 
@@ -444,9 +444,9 @@ class PresentedRing:
             columns = [{k: c * s for k, c in ops[g][j].items()} for (g, j), s in zip(here, scales)]
             columns += [{k: p**basis[k].torsion_exp} for k in range(len(basis))
                         if deg[k] == d and basis[k].torsion_exp]
-            unspanned = []
+            span, unspanned = SpanSolver(*sparse_matrix(p, columns)), []
             for x in (k for k in rest if deg[k] == d):
-                if (sol := solve_sparse(p, columns, {x: 1})) is None:
+                if (sol := span.solve({x: 1})) is None:
                     unspanned.append(basis[x].name)
                 else:
                     words[x] = tuple((_canon_coeff(c * s, 0, p), g, j)
@@ -682,8 +682,9 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
                     raise OmegaModelError(f"free class acquires a relation in degree {d}")
                 if c % p != 0:
                     raise OmegaModelError(f"unexpected relation shape in degree {d}")
+        relations = SpanSolver(*sparse_matrix(p, restricted))
         for pos, exp in enumerate(orders):
-            if exp and solve_sparse(p, restricted, {pos: p}) is None:
+            if exp and not relations.contains({pos: p}):
                 raise OmegaModelError(
                     f"class {surv_names[pos]} is not p-torsion in degree {d}"
                 )
@@ -693,27 +694,23 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     index = {b.name: k for k, b in enumerate(basis)}
     unit = index["1"]
 
-    def class_of(el: Element, d: int) -> dict[int, int]:
-        """Express an image element as a vector on the surviving classes."""
-        if not el:
-            return {}
-        sl = slices.get(d)
-        if sl is None:
+    # every class but the unit is a generator; one column per class each, read
+    # off the surviving classes of a slice factored once for all its products
+    ops: dict[int, dict] = {g: {} for g in range(len(basis)) if g != unit}
+    products: dict[int, list] = {}
+    for g, x in itertools.product(ops, range(len(basis))):
+        ops[g][x] = {}
+        if el := model.mul(gen_elements[basis[g].name], gen_elements[basis[x].name]):
+            products.setdefault(basis[g].degree + basis[x].degree, []).append((g, x, el))
+    for d, prods in products.items():
+        if (sl := slices.get(d)) is None:
             raise OmegaModelError(f"no image classes in degree {d}")
-        x = solve_sparse(p, sl["elements"], el)
-        if x is None:
-            raise OmegaModelError("element is not in the image submodule")
-        return _canon_vector({index[sl["names"][i]]: x[i] for i in sl["survivors"]}, basis, p)
-
-    # every class but the unit is a generator; one column per class each
-    ops = {
-        g: {
-            x: class_of(model.mul(gen_elements[a.name], gen_elements[b.name]), a.degree + b.degree)
-            for x, b in enumerate(basis)
-        }
-        for g, a in enumerate(basis)
-        if g != unit
-    }
+        span = SpanSolver(*sparse_matrix(p, sl["elements"]))
+        for g, x, el in prods:
+            if (sol := span.solve(el)) is None:
+                raise OmegaModelError("element is not in the image submodule")
+            vec = {index[sl["names"][i]]: sol[i] for i in sl["survivors"]}
+            ops[g][x] = _canon_vector(vec, basis, p)
     ring = PresentedRing(p, tuple(basis), unit, ops)
     ring.audit()
     return ring

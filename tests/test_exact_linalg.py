@@ -13,6 +13,7 @@ from rostcalc.exact_linalg import (
     ExactLinalgError,
     FpPolyMatrix,
     PLocalMatrix,
+    SpanSolver,
     fp_divmod,
     fp_from_string,
     fp_mul,
@@ -26,6 +27,7 @@ from rostcalc.exact_linalg import (
     snf_fp_poly,
     snf_p_local,
     solve_sparse,
+    sparse_matrix,
 )
 
 PRIMES = (2, 3, 5)
@@ -223,6 +225,107 @@ def test_solve_sparse_edge_cases():
     assert solve_sparse(3, [], {(0, 1): 1}) is None
     # a coordinate that no column has
     assert solve_sparse(3, cols, {(0, 1): 3, (5, 5): 1}) is None
+
+
+def solve_the_old_way(p, cols, target):
+    """`membership` on the matrix built for this one target: the rows are the
+    sorted union of the nonzero coordinates of the columns and the target."""
+    if not any(target.values()):
+        return (Fraction(0),) * len(cols)
+    if not cols:
+        return None
+    coords = sorted({k for vec in (*cols, target) for k, c in vec.items() if c})
+    dense = [[vec.get(k, 0) for k in coords] for vec in cols]
+    M = PLocalMatrix.from_columns(p, dense, rows=len(coords))
+    return membership(M, [target.get(k, 0) for k in coords])
+
+
+def in_span_by_invariants(p, cols, target) -> bool:
+    """b is in the column span of M exactly when [M | b] has the cokernel of M
+    (a surjection of isomorphic finitely generated modules is injective)."""
+    coords = sorted({k for vec in (*cols, target) for k, c in vec.items() if c})
+    if not coords:
+        return True
+
+    def cokernel(vectors):
+        M = PLocalMatrix.from_columns(p, [[v.get(k, 0) for k in coords] for v in vectors],
+                                      rows=len(coords))
+        exps = snf_exponents(M)
+        return len(coords) - len(exps), tuple(e for e in exps if e)
+
+    return cokernel(cols) == cokernel([*cols, target])
+
+
+@pytest.mark.parametrize("p", PRIMES + (7,))
+@pytest.mark.parametrize("seed", range(12))
+def test_factored_span_answers_every_target_as_the_per_target_build(p, seed):
+    rng = random.Random(f"span:{p}:{seed}")
+    pool = [("y", k) for k in range(6)]
+    entry = (1, -1, p, 2 * p, p * p)
+    cols = [
+        {c: rng.choice((*entry, rng.randint(-9, 9))) for c in rng.sample(pool, rng.randint(1, 3))}
+        for _ in range(rng.randint(0, 5))
+    ]
+
+    def combination():
+        coeffs = [rng.randint(-3, 3) for _ in cols]
+        out = {}
+        for a, col in zip(coeffs, cols):
+            for c, x in col.items():
+                out[c] = out.get(c, 0) + a * x
+        return out
+
+    targets = [{}, {pool[0]: 0}]
+    for _ in range(6):
+        comb = combination()
+        targets.append(comb)
+        targets.append({c: p * x for c, x in comb.items()})
+        targets.append({**comb, ("z", 0): rng.choice((1, p))})  # outside every column
+        targets.append({c: rng.randint(-4, 4) for c in rng.sample(pool, 2)})
+    span = SpanSolver(*sparse_matrix(p, cols))
+    for target in targets:
+        x = span.solve(target)
+        assert x == solve_the_old_way(p, cols, target), target
+        assert (x is not None) == span.contains(target) == in_span_by_invariants(p, cols, target)
+        if x is not None:
+            X, D = span.solve_int(target)
+            assert x == tuple(Fraction(t, D) for t in X) and D % p
+            for c in set(target) | {k for col in cols for k in col}:
+                assert sum(xj * col.get(c, 0) for xj, col in zip(x, cols)) == target.get(c, 0)
+
+
+def test_factored_dense_span_matches_membership():
+    rng = random.Random("span:dense")
+    for p in PRIMES:
+        rows = [[rng.choice((0, 0, 1, -1, p, rng.randint(-9, 9))) for _ in range(4)]
+                for _ in range(5)]
+        M = PLocalMatrix.from_rows(p, rows)
+        span = SpanSolver(M)
+        for _ in range(20):
+            b = [rng.randint(-5, 5) for _ in range(5)]
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(-3, 3) for _ in range(4)]
+                b = [sum(a * t for a, t in zip(row, coeffs)) for row in rows]
+            assert span.solve(dict(enumerate(b))) == membership(M, b)
+
+
+def test_a_corrupted_back_solve_fails_the_exactness_audit(monkeypatch):
+    back_solve = SpanSolver.back_solve
+
+    def corrupted(self, c):
+        Y, D = back_solve(self, c)
+        return [Y[0] + 1, *Y[1:]], D
+
+    monkeypatch.setattr(SpanSolver, "back_solve", corrupted)
+    M = PLocalMatrix.from_rows(3, [[1, 0], [0, 3]])
+    with pytest.raises(ExactLinalgError, match=r"exactness audit failed: M x != b"):
+        membership(M, [1, 3])
+    with pytest.raises(ExactLinalgError, match=r"exactness audit failed: M x != b"):
+        SpanSolver(*sparse_matrix(3, [{"a": 1}, {"b": 3}])).contains({"a": 2})
+    with pytest.raises(ExactLinalgError, match=r"exactness audit failed: M x != b"):
+        solve_sparse(3, [{"a": 1}], {})
+    # a target off the span never reaches back_solve
+    assert membership(M, [0, 1]) is None
 
 
 def test_kernel_basis_annihilates():

@@ -22,6 +22,7 @@ from rostcalc.kunneth import (
     j_res_vanishes,
     kunneth_map,
     kunneth_quotient_ring,
+    mono_name,
     product_image,
     second_display_sides,
     star_star_check,
@@ -163,6 +164,49 @@ def test_span_membership_sees_v_shifts():
     gens = [(model.element_degree(g), g)]
     assert model.span_contains(gens, model.vm_monomial(2, (1,), 1))  # 2vy = v * (2y)
     assert not model.span_contains(gens, model.vm_monomial(1, (1,), 0))
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 2, 1), (3, 2, 1), (5, 2, 1), (3, 3, 2), (2, 4, 3)])
+def test_star_star_check_matches_one_span_contains_per_target(p, n, m):
+    # one factored span per degree answers as the per-target span would
+    model = BarKmModel(p=p, factor_ns=(n, n), m=m)
+    for image in (versal_image(model), product_image(model)):
+        gens = [(model.element_degree(g), g) for g in image]
+        expected = {
+            mono_name(exps): {
+                "p": model.span_contains(gens, model.vm_monomial(p, exps, 0)),
+                "v": model.span_contains(gens, model.vm_monomial(1, exps, 1)),
+            }
+            for exps in itertools.product(range(1, p), repeat=2)
+        }
+        assert star_star_check(model, image) == expected
+
+
+@pytest.mark.parametrize("params", [{"p": 3}, {"p": 5}, {"p": 3, "n": 3, "m": 2}])
+def test_cor_4_2_refutes_when_one_p_multiple_is_in_the_image(monkeypatch, params):
+    # one-entry defect: the versal image gains p * y_1 * y_2
+    import rostcalc.kunneth as kunneth
+
+    def planted(model):
+        return [*versal_image(model), model.vm_monomial(model.p, (1, 1), 0)]
+
+    monkeypatch.setattr(kunneth, "versal_image", planted)
+    r = verify_theorem("cor-4.2", params)
+    assert r.verdict == "refuted"
+    assert r.left["y_1*y_2"] == {"p": True, "v": False}
+    assert sum(hit["p"] or hit["v"] for hit in r.left.values()) == 1
+
+
+@pytest.mark.parametrize("params", [{"p": 3}, {"p": 5}, {"p": 3, "n": 3, "m": 2}])
+def test_remark_4_2_negative_refutes_on_the_versal_image(monkeypatch, params):
+    # the negative control must fail where the criterion (**) holds
+    import rostcalc.kunneth as kunneth
+
+    monkeypatch.setattr(kunneth, "product_image", versal_image)
+    r = verify_theorem("remark-4.2-negative", params)
+    assert r.verdict == "refuted"
+    assert star_star_holds(r.right["star_star"])
+    assert r.left["kernel_classes"]  # the kernel side alone still holds
 
 
 def test_malformed_image_generator_raises():

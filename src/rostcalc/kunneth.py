@@ -37,7 +37,7 @@ from .catalog import (
     map_from_rules,
     rost_res_rules,
 )
-from .exact_linalg import SpanSolver, is_prime, sparse_matrix
+from .exact_linalg import SpanSolver, is_prime, membership, sparse_matrix
 from .graded import (
     GradedFPModule,
     GradedMap,
@@ -419,11 +419,10 @@ def kunneth_map(p: int, n: int, target: CatalogObject) -> GradedMap:
     return map_from_rules(domain, target.ring.module(), rules)
 
 
-def class_is_nonzero(M: GradedFPModule, name: str, relations: SpanSolver | None = None) -> bool:
-    """Is the named generator nonzero in the presented quotient?  `relations`,
-    the factored relation span of its degree, may be shared by many calls."""
+def class_is_nonzero(M: GradedFPModule, name: str) -> bool:
+    """Is the named generator nonzero in the presented quotient?"""
     d, i = M.generator_index(name)
-    return not (relations or SpanSolver(M.relation_matrix(d))).contains({i: 1})
+    return membership(M.relation_matrix(d), [int(k == i) for k in range(M.gens_at(d))]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +567,11 @@ def _verify_remark_4_2_negative(params: dict) -> TheoremReport:
     gm = kunneth_map(p, n, target)
     killed = []
     for d in gm.source.degrees():
-        mat = gm.matrix_at(d)
-        zero = [nm for col, nm in enumerate(gm.source.names_at(d) or ())
-                if all(row[col] == 0 for row in mat)]
-        rels = SpanSolver(gm.source.relation_matrix(d)) if zero else None  # one per degree
-        killed.extend(nm for nm in zero if class_is_nonzero(gm.source, nm, rels))
+        mat, names = gm.matrix_at(d), gm.source.names_at(d) or ()
+        zero = [col for col in range(len(names)) if all(row[col] == 0 for row in mat)]
+        # nonzero classes: unit vectors off the relation span, factored once
+        rels = SpanSolver(gm.source.relation_matrix(d)) if zero else None
+        killed.extend(names[col] for col in zero if not rels.contains({col: 1}))
     killed.sort()
     result = star_star_check(model, product_image(model))
     fails = not star_star_holds(result)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rostcalc.catalog import build_product_rost, catalog_build, pfister_neighbor_ring
-from rostcalc.graded import normalize, quotient, tensor_product
+from rostcalc.graded import DegreeComponent, GradedFPModule, normalize, quotient, tensor_product
 from rostcalc.kunneth import (
     CLAIMS,
     BarKmModel,
@@ -328,6 +328,22 @@ def test_ideal_power_witness_is_the_first_nonzero_product():
 
 
 # --- the comparison map ----------------------------------------------------
+
+
+def test_class_is_nonzero_reads_the_relations_of_its_degree():
+    M = GradedFPModule(
+        p=3,
+        components={
+            0: DegreeComponent(gens=2, relations=((1, 0),), names=("killed", "kept")),
+            2: DegreeComponent(gens=1, names=("free",)),  # no relations at all
+            4: DegreeComponent(gens=1, relations=((3,),), names=("torsion",)),
+        },
+        window=(0, 4),
+    )
+    assert not class_is_nonzero(M, "killed")
+    assert class_is_nonzero(M, "kept")
+    assert class_is_nonzero(M, "free")
+    assert class_is_nonzero(M, "torsion")
 
 
 def test_kunneth_map_has_the_stated_kernel():

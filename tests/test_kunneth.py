@@ -504,7 +504,9 @@ def test_off_grid_reports_match_recorded_bytes(key):
     # lemma-4.1 with n1 != n2 and thm-6.9 past the grid, recorded before their
     # left sides moved onto the Kunneth word ring; cor-4.2 and
     # remark-4.2-negative at p=13 and at m=2 (the v_m-degree path), recorded
-    # before star_star_check moved onto one factored span per degree
+    # before star_star_check moved onto one factored span per degree;
+    # thm-5.5-torsion-square at n=5 and n=7 and thm-5.7-torsion-square at
+    # n=3 and n=4, recorded before T^2 = 0 was decided from ideal generators
     id_, params = key.split(" ", 1)
     report = verify_theorem(id_, json.loads(params))
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]

@@ -68,9 +68,7 @@ def class_name(i: int, j: int, factor: int | None = None) -> str:
 
 def _vkey_mul(a: VKey, b: VKey) -> VKey:
     acc: dict[int, int] = {}
-    for i, e in a:
-        acc[i] = acc.get(i, 0) + e
-    for i, e in b:
+    for i, e in a + b:
         acc[i] = acc.get(i, 0) + e
     return tuple(sorted(acc.items()))
 
@@ -92,9 +90,8 @@ class OmegaImageModel:
             raise OmegaModelError(f"p={self.p} must be prime")
         if not self.factor_ns:
             raise OmegaModelError("at least one factor required")
-        for n in self.factor_ns:
-            if n < 2:
-                raise OmegaModelError("factor exponent n must be >= 2")
+        if any(n < 2 for n in self.factor_ns):
+            raise OmegaModelError("factor exponent n must be >= 2")
         ydegs = tuple(DegreeRule(self.p, n).y_degree for n in self.factor_ns)
         object.__setattr__(self, "ydegs", ydegs)
 
@@ -128,9 +125,7 @@ class OmegaImageModel:
     def monomial(self, coeff: int, v: VKey, y: YKey) -> Element:
         if len(y) != self.nfactors:
             raise OmegaModelError("y-exponent tuple has wrong length")
-        if any(e >= self.p for e in y):
-            return {}
-        if coeff == 0:
+        if coeff == 0 or any(e >= self.p for e in y):
             return {}
         return {(tuple(sorted(v)), tuple(y)): coeff}
 
@@ -220,10 +215,8 @@ class OmegaImageModel:
     def res_word(self, combo) -> Element:
         acc = self.monomial(1, (), (0,) * self.nfactors)
         for t, cls in enumerate(combo):
-            if cls is None:
-                continue
-            i, j = cls
-            acc = self.mul(acc, self.res_class(t, i, j))
+            if cls is not None:
+                acc = self.mul(acc, self.res_class(t, *cls))
         return acc
 
     def check_commutation_identity(self, r: int, s: int, j: int = 1, t: int = 0) -> bool:
@@ -273,6 +266,15 @@ def _canon_vector(vec: dict, basis, p: int) -> dict[int, int]:
 
 
 Operator = dict[int, dict[int, int]]  # columns x -> the nonzero vector L(x)
+_NONE: dict = {}  # the zero column, never written
+
+
+def _accumulate(acc: dict, op: Operator, vec: dict, scale=1) -> dict:
+    """acc += scale * op(vec), op given by its columns; not canonicalised."""
+    for x, c in vec.items():
+        for j, d in op.get(x, _NONE).items():
+            acc[j] = acc.get(j, 0) + scale * c * d
+    return acc
 
 
 @dataclass
@@ -322,10 +324,7 @@ class PresentedRing:
     def multiply(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         out: dict = {}
         for k, cb in b.items():
-            op = self.operator(k)
-            for x, ca in a.items():
-                for j, c in op.get(x, {}).items():
-                    out[j] = out.get(j, 0) + ca * cb * c
+            _accumulate(out, self.operator(k), a, cb)
         return _canon_vector(out, self.basis, self.p)
 
     def operator(self, k: int) -> Operator:
@@ -346,21 +345,11 @@ class PresentedRing:
             acc: dict[int, dict] = {}
             for c, g, j in words[x]:  # L_x = sum of c L_g L_j
                 for y, vec in self.operator(j).items():
-                    col = acc.setdefault(y, {})
-                    for t, d in self._apply(self.ops[g], vec).items():
-                        col[t] = col.get(t, 0) + c * d
+                    _accumulate(acc.setdefault(y, {}), self.ops[g], vec, c)
             self._derived[x] = {
                 y: v for y, col in acc.items() if (v := _canon_vector(col, self.basis, self.p))
             }
         return self._derived[k]
-
-    def _apply(self, op: Operator, vec: dict) -> dict[int, int]:
-        """The operator with columns op[x] applied to the vector vec."""
-        acc: dict = {}
-        for k, c in vec.items():
-            for j, d in op.get(k, {}).items():
-                acc[j] = acc.get(j, 0) + c * d
-        return _canon_vector(acc, self.basis, self.p)
 
     def module(self) -> GradedFPModule:
         return cyclic_summands(
@@ -414,7 +403,11 @@ class PresentedRing:
             for h in gens[i + 1:]:
                 Lg, Lh = self.ops[g], self.ops[h]
                 for x in Lg.keys() | Lh.keys():
-                    if self._apply(Lg, Lh.get(x, {})) != self._apply(Lh, Lg.get(x, {})):
+                    # L_g L_h x - L_h L_g x, canonicalised once: reduction
+                    # modulo p^{e_k} is additive
+                    acc = _accumulate({}, Lg, Lh.get(x, _NONE))
+                    _accumulate(acc, Lh, Lg.get(x, _NONE), -1)
+                    if any(acc.values()) and _canon_vector(acc, self.basis, self.p):
                         raise OmegaModelError(
                             f"L_{names[g]} and L_{names[h]} do not commute on {names[x]}"
                         )
@@ -739,19 +732,39 @@ def torsion_ideal(ring: PresentedRing, res: GradedMap | None = None) -> tuple[st
                 raise OmegaModelError(f"torsion class {name} has nonzero restriction")
         for d in mod.degrees():
             comp = mod.components[d]
-            free_cols = [
-                i
-                for i, nm in enumerate(comp.names or ())
-                if ring.basis[ring.index_of(nm)].torsion_exp == 0
-            ]
+            free_cols = [i for i, nm in enumerate(comp.names or ())
+                         if ring.basis[ring.index_of(nm)].torsion_exp == 0]
             if not free_cols:
                 continue
-            m = res.matrix_at(d)
-            sub = [[row[i] for i in free_cols] for row in m]
+            sub = [[row[i] for i in free_cols] for row in res.matrix_at(d)]
             A = PLocalMatrix.from_rows(ring.p, sub, cols=len(free_cols))
             if len(snf_exponents(A)) != len(free_cols):
                 raise OmegaModelError(f"restriction not injective on free part, degree {d}")
     return names
+
+
+def ideal_generators(ring: PresentedRing, names) -> tuple[str, ...]:
+    """The classes S among the basis classes `names` that no generator
+    operator hits from a class in `names` as a single term with a unit
+    coefficient.  S generates the same ideal T as `names`.
+
+    Proof.  Every generator g has positive degree (checked).  A class t in
+    `names` but not in S is c^{-1} g*t' for a generator g, a class t' in
+    `names` and a unit c, with deg t' = deg t - deg g < deg t.  By induction
+    on degree t' lies in the ideal (S), hence so does t.  So T lies in (S),
+    and (S) in T as S is part of `names`.  Hence T^s = 0 exactly when every
+    s-fold product of classes in S vanishes (`ideal_power_witness`).
+    """
+    for g in ring.ops:
+        if ring.basis[g].degree <= 0:
+            raise OmegaModelError(f"generator {ring.basis[g].name} has degree <= 0")
+    idx, hit = {ring.index_of(nm) for nm in names}, set()
+    for op in ring.ops.values():
+        for x in idx & op.keys():
+            ((k, c), *more) = op[x].items()
+            if not more and (c if isinstance(c, int) else c.numerator) % ring.p:
+                hit.add(k)
+    return tuple(nm for nm in names if ring.index_of(nm) not in hit)
 
 
 @dataclass(frozen=True)

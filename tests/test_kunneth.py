@@ -4,10 +4,18 @@ import hashlib
 import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from rostcalc.catalog import build_product_rost, catalog_build, pfister_neighbor_ring
+from rostcalc.catalog import (
+    build_excellent_quadric_chow,
+    build_pfister_neighbor_chow,
+    build_product_rost,
+    catalog_build,
+    chow_rost_ring,
+    pfister_neighbor_ring,
+)
 from rostcalc.graded import DegreeComponent, GradedFPModule, normalize, quotient, tensor_product
 from rostcalc.kunneth import (
     CLAIMS,
@@ -32,7 +40,13 @@ from rostcalc.kunneth import (
     versal_image,
     word_slots,
 )
-from rostcalc.omega import OmegaModelError, ideal_power_witness
+from rostcalc.omega import (
+    BasisClass,
+    OmegaModelError,
+    PresentedRing,
+    ideal_generators,
+    ideal_power_witness,
+)
 
 
 # --- decomposition ---------------------------------------------------------
@@ -325,6 +339,81 @@ def test_ideal_power_witness_is_the_first_nonzero_product():
             w = ideal_power_witness(ring, gens, s)
             got = None if w is None else [list(w.factors), [list(t) for t in w.vector]]
             assert got == brute_force_power(ring, gens, s), (gens[:2], s)
+
+
+def torsion_square_rings():
+    for params in CLAIMS["thm-5.5-torsion-square"].grid:
+        yield build_pfister_neighbor_chow(params["n"]).ring, (2,)
+    for params in CLAIMS["thm-5.7-torsion-square"].grid:
+        yield build_excellent_quadric_chow(params["n"], params["d"], tuple(params["di"])).ring, (2,)
+    for p in (2, 3, 5):
+        yield chow_rost_ring(p, 3), (2,)
+    # T^2 and T^3 are nonzero here, T^4 is zero
+    yield kunneth_quotient_ring(3, 2, 1, 3), (2, 3, 4)
+
+
+def test_ideal_generators_decide_the_torsion_powers_as_the_additive_basis_does():
+    for ring, powers in torsion_square_rings():
+        tnames = ring.torsion_names()
+        gens = ideal_generators(ring, tnames)
+        assert set(gens) <= set(tnames)
+        for s in powers:
+            by_gens = ideal_power_witness(ring, gens, s) is None
+            assert by_gens == (brute_force_power(ring, tnames, s) is None), (tnames[:2], s)
+    # the Pfister neighbour's torsion ideal is generated by u_1 .. u_{n-1}
+    for params in CLAIMS["thm-5.5-torsion-square"].grid:
+        ring = build_pfister_neighbor_chow(params["n"]).ring
+        gens = ideal_generators(ring, ring.torsion_names())
+        assert sorted(gens) == [f"u_{i}" for i in range(1, params["n"])]
+
+
+def planted_torsion_square(monkeypatch, ring):
+    """thm-5.5-torsion-square read on `ring` in place of the Pfister neighbour,
+    with no restriction map to certify."""
+    import rostcalc.kunneth as kunneth
+
+    ring.audit()
+    obj = SimpleNamespace(ring=ring, res=None, notes=[])
+    monkeypatch.setattr(kunneth, "build_pfister_neighbor_chow", lambda n: obj)
+    return verify_theorem("thm-5.5-torsion-square", {"n": 2})
+
+
+def test_torsion_square_witness_comes_from_the_ordered_search(monkeypatch):
+    # Z_(2)[h, u]/(h^2, u^3, 2u), basis listed out of degree order so that
+    # the ordered search over T meets hu*u = hu^2 before u*u = u^2; S = {u}
+    names = ("1", "h", "hu", "u", "u^2", "hu^2")
+    basis = tuple(
+        BasisClass(nm, d, e) for nm, d, e in zip(names, (0, 1, 2, 1, 2, 3), (0, 0, 1, 1, 1, 1))
+    )
+    L_h = {0: {1: 1}, 3: {2: 1}, 4: {5: 1}}
+    L_u = {0: {3: 1}, 1: {2: 1}, 2: {5: 1}, 3: {4: 1}}
+    ring = PresentedRing(p=2, basis=basis, unit=0, ops={1: L_h, 3: L_u})
+    tnames = ring.torsion_names()
+    assert ideal_generators(ring, tnames) == ("u",)
+    assert ideal_power_witness(ring, ["u"], 2).factors == ("u", "u")
+    report = planted_torsion_square(monkeypatch, ring)
+    assert report.verdict == "refuted"
+    assert report.left["torsion_generators"] == list(tnames)
+    assert [report.witnesses, report.left["witness"]] == [["hu*u"], [["hu^2", 1]]]
+    assert brute_force_power(ring, tnames, 2) == [["hu", "u"], [["hu^2", 1]]]
+
+
+def test_a_class_hit_only_by_a_multiple_of_p_stays_a_generator(monkeypatch):
+    # over Z_(2): u and w of order 4, h*u = 2w, u^2 = uw = 0 and w^2 = z.  w is
+    # hit only as 2w, so it stays in S, and T^2 = 0 is refuted by w*w alone;
+    # dropping w would leave S = {u} with u*u = 0
+    names = ("1", "h", "u", "w", "z")
+    basis = tuple(
+        BasisClass(nm, d, e) for nm, d, e in zip(names, (0, 1, 1, 2, 4), (0, 0, 2, 2, 1))
+    )
+    ops = {1: {0: {1: 1}, 2: {3: 2}}, 2: {0: {2: 1}, 1: {3: 2}}, 3: {0: {3: 1}, 3: {4: 1}}}
+    ring = PresentedRing(p=2, basis=basis, unit=0, ops=ops)
+    assert ideal_generators(ring, ring.torsion_names()) == ("u", "w")
+    assert ideal_power_witness(ring, ["u"], 2) is None
+    report = planted_torsion_square(monkeypatch, ring)
+    assert report.verdict == "refuted"
+    assert report.witnesses == ["w*w"]
+    assert brute_force_power(ring, ring.torsion_names(), 2) == [["w", "w"], [["z", 1]]]
 
 
 # --- the comparison map ----------------------------------------------------

@@ -21,6 +21,7 @@ from rostcalc.omega import (
     PresentedRing,
     _canon_coeff,
     chow_collapse,
+    ideal_generators,
     ideal_power_witness,
     ring_quotient,
     ring_tensor,
@@ -304,6 +305,61 @@ def test_audit_catches_generators_that_do_not_span():
     with pytest.raises(OmegaModelError, match="do not span degree 0: h"):
         bad.audit()
     PresentedRing(p=2, basis=basis, unit=0, ops={1: L_g, 2: L_h}).audit()
+
+
+def test_ideal_generators_need_generators_of_positive_degree():
+    # the degree induction fails for an idempotent generator: g*h = h
+    basis = (BasisClass("1", 0, 0), BasisClass("g", 0, 0), BasisClass("h", 0, 1))
+    L_g = {0: {1: 1}, 1: {1: 1}, 2: {2: 1}}
+    L_h = {0: {2: 1}, 1: {2: 1}, 2: {2: 1}}
+    ring = PresentedRing(p=2, basis=basis, unit=0, ops={1: L_g, 2: L_h})
+    with pytest.raises(OmegaModelError, match="generator g has degree <= 0"):
+        ideal_generators(ring, ["h"])
+
+
+def two_generator_ring(p, exp, gh, gk, hk):
+    """Free g, h in degree 1 over Z_(p), k in degree 2 and t in degree 3 both
+    of order p^exp, with g^2 = h^2 = k, g*h = gh*k, g*k = gk*t, h*k = hk*t."""
+    names = ("1", "g", "h", "k", "t")
+    basis = tuple(
+        BasisClass(nm, d, e) for nm, d, e in zip(names, (0, 1, 1, 2, 3), (0, 0, 0, exp, exp))
+    )
+    L_g = {0: {1: 1}, 1: {3: 1}, 2: {3: gh}, 3: {4: gk}}
+    L_h = {0: {2: 1}, 1: {3: gh}, 2: {3: 1}, 3: {4: hk}}
+    return PresentedRing(p=p, basis=basis, unit=0, ops={1: L_g, 2: L_h})
+
+
+@pytest.mark.parametrize("p, exp, gh, gk, hk", [(3, 1, 2, 2, 1), (2, 2, 3, 3, 1)])
+def test_audit_commutes_modulo_the_order_of_the_target(p, exp, gh, gk, hk):
+    # on the column g the two sides are gh*gk*t and hk*t, which differ by 3t
+    # at p = 3 and by 8t at p = 2; t has order p^exp, so the operators commute
+    ring = two_generator_ring(p, exp, gh, gk, hk)
+    assert (gh * gk - hk) % p**exp == 0 and gh * gk != hk
+    ring.audit()
+    # a unit difference on the same column does not
+    with pytest.raises(OmegaModelError, match="L_g and L_h do not commute on [gh]"):
+        two_generator_ring(p, exp, gh, gk, hk + 1).audit()
+
+
+def test_audit_compares_free_fraction_coefficients_exactly():
+    # Z_(3)[x, y]/(x, y)^3 on the basis 1, x, y, x^2, 2xy, y^2, so that
+    # x*y = (1/2)(2xy): equal fractions on both sides pass; 7/2 on one side
+    # fails, though it differs from 1/2 by 3, as 2xy is free
+    names = ("1", "x", "y", "x^2", "2xy", "y^2")
+    basis = tuple(BasisClass(nm, d, 0) for nm, d in zip(names, (0, 2, 2, 4, 4, 4)))
+
+    def ring(x_times_y):
+        ops = {
+            1: {0: {1: 1}, 1: {3: 1}, 2: {4: x_times_y}},
+            2: {0: {2: 1}, 1: {4: Fraction(1, 2)}, 2: {5: 1}},
+        }
+        return PresentedRing(p=3, basis=basis, unit=0, ops=ops)
+
+    good = ring(Fraction(1, 2))
+    good.audit()
+    assert good.multiply(good.basis_vector("x"), good.basis_vector("y")) == {4: Fraction(1, 2)}
+    with pytest.raises(OmegaModelError, match="L_x and L_y do not commute on 1"):
+        ring(Fraction(7, 2)).audit()
 
 
 def square_zero_pair_ring(xy_on_w):

@@ -768,8 +768,7 @@ def _verify_lemma_3_2(params: dict) -> TheoremReport:
 
 def _torsion_square_report(id_: str, obj, params: dict) -> TheoremReport:
     tnames = torsion_ideal(obj.ring, obj.res)
-    # T = (S) decides T^2 = 0; only a nonzero product needs the ordered
-    # search over all of T, which names the witness
+    # T = (S) decides T^2 = 0; only a nonzero one needs the ordered search to name a witness
     w = ideal_power_witness(obj.ring, ideal_generators(obj.ring, tnames), 2)
     if w is not None:
         w = ideal_power_witness(obj.ring, tnames, 2)

@@ -403,8 +403,7 @@ class PresentedRing:
             for h in gens[i + 1:]:
                 Lg, Lh = self.ops[g], self.ops[h]
                 for x in Lg.keys() | Lh.keys():
-                    # L_g L_h x - L_h L_g x, canonicalised once: reduction
-                    # modulo p^{e_k} is additive
+                    # L_g L_h x - L_h L_g x, canonicalised once: reduction mod p^e is additive
                     acc = _accumulate({}, Lg, Lh.get(x, _NONE))
                     _accumulate(acc, Lh, Lg.get(x, _NONE), -1)
                     if any(acc.values()) and _canon_vector(acc, self.basis, self.p):
@@ -732,8 +731,11 @@ def torsion_ideal(ring: PresentedRing, res: GradedMap | None = None) -> tuple[st
                 raise OmegaModelError(f"torsion class {name} has nonzero restriction")
         for d in mod.degrees():
             comp = mod.components[d]
-            free_cols = [i for i, nm in enumerate(comp.names or ())
-                         if ring.basis[ring.index_of(nm)].torsion_exp == 0]
+            free_cols = [
+                i
+                for i, nm in enumerate(comp.names or ())
+                if ring.basis[ring.index_of(nm)].torsion_exp == 0
+            ]
             if not free_cols:
                 continue
             sub = [[row[i] for i in free_cols] for row in res.matrix_at(d)]

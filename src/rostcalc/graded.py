@@ -11,6 +11,7 @@ Modules are treated as immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, snf_exponents
 
@@ -66,12 +67,20 @@ class GradedFPModule:
     def degrees(self) -> list[int]:
         return sorted(d for d, c in self.components.items() if c.gens)
 
+    @cached_property
+    def _positions(self) -> dict[str, tuple[int, int]]:
+        """name -> (degree, position), the first occurrence of each name."""
+        positions: dict[str, tuple[int, int]] = {}
+        for d, comp in self.components.items():
+            for i, name in enumerate(comp.names or ()):
+                positions.setdefault(name, (d, i))
+        return positions
+
     def generator_index(self, name: str) -> tuple[int, int]:
         """(degree, position) of a named generator."""
-        for d, comp in self.components.items():
-            if comp.names and name in comp.names:
-                return d, comp.names.index(name)
-        raise GradedModuleError(f"no generator named {name!r}")
+        if (pos := self._positions.get(name)) is None:
+            raise GradedModuleError(f"no generator named {name!r}")
+        return pos
 
 
 def zero_module(p: int) -> GradedFPModule:

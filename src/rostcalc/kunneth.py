@@ -19,7 +19,7 @@ import copy
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 from .catalog import (
     GR_M_PFISTER_NOTE,
@@ -387,14 +387,30 @@ def kunneth_quotient_ring(p: int, n: int, m: int, s: int) -> PresentedRing:
     return _word_ring(p, (n,) * s, m)
 
 
-def _word_ring(p: int, ns, m: int) -> PresentedRing:
+@cache
+def _word_ring(p: int, ns: tuple[int, ...], m: int) -> PresentedRing:
     """gr_m(R_1) (x) ... (x) gr_m(R_s) / J, factor t on y_t with exponent
-    ns[t-1].  The J pairs have equal degrees for unequal exponents too."""
+    ns[t-1].  The J pairs have equal degrees for unequal exponents too.
+
+    Built one factor at a time: Q_1 = gr_m(R_1) and Q_t = (Q_{t-1} (x)
+    gr_m(R_t)) / J_t, with J_t the pairs of J whose later factor is t, and
+    Q_s is the ring.  Proof.  Write T_t for the t-fold tensor product and
+    J_{<=t} for the ideal of T_t generated by the pairs with later factor at
+    most t; those pairs involve only factors 1..t, so they lie in T_t.  If
+    Q_{t-1} = T_{t-1}/J_{<=t-1}, right exactness of (x) gr_m(R_t) gives
+    Q_{t-1} (x) gr_m(R_t) = T_t / (J_{<=t-1} (x) gr_m(R_t)), whose
+    denominator is the ideal of T_t generated by J_{<=t-1}; modulo J_t then
+    leaves T_t/J_{<=t}.  At t = s this is T_s/J.  Every stage is an audited
+    `ring_quotient`.  Cached per process, as (p, ns, m) fixes the ring:
+    callers share it and must not mutate it.
+    """
     factors = [gr_m_rost_ring(p, n, m, var=f"y_{t}") for t, n in enumerate(ns, 1)]
-    if len(ns) == 1:
-        return factors[0]
-    pairs = [(g.positive_name, g.negative_name) for g in j_ideal(p, m, len(ns)).generators]
-    return ring_quotient(reduce(ring_tensor, factors), identified=pairs)
+    gens = j_ideal(p, m, len(ns)).generators if len(ns) > 1 else ()
+    ring = factors[0]
+    for t, factor in enumerate(factors[1:], 2):
+        pairs = [(g.positive_name, g.negative_name) for g in gens if g.t == t]
+        ring = ring_quotient(ring_tensor(ring, factor), identified=pairs)
+    return ring
 
 
 # ---------------------------------------------------------------------------

@@ -277,13 +277,15 @@ def _accumulate(acc: dict, op: Operator, vec: dict, scale=1) -> dict:
     return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class PresentedRing:
     """Graded commutative ring on an explicit basis, given by the operators
     of its generators: ops[g][x] is the vector g*x (zero columns omitted).
 
     The generators are the keys of `ops`.  Coefficients are made canonical
     on construction; `audit` certifies that the operators define a ring.
+    Frozen, so a ring shared between callers keeps its fields; the caches
+    of `words` and `operator` are deterministic.
     """
 
     p: int
@@ -296,8 +298,9 @@ class PresentedRing:
 
     def __post_init__(self):
         n, names = len(self.basis), [b.name for b in self.basis]
-        self._index = {name: k for k, name in enumerate(names)}
-        self._words, self._derived = None, {}
+        object.__setattr__(self, "_index", {name: k for k, name in enumerate(names)})
+        object.__setattr__(self, "_words", None)
+        object.__setattr__(self, "_derived", {})
         if not 0 <= self.unit < n:
             raise OmegaModelError(f"unit index {self.unit} names no basis class")
         ops = {}
@@ -310,7 +313,7 @@ class PresentedRing:
                 if not (0 <= x < n and all(0 <= k < n for k in vec)):
                     raise OmegaModelError(f"column {x} of L_{names[g]} names no basis class")
             ops[g] = {x: v for x, u in op.items() if (v := _canon_vector(u, self.basis, self.p))}
-        self.ops = ops
+        object.__setattr__(self, "ops", ops)
 
     def index_of(self, name: str) -> int:
         k = self._index.get(name)
@@ -445,7 +448,7 @@ class PresentedRing:
                                      for c, s, (g, j) in zip(sol, scales, here) if c)
             if unspanned:
                 raise OmegaModelError(f"generators do not span degree {d}: {', '.join(unspanned)}")
-        self._words = words
+        object.__setattr__(self, "_words", words)
         return words
 
     def to_json(self) -> dict:

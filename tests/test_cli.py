@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rostcalc import kunneth
 from rostcalc.cli import main
 from rostcalc.kunneth import CLAIMS
 from rostcalc.report import TheoremReport
@@ -177,6 +178,18 @@ def test_verify_all_is_deterministic(capsys):
     assert data["summary"]["verified"] == 52
     ids = [r["id"] for r in data["reports"]]
     assert ids[:3] == ["thm-1.1", "thm-1.1", "thm-1.1"]
+
+
+def test_verify_all_with_warm_word_rings_gives_the_same_bytes(capsys):
+    # the second run reads every Kunneth word ring from the per-process cache
+    _, cold, _ = run(capsys, "verify-all")
+    built = kunneth._word_ring.cache_info()
+    assert built.currsize == 7
+    _, warm, _ = run(capsys, "verify-all")
+    after = kunneth._word_ring.cache_info()
+    assert (after.misses, after.currsize) == (built.misses, built.currsize)
+    assert after.hits > built.hits
+    assert warm == cold
 
 
 def test_verify_all_only_matches_the_full_run(capsys):

@@ -112,6 +112,15 @@ def test_kill_generator():
         kill_generator(M, "missing")
 
 
+def test_generator_index_finds_every_name():
+    M = cyclic_summands(3, [(0, 0, "1"), (2, 1, "a"), (2, 0, "b"), (4, 2, "c")])
+    for d in M.degrees():
+        for i, name in enumerate(M.names_at(d)):
+            assert M.generator_index(name) == (d, i)
+    with pytest.raises(GradedModuleError, match="no generator named 'd'"):
+        M.generator_index("d")
+
+
 def test_gr_ps_frozen_example():
     # A+ = Z (+) Z/p^2 in degree 1; slots 1,2 have rank 2, the tail keeps Z
     A = cyclic_summands(2, [(0, 0, "1"), (1, 0, "x"), (1, 2, "t")])

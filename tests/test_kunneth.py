@@ -3,17 +3,21 @@
 import hashlib
 import itertools
 import json
+from dataclasses import FrozenInstanceError, replace
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from rostcalc import kunneth
 from rostcalc.catalog import (
     build_excellent_quadric_chow,
     build_pfister_neighbor_chow,
     build_product_rost,
     catalog_build,
     chow_rost_ring,
+    gr_m_rost_ring,
     pfister_neighbor_ring,
 )
 from rostcalc.graded import DegreeComponent, GradedFPModule, normalize, quotient, tensor_product
@@ -21,6 +25,7 @@ from rostcalc.kunneth import (
     CLAIMS,
     BarKmModel,
     KunnethError,
+    KunnethIdeal,
     THEOREM_IDS,
     c_decomposition,
     class_is_nonzero,
@@ -46,6 +51,8 @@ from rostcalc.omega import (
     PresentedRing,
     ideal_generators,
     ideal_power_witness,
+    ring_quotient,
+    ring_tensor,
 )
 
 
@@ -199,7 +206,6 @@ def test_star_star_check_matches_one_span_contains_per_target(p, n, m):
 @pytest.mark.parametrize("params", [{"p": 3}, {"p": 5}, {"p": 3, "n": 3, "m": 2}])
 def test_cor_4_2_refutes_when_one_p_multiple_is_in_the_image(monkeypatch, params):
     # one-entry defect: the versal image gains p * y_1 * y_2
-    import rostcalc.kunneth as kunneth
 
     def planted(model):
         return [*versal_image(model), model.vm_monomial(model.p, (1, 1), 0)]
@@ -214,8 +220,6 @@ def test_cor_4_2_refutes_when_one_p_multiple_is_in_the_image(monkeypatch, params
 @pytest.mark.parametrize("params", [{"p": 3}, {"p": 5}, {"p": 3, "n": 3, "m": 2}])
 def test_remark_4_2_negative_refutes_on_the_versal_image(monkeypatch, params):
     # the negative control must fail where the criterion (**) holds
-    import rostcalc.kunneth as kunneth
-
     monkeypatch.setattr(kunneth, "product_image", versal_image)
     r = verify_theorem("remark-4.2-negative", params)
     assert r.verdict == "refuted"
@@ -279,10 +283,93 @@ PINNED_RINGS = json.loads((Path(__file__).parent / "data" / "kunneth_ring_sha256
 @pytest.mark.parametrize("entry", PINNED_RINGS, ids=lambda e: str(e["args"]))
 def test_kunneth_quotient_ring_is_pinned(entry):
     # sha256 of the sorted-key JSON of each ring (p, n, m, s), recorded from
-    # the hand-written word table that gr_m(R')^{(x) s}/J replaced
+    # the hand-written word table that gr_m(R')^{(x) s}/J replaced; the two
+    # five-factor rings from the one-shot quotient of the full tensor, before
+    # the build folded in one factor at a time
     ring = kunneth_quotient_ring(*entry["args"])
     digest = hashlib.sha256(json.dumps(ring.to_json(), sort_keys=True).encode()).hexdigest()
     assert digest == entry["sha256"]
+
+
+@pytest.mark.parametrize(
+    "p, ns", [(2, (2, 2, 2, 2)), (3, (2, 2, 2)), (3, (2, 3)), (2, (3, 2, 4)), (5, (2, 2))]
+)
+def test_folded_word_ring_is_the_quotient_of_the_full_tensor(p, ns):
+    # (A/I) (x) B = (A (x) B)/(I (x) B): folding J in factor by factor gives
+    # the ring of the one-shot quotient, names and basis order included
+    factors = [gr_m_rost_ring(p, n, 1, var=f"y_{t}") for t, n in enumerate(ns, 1)]
+    pairs = [(g.positive_name, g.negative_name) for g in j_ideal(p, 1, len(ns)).generators]
+    full = ring_quotient(reduce(ring_tensor, factors), identified=pairs)
+    assert kunneth._word_ring(p, ns, 1).to_json() == full.to_json()
+
+
+def test_word_rings_are_built_once_and_frozen():
+    ring = kunneth._word_ring(3, (2, 2), 1)
+    assert kunneth._word_ring(3, (2, 2), 1) is ring
+    assert kunneth_quotient_ring(3, 2, 1, 2) is ring
+    with pytest.raises(FrozenInstanceError):
+        ring.ops = {}
+
+
+def drop_one_j_generator(monkeypatch, k):
+    # one-entry defect: J loses its generator k
+    def planted(p, m, s):
+        gens = list(j_ideal(p, m, s).generators)
+        del gens[k]
+        return KunnethIdeal(p, m, s, tuple(gens))
+
+    monkeypatch.setattr(kunneth, "j_ideal", planted)
+    kunneth._word_ring.cache_clear()  # rings built from the intact J
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize(
+    "id_, params",
+    [
+        ("thm-6.9", {"p": 2, "s": 2}),
+        ("thm-6.9", {"p": 3, "s": 2}),
+        ("cor-6.10", {"p": 2, "s": 2}),
+        ("thm-1.1", {"p": 3}),
+        ("lemma-4.1", {"p": 3}),
+    ],
+)
+def test_word_ring_claims_refute_when_j_loses_a_generator(monkeypatch, id_, params, k):
+    assert verify_theorem(id_, params).verdict == "verified"
+    drop_one_j_generator(monkeypatch, k)
+    assert verify_theorem(id_, params).verdict == "refuted"
+
+
+def test_cor_1_3_survives_a_smaller_j(monkeypatch):
+    # J only identifies basis classes, so a smaller J keeps every product of
+    # torsion generators on distinct factors nonzero: cor-1.3 stays verified
+    drop_one_j_generator(monkeypatch, 0)
+    assert verify_theorem("cor-1.3", {"p": 3, "s": 2}).verdict == "verified"
+
+
+def raise_torsion_orders(monkeypatch):
+    # defect: every torsion class of each gr_m factor gets order p^2
+    def planted(p, n, m, var="y"):
+        ring = gr_m_rost_ring(p, n, m, var)
+        basis = tuple(replace(b, torsion_exp=b.torsion_exp + 1) if b.torsion_exp else b
+                      for b in ring.basis)
+        return PresentedRing(ring.p, basis, ring.unit, ring.ops)
+
+    monkeypatch.setattr(kunneth, "gr_m_rost_ring", planted)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_cor_1_3_refutes_a_witness_of_order_p_squared(monkeypatch, s):
+    raise_torsion_orders(monkeypatch)
+    r = verify_theorem("cor-1.3", {"p": 2, "s": s})
+    assert r.verdict == "refuted"
+    assert r.left["witness_product"] == [f"c_1(y_{t})" for t in range(1, s + 1)]
+
+
+def test_cor_1_3_rejects_order_p_squared_torsion_at_odd_p(monkeypatch):
+    # at p = 3 the p * c_0 products survive, and J spans no ideal
+    raise_torsion_orders(monkeypatch)
+    with pytest.raises(OmegaModelError, match="difference of two equal single terms"):
+        verify_theorem("cor-1.3", {"p": 3, "s": 2})
 
 
 def test_kunneth_quotient_ring_identifies_mixed_words():
@@ -370,8 +457,6 @@ def test_ideal_generators_decide_the_torsion_powers_as_the_additive_basis_does()
 def planted_torsion_square(monkeypatch, ring):
     """thm-5.5-torsion-square read on `ring` in place of the Pfister neighbour,
     with no restriction map to certify."""
-    import rostcalc.kunneth as kunneth
-
     ring.audit()
     obj = SimpleNamespace(ring=ring, res=None, notes=[])
     monkeypatch.setattr(kunneth, "build_pfister_neighbor_chow", lambda n: obj)

@@ -206,7 +206,6 @@ def test_star_star_check_matches_one_span_contains_per_target(p, n, m):
 @pytest.mark.parametrize("params", [{"p": 3}, {"p": 5}, {"p": 3, "n": 3, "m": 2}])
 def test_cor_4_2_refutes_when_one_p_multiple_is_in_the_image(monkeypatch, params):
     # one-entry defect: the versal image gains p * y_1 * y_2
-
     def planted(model):
         return [*versal_image(model), model.vm_monomial(model.p, (1, 1), 0)]
 

@@ -284,7 +284,8 @@ def test_kunneth_quotient_ring_is_pinned(entry):
     # sha256 of the sorted-key JSON of each ring (p, n, m, s), recorded from
     # the hand-written word table that gr_m(R')^{(x) s}/J replaced; the two
     # five-factor rings from the one-shot quotient of the full tensor, before
-    # the build folded in one factor at a time
+    # the build folded in one factor at a time; (5,2,1,4) and (3,2,1,6) while
+    # every quotient was still re-audited from scratch
     ring = kunneth_quotient_ring(*entry["args"])
     digest = hashlib.sha256(json.dumps(ring.to_json(), sort_keys=True).encode()).hexdigest()
     assert digest == entry["sha256"]
@@ -679,7 +680,9 @@ def test_off_grid_reports_match_recorded_bytes(key):
     # remark-4.2-negative at p=13 and at m=2 (the v_m-degree path), recorded
     # before star_star_check moved onto one factored span per degree;
     # thm-5.5-torsion-square at n=5 and n=7 and thm-5.7-torsion-square at
-    # n=3 and n=4, recorded before T^2 = 0 was decided from ideal generators
+    # n=3 and n=4, recorded before T^2 = 0 was decided from ideal generators;
+    # cor-1.3 at p=5 s=4, p=3 s=6 and p=7 s=4, recorded while every quotient
+    # was still re-audited from scratch
     id_, params = key.split(" ", 1)
     report = verify_theorem(id_, json.loads(params))
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]

@@ -400,8 +400,10 @@ def _word_ring(p: int, ns: tuple[int, ...], m: int) -> PresentedRing:
     Q_{t-1} = T_{t-1}/J_{<=t-1}, right exactness of (x) gr_m(R_t) gives
     Q_{t-1} (x) gr_m(R_t) = T_t / (J_{<=t-1} (x) gr_m(R_t)), whose
     denominator is the ideal of T_t generated by J_{<=t-1}; modulo J_t then
-    leaves T_t/J_{<=t}.  At t = s this is T_s/J.  Every stage is an audited
-    `ring_quotient`.  Cached per process, as (p, ns, m) fixes the ring:
+    leaves T_t/J_{<=t}.  At t = s this is T_s/J.  Every stage is a
+    `ring_quotient` of a `ring_tensor`, certified by induction from the
+    audited catalog rings under the factors; no stage is audited again, and
+    only Q_s computes its words.  Cached per process, as (p, ns, m) fixes the ring:
     callers share it and must not mutate it.
     """
     factors = [gr_m_rost_ring(p, n, m, var=f"y_{t}") for t, n in enumerate(ns, 1)]

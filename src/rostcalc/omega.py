@@ -22,6 +22,10 @@ A `PresentedRing` is the operators L_g : x -> g*x of its generators g on an
 explicit basis, certified by the commuting-operator criterion in `audit`;
 every other product is read off words in the generators.  `chow_collapse`,
 `ring_tensor` and `ring_quotient` each emit operators, not product tables.
+`chow_collapse` and the catalog rings are audited; `ring_tensor` and
+`ring_quotient` take certified rings and return certified rings, by the
+lemmas in their docstrings, so only the rings at the leaves of a build are
+audited.
 """
 
 from __future__ import annotations
@@ -478,9 +482,9 @@ def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
 
     Its generators are the g (x) 1 and the 1 (x) h, with L_{g (x) 1} =
     L_g (x) I and L_{1 (x) h} = I (x) L_h.  It needs no audit of its own: a
-    tensor product of audited rings is a commutative ring that the factors'
-    generators span, so `ring_quotient`'s ideal check on it is sound, and the
-    quotient is audited.
+    tensor product of certified rings is a commutative ring that the factors'
+    generators span, so it is certified, `ring_quotient`'s ideal check on it
+    is sound, and the quotient is certified in turn.
     """
     if A.p != B.p:
         raise OmegaModelError("prime mismatch")
@@ -507,20 +511,36 @@ def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
 
 
 def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> PresentedRing:
-    """The quotient of an audited ring by the span I of the named classes k and
-    of the differences a - b of the identified pairs of named classes.
+    """The quotient of a certified ring by the span I of the named classes k
+    and of the differences a - b of the identified pairs of named classes.
+
+    Certified means audited (`PresentedRing.audit`), or built from certified
+    rings by `ring_tensor` or `ring_quotient`; a parent that is neither is
+    outside this contract.  The quotient is certified by the lemma below,
+    not audited again.
 
     Closure: in a union-find, each pair (a, b) that merges two classes is
     multiplied by every generator g; g*a and g*b must both vanish or be
     single terms c*x and c*y with one c, and then x ~ y; anything else is an
     error.  Identified classes share degree, order and being killed, so the
     lowest index of each class not killed is a basis of ring/I, listed by
-    (degree, name).  Certificate, with pi the projection to ring/I:
-    pi(g*k) = 0 for every killed k, and pi(g*x) = pi(g*r) for every
-    identified x with survivor r.  So g*I lies in I, which suffices: the
-    parent's audit certifies that words in the generators span the ring, so
-    any a*i is a Z_(p)-combination of g_1(g_2(...(g_r i))), each step in I.
-    The operators of the quotient are pi L_g on the survivors; it is audited.
+    (degree, name), and ring/I is the sum of Z_(p)/p^{e_r} over it.
+    Certificate, with pi the projection to ring/I: pi(g*k) = 0 for every
+    killed k, and pi(g*x) = pi(g*r) for every identified x with survivor r.
+    So g*I lies in I, which suffices: the parent is certified, so words in
+    the generators span it, and any a*i is a Z_(p)-combination of
+    g_1(g_2(...(g_r i))), each step in I.
+
+    Lemma: the quotient satisfies the four properties of `audit`.  Its
+    operators L'_g are pi L_g on the survivors, so pi L_g = L'_g pi, and
+    L'_g is well defined on ring/I because L_g(I) lies in I.  1: a term of
+    pi(g*x) is the image of a term of g*x, of degree deg g + deg x, and
+    identified classes share their order, so p^{e_x} kills pi(g*x).  2:
+    L'_g(1) = pi(g*1) = pi(g).  3: L'_g L'_h pi = pi L_g L_h = pi L_h L_g =
+    L'_h L'_g pi, and pi is onto, so the L'_g commute.  4: pi maps the
+    parent's words onto words in the pi(g) that span ring/I degree by
+    degree.  `words` stays lazy, so the quotient computes its own words
+    when a product first needs them, and raises there if they fail to span.
     """
     n, names = len(ring.basis), [b.name for b in ring.basis]
     killed = {ring.index_of(name) for name in killed_names}
@@ -593,9 +613,7 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
         for g, op in ring.ops.items()
         if g in image
     }
-    quotient = PresentedRing(ring.p, basis, image[ring.unit], ops)
-    quotient.audit()
-    return quotient
+    return PresentedRing(ring.p, basis, image[ring.unit], ops)
 
 
 # ---------------------------------------------------------------------------

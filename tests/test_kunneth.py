@@ -269,11 +269,30 @@ def test_second_display_sides_agree():
 # --- the quotient ring and power witnesses --------------------------------
 
 
+# `ring_quotient` certifies each stage of the word ring by its ideal check
+# and audits none of them; the tests below run the full audit on the results.
+
+
 def test_kunneth_quotient_ring_audits():
     for p, n, m, s in [(2, 2, 1, 2), (3, 2, 1, 2), (2, 3, 1, 3)]:
         ring = kunneth_quotient_ring(p, n, m, s)
-        names = [b.name for b in ring.basis]
-        assert "1" in names
+        ring.audit()
+        assert "1" in [b.name for b in ring.basis]
+
+
+def grid_rost_triples():
+    """Every (p, n, m) of a Rost factor that a verify-all report reads."""
+    triples = set()
+    for _, params in default_grid():
+        if "p" in params:
+            ns = (params["n1"], params["n2"]) if "n1" in params else (params.get("n", 2),)
+            triples.update((params["p"], n, params.get("m", 1)) for n in ns)
+    return sorted(triples)
+
+
+@pytest.mark.parametrize("p, n, m", grid_rost_triples())
+def test_gr_m_rost_ring_audits(p, n, m):
+    gr_m_rost_ring(p, n, m).audit()
 
 
 PINNED_RINGS = json.loads((Path(__file__).parent / "data" / "kunneth_ring_sha256.json").read_text())
@@ -287,6 +306,7 @@ def test_kunneth_quotient_ring_is_pinned(entry):
     # the build folded in one factor at a time; (5,2,1,4) and (3,2,1,6) while
     # every quotient was still re-audited from scratch
     ring = kunneth_quotient_ring(*entry["args"])
+    ring.audit()
     digest = hashlib.sha256(json.dumps(ring.to_json(), sort_keys=True).encode()).hexdigest()
     assert digest == entry["sha256"]
 
@@ -300,7 +320,10 @@ def test_folded_word_ring_is_the_quotient_of_the_full_tensor(p, ns):
     factors = [gr_m_rost_ring(p, n, 1, var=f"y_{t}") for t, n in enumerate(ns, 1)]
     pairs = [(g.positive_name, g.negative_name) for g in j_ideal(p, 1, len(ns)).generators]
     full = ring_quotient(reduce(ring_tensor, factors), identified=pairs)
-    assert kunneth._word_ring(p, ns, 1).to_json() == full.to_json()
+    folded = kunneth._word_ring(p, ns, 1)
+    full.audit()
+    folded.audit()
+    assert folded.to_json() == full.to_json()
 
 
 def test_word_rings_are_built_once_and_frozen():
@@ -347,12 +370,16 @@ def test_cor_1_3_survives_a_smaller_j(monkeypatch):
 
 
 def raise_torsion_orders(monkeypatch):
-    # defect: every torsion class of each gr_m factor gets order p^2
+    # defect: every torsion class of each gr_m factor gets order p^2; the
+    # factor is still a ring, audited here since the build certifies only
+    # from audited factors
     def planted(p, n, m, var="y"):
         ring = gr_m_rost_ring(p, n, m, var)
         basis = tuple(replace(b, torsion_exp=b.torsion_exp + 1) if b.torsion_exp else b
                       for b in ring.basis)
-        return PresentedRing(ring.p, basis, ring.unit, ring.ops)
+        planted_ring = PresentedRing(ring.p, basis, ring.unit, ring.ops)
+        planted_ring.audit()
+        return planted_ring
 
     monkeypatch.setattr(kunneth, "gr_m_rost_ring", planted)
 

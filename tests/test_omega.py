@@ -1,5 +1,6 @@
 """The ambient-image model, presented rings, and torsion-ideal certificates."""
 
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -412,6 +413,7 @@ def test_ring_quotient_needs_an_ideal():
     with pytest.raises(OmegaModelError, match="unit"):
         ring_quotient(ring, ["1"])
     quotient = ring_quotient(ring, ["c_1(y)", "c_1(y^2)"])
+    quotient.audit()
     assert [b.name for b in quotient.basis] == ["1", "c_0(y)", "c_0(y^2)"]
     c0 = quotient.basis_vector("c_0(y)")
     assert quotient.multiply(c0, c0) == {quotient.index_of("c_0(y^2)"): 3}
@@ -441,6 +443,19 @@ def test_ring_quotient_closure_needs_equal_single_terms(pair):
         ring_quotient(T, identified=[pair])
 
 
+def test_ring_quotient_rejects_a_non_ideal_of_a_tensor():
+    # the tensor of two factors is certified, not audited; killing c_1(y_1)
+    # alone is no ideal, as c_0(y_2) carries it to c_1(y_1)*c_0(y_2)
+    T = ring_tensor(gr_m_rost_ring(3, 2, 1, var="y_1"), gr_m_rost_ring(3, 2, 1, var="y_2"))
+    with pytest.raises(
+        OmegaModelError,
+        match=re.escape(
+            "the killed classes span no ideal: c_0(y_2)*c_1(y_1) has a term c_1(y_1)*c_0(y_2)"
+        ),
+    ):
+        ring_quotient(T, ["c_1(y_1)"])
+
+
 def test_ring_quotient_closes_the_pairs_under_the_generators():
     T = reduce(ring_tensor, [gr_m_rost_ring(2, 2, 1, var=f"y_{t}") for t in (1, 2, 3)])
     # only two-factor pairs, as in the Kunneth ideal J
@@ -449,6 +464,7 @@ def test_ring_quotient_closes_the_pairs_under_the_generators():
         for r, t in [(1, 2), (1, 3), (2, 3)]
     ]
     quotient = ring_quotient(T, identified=pairs)
+    quotient.audit()
     names = [b.name for b in quotient.basis]
     assert "c_1(y_1)*c_0(y_2)*c_0(y_3)" in names
     assert "c_0(y_1)*c_1(y_2)*c_0(y_3)" not in names

@@ -403,8 +403,8 @@ def _word_ring(p: int, ns: tuple[int, ...], m: int) -> PresentedRing:
     leaves T_t/J_{<=t}.  At t = s this is T_s/J.  Every stage is a
     `ring_quotient` of a `ring_tensor`, certified by induction from the
     audited catalog rings under the factors; no stage is audited again, and
-    only Q_s computes its words.  Cached per process, as (p, ns, m) fixes the ring:
-    callers share it and must not mutate it.
+    the stages before Q_s never compute their words.  Cached per process, as
+    (p, ns, m) fixes the ring: callers share it and must not mutate it.
     """
     factors = [gr_m_rost_ring(p, n, m, var=f"y_{t}") for t, n in enumerate(ns, 1)]
     gens = j_ideal(p, m, len(ns)).generators if len(ns) > 1 else ()

@@ -709,7 +709,8 @@ def test_off_grid_reports_match_recorded_bytes(key):
     # thm-5.5-torsion-square at n=5 and n=7 and thm-5.7-torsion-square at
     # n=3 and n=4, recorded before T^2 = 0 was decided from ideal generators;
     # cor-1.3 at p=5 s=4, p=3 s=6 and p=7 s=4, recorded while every quotient
-    # was still re-audited from scratch
+    # was still re-audited from scratch; cor-4.2 and remark-4.2-negative at
+    # p=11 and p=17, recorded while (**) still factored one span per degree
     id_, params = key.split(" ", 1)
     report = verify_theorem(id_, json.loads(params))
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]

@@ -418,8 +418,7 @@ class GradedMap:
         return m
 
     def apply(self, d: int, vec) -> tuple[int, ...]:
-        m = self.matrix_at(d)
-        return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in m)
+        return _apply(self.matrix_at(d), vec)
 
     def well_defined(self) -> IsoResult:
         """Check every source relation maps into the target relation span."""
@@ -428,10 +427,16 @@ class GradedMap:
             comp = self.source.components[d]
             if not comp.relations:
                 continue
-            span = None  # the target relations, factored once for every image
+            span, m = None, self.matrix_at(d)  # the target relations, factored once
             for col in comp.relations:
-                if any(image := self.apply(d, col)):
+                if any(image := _apply(m, col)):
                     span = span or SpanSolver(self.target.relation_matrix(d))
                     if not span.contains(dict(enumerate(image))):
                         problems.append(f"degree {d}: relation image not in target relations")
         return IsoResult(equal=not problems, diffs=tuple(problems))
+
+
+def _apply(m, vec) -> tuple[int, ...]:
+    """m * vec, summed over the nonzero entries of vec only."""
+    nonzero = [(j, c) for j, c in enumerate(vec) if c]
+    return tuple(sum(row[j] * c for j, c in nonzero) for row in m)

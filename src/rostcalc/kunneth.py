@@ -116,25 +116,14 @@ def c_decomposition(p: int, n1: int, n2: int, m: int) -> CDecomposition:
         )
     r1, r2 = DegreeRule(p, n1), DegreeRule(p, n2)
     c0_parts, c1_parts, c2_parts = [], [], []
-    for i in range(1, p):
-        for j in range(1, p):
-            a = _c(0, i, "y_1")
-            b = _c(0, j, "y_2")
-            am = _c(m, i, "y_1")
-            bm = _c(m, j, "y_2")
-            c0_parts.append((r1.c_degree(0, i) + r2.c_degree(0, j), 0, f"{a}*{b}"))
-            c1_parts.append((r1.c_degree(m, i) + r2.c_degree(m, j), 1, f"{am}*{bm}"))
-            c2_parts.append((r1.c_degree(m, i) + r2.c_degree(0, j), 1, f"{am}*{b}"))
-            c2_parts.append((r1.c_degree(0, i) + r2.c_degree(m, j), 1, f"{a}*{bm}"))
-    dec = CDecomposition(
-        p=p,
-        n1=n1,
-        n2=n2,
-        m=m,
-        c0=cyclic_summands(p, c0_parts),
-        c1=cyclic_summands(p, c1_parts),
-        c2=cyclic_summands(p, c2_parts),
-    )
+    for i, j in itertools.product(range(1, p), repeat=2):
+        a, b, am, bm = _c(0, i, "y_1"), _c(0, j, "y_2"), _c(m, i, "y_1"), _c(m, j, "y_2")
+        c0_parts.append((r1.c_degree(0, i) + r2.c_degree(0, j), 0, f"{a}*{b}"))
+        c1_parts.append((r1.c_degree(m, i) + r2.c_degree(m, j), 1, f"{am}*{bm}"))
+        c2_parts.append((r1.c_degree(m, i) + r2.c_degree(0, j), 1, f"{am}*{b}"))
+        c2_parts.append((r1.c_degree(0, i) + r2.c_degree(m, j), 1, f"{a}*{bm}"))
+    c0, c1, c2 = (cyclic_summands(p, parts) for parts in (c0_parts, c1_parts, c2_parts))
+    dec = CDecomposition(p=p, n1=n1, n2=n2, m=m, c0=c0, c1=c1, c2=c2)
     pos1 = positive_part(gr_m_rost_ring(p, n1, m, var="y_1").module())
     pos2 = positive_part(gr_m_rost_ring(p, n2, m, var="y_2").module())
     check = iso_equal(dec.total(), tensor_product(pos1, pos2))
@@ -234,14 +223,45 @@ class BarKmModel(OmegaImageModel):
     def vm_monomial(self, coeff: int, exps, k: int) -> Element:
         return self.monomial(coeff, ((self.m, k),) if k else (), exps)
 
+    def y_blocks(self, gens) -> dict:
+        """Each Y of the (degree, element) generators -> its block: the indices
+        of the generators linked to Y through shared Y's, a connected component."""
+        owner: dict = {}  # Y -> its block (Y's, generator indices), shared
+        for k, (_, el) in enumerate(gens):
+            ys, ks = {y for _, y in el}, [k]
+            for other in {id(b): b for y in ys if (b := owner.get(y))}.values():
+                ys |= other[0]
+                ks += other[1]
+            owner.update(dict.fromkeys(ys, (ys, ks)))
+        return {y: ks for y, (_, ks) in owner.items()}
+
     def span(self, gens, d: int) -> SpanSolver:
-        """Degree d of the Z_(p)[v_m]-span of the (degree, element) generators."""
+        """Degree d of the Z_(p)[v_m]-span of the (degree, element) generators,
+        which the callers take one y-block (`y_blocks`) at a time.
+
+        Block split: v_m changes no y-exponent, so v_m^e*g has the Y's of g and
+        each column of the degree-d matrix M lies in the rows (v, Y) of one
+        block B.  So M = diag(M_B), and Mx = b exactly when M_B x_B = b_B for
+        each B: a target is in the span iff it is in the span of the blocks it
+        touches (x_B = 0 where b_B = 0).  A row whose Y no generator has is
+        zero in M; `SpanSolver` rejects a target there, as outside its rows.
+        """
         cols = [el for _, _, el in self.v_translates(gens, d, (self.m,))]
         return SpanSolver(*sparse_matrix(self.p, cols))
 
+    def block_span(self, gens, blocks, target: Element, spans: dict) -> SpanSolver:
+        """The span, in the degree of target, of the union of the `y_blocks`
+        it touches, factored once per (blocks, degree) into `spans`."""
+        d = self.element_degree(target)
+        ks = tuple(sorted({k for _, y in target for k in blocks.get(y, ())}))
+        if (ks, d) not in spans:
+            spans[ks, d] = self.span([gens[k] for k in ks], d)
+        return spans[ks, d]
+
     def span_contains(self, gens, target: Element) -> bool:
         """Is target in the Z_(p)[v_m]-span of the (degree, element) generators?"""
-        return (d := self.element_degree(target)) is None or self.span(gens, d).contains(target)
+        blocks = self.y_blocks(gens)
+        return not target or self.block_span(gens, blocks, target, {}).contains(target)
 
 
 def mono_name(exps) -> str:
@@ -269,12 +289,9 @@ def star_star_check(model: BarKmModel, image_generators) -> dict[str, dict[str, 
         for exps in itertools.product(range(1, model.p), repeat=model.nfactors)
         for kind, coeff, k in (("p", model.p, 0), ("v", 1, 1))
     }
-    # one factored span per target degree answers all its targets
-    degree = {key: model.element_degree(el) for key, el in targets.items()}
-    hit = {}
-    for d in sorted(set(degree.values())):
-        keys = [key for key in targets if degree[key] == d]
-        hit.update(zip(keys, map(model.span(gens, d).contains, map(targets.get, keys))))
+    # one factored span per (y-block, degree) answers all its targets
+    blocks, spans = model.y_blocks(gens), {}
+    hit = {k: model.block_span(gens, blocks, el, spans).contains(el) for k, el in targets.items()}
     return {mono: {kind: hit[mono, kind] for kind in ("p", "v")} for mono, _ in targets}
 
 

@@ -595,24 +595,24 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
                 out[image[k]] = out.get(image[k], 0) + c
         return _canon_vector(out, basis, ring.p)
 
+    ops, dropped = {}, [x for x in range(n) if x not in new]
     for g, op in ring.ops.items():
-        for x in (x for x in range(n) if x not in new):
+        # each survivor column projected once, for the check and the operator
+        column = {new[x]: project(vec) for x, vec in op.items() if x in new}
+        for x in dropped:
             gx = project(op.get(x, {}))
             if x in killed and gx:
                 raise OmegaModelError(
                     f"the killed classes span no ideal: {names[g]}*{names[x]} has a term "
                     f"{basis[min(gx)].name}"
                 )
-            if x in image and gx != project(op.get(survivors[image[x]], {})):
+            if x in image and gx != column.get(image[x], {}):
                 raise OmegaModelError(
                     f"the identified classes span no ideal: {names[g]}*{names[x]} "
                     f"!= {names[g]}*{names[survivors[image[x]]]} in the quotient"
                 )
-    ops = {
-        image[g]: {new[x]: project(vec) for x, vec in op.items() if x in new}
-        for g, op in ring.ops.items()
-        if g in image
-    }
+        if g in image:
+            ops[image[g]] = column
     return PresentedRing(ring.p, basis, image[ring.unit], ops)
 
 

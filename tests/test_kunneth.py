@@ -20,6 +20,7 @@ from rostcalc.catalog import (
     gr_m_rost_ring,
     pfister_neighbor_ring,
 )
+from rostcalc.exact_linalg import SpanSolver, sparse_matrix
 from rostcalc.graded import DegreeComponent, GradedFPModule, normalize, quotient, tensor_product
 from rostcalc.kunneth import (
     CLAIMS,
@@ -201,6 +202,78 @@ def test_star_star_check_matches_one_span_contains_per_target(p, n, m):
             for exps in itertools.product(range(1, p), repeat=2)
         }
         assert star_star_check(model, image) == expected
+
+
+def _linked_image(model):
+    # hand-written homogeneous generators at p = 3, n = 2 (y has degree 4, v
+    # degree -2) whose terms link y-exponent tuples: g1, g2, g7, g8, g9 form
+    # one block, g3 is a block alone, and g5 joins the blocks of g4 and g6
+    def el(*terms):
+        return reduce(model.add, [model.vm_monomial(c, y, k) for c, y, k in terms])
+
+    image = [
+        el((1, (1, 1), 0), (3, (2, 1), 2)),  # g1
+        el((1, (2, 0), 0), (1, (2, 2), 4)),  # g3
+        el((3, (0, 1), 0)),  # g4
+        el((1, (1, 0), 0)),  # g6
+        el((1, (2, 1), 2), (3, (1, 2), 2)),  # g2
+        el((1, (1, 0), 0), (3, (0, 1), 0)),  # g5
+        el((1, (1, 2), 2)),  # g7
+        el((1, (2, 1), 0), (3, (1, 2), 0)),  # g8
+        el((9, (1, 2), 0)),  # g9
+    ]
+    return image, [(model.element_degree(g), g) for g in image]
+
+
+def _full_degree_span(model, gens, target):
+    # the oracle: one span over every v-translate of every generator
+    d = model.element_degree(target)
+    cols = [el for _, _, el in model.v_translates(gens, d, (model.m,))]
+    return SpanSolver(*sparse_matrix(model.p, cols)).contains(target)
+
+
+def test_y_blocks_link_generators_through_shared_y_exponents():
+    model = BarKmModel(p=3, factor_ns=(2, 2), m=1)
+    _, gens = _linked_image(model)
+    blocks = model.y_blocks(gens)
+    assert {tuple(sorted(b)) for b in blocks.values()} == {(0, 4, 6, 7, 8), (1,), (2, 3, 5)}
+    assert blocks[(2, 0)] == blocks[(2, 2)] == [1]
+
+
+def test_block_split_star_star_check_matches_the_full_degree_span():
+    model = BarKmModel(p=3, factor_ns=(2, 2), m=1)
+    image, gens = _linked_image(model)
+    expected = {
+        mono_name(exps): {
+            kind: _full_degree_span(model, gens, model.vm_monomial(c, exps, k))
+            for kind, c, k in (("p", 3, 0), ("v", 1, 1))
+        }
+        for exps in itertools.product((1, 2), repeat=2)
+    }
+    assert star_star_check(model, image) == expected
+    # 3*y1^2*y2 = 3*g8 - g9, v*y1*y2 = v*(g1 - 3*g2 + 9*g7), and
+    # v*y1^2*y2 = v*g8 - v*g9/3 is not integral
+    assert expected["y_1^2*y_2"] == {"p": True, "v": False}
+    assert expected["y_1*y_2"] == {"p": True, "v": True}
+
+
+def test_block_split_span_contains_matches_the_full_degree_span():
+    model = BarKmModel(p=3, factor_ns=(2, 2), m=1)
+    image, gens = _linked_image(model)
+    y1y2, y1_sq = model.vm_monomial(1, (1, 1), 0), model.vm_monomial(1, (2, 0), 0)
+    cases = [
+        (model.add(y1y2, image[1]), True),  # straddles two blocks, both parts in
+        (model.add(y1y2, y1_sq), False),  # straddles two blocks, y1^2 is not in
+        (model.vm_monomial(1, (0, 2), 0), False),  # a Y no generator touches
+        (model.add(y1y2, model.vm_monomial(1, (0, 2), 0)), False),
+        (model.vm_monomial(1, (1, 0), 1), True),  # v*y1 = v*g6
+        (model.vm_monomial(1, (0, 1), 1), False),  # v*y2 = v*(g5 - g6)/3
+        ({}, True),
+    ]
+    for target, hit in cases:
+        assert model.span_contains(gens, target) is hit, target
+        if target:
+            assert _full_degree_span(model, gens, target) is hit, target
 
 
 @pytest.mark.parametrize("params", [{"p": 3}, {"p": 5}, {"p": 3, "n": 3, "m": 2}])

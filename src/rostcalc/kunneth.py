@@ -236,8 +236,8 @@ class BarKmModel(OmegaImageModel):
         return {y: ks for y, (_, ks) in owner.items()}
 
     def span(self, gens, d: int) -> SpanSolver:
-        """Degree d of the Z_(p)[v_m]-span of the (degree, element) generators,
-        which the callers take one y-block (`y_blocks`) at a time.
+        """Degree d of the Z_(p)[v_m]-span of the (degree, element) generators;
+        `block_span` passes only the y-blocks (`y_blocks`) a target touches.
 
         Block split: v_m changes no y-exponent, so v_m^e*g has the Y's of g and
         each column of the degree-d matrix M lies in the rows (v, Y) of one

@@ -783,7 +783,9 @@ def test_off_grid_reports_match_recorded_bytes(key):
     # n=3 and n=4, recorded before T^2 = 0 was decided from ideal generators;
     # cor-1.3 at p=5 s=4, p=3 s=6 and p=7 s=4, recorded while every quotient
     # was still re-audited from scratch; cor-4.2 and remark-4.2-negative at
-    # p=11 and p=17, recorded while (**) still factored one span per degree
+    # p=11 and p=17, recorded while (**) still factored one span per degree;
+    # cor-1.3 at p=5 s=5 and p=3 s=7, recorded while ring_quotient still
+    # projected every identified class
     id_, params = key.split(" ", 1)
     report = verify_theorem(id_, json.loads(params))
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]

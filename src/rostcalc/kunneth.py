@@ -19,7 +19,7 @@ import copy
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import lru_cache, partial, reduce
 
 from .catalog import (
     GR_M_PFISTER_NOTE,
@@ -404,7 +404,7 @@ def kunneth_quotient_ring(p: int, n: int, m: int, s: int) -> PresentedRing:
     return _word_ring(p, (n,) * s, m)
 
 
-@cache
+@lru_cache(maxsize=8)
 def _word_ring(p: int, ns: tuple[int, ...], m: int) -> PresentedRing:
     """gr_m(R_1) (x) ... (x) gr_m(R_s) / J, factor t on y_t with exponent
     ns[t-1].  The J pairs have equal degrees for unequal exponents too.
@@ -421,7 +421,8 @@ def _word_ring(p: int, ns: tuple[int, ...], m: int) -> PresentedRing:
     `ring_quotient` of a `ring_tensor`, certified by induction from the
     audited catalog rings under the factors; no stage is audited again, and
     the stages before Q_s never compute their words.  Cached per process, as
-    (p, ns, m) fixes the ring: callers share it and must not mutate it.
+    (p, ns, m) fixes the ring: callers share it and must not mutate it.  The
+    cache keeps the 8 rings used last; a verify-all pass builds 7.
     """
     factors = [gr_m_rost_ring(p, n, m, var=f"y_{t}") for t, n in enumerate(ns, 1)]
     gens = j_ideal(p, m, len(ns)).generators if len(ns) > 1 else ()

@@ -483,8 +483,10 @@ def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
     Its generators are the g (x) 1 and the 1 (x) h, with L_{g (x) 1} =
     L_g (x) I and L_{1 (x) h} = I (x) L_h.  It needs no audit of its own: a
     tensor product of certified rings is a commutative ring that the factors'
-    generators span, so it is certified, `ring_quotient`'s ideal check on it
-    is sound, and the quotient is certified in turn.
+    generators span, so it is certified, `ring_quotient`'s closure and
+    killed-class check on it are sound, and the quotient is certified in
+    turn.  Its columns are not canonical, as a coefficient p of a factor can
+    land on a class of order p; `PresentedRing` reduces them.
     """
     if A.p != B.p:
         raise OmegaModelError("prime mismatch")
@@ -526,10 +528,14 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
     lowest index of each class not killed is a basis of ring/I, listed by
     (degree, name), and ring/I is the sum of Z_(p)/p^{e_r} over it.
     Certificate, with pi the projection to ring/I: pi(g*k) = 0 for every
-    killed k, and pi(g*x) = pi(g*r) for every identified x with survivor r.
-    So g*I lies in I, which suffices: the parent is certified, so words in
-    the generators span it, and any a*i is a Z_(p)-combination of
-    g_1(g_2(...(g_r i))), each step in I.
+    killed k, checked, and pi(g*x) = pi(g*r) for every identified x with
+    survivor r, proved by the closure.  Every pair (a, b) that merges two
+    classes is checked against every generator g: g*a and g*b are both zero,
+    or single terms c*x and c*y with one c and x ~ y, so pi(g*a) = pi(g*b).
+    These checked pairs connect each identified x to its survivor r, so
+    pi(g*x) = pi(g*r) by transitivity.  So g*I lies in I, which suffices:
+    the parent is certified, so words in the generators span it, and any
+    a*i is a Z_(p)-combination of g_1(g_2(...(g_r i))), each step in I.
 
     Lemma: the quotient satisfies the four properties of `audit`.  Its
     operators L'_g are pi L_g on the survivors, so pi L_g = L'_g pi, and
@@ -593,26 +599,18 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
         for k, c in vec.items():
             if k in image:
                 out[image[k]] = out.get(image[k], 0) + c
-        return _canon_vector(out, basis, ring.p)
+        return out  # raw sums, made canonical by PresentedRing
 
-    ops, dropped = {}, [x for x in range(n) if x not in new]
+    ops = {}
     for g, op in ring.ops.items():
-        # each survivor column projected once, for the check and the operator
-        column = {new[x]: project(vec) for x, vec in op.items() if x in new}
-        for x in dropped:
-            gx = project(op.get(x, {}))
-            if x in killed and gx:
+        for x in sorted(killed):
+            if gx := _canon_vector(project(op.get(x, {})), basis, ring.p):
                 raise OmegaModelError(
                     f"the killed classes span no ideal: {names[g]}*{names[x]} has a term "
                     f"{basis[min(gx)].name}"
                 )
-            if x in image and gx != column.get(image[x], {}):
-                raise OmegaModelError(
-                    f"the identified classes span no ideal: {names[g]}*{names[x]} "
-                    f"!= {names[g]}*{names[survivors[image[x]]]} in the quotient"
-                )
         if g in image:
-            ops[image[g]] = column
+            ops[image[g]] = {new[x]: project(vec) for x, vec in op.items() if x in new}
     return PresentedRing(ring.p, basis, image[ring.unit], ops)
 
 
@@ -722,8 +720,7 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
         for g, x, el in prods:
             if (sol := span.solve(el)) is None:
                 raise OmegaModelError("element is not in the image submodule")
-            vec = {index[sl["names"][i]]: sol[i] for i in sl["survivors"]}
-            ops[g][x] = _canon_vector(vec, basis, p)
+            ops[g][x] = {index[sl["names"][i]]: sol[i] for i in sl["survivors"]}
     ring = PresentedRing(p, tuple(basis), unit, ops)
     ring.audit()
     return ring

@@ -342,8 +342,8 @@ def test_second_display_sides_agree():
 # --- the quotient ring and power witnesses --------------------------------
 
 
-# `ring_quotient` certifies each stage of the word ring by its ideal check
-# and audits none of them; the tests below run the full audit on the results.
+# `ring_quotient` certifies each stage of the word ring by its closure and
+# audits none of them; the tests below run the full audit on the results.
 
 
 def test_kunneth_quotient_ring_audits():
@@ -399,12 +399,48 @@ def test_folded_word_ring_is_the_quotient_of_the_full_tensor(p, ns):
     assert folded.to_json() == full.to_json()
 
 
+@pytest.mark.parametrize("p, ns", [(3, (2, 2, 2)), (2, (2, 2, 2, 2)), (2, (3, 2, 4))])
+def test_every_fold_stage_passes_the_audit(monkeypatch, p, ns):
+    # the build certifies each stage Q_t by ring_quotient's lemma and audits
+    # none; audit every stage, not only the last
+    stages = []
+
+    def recorded(*args, **kwargs):
+        stages.append(ring_quotient(*args, **kwargs))
+        return stages[-1]
+
+    monkeypatch.setattr(kunneth, "ring_quotient", recorded)
+    assert kunneth._word_ring(p, ns, 1) is stages[-1]
+    assert len(stages) == len(ns) - 1
+    for stage in stages:
+        stage.audit()
+
+
 def test_word_rings_are_built_once_and_frozen():
     ring = kunneth._word_ring(3, (2, 2), 1)
     assert kunneth._word_ring(3, (2, 2), 1) is ring
     assert kunneth_quotient_ring(3, 2, 1, 2) is ring
     with pytest.raises(FrozenInstanceError):
         ring.ops = {}
+
+
+def test_word_ring_cache_is_bounded():
+    # a sweep of parameters keeps at most 8 rings alive
+    keys = {(p, ns, 1) for p in (2, 3, 5) for ns in ((2,), (3,), (2, 2))}
+    assert len(keys) == 9
+    for key in sorted(keys):
+        kunneth._word_ring(*key)
+    assert kunneth._word_ring.cache_info().currsize == 8
+
+
+def test_word_ring_cache_holds_every_grid_ring():
+    # the bound evicts nothing on a verify-all pass: every miss is still
+    # cached at the end, so every repeat was a hit
+    for id_, params in default_grid():
+        verify_theorem(id_, params)
+    info = kunneth._word_ring.cache_info()
+    assert info.hits > 0
+    assert info.misses == info.currsize <= info.maxsize
 
 
 def drop_one_j_generator(monkeypatch, k):

@@ -1,10 +1,13 @@
 """The ambient-image model, presented rings, and torsion-ideal certificates."""
 
+import itertools
 import re
 from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rostcalc.catalog import (
     build_chow_rost,
@@ -13,7 +16,8 @@ from rostcalc.catalog import (
     gr_m_rost_ring,
     restriction_map,
 )
-from rostcalc.graded import GradedMap, free_module
+from rostcalc.graded import GradedMap, free_module, normalize
+from rostcalc.graded import quotient as graded_quotient
 from rostcalc.omega import (
     BasisClass,
     DegreeRule,
@@ -454,6 +458,63 @@ def test_ring_quotient_rejects_a_non_ideal_of_a_tensor():
         ),
     ):
         ring_quotient(T, ["c_1(y_1)"])
+
+
+# tensors of certified factors, so certified, not audited: two factors at
+# p=3, and three at p=2, where the closure links pairs across factors
+SMALL_TENSORS = (
+    ring_tensor(gr_m_rost_ring(3, 2, 1, var="y_1"), gr_m_rost_ring(3, 2, 1, var="y_2")),
+    reduce(ring_tensor, [gr_m_rost_ring(2, 2, 1, var=f"y_{t}") for t in (1, 2, 3)]),
+)
+
+
+@st.composite
+def quotient_data(draw):
+    """A small tensor, killed classes and identified pairs: no cut or a
+    degree cut, which is an ideal, plus a few random classes, and pairs of
+    one degree and one order.  About a third of the draws span an ideal."""
+    ring = draw(st.sampled_from(SMALL_TENSORS))
+    basis = ring.basis
+    cut = draw(st.none() | st.sampled_from(sorted({b.degree for b in basis})))
+    killed = {b.name for b in basis if cut is not None and b.degree >= cut}
+    killed |= draw(st.sets(st.sampled_from([b.name for b in basis[1:]]), max_size=1))
+    shapes: dict = {}
+    for b in basis:
+        shapes.setdefault((b.degree, b.torsion_exp), []).append(b.name)
+    same_shape = [pair for names in shapes.values() for pair in itertools.combinations(names, 2)]
+    pairs = draw(st.lists(st.sampled_from(same_shape), max_size=3))
+    return ring, sorted(killed), pairs
+
+
+def ideal_quotient_form(ring: PresentedRing, killed, pairs):
+    """Normal form of ring/J, J the ideal the killed classes and the pair
+    differences generate, from the module relations w*k and w*(a - b) over
+    every basis class w."""
+    spans = [ring.basis_vector(k) for k in killed]
+    spans += [{ring.index_of(a): 1, ring.index_of(b): -1} for a, b in pairs if a != b]
+    module, rels = ring.module(), []
+    for w, vec in itertools.product(range(len(ring.basis)), spans):
+        if prod := ring.multiply({w: 1}, vec):
+            d = ring.basis[min(prod)].degree
+            rel = [0] * module.gens_at(d)
+            for k, c in prod.items():
+                rel[module.generator_index(ring.basis[k].name)[1]] = c
+            rels.append((d, rel))
+    return normalize(graded_quotient(module, rels))
+
+
+@given(quotient_data())
+def test_ring_quotient_returns_only_rings_that_pass_the_audit(data):
+    # the lemma of ring_quotient: the closure certifies the identified
+    # classes and the check the killed ones, so whatever it returns is a
+    # ring, and additively it is the quotient by the ideal they generate
+    ring, killed, pairs = data
+    try:
+        quotient = ring_quotient(ring, killed, pairs)
+    except OmegaModelError:
+        return
+    quotient.audit()
+    assert normalize(quotient.module()) == ideal_quotient_form(ring, killed, pairs)
 
 
 def test_ring_quotient_closes_the_pairs_under_the_generators():

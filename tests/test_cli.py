@@ -14,6 +14,8 @@ from rostcalc.cli import main
 from rostcalc.kunneth import CLAIMS
 from rostcalc.report import TheoremReport
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -249,6 +251,12 @@ def test_tensor_and_quotient_verbs(capsys):
     )
     assert code == 2
     assert "no generator" in err
+
+
+def test_tensor_pfister_neighbor_chow_n4_pinned(capsys):
+    code, out, _ = run(capsys, "tensor", "pfister_neighbor_chow", "pfister_neighbor_chow", "--n", "4")
+    assert code == 0
+    assert out == (DATA / "tensor_pfister_neighbor_chow_n4.json").read_text()
 
 
 def test_console_script_entry():

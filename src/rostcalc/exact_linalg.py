@@ -7,11 +7,11 @@ unit.  Smith normal form over Z_(p) therefore only has to track p-valuations.
 
 Elimination over Z_(p) has two bounded paths:
 
-- Exponents only (`snf_exponents`, for `normalize` and rank checks): sparse
-  rows, no transforms, every entry reduced mod p^K.  K is the least integer
-  with p^K above the Hadamard bound on every minor, computed in integers as
-  p^(2K) > product of max(1, |col|^2); every exponent is then below K, so
-  the reduction loses none and the rank is the number of pivots.
+- Exponents only (`snf_exponents`, for `normalize` and rank checks): M is,
+  up to permutation, the direct sum of the connected blocks of its nonzero
+  rows, and each block is eliminated alone: sparse, no transforms, entries
+  reduced mod p^K with p^(2K) above the block's squared Hadamard bound (a
+  product of |row|^2 or |col|^2), so no exponent is lost.
 - Transforms (`SpanSolver`, behind `snf_p_local` and `kernel_basis`): row
   echelon form of [M | I] with the row of [A | U] divided by its prime-to-p
   content after every operation, then integer back-substitution.  One
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 
 class ExactLinalgError(ValueError):
@@ -115,7 +116,7 @@ def _integral(x) -> int:
 
 def _integral_tuple(xs) -> tuple[int, ...]:
     xs = tuple(xs)
-    if set(map(type, xs)) <= {int}:
+    if type(sum(xs)) is int:  # an entry of any other number type would show in the sum
         return xs
     return tuple(map(_integral, xs))
 
@@ -136,41 +137,72 @@ def _prime_to_p_content(values, p: int) -> int:
 
 
 def minor_bound_exponent(M: PLocalMatrix) -> int:
-    """Least K with p^K above the Hadamard bound on every minor of M.
+    """Least K with p^K above the Hadamard bound on every minor of M."""
+    return _bound_exponent(M.p, _sparse_rows(M))
 
-    A k-by-k minor is at most the product of the norms of its k columns
-    (or rows), so it is at most the product of the k largest max(1, |col|),
-    k <= min(rows, cols).  The bound H is kept squared, in integers, and K
-    is the least integer with p^(2K) > H^2.  Every nonzero minor then has
-    p-valuation below K, and so has every SNF exponent.
+
+def _sparse_rows(M: PLocalMatrix) -> list[dict[int, int]]:
+    """The nonzero rows of M as dicts from column to entry."""
+    cols = range(M.cols)
+    return [row for row in ({j: r[j] for j in compress(cols, r)} for r in M.entries) if row]
+
+
+def _bound_exponent(p: int, rows) -> int:
+    """`minor_bound_exponent` of the matrix whose nonzero rows are `rows`.
+
+    A nonzero k-by-k minor has k <= min(nonzero rows, nonzero columns) and
+    is at most the product of the k largest row (or column) norms, both
+    summed in one pass.  H is kept squared, in integers: K is least with
+    p^(2K) > H^2: every nonzero minor and SNF exponent has valuation below K.
     """
-    k = min(M.rows, M.cols)
-
-    def squared_bound(vectors) -> int:
-        out = 1
-        for s in sorted((sum(x * x for x in vec) for vec in vectors), reverse=True)[:k]:
-            out *= max(1, s)
-        return out
-
-    h2 = min(
-        squared_bound(M.entries),
-        squared_bound(zip(*M.entries)),
-    )
-    K, q2, p2 = 0, 1, M.p * M.p
+    row2, col2 = [], {}
+    for row in rows:
+        s = 0
+        for j, x in row.items():
+            x *= x
+            s += x
+            col2[j] = col2.get(j, 0) + x
+        row2.append(s)
+    k = min(len(row2), len(col2))
+    h2 = min(math.prod(sorted(row2)[-k:]), math.prod(sorted(col2.values())[-k:]))
+    K, q2, p2 = 0, 1, p * p
     while q2 <= h2:
         q2 *= p2
         K += 1
     return K
 
 
+def _blocks(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
+    """The sparse rows grouped by the connected components of their supports
+    (a union-find over the column indices)."""
+    parent: dict[int, int] = {}
+
+    def find(j: int) -> int:
+        while (up := parent.get(j, j)) != j:
+            parent[j] = j = parent.get(up, up)
+        return j
+
+    for row in rows:
+        r = find(next(iter(row)))
+        for j in row:
+            parent[find(j)] = r
+    blocks: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    return list(blocks.values())
+
+
 def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
     """SNF exponents of M over Z_(p), ascending; the rank is their number.
 
-    Exponents-only path: no U or V, sparse rows (dicts), and every entry
-    reduced mod p^K with K = `minor_bound_exponent(M)`.  Reduction is a ring
-    map Z_(p) -> Z/p^K, so the SNF of M reduces to the SNF of M mod p^K; as
-    every exponent of M is below K, none of them vanishes mod p^K and the
-    rank is exactly the number of pivots found.
+    Exponents-only path: no U or V, and only the nonzeros are read.  Up to
+    permuting rows and columns, M is the direct sum of zeros and of the
+    blocks of its nonzero rows (`_blocks`); the SNF of a direct sum is the
+    multiset union of the summands' SNFs, so each block B is eliminated
+    alone and the rank is the total number of pivots.  B is reduced mod
+    p^K_B, K_B its own bound (`_bound_exponent`), which its minors obey:
+    reduction is a ring map Z_(p) -> Z/p^K_B and every exponent of B is
+    below K_B, so none of them vanishes.
 
     Pivots are taken level by level: all remaining entries are divisible by
     p^level, and an entry not divisible by p^(level+1) is a pivot of least
@@ -178,41 +210,42 @@ def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
     it, so the row is dropped without column operations.
     """
     p = M.p
-    q = p ** minor_bound_exponent(M)
-    rows = [r for r in ({j: x % q for j, x in enumerate(row) if x % q} for row in M.entries) if r]
     exps: list[int] = []
-    level, pe, pe1 = 0, 1, p
-    while rows:
-        # the sparsest row that holds an entry of valuation `level`
-        pi = pj = None
-        for i, row in enumerate(rows):
-            if pi is not None and len(row) >= len(rows[pi]):
+    for block in _blocks(_sparse_rows(M)):
+        q = p ** _bound_exponent(p, block)
+        rows = [r for r in ({j: x % q for j, x in row.items() if x % q} for row in block) if r]
+        level, pe, pe1 = 0, 1, p
+        while rows:
+            # the sparsest row that holds an entry of valuation `level`
+            pi = pj = None
+            for i, row in enumerate(rows):
+                if pi is not None and len(row) >= len(rows[pi]):
+                    continue
+                for j, x in row.items():
+                    if x % pe1:
+                        pi, pj = i, j
+                        break
+            if pi is None:
+                level, pe, pe1 = level + 1, pe1, pe1 * p
                 continue
-            for j, x in row.items():
-                if x % pe1:
-                    pi, pj = i, j
-                    break
-        if pi is None:
-            level, pe, pe1 = level + 1, pe1, pe1 * p
-            continue
-        prow = rows.pop(pi)
-        inv = pow(prow[pj] // pe, -1, q)
-        exps.append(level)
-        kept = []
-        for row in rows:
-            b = row.get(pj)
-            if b is not None:
-                f = b // pe * inv % q
-                for j, x in prow.items():
-                    y = (row.get(j, 0) - f * x) % q
-                    if y:
-                        row[j] = y
-                    else:
-                        row.pop(j, None)
-            if row:
-                kept.append(row)
-        rows = kept
-    return tuple(exps)
+            prow = rows.pop(pi)
+            inv = pow(prow[pj] // pe, -1, q)
+            exps.append(level)
+            kept = []
+            for row in rows:
+                b = row.get(pj)
+                if b is not None:
+                    f = b // pe * inv % q
+                    for j, x in prow.items():
+                        y = (row.get(j, 0) - f * x) % q
+                        if y:
+                            row[j] = y
+                        else:
+                            row.pop(j, None)
+                if row:
+                    kept.append(row)
+            rows = kept
+    return tuple(sorted(exps))
 
 
 # -- transform path ----------------------------------------------------------

@@ -176,11 +176,13 @@ class NormalForm:
 
 
 def normalize(M: GradedFPModule) -> NormalForm:
+    """Per-degree (free rank, torsion exponents) of M.  The relation columns
+    are the rows of the transpose, which has the same SNF exponents."""
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
     for d in M.degrees():
-        A = M.relation_matrix(d)
-        exps = snf_exponents(A)
-        free, torsion = A.rows - len(exps), tuple(e for e in exps if e)
+        comp = M.components[d]
+        exps = snf_exponents(PLocalMatrix.from_rows(M.p, comp.relations, cols=comp.gens))
+        free, torsion = comp.gens - len(exps), tuple(e for e in exps if e)
         if free or torsion:
             out[d] = (free, torsion)
     return NormalForm.from_dict(M.p, out)

@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact_linalg import (
     PLocalMatrix, SpanSolver, is_prime, kernel_basis, snf_exponents, sparse_matrix
@@ -308,13 +309,14 @@ class PresentedRing:
         if not 0 <= self.unit < n:
             raise OmegaModelError(f"unit index {self.unit} names no basis class")
         ops = {}
+        valid = set(range(n))
         for g, op in self.ops.items():
             if not 0 <= g < n:
                 raise OmegaModelError(f"generator index {g} names no basis class")
             if g == self.unit:
                 raise OmegaModelError("the unit cannot be a generator")
             for x, vec in op.items():
-                if not (0 <= x < n and all(0 <= k < n for k in vec)):
+                if not (x in valid and vec.keys() <= valid):
                     raise OmegaModelError(f"column {x} of L_{names[g]} names no basis class")
             ops[g] = {x: v for x, u in op.items() if (v := _canon_vector(u, self.basis, self.p))}
         object.__setattr__(self, "ops", ops)
@@ -619,27 +621,19 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
 # ---------------------------------------------------------------------------
 
 
-def _v_monomials(weight: int, indices, p: int) -> list[VKey]:
+@lru_cache(maxsize=1024)
+def _v_monomials(weight: int, indices, p: int) -> tuple[VKey, ...]:
     """All v-monomials in the v_i, i in the ascending `indices`, of exact
-    weight sum e_i*(p^i-1)."""
-    out: list[VKey] = []
-
-    def rec(w: int, pos: int, acc: list[tuple[int, int]]):
-        if w == 0:
-            out.append(tuple(acc))
-            return
-        if pos == len(indices):
-            return
-        i = indices[pos]
-        step = p**i - 1
-        rec(w, pos + 1, acc)
-        e = 1
-        while e * step <= w:
-            rec(w - e * step, pos + 1, acc + [(i, e)])
-            e += 1
-
-    rec(weight, 0, [])
-    return sorted(out)
+    weight sum e_i*(p^i-1), sorted.  Cached, as callers ask for the same
+    weights many times; the recursion on the tail of `indices` shares it."""
+    if not indices:
+        return ((),) if weight == 0 else ()
+    i, step = indices[0], p ** indices[0] - 1
+    return tuple(sorted(
+        (((i, e),) if e else ()) + vm
+        for e in range(weight // step + 1)
+        for vm in _v_monomials(weight - e * step, indices[1:], p)
+    ))
 
 
 def chow_collapse(model: OmegaImageModel) -> PresentedRing:

@@ -488,3 +488,30 @@ def test_exponents_path_matches_minor_oracle(nr, nc, rng, p):
     res = snf_p_local(M)
     assert res.exponents == minor_valuations(rows, p)
     assert_diagonalizes(rows, res)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5),
+    st.randoms(use_true_random=False),
+    st.sampled_from(PRIMES),
+)
+def test_exponents_of_a_permuted_block_diagonal_matrix(shapes, rng, p):
+    # blocks r x c: r x 0 and 0 x c blocks are zero rows and columns, 1 x 1
+    # blocks are common, and random zeros split some blocks further
+    entries = (0, 1, -1, p, -p, p * p, p**3, rng.randint(-20, 20))
+    blocks = [[[rng.choice(entries) for _ in range(c)] for _ in range(r)] for r, c in shapes]
+    nr, nc = sum(r for r, _ in shapes), sum(c for _, c in shapes)
+    rows = [[0] * nc for _ in range(nr)]
+    i0 = j0 = 0
+    for (r, c), block in zip(shapes, blocks):
+        for i, brow in enumerate(block):
+            rows[i0 + i][j0 : j0 + c] = brow
+        i0, j0 = i0 + r, j0 + c
+    rperm, cperm = rng.sample(range(nr), nr), rng.sample(range(nc), nc)
+    rows = [[rows[i][j] for j in cperm] for i in rperm]
+    M = PLocalMatrix.from_rows(p, rows, cols=nc)
+    T = PLocalMatrix.from_rows(p, [list(col) for col in zip(*rows)], cols=nr)
+    union = tuple(sorted(e for block in blocks for e in minor_valuations(block, p)))
+    assert snf_exponents(M) == union
+    assert snf_exponents(T) == snf_exponents(M)
+    assert minor_bound_exponent(T) == minor_bound_exponent(M) > max(union, default=-1)

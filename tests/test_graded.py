@@ -5,11 +5,13 @@ abelian p-groups, so the slot formula is never trusted on its own word.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rostcalc.exact_linalg import ExactLinalgError
 from rostcalc.graded import (
     DegreeComponent,
     GradedFPModule,
@@ -72,6 +74,31 @@ def test_tensor_of_cyclics():
         B = cyclic_summands(2, [(4, b, "y")])
         nf = normalize(tensor_product(A, B))
         assert nf.as_dict() == {6: (0, (min(a, b),))}
+
+
+summand_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5)
+
+
+@given(summand_lists, summand_lists, st.sampled_from((2, 3, 5)))
+def test_tensor_of_cyclic_summands_matches_the_closed_form(left, right, p):
+    # Z/p^a (x) Z/p^b = Z/p^min(a,b) and Z (x) X = X, summand by summand
+    A = cyclic_summands(p, [(d, e, f"a{i}") for i, (d, e) in enumerate(left)])
+    B = cyclic_summands(p, [(d, e, f"b{i}") for i, (d, e) in enumerate(right)])
+    expected: dict[int, tuple[int, list[int]]] = {}
+    for (da, ea), (db, eb) in itertools.product(left, right):
+        free, torsion = expected.get(da + db, (0, []))
+        orders = [e for e in (ea, eb) if e]
+        if orders:
+            torsion.append(min(orders))
+        expected[da + db] = (free + (not orders), torsion)
+    expected = {d: (fr, tuple(sorted(t))) for d, (fr, t) in expected.items()}
+    assert normalize(tensor_product(A, B)).as_dict() == expected
+
+
+def test_normalize_rejects_a_non_integral_relation():
+    M = GradedFPModule(p=3, components={2: DegreeComponent(2, ((0, Fraction(1, 2)),))}, window=(2, 2))
+    with pytest.raises(ExactLinalgError, match="not an integer"):
+        normalize(M)
 
 
 def test_tensor_names_record_both_factors():

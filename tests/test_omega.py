@@ -152,6 +152,8 @@ def test_ops_input_errors():
         ({3: {0: {3: 1}}}, "generator index 3 names no basis class"),
         ({1: {0: {1: 1}, 5: {1: 1}}}, r"column 5 of L_x names no basis class"),
         ({1: {0: {1: 1}, 1: {7: 1}}}, r"column 1 of L_x names no basis class"),
+        ({1: {0: {-1: 1}}}, r"column 0 of L_x names no basis class"),
+        ({1: {-1: {1: 1}}}, r"column -1 of L_x names no basis class"),
         ({1: {0: {1: Fraction(1, 2)}}}, "coefficient is not p-local"),
         ({2: {0: {2: Fraction(1, 4)}}}, "coefficient is not p-local"),
     ]

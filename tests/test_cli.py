@@ -259,6 +259,12 @@ def test_tensor_pfister_neighbor_chow_n4_pinned(capsys):
     assert out == (DATA / "tensor_pfister_neighbor_chow_n4.json").read_text()
 
 
+def test_tensor_gr_m_rost_chow_rost_p3_pinned(capsys):
+    code, out, _ = run(capsys, "tensor", "gr_m_rost", "chow_rost", "--p", "3", "--n", "3", "--m", "1")
+    assert code == 0
+    assert out == (DATA / "tensor_gr_m_rost_chow_rost_p3_n3_m1.json").read_text()
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "rostcalc.cli", "list"],

@@ -15,6 +15,7 @@ from .graded import (
     iso_equal,
     normalize,
     quotient,
+    tensor_normal_form,
     tensor_product,
 )
 from .km import KmPresentation, gr_geometric, localize_v, to_chow, v_torsion_generators
@@ -67,6 +68,7 @@ __all__ = [
     "restriction_map",
     "snf_p_local",
     "star_star_check",
+    "tensor_normal_form",
     "tensor_product",
     "to_chow",
     "torsion_ideal",

@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from .catalog import CATALOG, CATALOG_IDS, RING_IDS, CatalogError, catalog_build, flags
-from .graded import _fmt, kill_generator, normalize, tensor_product
+from .graded import _fmt, kill_generator, normalize, tensor_normal_form
 from .km import gr_geometric, localize_v, to_chow
 from .kunneth import IMAGE_PRESETS, THEOREM_IDS, default_grid, verify_theorem
 from .omega import chow_collapse
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
                 .module()
                 for id_ in sides
             )
-            data = normalize(tensor_product(left, right)).to_json()
+            data = tensor_normal_form(left, right).to_json()
             _emit(args, data, _fmt_normal_form(data))
             return 0
         if args.verb == "quotient":

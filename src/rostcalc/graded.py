@@ -5,6 +5,10 @@ of relation columns (each column a vector of length `gens`).  The cokernel of
 the relation matrix in each degree is the degree piece of the module.  Degrees
 outside `window` are zero by declaration.
 
+`tensor_product` builds the presentation of A (x) B; `tensor_normal_form`,
+which the `tensor` verb prints, gives only its normal form, by the Kunneth
+formula from the normal forms of A and B.
+
 Modules are treated as immutable; every operation returns a fresh value.
 """
 
@@ -299,6 +303,28 @@ def tensor_product(A: GradedFPModule, B: GradedFPModule) -> GradedFPModule:
         )
     window = (A.window[0] + B.window[0], A.window[1] + B.window[1])
     return GradedFPModule(p=A.p, components=components, window=window)
+
+
+def tensor_normal_form(A: GradedFPModule, B: GradedFPModule) -> NormalForm:
+    """Normal form of A (x) B by the Kunneth formula over Z_(p), from the
+    normal forms of the factors; no product presentation is built.
+
+    Tensor is right exact, so coker M_A (x) coker M_B is the cokernel of the
+    presentation `tensor_product` builds from r (x) g and g (x) r.  Up to
+    isomorphism A is the sum of Z/p^a_i in degree d_i and B that of Z/p^b_j
+    in degree e_j (Z/p^0 = Z).  Tensor distributes over (+), degrees add, and
+    Z/p^a (x) Z/p^b = Z/p^min(a,b), where Z (x) Z/p^b = Z/p^b and Z (x) Z = Z.
+    """
+    if A.p != B.p:
+        raise GradedModuleError("prime mismatch")
+    left, right = normalize(A).degrees, normalize(B).degrees
+    out: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for da, (fa, ta) in left:
+        for db, (fb, tb) in right:
+            free, tors = out.get(da + db, (0, ()))
+            tors += ta * fb + tb * fa + tuple(min(a, b) for a in ta for b in tb)
+            out[da + db] = (free + fa * fb, tors)
+    return NormalForm.from_dict(A.p, out)
 
 
 def quotient(M: GradedFPModule, extra_relations) -> GradedFPModule:

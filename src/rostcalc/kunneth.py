@@ -29,12 +29,12 @@ from .catalog import (
     bar_rost_ring,
     build_excellent_quadric_chow,
     build_pfister_neighbor_chow,
-    build_product_rost,
     chow_rost_ring,
     flags,
     gr_m_rost_ring,
     km_rost,
     map_from_rules,
+    product_rost,
     rost_res_rules,
 )
 from .exact_linalg import SpanSolver, is_prime, membership, sparse_matrix
@@ -438,15 +438,16 @@ def _word_ring(p: int, ns: tuple[int, ...], m: int) -> PresentedRing:
 # ---------------------------------------------------------------------------
 
 
-def kunneth_map(p: int, n: int, target: CatalogObject) -> GradedMap:
+def kunneth_map(chow1: PresentedRing, n: int, target: CatalogObject) -> GradedMap:
     """Multiplication-induced map from the two-factor tensor module.
 
-    Sends a*b to a times the restriction of b; requires the target to carry
-    the split-product structure (its bar is the product of the factor bars).
+    chow1 is the first factor, chow_rost_ring(p, n, var="y_1").  Sends a*b
+    to a times the restriction of b; requires the target to carry the
+    split-product structure (its bar is the product of the factor bars).
     """
     if target.bar is None or target.ring is None:
         raise KunnethError("target lacks product bar structure")
-    chow1 = chow_rost_ring(p, n, var="y_1")
+    p = chow1.p
     domain = tensor_product(chow1.module(), chow_rost_ring(p, n, var="y_2").module())
     rules = {
         f"{a.name}*{b}": tuple((tensor_name(a.name, t), c) for t, c in images)
@@ -600,8 +601,8 @@ def _verify_remark_4_2_negative(params: dict) -> TheoremReport:
     n = params.get("n", 2)
     m = params.get("m", 1)
     model = BarKmModel(p=p, factor_ns=(n, n), m=m)
-    target = build_product_rost(p, n)
-    gm = kunneth_map(p, n, target)
+    chow1 = chow_rost_ring(p, n, var="y_1")
+    gm = kunneth_map(chow1, n, product_rost(chow1, n))
     killed = []
     for d in gm.source.degrees():
         mat, names = gm.matrix_at(d), gm.source.names_at(d) or ()

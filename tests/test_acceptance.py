@@ -10,7 +10,7 @@ import time
 from test_exact_linalg import minor_valuations, random_matrix
 from test_graded import brute_force_slots
 
-from rostcalc.catalog import catalog_build, km_rost, restriction_map
+from rostcalc.catalog import catalog_build, chow_rost_ring, km_rost, restriction_map
 from rostcalc.exact_linalg import PLocalMatrix, snf_p_local
 from rostcalc.graded import cyclic_summands, gr_ps, iso_equal
 from rostcalc.km import to_chow
@@ -96,7 +96,7 @@ def test_criterion_6_noninjectivity_with_antivacuity():
         assert report.witnesses, p
     # the two halves, re-established directly against the artifacts
     target = catalog_build("product_rost", {"p": 2, "n": 2})
-    f = kunneth_map(2, 2, target)
+    f = kunneth_map(chow_rost_ring(2, 2, var="y_1"), 2, target)
     d, i = f.source.generator_index("1*c_1(y_2)")
     vec = [0] * f.source.gens_at(d)
     vec[i] = 1

@@ -26,6 +26,7 @@ from rostcalc.graded import (
     kill_generator,
     normalize,
     quotient,
+    tensor_normal_form,
     tensor_product,
     zero_module,
 )
@@ -93,6 +94,52 @@ def test_tensor_of_cyclic_summands_matches_the_closed_form(left, right, p):
         expected[da + db] = (free + (not orders), torsion)
     expected = {d: (fr, tuple(sorted(t))) for d, (fr, t) in expected.items()}
     assert normalize(tensor_product(A, B)).as_dict() == expected
+
+
+def _unit_triangular(draw, n: int, lower: bool) -> list[list[int]]:
+    return [
+        [1 if i == j else draw(st.integers(-1, 1)) if (i > j if lower else i < j) else 0
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def presented_modules(draw, p: int) -> GradedFPModule:
+    """Per degree, diag(p^e) (exponents 0-4, e = 0 a killed generator) beside
+    0-2 free generators, conjugated by products of unit-triangular matrices so
+    the relation matrix is not diagonal; degrees may be empty, the module zero."""
+    components = {}
+    for d in draw(st.lists(st.integers(0, 6), unique=True, max_size=3)):
+        exps = draw(st.lists(st.integers(0, 4), max_size=3))
+        gens, rels = draw(st.integers(0, 2)) + len(exps), len(exps)
+        D = [[p ** exps[j] if i == j else 0 for j in range(rels)] for i in range(gens)]
+        P = _matmul(_unit_triangular(draw, gens, True), _unit_triangular(draw, gens, False))
+        Q = _matmul(_unit_triangular(draw, rels, True), _unit_triangular(draw, rels, False))
+        M = _matmul(_matmul(P, D), Q) if rels else []
+        components[d] = DegreeComponent(gens, tuple(tuple(M[i][c] for i in range(gens)) for c in range(rels)))
+    return GradedFPModule(p=p, components=components, window=(0, 6))
+
+
+@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(presented_modules(p), presented_modules(p))))
+def test_tensor_normal_form_matches_the_product_presentation(pair):
+    A, B = pair
+    assert tensor_normal_form(A, B) == normalize(tensor_product(A, B))
+
+
+def test_tensor_normal_form_takes_the_smaller_exponent():
+    A = cyclic_summands(3, [(0, 0, "1"), (2, 2, "a"), (2, 4, "b")])
+    B = cyclic_summands(3, [(1, 3, "c"), (1, 0, "z")])
+    assert tensor_normal_form(A, B).as_dict() == {1: (1, (3,)), 3: (0, (2, 2, 3, 4))}
+
+
+def test_tensor_normal_form_rejects_a_prime_mismatch():
+    with pytest.raises(GradedModuleError, match="prime mismatch"):
+        tensor_normal_form(zero_module(2), zero_module(3))
 
 
 def test_normalize_rejects_a_non_integral_relation():

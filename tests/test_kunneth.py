@@ -289,6 +289,16 @@ def test_cor_4_2_refutes_when_one_p_multiple_is_in_the_image(monkeypatch, params
     assert sum(hit["p"] or hit["v"] for hit in r.left.values()) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cor_3_6_refutes_against_the_wrong_chow_ring(monkeypatch, p):
+    # one defect: the right side gets the n=3 Chow ring in place of n=2
+    monkeypatch.setattr(kunneth, "chow_rost_ring", lambda p, n, var="y": chow_rost_ring(p, 3, var))
+    r = verify_theorem("cor-3.6", {"p": p})
+    assert r.verdict == "refuted"
+    assert r.left["v_torsion"] == []  # the v-torsion side alone still holds
+    assert any(note.startswith("degree ") for note in r.notes)
+
+
 @pytest.mark.parametrize("params", [{"p": 3}, {"p": 5}, {"p": 3, "n": 3, "m": 2}])
 def test_remark_4_2_negative_refutes_on_the_versal_image(monkeypatch, params):
     # the negative control must fail where the criterion (**) holds
@@ -658,7 +668,7 @@ def test_class_is_nonzero_reads_the_relations_of_its_degree():
 
 def test_kunneth_map_has_the_stated_kernel():
     target = catalog_build("product_rost", {"p": 2, "n": 2})
-    f = kunneth_map(2, 2, target)
+    f = kunneth_map(chow_rost_ring(2, 2, var="y_1"), 2, target)
     assert f.well_defined()
     d, i = f.source.generator_index("1*c_1(y_2)")
     vec = [0] * f.source.gens_at(d)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_exact_linalg import planted_matrix
 
 from rostcalc.exact_linalg import ExactLinalgError
 from rostcalc.graded import (
@@ -96,32 +97,17 @@ def test_tensor_of_cyclic_summands_matches_the_closed_form(left, right, p):
     assert normalize(tensor_product(A, B)).as_dict() == expected
 
 
-def _unit_triangular(draw, n: int, lower: bool) -> list[list[int]]:
-    return [
-        [1 if i == j else draw(st.integers(-1, 1)) if (i > j if lower else i < j) else 0
-         for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 @st.composite
 def presented_modules(draw, p: int) -> GradedFPModule:
     """Per degree, diag(p^e) (exponents 0-4, e = 0 a killed generator) beside
-    0-2 free generators, conjugated by products of unit-triangular matrices so
-    the relation matrix is not diagonal; degrees may be empty, the module zero."""
+    0-2 free generators, conjugated by unit-triangular products so the
+    relation matrix is not diagonal; degrees may be empty, the module zero."""
     components = {}
     for d in draw(st.lists(st.integers(0, 6), unique=True, max_size=3)):
         exps = draw(st.lists(st.integers(0, 4), max_size=3))
-        gens, rels = draw(st.integers(0, 2)) + len(exps), len(exps)
-        D = [[p ** exps[j] if i == j else 0 for j in range(rels)] for i in range(gens)]
-        P = _matmul(_unit_triangular(draw, gens, True), _unit_triangular(draw, gens, False))
-        Q = _matmul(_unit_triangular(draw, rels, True), _unit_triangular(draw, rels, False))
-        M = _matmul(_matmul(P, D), Q) if rels else []
-        components[d] = DegreeComponent(gens, tuple(tuple(M[i][c] for i in range(gens)) for c in range(rels)))
+        n = len(exps) + draw(st.integers(0, 2))
+        M, _ = planted_matrix(draw(st.randoms(use_true_random=False)), p, n, exps)
+        components[d] = DegreeComponent(n, tuple(zip(*M)))
     return GradedFPModule(p=p, components=components, window=(0, 6))
 
 

@@ -837,6 +837,25 @@ def test_off_grid_reports_match_recorded_bytes(key):
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]
 
 
+DEFAULTS = json.loads((Path(__file__).parent / "data" / "default_reports.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+def test_default_parameters_resolve_as_recorded(key):
+    # every claim with no parameters, and the defaults that depend on another
+    # parameter (cor-7.3's n on s, thm-5.7-torsion-square's d on n), keyed by
+    # the input params; thm-5.7-torsion-square has no default cutoffs d_i
+    id_, params = key.split(" ", 1)
+    expected = DEFAULTS[key]
+    if isinstance(expected, dict):
+        with pytest.raises(ValueError) as exc:
+            verify_theorem(id_, json.loads(params))
+        assert str(exc.value) == expected["error"]
+        return
+    report = verify_theorem(id_, json.loads(params))
+    assert json.dumps(report.to_json(), sort_keys=True, indent=2) == expected
+
+
 def test_left_right_tensor_path_equals_report():
     # independent recomputation of the thm-1.1 left side: the tensor module
     # modulo the J differences, written as module relations

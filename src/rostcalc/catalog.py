@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .exact_linalg import is_prime
 from .graded import GradedFPModule, GradedMap
@@ -438,35 +439,43 @@ def build_excellent_quadric_chow(n: int, d: int, di=(), p: int = 2) -> CatalogOb
 # ---------------------------------------------------------------------------
 
 
-class Entry:
-    """A catalog builder, the keyword parameters it reads, those of them it
-    has a default for, and whether its object carries a ring.  A plain class:
-    a dataclass or NamedTuple here adds 1 to 3 ms to the package import."""
+def signature_params(fn) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The parameters `fn` reads, in order, and those of them with a default:
+    its positional-or-keyword arguments, less those a `partial` binds."""
+    args, bound = (fn.args, fn.keywords) if isinstance(fn, partial) else ((), {})
+    fn = getattr(fn, "func", fn)
+    names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    defaulted = names[len(names) - len(fn.__defaults__ or ()) :]
+    params = tuple(k for k in names[len(args) :] if k not in bound)
+    return params, tuple(k for k in params if k in defaulted)
 
-    def __init__(self, build: Callable[..., CatalogObject], params, optional=(), ring=True):
+
+class Entry:
+    """A catalog builder and whether its object carries a ring; the
+    parameters it reads, and those with a default, are the builder's own.
+    A plain class: a dataclass or NamedTuple here adds 1 to 3 ms to the
+    package import."""
+
+    def __init__(self, build: Callable[..., CatalogObject], ring=True):
         self.build = build
-        self.params: tuple[str, ...] = params
-        self.optional: tuple[str, ...] = optional
+        self.params, self.optional = signature_params(build)
         self.ring = ring
 
 
-# Every catalog id with its builder and the parameters it reads; the id list
-# and the CLI choices (for the ring verbs, RING_IDS) come from it.  Entries
-# are build_* functions only: a ring constructor held here would be called
-# past any wrapper later bound to its module name, such as the benchmark
-# tracer's.
+# Every catalog id with its builder; the id list and the CLI choices (for the
+# ring verbs, RING_IDS) come from it.  Entries are build_* functions only: a
+# ring constructor held here would be called past any wrapper later bound to
+# its module name, such as the benchmark tracer's.
 CATALOG: dict[str, Entry] = {
-    "chow_rost": Entry(build_chow_rost, ("p", "n")),
-    "bar_rost": Entry(build_bar_rost, ("p", "n")),
-    "omega_image_rost": Entry(build_omega_image_rost, ("p", "n"), ring=False),
-    "km_rost": Entry(build_km_rost, ("p", "n", "m"), ring=False),
-    "gr_m_rost": Entry(build_gr_m_rost, ("p", "n", "m")),
-    "product_rost": Entry(build_product_rost, ("p", "n")),
-    "pfister_neighbor_chow": Entry(build_pfister_neighbor_chow, ("p", "n"), ("p",)),
-    "gr_m_pfister": Entry(build_gr_m_pfister, ("p", "n", "m"), ("p",)),
-    "excellent_quadric_chow": Entry(
-        build_excellent_quadric_chow, ("p", "n", "d", "di"), ("p", "di")
-    ),
+    "chow_rost": Entry(build_chow_rost),
+    "bar_rost": Entry(build_bar_rost),
+    "omega_image_rost": Entry(build_omega_image_rost, ring=False),
+    "km_rost": Entry(build_km_rost, ring=False),
+    "gr_m_rost": Entry(build_gr_m_rost),
+    "product_rost": Entry(build_product_rost),
+    "pfister_neighbor_chow": Entry(build_pfister_neighbor_chow),
+    "gr_m_pfister": Entry(build_gr_m_pfister),
+    "excellent_quadric_chow": Entry(build_excellent_quadric_chow),
 }
 
 CATALOG_IDS = tuple(CATALOG)

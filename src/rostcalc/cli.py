@@ -14,30 +14,35 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .catalog import CATALOG, CATALOG_IDS, RING_IDS, CatalogError, catalog_build, flags
 from .graded import _fmt, kill_generator, normalize, tensor_normal_form
 from .km import gr_geometric, localize_v, to_chow
-from .kunneth import IMAGE_PRESETS, THEOREM_IDS, default_grid, verify_theorem
+from .kunneth import CLAIMS, IMAGE_PRESETS, THEOREM_IDS, default_grid, verify_theorem
 from .omega import chow_collapse
 from .report import NOT_CERTIFIABLE, REFUTED, VERIFIED
 
 
+def int_list(text: str) -> list[int] | None:
+    """A comma-separated list of ints; an empty one reads as no flag."""
+    return [int(x) for x in text.split(",") if x.strip()] or None
+
+
+# Every parameter a claim or catalog entry reads, each one's flag on every
+# parameter verb; the id then refuses those it does not read.
+PARAMS = tuple(dict.fromkeys(k for t in (*CATALOG.values(), *CLAIMS.values()) for k in t.params))
+# The flags that do not take one int.
+_FLAG_TYPES = {
+    "di": {"type": int_list, "help": "comma-separated torsion cutoffs d_i"},
+    "image": {"choices": IMAGE_PRESETS},
+}
+
+
 def _add_params(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--s", type=int, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--n1", type=int, default=None)
-    sub.add_argument("--n2", type=int, default=None)
-    sub.add_argument(
-        "--di",
-        type=str,
-        default=None,
-        help="comma-separated torsion cutoffs for the excellent quadric",
-    )
+    for name in PARAMS:
+        sub.add_argument("--" + name, **_FLAG_TYPES.get(name, {"type": int}))
 
 
 def _add_output(sub: argparse.ArgumentParser) -> None:
@@ -45,7 +50,9 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=str, default=None)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use (not at import)."""
     ap = argparse.ArgumentParser(
         prog="rostcalc",
         description="exact graded-ring computations for twisted-form motives",
@@ -61,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sp.add_parser("verify", help="verify one theorem id")
     v.add_argument("id", choices=THEOREM_IDS)
     _add_params(v)
-    v.add_argument("--image", choices=IMAGE_PRESETS, default=None)
     _add_output(v)
 
     va = sp.add_parser("verify-all", help="run the default verification grid")
@@ -86,18 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in ("p", "n", "m", "s", "d", "n1", "n2"):
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    di = getattr(args, "di", None)
-    if di:
-        out["di"] = [int(x) for x in di.split(",") if x.strip()]
-    img = getattr(args, "image", None)
-    if img is not None:
-        out["image"] = img
-    return out
+    return {k: getattr(args, k) for k in PARAMS if getattr(args, k) is not None}
 
 
 def _build_normal_form(id: str, params: dict) -> dict:
@@ -138,8 +133,7 @@ _VERDICT_EXIT = {VERIFIED: 0, REFUTED: 1, NOT_CERTIFIABLE: 3}
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.verb == "build":
             data = _build_normal_form(args.id, _params_from(args))
@@ -193,12 +187,14 @@ def main(argv=None) -> int:
             unread = [k for k in params if all(k not in CATALOG[id_].params for id_ in sides)]
             if unread:
                 raise CatalogError(f"neither {args.left} nor {args.right} reads {flags(unread)}")
-            left, right = (
-                catalog_build(id_, {k: v for k, v in params.items() if k in CATALOG[id_].params})
-                .module()
-                for id_ in sides
-            )
-            data = tensor_normal_form(left, right).to_json()
+            # the same id on both sides is built once, and normalized once
+            modules = {
+                id_: catalog_build(
+                    id_, {k: v for k, v in params.items() if k in CATALOG[id_].params}
+                ).module()
+                for id_ in dict.fromkeys(sides)
+            }
+            data = tensor_normal_form(modules[args.left], modules[args.right]).to_json()
             _emit(args, data, _fmt_normal_form(data))
             return 0
         if args.verb == "quotient":

@@ -317,7 +317,8 @@ def tensor_normal_form(A: GradedFPModule, B: GradedFPModule) -> NormalForm:
     """
     if A.p != B.p:
         raise GradedModuleError("prime mismatch")
-    left, right = normalize(A).degrees, normalize(B).degrees
+    left = normalize(A).degrees
+    right = left if B is A else normalize(B).degrees
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
     for da, (fa, ta) in left:
         for db, (fb, tb) in right:
@@ -380,13 +381,6 @@ class FiltrationGraded:
 
     def slot_aggregate(self, k: int) -> tuple[int, tuple[int, ...]]:
         return self.slot(k).aggregate()
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "s": self.s,
-            "slots": {str(k): nf.to_json() for k, nf in self.slots},
-        }
 
 
 def slot_invariants(free: int, torsion, s: int) -> list[tuple[int, tuple[int, ...]]]:

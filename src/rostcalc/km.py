@@ -312,25 +312,10 @@ def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> TheoremRepor
         # higher torsion would spread over both slots; catalog objects have none
         left["slot_1"] = {"free": 0, "torsion": pos_torsion}
 
-    unit_gens = [(nm, d) for nm, d in bar.gens if d == 0]
-    pos_gens = [(nm, d) for nm, d in bar.gens if d != 0]
-    bar_unit = KmPresentation(p=bar.p, m=bar.m, gens=tuple(unit_gens), rels=())
     if bar.rels:
-        # catalog split forms are free; mixing relations across the split is
-        # not supported here
-        for rel in bar.rels:
-            for (nm, d), poly in zip(bar.gens, rel):
-                if poly and d == 0:
-                    raise KmModuleError("split form mixes unit and positive part")
-    bar_pos = KmPresentation(
-        p=bar.p,
-        m=bar.m,
-        gens=tuple(pos_gens),
-        rels=tuple(
-            tuple(poly for (nm, d), poly in zip(bar.gens, rel) if d != 0)
-            for rel in bar.rels
-        ),
-    )
+        raise KmModuleError("the split form must be free")
+    bar_unit = KmPresentation(bar.p, bar.m, tuple(g for g in bar.gens if g[1] == 0), ())
+    bar_pos = KmPresentation(bar.p, bar.m, tuple(g for g in bar.gens if g[1] != 0), ())
     inv_unit = localize_v(bar_unit).aggregate()
     inv_pos = localize_v(bar_pos).aggregate()
     pieces = slot_invariants(*inv_pos, 1)

@@ -36,6 +36,7 @@ from .catalog import (
     map_from_rules,
     product_rost,
     rost_res_rules,
+    signature_params,
 )
 from .exact_linalg import SpanSolver, is_prime, membership, sparse_matrix
 from .graded import (
@@ -495,8 +496,7 @@ def _slot_dict(agg: tuple[int, tuple[int, ...]]) -> dict:
     return {"free": fr, "torsion": list(tors)}
 
 
-def _verify_thm_1_1(params: dict) -> TheoremReport:
-    p = params.get("p", 2)
+def _verify_thm_1_1(p=2) -> TheoremReport:
     if p not in (2, 3, 5):
         raise KunnethError("thm-1.1 is stated for p in {2, 3, 5}")
     n, m = 2, 1
@@ -539,11 +539,7 @@ def _verify_thm_1_1(params: dict) -> TheoremReport:
     )
 
 
-def _verify_lemma_4_1(params: dict) -> TheoremReport:
-    p = params.get("p", 2)
-    n1 = params.get("n1", 2)
-    n2 = params.get("n2", 2)
-    m = params.get("m", 1)
+def _verify_lemma_4_1(p=2, n1=2, n2=2, m=1) -> TheoremReport:
     dec = c_decomposition(p, n1, n2, m)
     ideal = j_ideal(p, m, 2)
     model = BarKmModel(p=p, factor_ns=(n1, n2), m=m)
@@ -574,10 +570,7 @@ def _verify_lemma_4_1(params: dict) -> TheoremReport:
     )
 
 
-def _verify_cor_4_2(params: dict) -> TheoremReport:
-    p = params.get("p", 2)
-    n = params.get("n", 2)
-    m = params.get("m", 1)
+def _verify_cor_4_2(p=2, n=2, m=1) -> TheoremReport:
     model = BarKmModel(p=p, factor_ns=(n, n), m=m)
     result = star_star_check(model, versal_image(model))
     clear = {mono: {"p": False, "v": False} for mono in result}
@@ -596,10 +589,7 @@ def _verify_cor_4_2(params: dict) -> TheoremReport:
     )
 
 
-def _verify_remark_4_2_negative(params: dict) -> TheoremReport:
-    p = params.get("p", 2)
-    n = params.get("n", 2)
-    m = params.get("m", 1)
+def _verify_remark_4_2_negative(p=2, n=2, m=1) -> TheoremReport:
     model = BarKmModel(p=p, factor_ns=(n, n), m=m)
     chow1 = chow_rost_ring(p, n, var="y_1")
     gm = kunneth_map(chow1, n, product_rost(chow1, n))
@@ -628,11 +618,7 @@ def _verify_remark_4_2_negative(params: dict) -> TheoremReport:
     )
 
 
-def _second_display_report(id_: str, params: dict, extra_notes=()) -> TheoremReport:
-    p = params.get("p", 2)
-    s = params.get("s", 2)
-    n = params.get("n", 2)
-    m = params.get("m", 1)
+def _second_display_report(id_: str, p=2, s=2, n=2, m=1, *, extra_notes=()) -> TheoremReport:
     if not is_prime(p):
         raise KunnethError(f"p={p} must be prime")
     if s < 2:
@@ -651,23 +637,19 @@ def _second_display_report(id_: str, params: dict, extra_notes=()) -> TheoremRep
     )
 
 
-def _star_star_report(id_: str, params: dict, s: int | None = None) -> TheoremReport:
-    """The (**) criterion on s quadric factors; s=None reads s from params."""
-    if s is None:
-        s = params.get("s", 2)
-    p = params.get("p", 2)
+def _star_star_report(id_: str, p=2, n=None, m=1, s=2, image="versal") -> TheoremReport:
+    """The (**) criterion on s quadric factors; n defaults to 2 on two, 3 on more."""
     if p != 2:
         raise KunnethError(f"{id_} concerns quadratic forms: p must be 2")
-    n = params.get("n", 2 if s == 2 else 3)
-    m = params.get("m", 1)
-    preset = params.get("image", "versal")
+    if n is None:
+        n = 2 if s == 2 else 3
     model = BarKmModel(p=2, factor_ns=(n,) * s, m=m)
-    img = image_preset(model, preset)
+    img = image_preset(model, image)
     notes = [_VERSAL_NOTE, _EXTENSION_NOTE, GR_M_PFISTER_NOTE]
     if img is None:
         return TheoremReport(
             id=id_,
-            params={"p": 2, "n": n, "m": m, "s": s, "image": preset},
+            params={"p": 2, "n": n, "m": m, "s": s, "image": image},
             verdict=NOT_CERTIFIABLE,
             notes=["image hypotheses not supplied; the criterion cannot be run"],
         )
@@ -678,7 +660,7 @@ def _star_star_report(id_: str, params: dict, s: int | None = None) -> TheoremRe
     verdict = VERIFIED if holds else REFUTED
     return TheoremReport(
         id=id_,
-        params={"p": 2, "n": n, "m": m, "s": s, "image": preset},
+        params={"p": 2, "n": n, "m": m, "s": s, "image": image},
         verdict=verdict,
         left=result,
         right={mono: {"p": False, "v": False} for mono in result},
@@ -687,11 +669,7 @@ def _star_star_report(id_: str, params: dict, s: int | None = None) -> TheoremRe
     )
 
 
-def _verify_cor_1_3(params: dict) -> TheoremReport:
-    p = params.get("p", 2)
-    s = params.get("s", 2)
-    n = params.get("n", 2)
-    m = params.get("m", 1)
+def _verify_cor_1_3(p=2, s=2, n=2, m=1) -> TheoremReport:
     ring = kunneth_quotient_ring(p, n, m, s)
     tgens = [_c(m, j, f"y_{t + 1}") for t in range(s) for j in range(1, p)]
     w = ideal_power_witness(ring, tgens, s)
@@ -725,10 +703,7 @@ def _verify_cor_1_3(params: dict) -> TheoremReport:
     )
 
 
-def _verify_cor_3_5(params: dict) -> TheoremReport:
-    p = params.get("p", 2)
-    n = params.get("n", 2)
-    m = params.get("m", 1)
+def _verify_cor_3_5(p=2, n=2, m=1) -> TheoremReport:
     km = km_rost(p, n, m)
     left_mod = gr_geometric(km)
     right_mod = gr_m_rost_ring(p, n, m).module()
@@ -762,8 +737,7 @@ def _verify_cor_3_5(params: dict) -> TheoremReport:
     )
 
 
-def _verify_cor_3_6(params: dict) -> TheoremReport:
-    p = params.get("p", 2)
+def _verify_cor_3_6(p=2) -> TheoremReport:
     km = km_rost(p, 2, 1)
     killed = v_torsion_generators(km)
     iso = iso_equal(gr_m_rost_ring(p, 2, 1).module(), chow_rost_ring(p, 2).module())
@@ -779,9 +753,7 @@ def _verify_cor_3_6(params: dict) -> TheoremReport:
     )
 
 
-def _verify_lemma_3_2(params: dict) -> TheoremReport:
-    p = params.get("p", 2)
-    n = params.get("n", 3)
+def _verify_lemma_3_2(p=2, n=3) -> TheoremReport:
     model = OmegaImageModel(p, (n,))
     failures = []
     checked = 0
@@ -824,40 +796,39 @@ def _torsion_square_report(id_: str, obj, params: dict) -> TheoremReport:
     )
 
 
-def _verify_thm_5_5_torsion_square(params: dict) -> TheoremReport:
-    n = params.get("n", 2)
+def _verify_thm_5_5_torsion_square(n=2) -> TheoremReport:
     obj = build_pfister_neighbor_chow(n)
     return _torsion_square_report("thm-5.5-torsion-square", obj, {"p": 2, "n": n})
 
 
-def _verify_thm_5_7_torsion_square(params: dict) -> TheoremReport:
-    n = params.get("n", 2)
-    d = params.get("d", 2**n - 1)
-    di = tuple(params.get("di") or ())
+def _verify_thm_5_7_torsion_square(n=2, d=None, di=()) -> TheoremReport:
+    d = 2**n - 1 if d is None else d
+    di = tuple(di or ())
     obj = build_excellent_quadric_chow(n, d, di)
     return _torsion_square_report(
         "thm-5.7-torsion-square", obj, {"p": 2, "n": n, "d": d, "di": list(di)}
     )
 
 
-@dataclass(frozen=True)
 class Claim:
-    verify: Callable[[dict], TheoremReport]
-    params: tuple[str, ...]  # the parameter names the verifier reads
-    grid: tuple[dict, ...]  # the verify-all parameter sets, in report order
+    """A verifier and its verify-all parameter sets, in report order; the
+    parameters it reads are the verifier's own (`signature_params`)."""
+
+    def __init__(self, verify: Callable[..., TheoremReport], grid: tuple[dict, ...]):
+        self.verify = verify
+        self.params = signature_params(verify)[0]
+        self.grid = grid
 
 
 _EACH_P = tuple({"p": p} for p in (2, 3, 5))
 _P_S = tuple({"p": p, "s": s} for p, s in ((2, 2), (2, 3), (3, 2), (3, 3)))
 _QUADRIC_N_M = tuple({"p": 2, "n": n, "m": m} for n in (2, 3, 4) for m in range(1, n))
 
-# Every claim id with its verifier, the parameters it reads and its
-# verify-all grid, in report order.
+# Every claim id with its verifier and its verify-all grid, in report order.
 CLAIMS: dict[str, Claim] = {
-    "thm-1.1": Claim(_verify_thm_1_1, ("p",), _EACH_P),
+    "thm-1.1": Claim(_verify_thm_1_1, _EACH_P),
     "lemma-4.1": Claim(
         _verify_lemma_4_1,
-        ("p", "n1", "n2", "m"),
         tuple(
             {"p": p, "n1": n1, "n2": n2, "m": m}
             for p, n1, n2, m in (
@@ -865,40 +836,31 @@ CLAIMS: dict[str, Claim] = {
             )
         ),
     ),
-    "cor-4.2": Claim(_verify_cor_4_2, ("p", "n", "m"), _EACH_P),
-    "remark-4.2-negative": Claim(_verify_remark_4_2_negative, ("p", "n", "m"), _EACH_P),
-    "thm-6.9": Claim(partial(_second_display_report, "thm-6.9"), ("p", "s", "n", "m"), _P_S),
+    "cor-4.2": Claim(_verify_cor_4_2, _EACH_P),
+    "remark-4.2-negative": Claim(_verify_remark_4_2_negative, _EACH_P),
+    "thm-6.9": Claim(partial(_second_display_report, "thm-6.9"), _P_S),
     "cor-6.10": Claim(
         partial(_second_display_report, "cor-6.10", extra_notes=(_FLAG_NOTE,)),
-        ("p", "s", "n", "m"),
         tuple({"p": 2, "s": s} for s in (2, 3)),
     ),
-    "lemma-7.2": Claim(
-        partial(_star_star_report, "lemma-7.2", s=2), ("p", "n", "m", "image"), _QUADRIC_N_M
-    ),
+    "lemma-7.2": Claim(partial(_star_star_report, "lemma-7.2", s=2), _QUADRIC_N_M),
     "cor-7.3": Claim(
         partial(_star_star_report, "cor-7.3"),
-        ("p", "n", "m", "s", "image"),
         tuple({"p": 2, "n": 3, "m": 1, "s": s} for s in (2, 3)),
     ),
-    "cor-1.3": Claim(_verify_cor_1_3, ("p", "s", "n", "m"), _P_S),
+    "cor-1.3": Claim(_verify_cor_1_3, _P_S),
     "cor-3.5": Claim(
-        _verify_cor_3_5,
-        ("p", "n", "m"),
-        _QUADRIC_N_M + ({"p": 3, "n": 2, "m": 1}, {"p": 5, "n": 2, "m": 1}),
+        _verify_cor_3_5, _QUADRIC_N_M + ({"p": 3, "n": 2, "m": 1}, {"p": 5, "n": 2, "m": 1})
     ),
-    "cor-3.6": Claim(_verify_cor_3_6, ("p",), _EACH_P),
+    "cor-3.6": Claim(_verify_cor_3_6, _EACH_P),
     "lemma-3.2": Claim(
-        _verify_lemma_3_2,
-        ("p", "n"),
-        tuple({"p": p, "n": n} for p, n in ((2, 3), (2, 4), (3, 2))),
+        _verify_lemma_3_2, tuple({"p": p, "n": n} for p, n in ((2, 3), (2, 4), (3, 2)))
     ),
     "thm-5.5-torsion-square": Claim(
-        _verify_thm_5_5_torsion_square, ("n",), tuple({"n": n} for n in (2, 3, 4))
+        _verify_thm_5_5_torsion_square, tuple({"n": n} for n in (2, 3, 4))
     ),
     "thm-5.7-torsion-square": Claim(
         _verify_thm_5_7_torsion_square,
-        ("n", "d", "di"),
         ({"n": 2, "d": 3, "di": [2]}, {"n": 2, "d": 5, "di": [3]}, {"n": 3, "d": 7, "di": [4, 2]}),
     ),
 }
@@ -916,7 +878,7 @@ def verify_theorem(id: str, params: dict | None = None) -> TheoremReport:
         raise KunnethError(
             f"{id} does not read {flags(unused)}; it reads {flags(claim.params)}"
         )
-    return claim.verify(params)
+    return claim.verify(**params)
 
 
 def default_grid() -> tuple[tuple[str, dict], ...]:

@@ -189,6 +189,9 @@ def test_second_display_comparison():
         )
         report = check_cor_3_5_second(km_rost(p, n, m), bar)
         assert report.verdict == "verified", (p, n, m, report.notes)
+    # the split form is free; one with relations is refused, not misread
+    with pytest.raises(KmModuleError, match="split form must be free"):
+        check_cor_3_5_second(km_rost(2, 3, 1), km_rost(2, 3, 1))
 
 
 # --- class invariants at v = 1 against a minor-enumeration oracle -----------

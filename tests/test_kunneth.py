@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rostcalc import kunneth
+from rostcalc import catalog, kunneth
 from rostcalc.catalog import (
     build_excellent_quadric_chow,
     build_pfister_neighbor_chow,
@@ -22,6 +22,7 @@ from rostcalc.catalog import (
 )
 from rostcalc.exact_linalg import SpanSolver, sparse_matrix
 from rostcalc.graded import DegreeComponent, GradedFPModule, normalize, quotient, tensor_product
+from rostcalc.km import free_km
 from rostcalc.kunneth import (
     CLAIMS,
     BarKmModel,
@@ -48,6 +49,7 @@ from rostcalc.kunneth import (
 )
 from rostcalc.omega import (
     BasisClass,
+    OmegaImageModel,
     OmegaModelError,
     PresentedRing,
     ideal_generators,
@@ -757,6 +759,74 @@ def test_lemma_7_2_image_presets():
         verify_theorem("lemma-7.2", {"n": 2, "m": 1, "image": "product"}).verdict
         == "refuted"
     )
+
+
+def test_cor_7_3_refutes_on_the_product_image():
+    # the product image of three factors misses a monomial the criterion needs
+    r = verify_theorem("cor-7.3", {"s": 3, "image": "product"})
+    assert r.verdict == "refuted"
+    assert r.params["n"] == 3  # n follows s when it is not given
+    assert any(hit["p"] or hit["v"] for hit in r.left.values())
+
+
+@pytest.mark.parametrize("params", [{"p": 2, "n": 3, "m": 1}, {"p": 3, "n": 3, "m": 2}])
+def test_cor_3_5_refutes_when_the_right_side_keeps_the_torsion(monkeypatch, params):
+    # one defect: gr_m is read as the whole Chow ring, the quotient not taken
+    monkeypatch.setattr(
+        kunneth, "gr_m_rost_ring", lambda p, n, m, var="y": chow_rost_ring(p, n, var)
+    )
+    r = verify_theorem("cor-3.5", params)
+    assert r.verdict == "refuted"
+    assert any(note.startswith("degree ") for note in r.notes)
+    assert r.left["second_display"] == r.right["second_display"]  # that side still holds
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cor_3_5_refutes_when_the_split_form_loses_a_class(monkeypatch, p):
+    # one defect: the split form of the second display drops its top class y^{p-1}
+    monkeypatch.setattr(kunneth, "free_km", lambda p, m, gens: free_km(p, m, gens[:-1]))
+    r = verify_theorem("cor-3.5", {"p": p, "n": 2, "m": 1})
+    assert r.verdict == "refuted"
+    assert r.left["graded"] == r.right["graded"]  # the first display still holds
+    assert r.left["second_display"]["slot_2"] == {"free": p - 1, "torsion": []}
+    assert r.right["second_display"]["slot_2"] == {"free": p - 2, "torsion": []}
+
+
+class _DroppedV1(OmegaImageModel):
+    """The ambient model with one defect: c_1(y^j) restricts to y^j, not v_1 y^j."""
+
+    def res_class(self, t, i, j):
+        if i != 1:
+            return super().res_class(t, i, j)
+        return self.monomial(1, (), tuple(j if tt == t else 0 for tt in range(self.nfactors)))
+
+
+@pytest.mark.parametrize(
+    "params, failures",
+    [({"p": 2, "n": 3}, [[0, 1, 1], [1, 2, 1]]), ({"p": 3, "n": 2}, [[0, 1, 1], [0, 1, 2]])],
+)
+def test_lemma_3_2_refutes_when_a_restriction_loses_its_v(monkeypatch, params, failures):
+    monkeypatch.setattr(kunneth, "OmegaImageModel", _DroppedV1)
+    r = verify_theorem("lemma-3.2", params)
+    assert r.verdict == "refuted"
+    assert r.left["failures"] == failures  # exactly the identities that involve c_1
+
+
+def test_thm_5_7_refutes_when_a_torsion_class_squares_to_nonzero(monkeypatch):
+    # one defect: the excellent quadric's ring gains c_1(d)^2 = c_1(d) h^2, which
+    # the restriction map (it kills all torsion) still accepts
+    sorted_ring = catalog._sorted_ring
+
+    def planted(p, classes, generators, rules):
+        if "c_1(d)" in generators:
+            rules = {**rules, ("c_1(d)", "c_1(d)"): (("c_1(d)*h^2", 1),)}
+        return sorted_ring(p, classes, generators, rules)
+
+    monkeypatch.setattr(catalog, "_sorted_ring", planted)
+    r = verify_theorem("thm-5.7-torsion-square", {"n": 2, "d": 5, "di": [3]})
+    assert r.verdict == "refuted"
+    assert r.witnesses == ["c_1(d)*c_1(d)"]
+    assert r.left["witness"] == [["c_1(d)*h^2", 1]]
 
 
 def test_cor_3_5_skips_second_display_above_range():

@@ -265,6 +265,13 @@ def test_tensor_gr_m_rost_chow_rost_p3_pinned(capsys):
     assert out == (DATA / "tensor_gr_m_rost_chow_rost_p3_n3_m1.json").read_text()
 
 
+def test_build_omega_image_rost_p3_n5_pinned(capsys):
+    # the largest Rost image the suite collapses (top degree 242)
+    code, out, _ = run(capsys, "build", "omega_image_rost", "--p", "3", "--n", "5")
+    assert code == 0
+    assert out == (DATA / "build_omega_image_rost_p3_n5.json").read_text()
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "rostcalc.cli", "list"],

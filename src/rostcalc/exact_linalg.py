@@ -13,8 +13,10 @@ Elimination over Z_(p) has two bounded paths:
   reduced mod p^K with p^(2K) above the block's squared Hadamard bound (a
   product of |row|^2 or |col|^2), so no exponent is lost.
 - Transforms (`SpanSolver`, behind `snf_p_local` and `kernel_basis`): row
-  echelon form of [M | I] with the row of [A | U] divided by its prime-to-p
-  content after every operation, then integer back-substitution.  One
+  echelon form of [M | I] on rows of nonzeros, the row of [A | U] divided by
+  its prime-to-p content after every operation, then integer
+  back-substitution on only the rows a target's nonzeros reach; the reduced
+  solution is unique, so the rows skipped change no integer.  One
   factorisation answers many targets, each in integers and audited exactly
   (M X = D B); `membership` and `solve_sparse` are its one-target forms.
 
@@ -119,10 +121,6 @@ def _integral_tuple(xs) -> tuple[int, ...]:
     if type(sum(xs)) is int:  # an entry of any other number type would show in the sum
         return xs
     return tuple(map(_integral, xs))
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _prime_to_p_content(values, p: int) -> int:
@@ -252,62 +250,87 @@ def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
 
 
 class SpanSolver:
-    """The Z_(p)-span of the columns of M, factored once for many targets.
+    """The Z_(p)-span of a set of columns, factored once for many targets.
+
+    A column is a dict from row name to integer; the rows are `coords`, by
+    default the sorted nonzero coordinates (`of`: a dense matrix's 0, 1, ...).
 
     The factorisation is U * M * P = R (`_echelon`): U invertible over Z_(p),
-    P the column permutation `perm`.  R (the rows of U * M, columns taken in
-    `perm` order) is upper echelon: R[i][i] for i < rank is a pivot of least
-    valuation among the rows and columns from i on when it was chosen, so it
-    divides the rest of row i over Z_(p); rows from `rank` on are zero.
+    P the column permutation `perm`.  R (the rows of U * M, each a dict from
+    position in `perm` to nonzero entry) is upper echelon: R[i][i] for i <
+    rank is a pivot of least valuation among the rows and columns from i on
+    when it was chosen, so it divides the rest of row i over Z_(p); rows from
+    `rank` on are zero.  `above[j]` lists the rows i < j with R[i][j] != 0.
 
-    A target, a dict from row name (`coords`, default 0, 1, ...) to integer,
-    is answered in integers: c = U * B, the pivot test, `back_solve` and the
-    exactness audit M X = D B.  One with an entry outside `coords` is not in
-    the span; any other gets the x of M built with its coordinates in rows.
+    A target, a dict from row name to integer, is answered in integers: c =
+    U * B, the pivot test, `back_solve` and the exactness audit M X = D B.
+    One with an entry outside `coords` is not in the span; any other gets the
+    x of M built with its coordinates in rows.
     """
 
-    def __init__(self, M: PLocalMatrix, coords=None):
-        self.p, (self.R, self.U, self.perm, self.rank) = M.p, _echelon(M)
-        self.row = {k: i for i, k in enumerate(range(M.rows) if coords is None else coords)}
-        self.columns = [{i: r[j] for i, r in enumerate(M.entries) if r[j]} for j in range(M.cols)]
-        self.pivot_pe = [M.p ** pvaluation(self.R[i][i], M.p) for i in range(self.rank)]
+    def __init__(self, p: int, columns, coords=None):
+        if not is_prime(p):
+            raise ExactLinalgError(f"p={p} is not prime")
+        if coords is None:
+            coords = sorted({k for col in columns for k, c in col.items() if c})
+        self.p, self.row = p, {k: i for i, k in enumerate(coords)}
+        self.columns = [{self.row[k]: _integral(c) for k, c in col.items() if c} for col in columns]
+        self.R, self.ucols, self.perm, self.rank = _echelon(p, self.columns, len(self.row))
+        self.above: list[list[int]] = [[] for _ in self.perm]
+        for i, row in enumerate(self.R):
+            for j in row:
+                if j > i:
+                    self.above[j].append(i)
+        self.pivot_pe = [p ** pvaluation(self.R[i][i], p) for i in range(self.rank)]
 
-    def back_solve(self, c) -> tuple[list[int], int]:
-        """(Y, D): y = Y/D solves R[:rank, :rank] y = c[:rank], zero beyond.
+    @classmethod
+    def of(cls, M: PLocalMatrix) -> "SpanSolver":
+        """The span of the columns of the dense M, its rows named 0, 1, ..."""
+        cols = [{i: r[j] for i, r in enumerate(M.entries) if r[j]} for j in range(M.cols)]
+        return cls(M.p, cols, range(M.rows))
 
-        Integer back-substitution over one common denominator, kept reduced.
+    def back_solve(self, c: dict[int, int]) -> tuple[dict[int, int], int]:
+        """(Y, D): y = Y/D solves R[:rank, :rank] y = c for c a dict on the rows
+        below rank; Y maps a position to its nonzero y_j.
+
+        Integer back-substitution over one common denominator, kept reduced,
+        visiting only the rows c reaches (Gilbert-Peierls): y_i != 0 needs c_i
+        != 0 or R[i][j] != 0 for a reached j (`above[j]`).  A reached row whose
+        partial sum is 0 is skipped too: its step would multiply D and Y by d =
+        R[i][i] and divide by their gcd |d|.  Either way y = Y/D, reduced with
+        D > 0, which is unique: the integers of the dense back-substitution.
         """
-        R, r = self.R, self.rank
-        Y = [0] * len(self.perm)
+        R, above = self.R, self.above
+        reach, todo = set(c), list(c)
+        while todo:  # depth-first, through the rows above each reached one
+            todo += (new := set(above[todo.pop()]) - reach)
+            reach |= new
+        Y: dict[int, int] = {}
         D = 1
-        for i in reversed(range(r)):
+        for i in sorted(reach, reverse=True):
             row = R[i]
-            d = row[i]
-            s = c[i] * D - sum(a * t for a, t in zip(row[i + 1 : r], Y[i + 1 : r]) if a)
-            Y[i] = s
-            Y[i + 1 : r] = [t * d for t in Y[i + 1 : r]]
-            D *= d
-            g = math.gcd(D, *Y[i:r])
-            if g > 1:
-                D //= g
-                Y[i:r] = [t // g for t in Y[i:r]]
+            s = c.get(i, 0) * D - sum(a * t for j, t in Y.items() if (a := row.get(j)))
+            if s:
+                d = row[i]
+                Y = {j: t * d for j, t in Y.items()}
+                Y[i], D = s, D * d
+                g = math.gcd(D, *Y.values())
+                if g > 1:
+                    D, Y = D // g, {j: t // g for j, t in Y.items()}
         if D < 0:
-            D, Y = -D, [-t for t in Y]
+            D, Y = -D, {j: -t for j, t in Y.items()}
         return Y, D
 
-    def lift(self, Y: list[int], D: int) -> tuple[Fraction, list[int]]:
-        """(s, x): x = P (s * Y/D) is integral of prime-to-p content 1."""
-        x = [0] * len(Y)
-        for pos, col in enumerate(self.perm):
-            x[col] = Y[pos]
-        g = _prime_to_p_content(x, self.p)
-        return Fraction(D, g), [t // g for t in x]
+    def lift(self, Y: dict[int, int], D: int) -> tuple[Fraction, dict[int, int]]:
+        """(s, x): x = P (s * Y/D), a dict of nonzeros, is integral of content 1."""
+        g = _prime_to_p_content(Y.values(), self.p)
+        return Fraction(D, g), {self.perm[pos]: t // g for pos, t in Y.items()}
 
-    def kernel_vectors(self) -> list[list[int]]:
-        """A Z_(p)-basis of {x : Mx = 0}, one vector per non-pivot column."""
+    def kernel_vectors(self) -> list[dict[int, int]]:
+        """A Z_(p)-basis of {x : Mx = 0}, one dict of nonzeros per non-pivot column."""
         out = []
         for j in range(self.rank, len(self.perm)):
-            Y, D = self.back_solve([-row[j] for row in self.R])
+            Y, D = self.back_solve({i: -self.R[i][j] for i in self.above[j]})
             Y[j] = D
             out.append(self.lift(Y, D)[1])
         return out
@@ -317,15 +340,19 @@ class SpanSolver:
         B = {self.row.get(k): _integral(v) for k, v in target.items() if v}
         if None in B:  # a coordinate outside the rows
             return None
-        c = [sum(row[i] * v for i, v in B.items()) for row in self.U]
-        if any(c[self.rank :]) or any(t % pe for t, pe in zip(c, self.pivot_pe)):
+        c: dict[int, int] = {}  # U * B, through the columns of U that B reads
+        for k, t in ((k, u * v) for i, v in B.items() for k, u in self.ucols[i].items()):
+            c[k] = c.get(k, 0) + t
+        c = {k: t for k, t in c.items() if t}
+        if any(k >= self.rank or t % self.pivot_pe[k] for k, t in c.items()):
             return None
         Y, D = self.back_solve(c)
         X = [0] * len(self.columns)
         MX: dict[int, int] = {}  # the exactness audit, on integers
-        for j, t in zip(self.perm, Y):
+        for pos, t in Y.items():
+            j = self.perm[pos]
             X[j] = t
-            for i, a in self.columns[j].items() if t else ():
+            for i, a in self.columns[j].items():
                 MX[i] = MX.get(i, 0) + a * t
         if {i: t for i, t in MX.items() if t} != {i: D * v for i, v in B.items()}:
             raise ExactLinalgError("exactness audit failed: M x != b for the back-solved x")
@@ -340,62 +367,63 @@ class SpanSolver:
         return self.solve_int(target) is not None
 
 
-def _echelon(M: PLocalMatrix) -> tuple[list[list[int]], list[list[int]], list[int], int]:
-    """Transform path: row elimination of [M | I] over Z_(p), to (R, U, perm, rank).
-
+def _echelon(p: int, columns: list[dict[int, int]], nr: int):
+    """Transform path: row elimination of [M | I] over Z_(p), to (R, U by its
+    columns, perm, rank).  M has nr rows and the given columns; every row and
+    column is a dict of its nonzeros, so a step reads only what it changes.
     Pivot rule: entry of minimal p-valuation, ties broken by lowest (row,
-    col).  Clearing an entry b with pivot a = u*p^alpha uses the integer row
-    operation
+    position), a column's position being its place in `perm`.  Clearing an
+    entry b with pivot a = u*p^alpha uses the integer row operation
         row_i <- u*row_i - (b / p^alpha)*row_k,
     which is invertible over Z_(p) because u is a unit.  After each one the
     row of [A | U] is divided by its prime-to-p content (a unit), which keeps
-    the entries near the size of the minors they stand for.
+    the entries near the size of the minors they stand for.  That is the
+    content of the U row alone: A = U * M, so it divides every entry of A's.
     """
-    p = M.p
-    nr, nc = M.rows, M.cols
-    A = [list(row) for row in M.entries]
-    U = _identity(nr)
-    perm = list(range(nc))
+    nc = len(columns)
+    A: list[dict[int, int]] = [{} for _ in range(nr)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            A[i][j] = x
+    U = [{i: 1} for i in range(nr)]
+    perm, pos = list(range(nc)), list(range(nc))
     k = 0
     while k < min(nr, nc):
-        pivot = None
-        best = None
+        best = (math.inf, 0, 0)  # (valuation, row, position) of the pivot
         for i in range(k, nr):
-            row = A[i]
-            for j in range(k, nc):
-                x = row[j]
-                if x:
-                    val = pvaluation(x, p) if x % p == 0 else 0
-                    if best is None or val < best:
-                        best, pivot = val, (i, j)
-                        if val == 0:
-                            break
-            if best == 0:
+            if units := [pos[j] for j, x in A[i].items() if x % p]:
+                best = (0, i, min(units))
                 break
-        if pivot is None:
+            if A[i] and (val := pvaluation(math.gcd(*A[i].values()), p)) < best[0]:
+                pv = p ** (val + 1)
+                best = (val, i, min(pos[j] for j, x in A[i].items() if x % pv))
+        if best[0] == math.inf:
             break
-        pi, pj = pivot
-        if pi != k:
-            A[k], A[pi] = A[pi], A[k]
-            U[k], U[pi] = U[pi], U[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-            perm[k], perm[pj] = perm[pj], perm[k]
-        pk, uk = A[k], U[k]
-        pe = p**best
-        ua = pk[k] // pe
+        val, pi, pj = best
+        A[k], A[pi], U[k], U[pi] = A[pi], A[k], U[pi], U[k]
+        a, b = perm[k], perm[pj]
+        perm[k], perm[pj], pos[a], pos[b] = b, a, pj, k
+        pk, uk, pe = A[k], U[k], p**val
+        ua, get, uget = pk[b] // pe, pk.get, uk.get
         for i in range(k + 1, nr):
-            b = A[i][k]
-            if b:
-                f = b // pe
-                both = [ua * x - f * y for x, y in zip(A[i] + U[i], pk + uk)]
-                g = _prime_to_p_content(both, p)
-                if g > 1:
-                    both = [x // g for x in both]
-                A[i], U[i] = both[:nc], both[nc:]
+            if x := (row := A[i]).get(b):
+                urow, f = U[i], x // pe  # ua * row - f * pk, and so for U
+                new = {j: z for j, y in row.items() if (z := ua * y - f * get(j, 0))}
+                for j in pk.keys() - row.keys():
+                    new[j] = -f * pk[j]
+                unew = {j: z for j, y in urow.items() if (z := ua * y - f * uget(j, 0))}
+                for j in uk.keys() - urow.keys():
+                    unew[j] = -f * uk[j]
+                if (g := _prime_to_p_content(unew.values(), p)) > 1:
+                    new = {j: y // g for j, y in new.items()}
+                    unew = {j: y // g for j, y in unew.items()}
+                A[i], U[i] = new, unew
         k += 1
-    return A, U, perm, k
+    ucols: list[dict[int, int]] = [{} for _ in range(nr)]
+    for i, row in enumerate(U):
+        for t, x in row.items():
+            ucols[t][i] = x
+    return [{pos[j]: x for j, x in row.items()} for row in A[:k]], ucols, perm, k
 
 
 @dataclass(frozen=True)
@@ -439,12 +467,12 @@ def snf_p_local(M: PLocalMatrix) -> SNFResult:
     and V is invertible over Z_(p).  Callers that need only the exponents
     use `snf_exponents`.
     """
-    ech = SpanSolver(M)
+    ech = SpanSolver.of(M)
     p, nc = M.p, M.cols
     columns, diag = [], []
     for i in range(ech.rank):
         # R (s*y) = s e_i with s*y integral, so s is an integer
-        scale, vec = ech.lift(*ech.back_solve([int(i == t) for t in range(ech.rank)]))
+        scale, vec = ech.lift(*ech.back_solve({i: 1}))
         if scale.denominator != 1:
             raise ExactLinalgError("internal SNF inconsistency")
         columns.append(vec)
@@ -459,8 +487,8 @@ def snf_p_local(M: PLocalMatrix) -> SNFResult:
         cols=nc,
         diag=tuple(diag),
         exponents=exponents,
-        U=tuple(tuple(r) for r in ech.U),
-        V=tuple(tuple(col[i] for col in columns) for i in range(nc)),
+        U=tuple(tuple(col.get(i, 0) for col in ech.ucols) for i in range(M.rows)),
+        V=tuple(tuple(col.get(i, 0) for col in columns) for i in range(nc)),
     )
 
 
@@ -475,30 +503,22 @@ def membership(M: PLocalMatrix, b) -> tuple[Fraction, ...] | None:
     if len(b) != M.rows:
         raise ExactLinalgError("length of b does not match row count")
     L = math.lcm(*(x.denominator for x in b))
-    return SpanSolver(M).solve({i: int(x * L) for i, x in enumerate(b)}, L)
-
-
-def sparse_matrix(p: int, columns) -> tuple[PLocalMatrix, list]:
-    """The matrix whose columns are the sparse vectors (dicts from coordinate
-    to integer) `columns`, with its rows: the sorted union of their nonzero
-    coordinates."""
-    coords = sorted({k for vec in columns for k, c in vec.items() if c})
-    dense = [[vec.get(k, 0) for k in coords] for vec in columns]
-    return PLocalMatrix.from_columns(p, dense, rows=len(coords)), coords
+    return SpanSolver.of(M).solve({i: int(x * L) for i, x in enumerate(b)}, L)
 
 
 def solve_sparse(p: int, columns, target) -> tuple[Fraction, ...] | None:
     """Solve sum_j x_j columns[j] = target over Z_(p) on sparse vectors.
 
-    Vectors are dicts from coordinate to integer, as in `sparse_matrix`.
+    Vectors are dicts from coordinate to integer, as in `SpanSolver`.
     Returns `membership`'s x, or None when target is not in the span.
     """
-    return SpanSolver(*sparse_matrix(p, columns)).solve(target)
+    return SpanSolver(p, columns).solve(target)
 
 
 def kernel_basis(M: PLocalMatrix) -> list[tuple[int, ...]]:
     """Integer vectors spanning {x : Mx = 0} over Z_(p)."""
-    return [tuple(vec) for vec in SpanSolver(M).kernel_vectors()]
+    kernel = SpanSolver.of(M).kernel_vectors()
+    return [tuple(vec.get(j, 0) for j in range(M.cols)) for vec in kernel]
 
 
 # ---------------------------------------------------------------------------

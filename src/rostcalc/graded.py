@@ -452,7 +452,7 @@ class GradedMap:
             span, m = None, self.matrix_at(d)  # the target relations, factored once
             for col in comp.relations:
                 if any(image := _apply(m, col)):
-                    span = span or SpanSolver(self.target.relation_matrix(d))
+                    span = span or SpanSolver.of(self.target.relation_matrix(d))
                     if not span.contains(dict(enumerate(image))):
                         problems.append(f"degree {d}: relation image not in target relations")
         return IsoResult(equal=not problems, diffs=tuple(problems))

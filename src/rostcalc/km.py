@@ -271,7 +271,7 @@ def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
     killed = set()
     for cls in sorted({d % M.vdeg for _, d in M.gens}):
         gen_idx, at_one = _class_at_one(M, cls)
-        span = SpanSolver(at_one)
+        span = SpanSolver.of(at_one)
         killed.update(i for r, i in enumerate(gen_idx) if span.contains({r: 1}))
     return tuple(name for i, (name, _) in enumerate(M.gens) if i in killed)
 

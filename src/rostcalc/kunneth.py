@@ -38,7 +38,7 @@ from .catalog import (
     rost_res_rules,
     signature_params,
 )
-from .exact_linalg import SpanSolver, is_prime, membership, sparse_matrix
+from .exact_linalg import SpanSolver, is_prime, membership
 from .graded import (
     GradedFPModule,
     GradedMap,
@@ -248,7 +248,7 @@ class BarKmModel(OmegaImageModel):
         zero in M; `SpanSolver` rejects a target there, as outside its rows.
         """
         cols = [el for _, _, el in self.v_translates(gens, d, (self.m,))]
-        return SpanSolver(*sparse_matrix(self.p, cols))
+        return SpanSolver(self.p, cols)
 
     def block_span(self, gens, blocks, target: Element, spans: dict) -> SpanSolver:
         """The span, in the degree of target, of the union of the `y_blocks`
@@ -598,7 +598,7 @@ def _verify_remark_4_2_negative(p=2, n=2, m=1) -> TheoremReport:
         mat, names = gm.matrix_at(d), gm.source.names_at(d) or ()
         zero = [col for col in range(len(names)) if all(row[col] == 0 for row in mat)]
         # nonzero classes: unit vectors off the relation span, factored once
-        rels = SpanSolver(gm.source.relation_matrix(d)) if zero else None
+        rels = SpanSolver.of(gm.source.relation_matrix(d)) if zero else None
         killed.extend(names[col] for col in zero if not rels.contains({col: 1}))
     killed.sort()
     result = star_star_check(model, product_image(model))

@@ -36,9 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import (
-    PLocalMatrix, SpanSolver, is_prime, kernel_basis, snf_exponents, sparse_matrix
-)
+from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, snf_exponents
 from .graded import GradedFPModule, GradedMap, cyclic_summands
 
 VKey = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
@@ -445,7 +443,7 @@ class PresentedRing:
             columns = [{k: c * s for k, c in ops[g][j].items()} for (g, j), s in zip(here, scales)]
             columns += [{k: p**basis[k].torsion_exp} for k in range(len(basis))
                         if deg[k] == d and basis[k].torsion_exp]
-            span, unspanned = SpanSolver(*sparse_matrix(p, columns)), []
+            span, unspanned = SpanSolver(p, columns), []
             for x in (k for k in rest if deg[k] == d):
                 if (sol := span.solve({x: 1})) is None:
                     unspanned.append(basis[x].name)
@@ -643,6 +641,10 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     classes; additive orders and all products are certified by membership
     computations in the ambient module.  Only single-factor models are
     supported (products are handled at the level of tensor constructions).
+
+    A degree's slice (the generators' v-translates into it) is built only at
+    the generator degrees, for the additive certificate, and at the degrees
+    of the nonzero products; each is factored once, for both.
     """
     if model.nfactors != 1:
         raise OmegaModelError("collapse implemented for single-factor models")
@@ -658,27 +660,24 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     graded = [(model.element_degree(el), el) for el in gen_elements.values()]
 
     # per degree: the v-translates of the generators span the image submodule
-    slices: dict[int, dict] = {}
-    for d in range(0, top + 1):
+    @lru_cache(maxsize=None)
+    def slice_at(d: int) -> tuple | None:
+        """(names, survivors, span) of the degree-d translates, or None."""
         translates = model.v_translates(graded, d, range(1, vmax + 1))
-        if translates:
-            slices[d] = {
-                "names": [names[k] for _, k, _ in translates],
-                "elements": [el for _, _, el in translates],
-                "survivors": [idx for idx, (vm, _, _) in enumerate(translates) if vm == ()],
-            }
+        return None if not translates else (
+            [names[k] for _, k, _ in translates],
+            [idx for idx, (vm, _, _) in enumerate(translates) if vm == ()],
+            SpanSolver(p, [el for _, _, el in translates]),
+        )
 
     # additive certification: in each degree the surviving classes form
     # independent cyclic summands with order read off the index pattern
     basis: list[BasisClass] = []
-    for d in sorted(slices):
-        sl = slices[d]
-        surv = sl["survivors"]
-        if not surv:
-            continue
-        kern = kernel_basis(sparse_matrix(p, sl["elements"])[0])
-        restricted = [{pos: vec[i] for pos, i in enumerate(surv) if vec[i]} for vec in kern]
-        surv_names = [sl["names"][i] for i in surv]
+    for d in sorted({deg for deg, _ in graded}):
+        sl_names, surv, span = slice_at(d)
+        kern = span.kernel_vectors()
+        restricted = [{pos: c for pos, i in enumerate(surv) if (c := vec.get(i))} for vec in kern]
+        surv_names = [sl_names[i] for i in surv]
         orders = [0 if name == "1" or name.startswith("c_0(") else 1 for name in surv_names]
         # relation span must equal span{p * e_t : torsion t}
         for vec in restricted:
@@ -687,7 +686,7 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
                     raise OmegaModelError(f"free class acquires a relation in degree {d}")
                 if c % p != 0:
                     raise OmegaModelError(f"unexpected relation shape in degree {d}")
-        relations = SpanSolver(*sparse_matrix(p, restricted))
+        relations = SpanSolver(p, restricted)
         for pos, exp in enumerate(orders):
             if exp and not relations.contains({pos: p}):
                 raise OmegaModelError(
@@ -700,7 +699,7 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     unit = index["1"]
 
     # every class but the unit is a generator; one column per class each, read
-    # off the surviving classes of a slice factored once for all its products
+    # off the surviving classes of the slice of its degree
     ops: dict[int, dict] = {g: {} for g in range(len(basis)) if g != unit}
     products: dict[int, list] = {}
     for g, x in itertools.product(ops, range(len(basis))):
@@ -708,13 +707,13 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
         if el := model.mul(gen_elements[basis[g].name], gen_elements[basis[x].name]):
             products.setdefault(basis[g].degree + basis[x].degree, []).append((g, x, el))
     for d, prods in products.items():
-        if (sl := slices.get(d)) is None:
+        if (sl := slice_at(d)) is None:
             raise OmegaModelError(f"no image classes in degree {d}")
-        span = SpanSolver(*sparse_matrix(p, sl["elements"]))
+        sl_names, surv, span = sl
         for g, x, el in prods:
             if (sol := span.solve(el)) is None:
                 raise OmegaModelError("element is not in the image submodule")
-            ops[g][x] = {index[sl["names"][i]]: sol[i] for i in sl["survivors"]}
+            ops[g][x] = {index[sl_names[i]]: sol[i] for i in surv}
     ring = PresentedRing(p, tuple(basis), unit, ops)
     ring.audit()
     return ring

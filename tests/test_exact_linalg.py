@@ -27,7 +27,6 @@ from rostcalc.exact_linalg import (
     snf_fp_poly,
     snf_p_local,
     solve_sparse,
-    sparse_matrix,
 )
 
 PRIMES = (2, 3, 5)
@@ -282,7 +281,7 @@ def test_factored_span_answers_every_target_as_the_per_target_build(p, seed):
         targets.append({c: p * x for c, x in comb.items()})
         targets.append({**comb, ("z", 0): rng.choice((1, p))})  # outside every column
         targets.append({c: rng.randint(-4, 4) for c in rng.sample(pool, 2)})
-    span = SpanSolver(*sparse_matrix(p, cols))
+    span = SpanSolver(p, cols)
     for target in targets:
         x = span.solve(target)
         assert x == solve_the_old_way(p, cols, target), target
@@ -300,7 +299,7 @@ def test_factored_dense_span_matches_membership():
         rows = [[rng.choice((0, 0, 1, -1, p, rng.randint(-9, 9))) for _ in range(4)]
                 for _ in range(5)]
         M = PLocalMatrix.from_rows(p, rows)
-        span = SpanSolver(M)
+        span = SpanSolver.of(M)
         for _ in range(20):
             b = [rng.randint(-5, 5) for _ in range(5)]
             if rng.random() < 0.5:
@@ -313,15 +312,15 @@ def test_a_corrupted_back_solve_fails_the_exactness_audit(monkeypatch):
     back_solve = SpanSolver.back_solve
 
     def corrupted(self, c):
-        Y, D = back_solve(self, c)
-        return [Y[0] + 1, *Y[1:]], D
+        Y, D = back_solve(self, c)  # Y: position -> nonzero entry
+        return {**Y, 0: Y.get(0, 0) + 1}, D
 
     monkeypatch.setattr(SpanSolver, "back_solve", corrupted)
     M = PLocalMatrix.from_rows(3, [[1, 0], [0, 3]])
     with pytest.raises(ExactLinalgError, match=r"exactness audit failed: M x != b"):
         membership(M, [1, 3])
     with pytest.raises(ExactLinalgError, match=r"exactness audit failed: M x != b"):
-        SpanSolver(*sparse_matrix(3, [{"a": 1}, {"b": 3}])).contains({"a": 2})
+        SpanSolver(3, [{"a": 1}, {"b": 3}]).contains({"a": 2})
     with pytest.raises(ExactLinalgError, match=r"exactness audit failed: M x != b"):
         solve_sparse(3, [{"a": 1}], {})
     # a target off the span never reaches back_solve

@@ -20,7 +20,7 @@ from rostcalc.catalog import (
     gr_m_rost_ring,
     pfister_neighbor_ring,
 )
-from rostcalc.exact_linalg import SpanSolver, sparse_matrix
+from rostcalc.exact_linalg import SpanSolver
 from rostcalc.graded import DegreeComponent, GradedFPModule, normalize, quotient, tensor_product
 from rostcalc.km import free_km
 from rostcalc.kunneth import (
@@ -231,7 +231,7 @@ def _full_degree_span(model, gens, target):
     # the oracle: one span over every v-translate of every generator
     d = model.element_degree(target)
     cols = [el for _, _, el in model.v_translates(gens, d, (model.m,))]
-    return SpanSolver(*sparse_matrix(model.p, cols)).contains(target)
+    return SpanSolver(model.p, cols).contains(target)
 
 
 def test_y_blocks_link_generators_through_shared_y_exponents():

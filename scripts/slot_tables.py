@@ -9,13 +9,13 @@ Handy for eyeballing how the invariants move with the parameters, e.g.
 import argparse
 import sys
 
-from rostcalc.catalog import catalog_build
+from rostcalc.catalog import CATALOG_IDS, RING_IDS, catalog_build
 from rostcalc.graded import _fmt, gr_ps, normalize
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("id")
+    ap.add_argument("id", choices=CATALOG_IDS)
     ap.add_argument("--p", type=int, default=2)
     ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--m", type=int)
@@ -23,6 +23,10 @@ def main():
     ap.add_argument("--di", help="comma-separated d_i for the excellent quadric")
     ap.add_argument("--s", type=int, default=0, help="also print gr slots to depth s")
     args = ap.parse_args()
+    if args.id not in RING_IDS:
+        print(f"error: {args.id} has no ring, so no degree table; "
+              f"use `rostcalc build {args.id}`", file=sys.stderr)
+        return 2
 
     params = {"p": args.p, "n": args.n}
     if args.m is not None:

@@ -296,17 +296,30 @@ def test_readme_cli_examples_run(capsys):
         assert out
 
 
-def test_slot_tables_script_runs():
+def run_slot_tables(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "slot_tables.py"), "gr_m_pfister",
-         "--n", "3", "--m", "1", "--s", "1"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "slot_tables.py"), *argv],
         capture_output=True,
         text=True,
         timeout=60,
         env=env,
     )
+
+
+def test_slot_tables_script_runs():
+    proc = run_slot_tables("gr_m_pfister", "--n", "3", "--m", "1", "--s", "1")
     assert proc.returncode == 0, proc.stderr
     assert "degree  13: Z" in proc.stdout
     assert "slot 1:" in proc.stdout
+
+
+@pytest.mark.parametrize("id_", ["omega_image_rost", "km_rost"])
+def test_slot_tables_script_names_an_entry_without_a_ring(id_):
+    # one line that points to the verb that renders the entry, no traceback
+    proc = run_slot_tables(id_)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"error: {id_} has no ring, so no degree table; use `rostcalc build {id_}`"
+    ]

@@ -327,6 +327,141 @@ def test_a_corrupted_back_solve_fails_the_exactness_audit(monkeypatch):
     assert membership(M, [0, 1]) is None
 
 
+class DenseOracle:
+    """The dense transform path `SpanSolver` replaced, kept as its oracle:
+    elimination of [M | I] on full rows, then back-substitution over every
+    pivot row, with the same pivot rule and the same content divisions."""
+
+    def __init__(self, M: PLocalMatrix):
+        p, nr, nc = M.p, M.rows, M.cols
+        A = [list(row) for row in M.entries]
+        U = [[int(i == j) for j in range(nr)] for i in range(nr)]
+        perm, k = list(range(nc)), 0
+        while k < min(nr, nc):
+            best = pivot = None
+            for i in range(k, nr):
+                for j in range(k, nc):
+                    if x := A[i][j]:
+                        val = pvaluation(x, p) if x % p == 0 else 0
+                        if best is None or val < best:
+                            best, pivot = val, (i, j)
+                            if val == 0:
+                                break
+                if best == 0:
+                    break
+            if pivot is None:
+                break
+            pi, pj = pivot
+            A[k], A[pi], U[k], U[pi] = A[pi], A[k], U[pi], U[k]
+            for row in A:
+                row[k], row[pj] = row[pj], row[k]
+            perm[k], perm[pj] = perm[pj], perm[k]
+            pe = p**best
+            ua = A[k][k] // pe
+            for i in range(k + 1, nr):
+                if b := A[i][k]:
+                    both = [ua * x - b // pe * y for x, y in zip(A[i] + U[i], A[k] + U[k])]
+                    g = math.gcd(*both)
+                    while g and g % p == 0:
+                        g //= p
+                    both = [x // g for x in both]
+                    A[i], U[i] = both[:nc], both[nc:]
+            k += 1
+        self.M, self.R, self.U, self.perm, self.rank = M, A, U, perm, k
+
+    def back_solve(self, c):
+        R, r = self.R, self.rank
+        Y, D = [0] * len(self.perm), 1
+        for i in reversed(range(r)):
+            d = R[i][i]
+            Y[i] = c[i] * D - sum(a * t for a, t in zip(R[i][i + 1 : r], Y[i + 1 : r]))
+            Y[i + 1 : r] = [t * d for t in Y[i + 1 : r]]
+            D *= d
+            g = math.gcd(D, *Y[i:r])
+            D, Y[i:r] = D // g, [t // g for t in Y[i:r]]
+        return ([-t for t in Y], -D) if D < 0 else (Y, D)
+
+    def lift(self, Y, D):
+        x = [0] * len(Y)
+        for pos, col in enumerate(self.perm):
+            x[col] = Y[pos]
+        g = math.gcd(*x)
+        while g % self.M.p == 0:
+            g //= self.M.p
+        return Fraction(D, g), [t // g for t in x]
+
+    def kernel_vectors(self):
+        out = []
+        for j in range(self.rank, len(self.perm)):
+            Y, D = self.back_solve([-row[j] for row in self.R])
+            Y[j] = D
+            out.append(tuple(self.lift(Y, D)[1]))
+        return out
+
+    def solve_int(self, b):
+        c = [sum(u * v for u, v in zip(row, b)) for row in self.U]
+        pes = [self.M.p ** pvaluation(self.R[i][i], self.M.p) for i in range(self.rank)]
+        if any(c[self.rank :]) or any(t % pe for t, pe in zip(c, pes)):
+            return None
+        Y, D = self.back_solve(c)
+        X = [0] * self.M.cols
+        for j, t in zip(self.perm, Y):
+            X[j] = t
+        return X, D
+
+
+def monomial_rows(rng, p, nr, nc):
+    """One nonzero per column, in a random row: 1, p, p^2 or a unit other than 1."""
+    unit = rng.choice([u for u in range(2, 3 * p) if u % p])
+    rows = [[0] * nc for _ in range(nr)]
+    for j in range(nc):
+        rows[rng.randrange(nr)][j] = rng.choice((1, -1)) * rng.choice((1, p, p * p, unit))
+    return rows
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(1, 9),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+    st.sampled_from(PRIMES),
+)
+def test_sparse_solver_matches_the_dense_oracle(nr, nc, monomial, rng, p):
+    # the same factorisation, and the same integers from every back-solve:
+    # solutions, kernel vectors and the snf_p_local transforms
+    if monomial:
+        rows = monomial_rows(rng, p, nr, nc)
+    else:
+        rows = [[rng.choice((0, 0, 1, -1, p, p * p, rng.randint(-20, 20))) for _ in range(nc)]
+                for _ in range(nr)]
+    M = PLocalMatrix.from_rows(p, rows, cols=nc)
+    span, dense = SpanSolver.of(M), DenseOracle(M)
+    assert (span.perm, span.rank) == (dense.perm, dense.rank)
+    assert [[row.get(j, 0) for j in range(nc)] for row in span.R] == dense.R[: dense.rank]
+    kernel = kernel_basis(M)
+    assert kernel == dense.kernel_vectors()
+    assert len(kernel) == nc - dense.rank
+    for vec in kernel:
+        assert all(sum(a * t for a, t in zip(row, vec)) == 0 for row in rows)
+    res = snf_p_local(M)
+    lifts = [dense.lift(*dense.back_solve([int(i == t) for t in range(nr)]))
+             for i in range(dense.rank)]
+    assert res.U == tuple(map(tuple, dense.U))
+    assert res.diag == tuple(s.numerator for s, _ in lifts)
+    assert res.V == tuple(zip(*[x for _, x in lifts], *dense.kernel_vectors()))
+    targets = [[rng.randint(-3, 3) for _ in range(nr)] for _ in range(4)]
+    for _ in range(4):
+        coeffs = [rng.randint(-3, 3) for _ in range(nc)]
+        targets.append([sum(a * t for a, t in zip(row, coeffs)) for row in rows])
+    targets += [[p * t for t in b] for b in targets[4:]]
+    for b in targets:
+        sol = dense.solve_int(b)
+        assert span.solve_int(dict(enumerate(b))) == sol
+        assert span.solve(dict(enumerate(b))) == (
+            None if sol is None else tuple(Fraction(t, sol[1]) for t in sol[0])
+        )
+
+
 def test_kernel_basis_annihilates():
     M = PLocalMatrix.from_rows(2, [[1, 2, 3], [2, 4, 6]])
     basis = kernel_basis(M)

@@ -341,8 +341,9 @@ class SpanSolver:
         if None in B:  # a coordinate outside the rows
             return None
         c: dict[int, int] = {}  # U * B, through the columns of U that B reads
-        for k, t in ((k, u * v) for i, v in B.items() for k, u in self.ucols[i].items()):
-            c[k] = c.get(k, 0) + t
+        for i, v in B.items():
+            for k, u in self.ucols[i].items():
+                c[k] = c.get(k, 0) + u * v
         c = {k: t for k, t in c.items() if t}
         if any(k >= self.rank or t % self.pivot_pe[k] for k, t in c.items()):
             return None

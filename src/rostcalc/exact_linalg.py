@@ -379,7 +379,8 @@ def _echelon(p: int, columns: list[dict[int, int]], nr: int):
     which is invertible over Z_(p) because u is a unit.  After each one the
     row of [A | U] is divided by its prime-to-p content (a unit), which keeps
     the entries near the size of the minors they stand for.  That is the
-    content of the U row alone: A = U * M, so it divides every entry of A's.
+    content of the U row alone: A = U * M, so it divides every entry of A's
+    (the new A row is divided as it is built).
     """
     nc = len(columns)
     A: list[dict[int, int]] = [{} for _ in range(nr)]
@@ -409,15 +410,14 @@ def _echelon(p: int, columns: list[dict[int, int]], nr: int):
         for i in range(k + 1, nr):
             if x := (row := A[i]).get(b):
                 urow, f = U[i], x // pe  # ua * row - f * pk, and so for U
-                new = {j: z for j, y in row.items() if (z := ua * y - f * get(j, 0))}
-                for j in pk.keys() - row.keys():
-                    new[j] = -f * pk[j]
                 unew = {j: z for j, y in urow.items() if (z := ua * y - f * uget(j, 0))}
                 for j in uk.keys() - urow.keys():
                     unew[j] = -f * uk[j]
                 if (g := _prime_to_p_content(unew.values(), p)) > 1:
-                    new = {j: y // g for j, y in new.items()}
                     unew = {j: y // g for j, y in unew.items()}
+                new = {j: z // g for j, y in row.items() if (z := ua * y - f * get(j, 0))}
+                for j in pk.keys() - row.keys():
+                    new[j] = -f * pk[j] // g
                 A[i], U[i] = new, unew
         k += 1
     ucols: list[dict[int, int]] = [{} for _ in range(nr)]
@@ -498,7 +498,7 @@ def membership(M: PLocalMatrix, b) -> tuple[Fraction, ...] | None:
 
     b may contain ints or Fractions whose denominators are prime to p.
     """
-    b = [Fraction(x) for x in b]
+    b = [x if type(x) is int else Fraction(x) for x in b]
     if any(x.denominator % M.p == 0 for x in b):
         raise ExactLinalgError("target vector is not p-local")
     if len(b) != M.rows:

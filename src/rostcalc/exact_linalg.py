@@ -260,7 +260,9 @@ class SpanSolver:
     position in `perm` to nonzero entry) is upper echelon: R[i][i] for i <
     rank is a pivot of least valuation among the rows and columns from i on
     when it was chosen, so it divides the rest of row i over Z_(p); rows from
-    `rank` on are zero.  `above[j]` lists the rows i < j with R[i][j] != 0.
+    `rank` on are zero.  `above[j]` lists the rows i < j with R[i][j] != 0:
+    `back_solve` follows only these from a target's nonzeros, and as the
+    reduced solution is unique, the rows it skips change no integer.
 
     A target, a dict from row name to integer, is answered in integers: c =
     U * B, the pivot test, `back_solve` and the exactness audit M X = D B.
@@ -277,10 +279,8 @@ class SpanSolver:
         self.columns = [{self.row[k]: _integral(c) for k, c in col.items() if c} for col in columns]
         self.R, self.ucols, self.perm, self.rank = _echelon(p, self.columns, len(self.row))
         self.above: list[list[int]] = [[] for _ in self.perm]
-        for i, row in enumerate(self.R):
-            for j in row:
-                if j > i:
-                    self.above[j].append(i)
+        for i, j in ((i, j) for i, row in enumerate(self.R) for j in row if j > i):
+            self.above[j].append(i)
         self.pivot_pe = [p ** pvaluation(self.R[i][i], p) for i in range(self.rank)]
 
     @classmethod
@@ -322,7 +322,7 @@ class SpanSolver:
         return Y, D
 
     def lift(self, Y: dict[int, int], D: int) -> tuple[Fraction, dict[int, int]]:
-        """(s, x): x = P (s * Y/D), a dict of nonzeros, is integral of content 1."""
+        """(s, x): x = P (s * Y/D), a dict of nonzeros, integral of prime-to-p content 1."""
         g = _prime_to_p_content(Y.values(), self.p)
         return Fraction(D, g), {self.perm[pos]: t // g for pos, t in Y.items()}
 
@@ -379,8 +379,7 @@ def _echelon(p: int, columns: list[dict[int, int]], nr: int):
     which is invertible over Z_(p) because u is a unit.  After each one the
     row of [A | U] is divided by its prime-to-p content (a unit), which keeps
     the entries near the size of the minors they stand for.  That is the
-    content of the U row alone: A = U * M, so it divides every entry of A's
-    (the new A row is divided as it is built).
+    content of the U row alone: A = U * M, so it divides every entry of A's.
     """
     nc = len(columns)
     A: list[dict[int, int]] = [{} for _ in range(nr)]

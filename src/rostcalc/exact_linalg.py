@@ -278,9 +278,9 @@ class SpanSolver:
         self.p, self.row = p, {k: i for i, k in enumerate(coords)}
         self.columns = [{self.row[k]: _integral(c) for k, c in col.items() if c} for col in columns]
         self.R, self.ucols, self.perm, self.rank = _echelon(p, self.columns, len(self.row))
-        self.above: list[list[int]] = [[] for _ in self.perm]
+        self.above: dict[int, list[int]] = {}
         for i, j in ((i, j) for i, row in enumerate(self.R) for j in row if j > i):
-            self.above[j].append(i)
+            self.above.setdefault(j, []).append(i)
         self.pivot_pe = [p ** pvaluation(self.R[i][i], p) for i in range(self.rank)]
 
     @classmethod
@@ -303,7 +303,7 @@ class SpanSolver:
         R, above = self.R, self.above
         reach, todo = set(c), list(c)
         while todo:  # depth-first, through the rows above each reached one
-            todo += (new := set(above[todo.pop()]) - reach)
+            todo += (new := set(above.get(todo.pop(), ())) - reach)
             reach |= new
         Y: dict[int, int] = {}
         D = 1
@@ -330,7 +330,7 @@ class SpanSolver:
         """A Z_(p)-basis of {x : Mx = 0}, one dict of nonzeros per non-pivot column."""
         out = []
         for j in range(self.rank, len(self.perm)):
-            Y, D = self.back_solve({i: -self.R[i][j] for i in self.above[j]})
+            Y, D = self.back_solve({i: -self.R[i][j] for i in self.above.get(j, ())})
             Y[j] = D
             out.append(self.lift(Y, D)[1])
         return out

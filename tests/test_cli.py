@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -180,6 +181,15 @@ def test_verify_all_is_deterministic(capsys):
     assert data["summary"]["verified"] == 52
     ids = [r["id"] for r in data["reports"]]
     assert ids[:3] == ["thm-1.1", "thm-1.1", "thm-1.1"]
+
+
+def test_verify_all_stdout_matches_the_pins(capsys):
+    # the text output is pinned whole, the 69 KB JSON by its sha256
+    _, text, _ = run(capsys, "verify-all", "--format", "text")
+    assert text == (DATA / "verify_all.txt").read_text()
+    _, out, _ = run(capsys, "verify-all", "--format", "json")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == (DATA / "verify_all_json.sha256").read_text().strip()
 
 
 def test_verify_all_with_warm_word_rings_gives_the_same_bytes(capsys):

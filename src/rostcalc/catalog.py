@@ -58,25 +58,20 @@ def map_from_rules(
     source: GradedFPModule, target: GradedFPModule, rules: dict
 ) -> GradedMap:
     """GradedMap from name-level rules {src_name: ((tgt_name, coeff), ...)}."""
-    matrices: dict[int, list[list[int]]] = {}
-    for d in source.degrees():
-        sg = source.gens_at(d)
-        tg = target.gens_at(d)
-        matrices[d] = [[0] * sg for _ in range(tg)]
+    columns: dict[int, dict[int, dict[int, int]]] = {}
     for src_name, images in rules.items():
         d, j = source.generator_index(src_name)
+        col: dict[int, int] = {}
         for tgt_name, coeff in images:
             td, i = target.generator_index(tgt_name)
             if td != d:
                 raise CatalogError(
                     f"rule {src_name} -> {tgt_name} does not preserve degree"
                 )
-            matrices[d][i][j] += coeff
-    gm = GradedMap(
-        source=source,
-        target=target,
-        matrices={d: tuple(tuple(r) for r in m) for d, m in matrices.items()},
-    )
+            col[i] = col.get(i, 0) + coeff
+        if col:
+            columns.setdefault(d, {})[j] = col
+    gm = GradedMap(source=source, target=target, columns=columns)
     check = gm.well_defined()
     if not check:
         raise CatalogError("map not well defined: " + "; ".join(check.diffs))

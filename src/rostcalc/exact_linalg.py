@@ -5,13 +5,19 @@ anywhere.  A matrix over Z_(p) (integers localized at the prime p) is stored
 with integer entries, and the prime-to-p part of any entry is treated as a
 unit.  Smith normal form over Z_(p) therefore only has to track p-valuations.
 
+The package works on sparse vectors, dicts from coordinate to nonzero
+integer.  `PLocalMatrix` is the dense form of the public entry points
+(`snf_exponents`, `snf_p_local`, `membership`, `kernel_basis` and
+`GradedFPModule.relation_matrix`), each of which converts it once.
+
 Elimination over Z_(p) has two bounded paths:
 
-- Exponents only (`snf_exponents`, for `normalize` and rank checks): M is,
-  up to permutation, the direct sum of the connected blocks of its nonzero
-  rows, and each block is eliminated alone: sparse, no transforms, entries
-  reduced mod p^K with p^(2K) above the block's squared Hadamard bound (a
-  product of |row|^2 or |col|^2), so no exponent is lost.
+- Exponents only (`sparse_snf_exponents`, for `normalize` and rank checks):
+  the matrix is, up to permutation, the direct sum of the connected blocks
+  of its nonzero rows.  A block of one row or one column has its one
+  exponent read off; any other is eliminated alone: sparse, no transforms,
+  entries reduced mod p^K with p^(2K) above the block's squared Hadamard
+  bound (a product of |row|^2 or |col|^2), so no exponent is lost.
 - Transforms (`SpanSolver`, behind `snf_p_local` and `kernel_basis`): row
   echelon form of [M | I] on rows of nonzeros, the row of [A | U] divided by
   its prime-to-p content after every operation, then integer
@@ -173,6 +179,8 @@ def _bound_exponent(p: int, rows) -> int:
 def _blocks(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
     """The sparse rows grouped by the connected components of their supports
     (a union-find over the column indices)."""
+    if len(rows) < 2:
+        return [rows] if rows else []
     parent: dict[int, int] = {}
 
     def find(j: int) -> int:
@@ -191,33 +199,51 @@ def _blocks(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
 
 
 def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
-    """SNF exponents of M over Z_(p), ascending; the rank is their number.
+    """SNF exponents of the dense M over Z_(p), ascending (`sparse_snf_exponents`)."""
+    return sparse_snf_exponents(M.p, _sparse_rows(M))
+
+
+def sparse_snf_exponents(p: int, rows) -> tuple[int, ...]:
+    """SNF exponents over Z_(p), ascending, of the matrix whose rows are
+    `rows`, dicts from column to nonzero integer; the rank is their number.
 
     Exponents-only path: no U or V, and only the nonzeros are read.  Up to
-    permuting rows and columns, M is the direct sum of zeros and of the
-    blocks of its nonzero rows (`_blocks`); the SNF of a direct sum is the
-    multiset union of the summands' SNFs, so each block B is eliminated
-    alone and the rank is the total number of pivots.  B is reduced mod
-    p^K_B, K_B its own bound (`_bound_exponent`), which its minors obey:
-    reduction is a ring map Z_(p) -> Z/p^K_B and every exponent of B is
-    below K_B, so none of them vanishes.
+    permuting rows and columns, the matrix is the direct sum of zeros and of
+    the blocks of its nonzero rows (`_blocks`); the SNF of a direct sum is
+    the multiset union of the summands' SNFs, so each block B is taken
+    alone and the rank is the total number of exponents.
 
-    Pivots are taken level by level: all remaining entries are divisible by
-    p^level, and an entry not divisible by p^(level+1) is a pivot of least
-    valuation.  Clearing its column leaves the rest of its row divisible by
-    it, so the row is dropped without column operations.
+    Lemma.  If B has a single row or a single column, it has exactly one
+    SNF exponent, the least p-valuation of its entries.  Proof: B is 1 x k
+    or k x 1 and not zero, so its rank is 1 and its one invariant factor is
+    d_1, the gcd of its 1 x 1 minors, which are its entries; over Z_(p) the
+    gcd of entries u_i p^(v_i) (u_i units) is p^(min v_i) times a unit.  A
+    block whose rows each hold one entry has a single column, as rows join a
+    block only through a shared column.  So a sum of cyclics, or a tensor
+    product of two, has its exponents read off without elimination.
+
+    Any other B is eliminated, reduced mod p^K_B, K_B its own bound
+    (`_bound_exponent`), which its minors obey: reduction is a ring map
+    Z_(p) -> Z/p^K_B and every exponent of B is below K_B, so none of them
+    vanishes.  Pivots are taken level by level: all remaining entries are
+    divisible by p^level, and an entry not divisible by p^(level+1) is a
+    pivot of least valuation.  Clearing its column leaves the rest of its
+    row divisible by it, so the row is dropped without column operations.
     """
-    p = M.p
     exps: list[int] = []
-    for block in _blocks(_sparse_rows(M)):
+    for block in _blocks([row for row in rows if row]):
+        if len(block) == 1 or all(len(row) == 1 for row in block):
+            exps.append(min(pvaluation(_integral(x), p) for row in block for x in row.values()))
+            continue
         q = p ** _bound_exponent(p, block)
-        rows = [r for r in ({j: x % q for j, x in row.items() if x % q} for row in block) if r]
+        reduced = ({j: y for j, x in row.items() if (y := _integral(x) % q)} for row in block)
+        block = [row for row in reduced if row]
         level, pe, pe1 = 0, 1, p
-        while rows:
+        while block:
             # the sparsest row that holds an entry of valuation `level`
             pi = pj = None
-            for i, row in enumerate(rows):
-                if pi is not None and len(row) >= len(rows[pi]):
+            for i, row in enumerate(block):
+                if pi is not None and len(row) >= len(block[pi]):
                     continue
                 for j, x in row.items():
                     if x % pe1:
@@ -226,11 +252,11 @@ def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
             if pi is None:
                 level, pe, pe1 = level + 1, pe1, pe1 * p
                 continue
-            prow = rows.pop(pi)
+            prow = block.pop(pi)
             inv = pow(prow[pj] // pe, -1, q)
             exps.append(level)
             kept = []
-            for row in rows:
+            for row in block:
                 b = row.get(pj)
                 if b is not None:
                     f = b // pe * inv % q
@@ -242,7 +268,7 @@ def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
                             row.pop(j, None)
                 if row:
                     kept.append(row)
-            rows = kept
+            block = kept
     return tuple(sorted(exps))
 
 

@@ -1,9 +1,12 @@
 """Graded finitely presented modules over Z_(p).
 
 A module is a dict of per-degree presentations: `gens` generators and a tuple
-of relation columns (each column a vector of length `gens`).  The cokernel of
-the relation matrix in each degree is the degree piece of the module.  Degrees
-outside `window` are zero by declaration.
+of relation columns, each a dict from generator position to its nonzero
+coefficient.  The cokernel of the relation matrix in each degree is the degree
+piece of the module.  Degrees outside `window` are zero by declaration.  A map
+stores the image of each source generator as such a dict over the target's
+generators.  Dense columns and matrices are accepted at the constructors and
+converted there; `relation_matrix` and `GradedMap.apply` give dense values back.
 
 `tensor_product` builds the presentation of A (x) B; `tensor_normal_form`,
 which the `tensor` verb prints, gives only its normal form, by the Kunneth
@@ -14,10 +17,10 @@ Modules are treated as immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
-from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, snf_exponents
+from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, sparse_snf_exponents
 
 
 class GradedModuleError(ValueError):
@@ -26,16 +29,38 @@ class GradedModuleError(ValueError):
 
 @dataclass(frozen=True)
 class DegreeComponent:
+    """One degree of a presentation: `gens` generators, optionally named, and
+    the relation columns, each stored as a dict from generator position to
+    nonzero coefficient.  A column given densely, as a sequence of length
+    `gens`, is converted here."""
+
     gens: int
-    relations: tuple[tuple[int, ...], ...] = ()  # columns
+    relations: tuple[dict[int, int], ...] = ()
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        for col in self.relations:
-            if len(col) != self.gens:
-                raise GradedModuleError("relation column length != generator count")
+        object.__setattr__(self, "relations", _sparse_columns(self.relations, self.gens))
         if self.names is not None and len(self.names) != self.gens:
             raise GradedModuleError("name count != generator count")
+
+
+def _sparse_columns(cols, n: int) -> tuple[dict[int, int], ...]:
+    """cols, each a dict over positions 0..n-1 or a sequence of length n, as
+    dicts of their nonzeros; a dict without a zero value is kept as it is."""
+    out = []
+    for col in cols:
+        if type(col) is dict:
+            if 0 in col.values():
+                col = {j: x for j, x in col.items() if x}
+        elif len(col) != n:
+            raise GradedModuleError("column length != generator count")
+        else:
+            col = {j: x for j, x in enumerate(col) if x}
+        out.append(col)
+    keys = set().union(*out)
+    if keys and (min(keys) < 0 or max(keys) >= n):
+        raise GradedModuleError("column position out of range")
+    return tuple(out)
 
 
 @dataclass
@@ -63,10 +88,12 @@ class GradedFPModule:
         return comp.names if comp else None
 
     def relation_matrix(self, d: int) -> PLocalMatrix:
+        """The dense relation matrix of degree d, one column per relation."""
         comp = self.components.get(d)
         if comp is None:
             raise GradedModuleError(f"no generators in degree {d}")
-        return PLocalMatrix.from_columns(self.p, comp.relations, rows=comp.gens)
+        rows = [[col.get(i, 0) for col in comp.relations] for i in range(comp.gens)]
+        return PLocalMatrix.from_rows(self.p, rows, cols=len(comp.relations))
 
     def degrees(self) -> list[int]:
         return sorted(d for d, c in self.components.items() if c.gens)
@@ -93,38 +120,22 @@ def zero_module(p: int) -> GradedFPModule:
 
 def free_module(p: int, degrees_and_names, window=None) -> GradedFPModule:
     """Free module on named generators: iterable of (degree, name)."""
-    comps: dict[int, list[str]] = {}
-    for d, name in degrees_and_names:
-        comps.setdefault(d, []).append(name)
-    components = {
-        d: DegreeComponent(gens=len(names), relations=(), names=tuple(names))
-        for d, names in comps.items()
-    }
-    if window is None:
-        ds = list(comps) or [0]
-        window = (min(ds), max(ds))
-    return GradedFPModule(p=p, components=components, window=window)
+    return cyclic_summands(p, ((d, 0, name) for d, name in degrees_and_names), window)
 
 
 def cyclic_summands(p: int, summands, window=None) -> GradedFPModule:
     """Module from (degree, order_exponent, name) triples; exponent 0 = free."""
-    by_degree: dict[int, list[tuple[int, str]]] = {}
+    names: dict[int, list[str]] = {}
+    rels: dict[int, list[dict[int, int]]] = {}
     for d, e, name in summands:
-        by_degree.setdefault(d, []).append((e, name))
-    components = {}
-    for d, items in by_degree.items():
-        n = len(items)
-        rels = []
-        for i, (e, _) in enumerate(items):
-            if e > 0:
-                col = [0] * n
-                col[i] = p**e
-                rels.append(tuple(col))
-        components[d] = DegreeComponent(
-            gens=n, relations=tuple(rels), names=tuple(name for _, name in items)
-        )
+        if (at := names.get(d)) is None:
+            at, rels[d] = names.setdefault(d, []), []
+        if e > 0:
+            rels[d].append({len(at): p**e})
+        at.append(name)
+    components = {d: DegreeComponent(len(at), tuple(rels[d]), tuple(at)) for d, at in names.items()}
     if window is None:
-        ds = list(by_degree) or [0]
+        ds = list(names) or [0]
         window = (min(ds), max(ds))
     return GradedFPModule(p=p, components=components, window=window)
 
@@ -185,7 +196,7 @@ def normalize(M: GradedFPModule) -> NormalForm:
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
     for d in M.degrees():
         comp = M.components[d]
-        exps = snf_exponents(PLocalMatrix.from_rows(M.p, comp.relations, cols=comp.gens))
+        exps = sparse_snf_exponents(M.p, comp.relations)
         free, torsion = comp.gens - len(exps), tuple(e for e in exps if e)
         if free or torsion:
             out[d] = (free, torsion)
@@ -236,13 +247,11 @@ def direct_sum(A: GradedFPModule, B: GradedFPModule) -> GradedFPModule:
     for d in set(A.components) | set(B.components):
         ca = A.components.get(d, DegreeComponent(0))
         cb = B.components.get(d, DegreeComponent(0))
-        gens = ca.gens + cb.gens
-        rels = [tuple(col) + (0,) * cb.gens for col in ca.relations]
-        rels += [(0,) * ca.gens + tuple(col) for col in cb.relations]
+        shifted = tuple({ca.gens + j: x for j, x in col.items()} for col in cb.relations)
         names = None
         if ca.names is not None and cb.names is not None:
             names = ca.names + cb.names
-        components[d] = DegreeComponent(gens=gens, relations=tuple(rels), names=names)
+        components[d] = DegreeComponent(ca.gens + cb.gens, ca.relations + shifted, names)
     window = (min(A.window[0], B.window[0]), max(A.window[1], B.window[1]))
     return GradedFPModule(p=A.p, components=components, window=window)
 
@@ -250,57 +259,36 @@ def direct_sum(A: GradedFPModule, B: GradedFPModule) -> GradedFPModule:
 def tensor_product(A: GradedFPModule, B: GradedFPModule) -> GradedFPModule:
     """Presentation tensor product; degrees add, relations are r (x) g and g (x) r.
 
+    In degree d the parts (da, db) with da + db = d follow one another, and
+    generator (i, j) of a part sits at its offset + i * (gens of db) + j.
     Everything in sight sits in even topological degree, so no sign rules
     enter.
     """
     if A.p != B.p:
         raise GradedModuleError("prime mismatch")
-    blocks: dict[int, list[tuple[int, list[tuple[int, ...]], tuple[str, ...] | None]]] = {}
+    parts: dict[int, tuple[int, list[dict[int, int]], list[str] | None]] = {}
     for da, ca in A.components.items():
         if ca.gens == 0:
             continue
         for db, cb in B.components.items():
             if cb.gens == 0:
                 continue
-            d = da + db
-            gens = ca.gens * cb.gens  # index (i, j) -> i*cb.gens + j
-            rels: list[tuple[int, ...]] = []
+            d, nb = da + db, cb.gens
+            offset, rels, names = parts.get(da + db, (0, [], []))
             for col in ca.relations:
-                for j in range(cb.gens):
-                    new = [0] * gens
-                    for i in range(ca.gens):
-                        new[i * cb.gens + j] = col[i]
-                    rels.append(tuple(new))
-            for i in range(ca.gens):
-                for col in cb.relations:
-                    new = [0] * gens
-                    for j in range(cb.gens):
-                        new[i * cb.gens + j] = col[j]
-                    rels.append(tuple(new))
-            names = None
-            if ca.names is not None and cb.names is not None:
-                names = tuple(
-                    f"{ca.names[i]}*{cb.names[j]}"
-                    for i in range(ca.gens)
-                    for j in range(cb.gens)
-                )
-            blocks.setdefault(d, []).append((gens, rels, names))
-    components: dict[int, DegreeComponent] = {}
-    for d, parts in blocks.items():
-        gens = sum(g for g, _, _ in parts)
-        rels: list[tuple[int, ...]] = []
-        names_acc: list[str] = []
-        named = all(nm is not None for _, _, nm in parts)
-        offset = 0
-        for g, part_rels, nm in parts:
-            for col in part_rels:
-                rels.append((0,) * offset + col + (0,) * (gens - offset - g))
-            if named:
-                names_acc.extend(nm)  # type: ignore[arg-type]
-            offset += g
-        components[d] = DegreeComponent(
-            gens=gens, relations=tuple(rels), names=tuple(names_acc) if named else None
-        )
+                for j in range(offset, offset + nb):
+                    rels.append({i * nb + j: x for i, x in col.items()})
+            for i in range(offset, offset + ca.gens * nb, nb):
+                rels.extend({i + j: x for j, x in col.items()} for col in cb.relations)
+            if names is not None and ca.names is not None and cb.names is not None:
+                names.extend(f"{a}*{b}" for a in ca.names for b in cb.names)
+            else:
+                names = None
+            parts[d] = (offset + ca.gens * nb, rels, names)
+    components = {
+        d: DegreeComponent(gens, tuple(rels), None if names is None else tuple(names))
+        for d, (gens, rels, names) in parts.items()
+    }
     window = (A.window[0] + B.window[0], A.window[1] + B.window[1])
     return GradedFPModule(p=A.p, components=components, window=window)
 
@@ -329,30 +317,24 @@ def tensor_normal_form(A: GradedFPModule, B: GradedFPModule) -> NormalForm:
 
 
 def quotient(M: GradedFPModule, extra_relations) -> GradedFPModule:
-    """Quotient by homogeneous elements given as (degree, coefficient vector)."""
+    """Quotient by homogeneous elements given as (degree, coefficient vector),
+    each vector dense or a dict of positions, as a relation column."""
     components = dict(M.components)
     for d, vec in extra_relations:
         if not (M.window[0] <= d <= M.window[1]):
             raise GradedModuleError(f"quotient generator degree {d} outside window")
         comp = components.get(d)
         if comp is None:
-            if any(vec):
+            if any(vec.values() if isinstance(vec, dict) else vec):
                 raise GradedModuleError(f"no generators in degree {d}")
             continue
-        vec = tuple(int(x) for x in vec)
-        if len(vec) != comp.gens:
-            raise GradedModuleError("quotient vector length mismatch")
-        components[d] = DegreeComponent(
-            gens=comp.gens, relations=comp.relations + (vec,), names=comp.names
-        )
+        components[d] = DegreeComponent(comp.gens, comp.relations + (vec,), comp.names)
     return GradedFPModule(p=M.p, components=components, window=M.window)
 
 
 def kill_generator(M: GradedFPModule, name: str) -> GradedFPModule:
     d, i = M.generator_index(name)
-    vec = [0] * M.gens_at(d)
-    vec[i] = 1
-    return quotient(M, [(d, vec)])
+    return quotient(M, [(d, {i: 1})])
 
 
 # ---------------------------------------------------------------------------
@@ -424,41 +406,61 @@ def gr_ps(A: GradedFPModule, s: int) -> FiltrationGraded:
 
 @dataclass
 class GradedMap:
-    """Degree-preserving map, a matrix (target gens x source gens) per degree."""
+    """Degree-preserving map.  `columns[d][j]` is the image of source
+    generator j of degree d, a dict from target generator position to
+    nonzero coefficient; a generator or degree without an entry maps to
+    zero.  A dense map is given instead as `matrices`, one (target gens x
+    source gens) matrix per degree, and converted here."""
 
     source: GradedFPModule
     target: GradedFPModule
-    matrices: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
+    matrices: InitVar[dict | None] = None
+    columns: dict[int, dict[int, dict[int, int]]] = field(default_factory=dict)
 
-    def matrix_at(self, d: int) -> tuple[tuple[int, ...], ...]:
-        sg, tg = self.source.gens_at(d), self.target.gens_at(d)
-        m = self.matrices.get(d)
-        if m is None:
-            return tuple((0,) * sg for _ in range(tg))
-        if len(m) != tg or any(len(row) != sg for row in m):
-            raise GradedModuleError(f"map matrix shape mismatch in degree {d}")
-        return m
+    def __post_init__(self, matrices):
+        given = self.columns
+        if matrices is not None:
+            if given:
+                raise GradedModuleError("a map takes columns or matrices, not both")
+            for d, m in matrices.items():
+                sg, tg = self.source.gens_at(d), self.target.gens_at(d)
+                if len(m) != tg or any(len(row) != sg for row in m):
+                    raise GradedModuleError(f"map matrix shape mismatch in degree {d}")
+                given[d] = dict(enumerate(zip(*m)))
+        self.columns = {}
+        for d, cols in given.items():
+            if cols and (min(cols) < 0 or max(cols) >= self.source.gens_at(d)):
+                raise GradedModuleError(f"map column out of range in degree {d}")
+            nonzero = _sparse_columns(cols.values(), self.target.gens_at(d))
+            self.columns[d] = {j: col for j, col in zip(cols, nonzero) if col}
 
     def apply(self, d: int, vec) -> tuple[int, ...]:
-        return _apply(self.matrix_at(d), vec)
+        """The image of the dense source vector vec, as a dense target vector."""
+        if len(vec) != self.source.gens_at(d):
+            raise GradedModuleError(f"vector length != source generator count in degree {d}")
+        image = _image(self.columns.get(d, {}), enumerate(vec))
+        return tuple(image.get(i, 0) for i in range(self.target.gens_at(d)))
 
     def well_defined(self) -> IsoResult:
         """Check every source relation maps into the target relation span."""
         problems = []
         for d in self.source.degrees():
-            comp = self.source.components[d]
-            if not comp.relations:
-                continue
-            span, m = None, self.matrix_at(d)  # the target relations, factored once
-            for col in comp.relations:
-                if any(image := _apply(m, col)):
-                    span = span or SpanSolver.of(self.target.relation_matrix(d))
-                    if not span.contains(dict(enumerate(image))):
+            span, cols = None, self.columns.get(d, {})  # the target relations, factored once
+            for rel in self.source.components[d].relations:
+                if image := _image(cols, rel.items()):
+                    if span is None:
+                        comp = self.target.components[d]
+                        span = SpanSolver(self.target.p, comp.relations, range(comp.gens))
+                    if not span.contains(image):
                         problems.append(f"degree {d}: relation image not in target relations")
         return IsoResult(equal=not problems, diffs=tuple(problems))
 
 
-def _apply(m, vec) -> tuple[int, ...]:
-    """m * vec, summed over the nonzero entries of vec only."""
-    nonzero = [(j, c) for j, c in enumerate(vec) if c]
-    return tuple(sum(row[j] * c for j, c in nonzero) for row in m)
+def _image(cols: dict[int, dict[int, int]], terms) -> dict[int, int]:
+    """sum of c * cols[j] over the (j, c) of terms, as a dict of nonzeros."""
+    out: dict[int, int] = {}
+    for j, c in terms:
+        if c and (col := cols.get(j)):
+            for i, a in col.items():
+                out[i] = out.get(i, 0) + a * c
+    return {i: x for i, x in out.items() if x}

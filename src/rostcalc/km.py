@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, snf_exponents, solve_sparse
+from .exact_linalg import SpanSolver, is_prime, solve_sparse, sparse_snf_exponents
 from .graded import (
     DegreeComponent,
     GradedFPModule,
-    kill_generator,
     normalize,
+    quotient,
     slot_invariants,
 )
 from .report import REFUTED, VERIFIED, TheoremReport
@@ -87,45 +87,24 @@ def free_km(p: int, m: int, gens) -> KmPresentation:
 
 
 def to_chow(M: KmPresentation) -> GradedFPModule:
-    """Set v = 0: constant coefficients of every relation, graded by degree."""
-    by_degree: dict[int, list[int]] = {}
+    """Set v = 0: constant coefficients of every relation, graded by degree.
+    By homogeneity a relation of degree d has its constant terms on
+    generators of degree d."""
     names: dict[int, list[str]] = {}
-    pos: dict[int, tuple[int, int]] = {}
-    for i, (name, d) in enumerate(M.gens):
-        by_degree.setdefault(d, [])
-        names.setdefault(d, [])
-        pos[i] = (d, len(names[d]))
-        names[d].append(name)
-        by_degree[d].append(i)
-    rel_cols: dict[int, list[tuple[int, ...]]] = {d: [] for d in by_degree}
+    pos = []  # generator i -> (degree, position in its degree)
+    for name, d in M.gens:
+        at = names.setdefault(d, [])
+        pos.append((d, len(at)))
+        at.append(name)
+    rels: dict[int, list[dict[int, int]]] = {d: [] for d in names}
     for rel, d in zip(M.rels, M.rel_degrees):
-        if d is None:
-            continue
-        if d not in by_degree:
-            # the v->0 reduction of this relation is zero in every degree
-            consts = [poly[0] if poly else 0 for poly in rel]
-            if any(consts):
-                raise KmModuleError("relation hits a degree without generators")
-            continue
-        col = [0] * len(by_degree[d])
-        nonzero = False
-        for i, poly in enumerate(rel):
-            c0 = poly[0] if poly else 0
-            if c0:
-                gd, gpos = pos[i]
-                if gd != d:
-                    raise KmModuleError("internal degree bookkeeping error")
-                col[gpos] = c0
-                nonzero = True
-        if nonzero:
-            rel_cols[d].append(tuple(col))
-    components = {
-        d: DegreeComponent(
-            gens=len(idxs), relations=tuple(rel_cols[d]), names=tuple(names[d])
-        )
-        for d, idxs in by_degree.items()
-    }
-    degs = sorted(by_degree) or [0]
+        terms = [(pos[i], poly[0]) for i, poly in enumerate(rel) if poly and poly[0]]
+        if any(gd != d for (gd, _), _ in terms):
+            raise KmModuleError("internal degree bookkeeping error")
+        if terms:
+            rels[d].append({j: c for (_, j), c in terms})
+    components = {d: DegreeComponent(len(at), tuple(rels[d]), tuple(at)) for d, at in names.items()}
+    degs = sorted(names) or [0]
     return GradedFPModule(p=M.p, components=components, window=(min(degs), max(degs)))
 
 
@@ -216,11 +195,12 @@ def _class_matrix(M: KmPresentation, cls: int) -> tuple[list[int], list[list[Pol
     return gen_idx, matrix
 
 
-def _class_at_one(M: KmPresentation, cls: int) -> tuple[list[int], PLocalMatrix]:
-    """The class matrix at v = 1: each entry is one term c * v^k, read as c."""
+def _class_at_one(M: KmPresentation, cls: int) -> tuple[list[int], list[dict[int, int]]]:
+    """The class matrix at v = 1 by its relation columns, dicts from row to
+    nonzero entry: each entry is one term c * v^k, read as c."""
     gen_idx, matrix = _class_matrix(M, cls)
-    at_one = [[sum(a) for a in row] for row in matrix]
-    return gen_idx, PLocalMatrix.from_rows(M.p, at_one, cols=len(at_one[0]))
+    columns = zip(*matrix) if matrix else ()
+    return gen_idx, [{r: c for r, a in enumerate(col) if (c := sum(a))} for col in columns]
 
 
 def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
@@ -240,7 +220,7 @@ def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
     torsion_total: list[int] = []
     for cls in sorted({d % vdeg for _, d in M.gens}):
         gen_idx, at_one = _class_at_one(M, cls)
-        exps = snf_exponents(at_one)
+        exps = sparse_snf_exponents(M.p, at_one)  # the columns as rows: the same SNF
         free = len(gen_idx) - len(exps)
         torsion = tuple(e for e in exps if e)
         if free or torsion:
@@ -271,7 +251,7 @@ def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
     killed = set()
     for cls in sorted({d % M.vdeg for _, d in M.gens}):
         gen_idx, at_one = _class_at_one(M, cls)
-        span = SpanSolver.of(at_one)
+        span = SpanSolver(M.p, at_one, range(len(gen_idx)))
         killed.update(i for r, i in enumerate(gen_idx) if span.contains({r: 1}))
     return tuple(name for i, (name, _) in enumerate(M.gens) if i in killed)
 
@@ -283,11 +263,9 @@ def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
 
 def gr_geometric(M: KmPresentation) -> GradedFPModule:
     """v -> 0 reduction modulo the classes of v-torsion generators."""
-    killed = v_torsion_generators(M)
     out = to_chow(M)
-    for name in killed:
-        out = kill_generator(out, name)
-    return out
+    killed = map(out.generator_index, v_torsion_generators(M))
+    return quotient(out, [(d, {i: 1}) for d, i in killed])
 
 
 def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> TheoremReport:

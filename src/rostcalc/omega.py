@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, snf_exponents
+from .exact_linalg import SpanSolver, is_prime, sparse_snf_exponents
 from .graded import GradedFPModule, GradedMap, cyclic_summands
 
 VKey = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
@@ -359,9 +359,7 @@ class PresentedRing:
         return self._derived[k]
 
     def module(self) -> GradedFPModule:
-        return cyclic_summands(
-            self.p, [(b.degree, b.torsion_exp, b.name) for b in self.basis]
-        )
+        return cyclic_summands(self.p, ((b.degree, b.torsion_exp, b.name) for b in self.basis))
 
     def torsion_names(self) -> tuple[str, ...]:
         return tuple(b.name for b in self.basis if b.torsion_exp)
@@ -727,31 +725,27 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
 def torsion_ideal(ring: PresentedRing, res: GradedMap | None = None) -> tuple[str, ...]:
     """Names of the p-torsion basis classes generating the kernel ideal.
 
-    When the restriction map to the split form is supplied, two facts are
-    certified: every torsion class maps to zero, and the map is rationally
-    injective on the free part.
+    When the restriction map to the split form is supplied (its source is
+    `ring.module()`), two facts are certified: every torsion class maps to
+    zero, as no nonzero column of the map is a torsion class's, and the map
+    is rationally injective on the free part: in each degree the nonzero
+    columns, all of free classes, have rank the number of free classes.
     """
     names = ring.torsion_names()
     if res is not None:
-        mod = ring.module()
-        for name in names:
-            d, i = mod.generator_index(name)
-            vec = [0] * mod.gens_at(d)
-            vec[i] = 1
-            if any(res.apply(d, vec)):
-                raise OmegaModelError(f"torsion class {name} has nonzero restriction")
-        for d in mod.degrees():
-            comp = mod.components[d]
-            free_cols = [
-                i
-                for i, nm in enumerate(comp.names or ())
-                if ring.basis[ring.index_of(nm)].torsion_exp == 0
-            ]
-            if not free_cols:
-                continue
-            sub = [[row[i] for i in free_cols] for row in res.matrix_at(d)]
-            A = PLocalMatrix.from_rows(ring.p, sub, cols=len(free_cols))
-            if len(snf_exponents(A)) != len(free_cols):
+        free: dict[int, int] = {}
+        for b in ring.basis:
+            if not b.torsion_exp:
+                free[b.degree] = free.get(b.degree, 0) + 1
+        for d, cols in res.columns.items():
+            for j in cols:
+                name = res.source.names_at(d)[j]
+                if ring.basis[ring.index_of(name)].torsion_exp:
+                    raise OmegaModelError(f"torsion class {name} has nonzero restriction")
+        for d, count in sorted(free.items()):
+            # the images are the rows of the transpose, which has the same rank
+            images = list(res.columns.get(d, {}).values())
+            if len(sparse_snf_exponents(ring.p, images)) != count:
                 raise OmegaModelError(f"restriction not injective on free part, degree {d}")
     return names
 

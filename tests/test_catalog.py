@@ -220,3 +220,20 @@ def test_derived_ring_tables_are_pinned(entry):
     # sha256 of the sorted-key JSON of the tensor and collapse rings,
     # recorded from the product tables of the full-table representation
     assert sha256(DERIVED[entry["ring"]](*entry["args"])) == entry["sha256"]
+
+
+@pytest.mark.parametrize("entry", PINNED + PINNED_DERIVED, ids=lambda e: f"{e['ring']}{e['args']}")
+def test_ring_module_normal_form_is_read_off_the_basis(entry):
+    # the module of a ring is the sum of Z/p^e over its basis classes: per
+    # degree, the free classes count and the torsion orders are the exponents
+    build = DERIVED.get(entry["ring"]) or getattr(catalog, entry["ring"])
+    ring = build(*entry["args"])
+    expected: dict[int, tuple[int, list[int]]] = {}
+    for b in ring.basis:
+        free, torsion = expected.setdefault(b.degree, (0, []))
+        if b.torsion_exp:
+            torsion.append(b.torsion_exp)
+        else:
+            expected[b.degree] = (free + 1, torsion)
+    expected = {d: (fr, tuple(sorted(t))) for d, (fr, t) in expected.items()}
+    assert normalize(ring.module()).as_dict() == expected

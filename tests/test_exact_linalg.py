@@ -27,6 +27,7 @@ from rostcalc.exact_linalg import (
     snf_fp_poly,
     snf_p_local,
     solve_sparse,
+    sparse_snf_exponents,
 )
 
 PRIMES = (2, 3, 5)
@@ -649,3 +650,42 @@ def test_exponents_of_a_permuted_block_diagonal_matrix(shapes, rng, p):
     assert snf_exponents(M) == union
     assert snf_exponents(T) == snf_exponents(M)
     assert minor_bound_exponent(T) == minor_bound_exponent(M) > max(union, default=-1)
+
+
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.lists(st.integers(0, 3), min_size=1, max_size=4)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.randoms(use_true_random=False),
+    st.sampled_from(PRIMES),
+)
+def test_exponents_of_one_row_and_one_column_blocks(lines, zero_rows, zero_cols, rng, p):
+    # each block is one row (True) or one column (False) of entries u * p^v,
+    # v as drawn and u a unit, beside zero rows and zero columns; its one
+    # exponent is the least valuation, wherever in the block that entry sits
+    units = [u for u in (1, -1, 2, -2, 3, 7) if u % p]
+    blocks = []
+    for is_row, vals in lines:
+        line = [rng.choice(units) * p**v for v in vals]
+        blocks.append([line] if is_row else [[x] for x in line])
+    nr = sum(len(b) for b in blocks) + zero_rows
+    nc = sum(len(b[0]) for b in blocks) + zero_cols
+    rows = [[0] * nc for _ in range(nr)]
+    i0 = j0 = 0
+    for block in blocks:
+        for i, brow in enumerate(block):
+            rows[i0 + i][j0 : j0 + len(brow)] = brow
+        i0, j0 = i0 + len(block), j0 + len(block[0])
+    rperm, cperm = rng.sample(range(nr), nr), rng.sample(range(nc), nc)
+    rows = [[rows[i][j] for j in cperm] for i in rperm]
+    union = tuple(sorted(e for block in blocks for e in minor_valuations(block, p)))
+    assert union == tuple(sorted(min(vals) for _, vals in lines))
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert sparse_snf_exponents(p, sparse) == union
+    assert snf_exponents(PLocalMatrix.from_rows(p, rows, cols=nc)) == union
+    T = [list(col) for col in zip(*rows)]
+    assert snf_exponents(PLocalMatrix.from_rows(p, T, cols=nr)) == union

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_exact_linalg import planted_matrix
 
-from rostcalc.exact_linalg import ExactLinalgError
+from rostcalc.exact_linalg import ExactLinalgError, PLocalMatrix, membership
 from rostcalc.graded import (
     DegreeComponent,
     GradedFPModule,
@@ -99,17 +99,91 @@ def test_tensor_of_cyclic_summands_matches_the_closed_form(left, right, p):
 
 
 @st.composite
-def presented_modules(draw, p: int) -> GradedFPModule:
-    """Per degree, diag(p^e) (exponents 0-4, e = 0 a killed generator) beside
-    0-2 free generators, conjugated by unit-triangular products so the
-    relation matrix is not diagonal; degrees may be empty, the module zero."""
-    components = {}
-    for d in draw(st.lists(st.integers(0, 6), unique=True, max_size=3)):
+def presentations(draw, p: int, degrees=None) -> dict[int, tuple[int, list, tuple[int, ...]]]:
+    """Per degree (generators, dense relation columns, planted exponents):
+    diag(p^e) (exponents 0-4, e = 0 a killed generator) beside 0-2 free
+    generators, conjugated by unit-triangular products so the relation
+    matrix is not diagonal; degrees may be empty, the module zero.  The
+    degrees are drawn unless given."""
+    raw = {}
+    if degrees is None:
+        degrees = draw(st.lists(st.integers(0, 6), unique=True, max_size=3))
+    for d in degrees:
         exps = draw(st.lists(st.integers(0, 4), max_size=3))
         n = len(exps) + draw(st.integers(0, 2))
         M, _ = planted_matrix(draw(st.randoms(use_true_random=False)), p, n, exps)
-        components[d] = DegreeComponent(n, tuple(zip(*M)))
+        raw[d] = (n, list(zip(*M)), tuple(exps))
+    return raw
+
+
+def module_of(p: int, raw, sparse: bool = False) -> GradedFPModule:
+    """The module of `presentations`, its columns given densely or as dicts."""
+    components = {
+        d: DegreeComponent(n, [{i: x for i, x in enumerate(c) if x} if sparse else c for c in cols])
+        for d, (n, cols, _) in raw.items()
+    }
     return GradedFPModule(p=p, components=components, window=(0, 6))
+
+
+def presented_modules(p: int):
+    return presentations(p).map(lambda raw: module_of(p, raw))
+
+
+primes_and_presentations = st.sampled_from((2, 3, 5)).flatmap(
+    lambda p: st.tuples(st.just(p), presentations(p))
+)
+
+
+@given(primes_and_presentations)
+def test_dense_and_sparse_columns_give_the_same_module(args):
+    p, raw = args
+    dense, sparse = module_of(p, raw), module_of(p, raw, sparse=True)
+    planted = {
+        d: (n - len(exps), tuple(sorted(e for e in exps if e)))
+        for d, (n, _, exps) in raw.items()
+    }
+    assert normalize(dense) == normalize(sparse) == NormalForm.from_dict(p, planted)
+    for d, (n, cols, _) in raw.items():
+        expected = PLocalMatrix.from_columns(p, cols, rows=n)
+        assert dense.relation_matrix(d) == sparse.relation_matrix(d) == expected
+
+
+@st.composite
+def dense_maps(draw, p: int):
+    """(source, target, matrices): a random dense map between two modules of
+    `presentations` in the same degrees; many are not well defined."""
+    src = draw(presentations(p))
+    tgt = draw(presentations(p, list(src)))
+    entries = st.sampled_from((0, 0, 1, -1, 2, p**4))
+    matrices = {}
+    for d, (ns, _, _) in src.items():
+        matrices[d] = [[draw(entries) for _ in range(ns)] for _ in range(tgt[d][0])]
+    return module_of(p, src), module_of(p, tgt), matrices
+
+
+@given(st.sampled_from((2, 3, 5)).flatmap(dense_maps), st.randoms(use_true_random=False))
+def test_dense_and_sparse_maps_agree(args, rng):
+    source, target, matrices = args
+    p = source.p
+    columns = {
+        d: {j: {i: row[j] for i, row in enumerate(m) if row[j]} for j in range(source.gens_at(d))}
+        for d, m in matrices.items()
+    }
+    dense = GradedMap(source=source, target=target, matrices=matrices)
+    sparse = GradedMap(source=source, target=target, columns=columns)
+    assert dense == sparse
+    oracle = True  # every relation's image in the target's dense relation span
+    for d, m in matrices.items():
+        vec = [rng.randint(-3, 3) for _ in range(source.gens_at(d))]
+        image = tuple(sum(a * x for a, x in zip(row, vec)) for row in m)
+        assert dense.apply(d, vec) == sparse.apply(d, vec) == image
+        R = source.relation_matrix(d)
+        for j in range(R.cols):
+            rel = R.column(j)
+            image = [sum(a * x for a, x in zip(row, rel)) for row in m]
+            if any(image) and membership(target.relation_matrix(d), image) is None:
+                oracle = False
+    assert bool(dense.well_defined()) == bool(sparse.well_defined()) == oracle
 
 
 @given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(presented_modules(p), presented_modules(p))))

@@ -57,20 +57,22 @@ class CatalogObject:
 def map_from_rules(
     source: GradedFPModule, target: GradedFPModule, rules: dict
 ) -> GradedMap:
-    """GradedMap from name-level rules {src_name: ((tgt_name, coeff), ...)}."""
+    """GradedMap from rules {src_name: ((tgt_name, coeff), ...)}; unruled names map to 0."""
+    if unknown := rules.keys() - {nm for c in source.components.values() for nm in c.names or ()}:
+        source.generator_index(min(unknown))  # raises: no generator of that name
     columns: dict[int, dict[int, dict[int, int]]] = {}
-    for src_name, images in rules.items():
-        d, j = source.generator_index(src_name)
-        col: dict[int, int] = {}
-        for tgt_name, coeff in images:
-            td, i = target.generator_index(tgt_name)
-            if td != d:
-                raise CatalogError(
-                    f"rule {src_name} -> {tgt_name} does not preserve degree"
-                )
-            col[i] = col.get(i, 0) + coeff
-        if col:
-            columns.setdefault(d, {})[j] = col
+    for d, comp in source.components.items():
+        for j, src_name in enumerate(comp.names or ()):
+            col: dict[int, int] = {}
+            for tgt_name, coeff in rules.get(src_name, ()):
+                td, i = target.generator_index(tgt_name)
+                if td != d:
+                    raise CatalogError(
+                        f"rule {src_name} -> {tgt_name} does not preserve degree"
+                    )
+                col[i] = col.get(i, 0) + coeff
+            if col:
+                columns.setdefault(d, {})[j] = col
     gm = GradedMap(source=source, target=target, columns=columns)
     check = gm.well_defined()
     if not check:

@@ -179,8 +179,6 @@ def _bound_exponent(p: int, rows) -> int:
 def _blocks(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
     """The sparse rows grouped by the connected components of their supports
     (a union-find over the column indices)."""
-    if len(rows) < 2:
-        return [rows] if rows else []
     parent: dict[int, int] = {}
 
     def find(j: int) -> int:
@@ -189,9 +187,10 @@ def _blocks(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
         return j
 
     for row in rows:
-        r = find(next(iter(row)))
-        for j in row:
-            parent[find(j)] = r
+        if len(row) > 1:  # a row of one entry joins no two columns
+            r = find(next(iter(row)))
+            for j in row:
+                parent[find(j)] = r
     blocks: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         blocks.setdefault(find(next(iter(row))), []).append(row)
@@ -231,12 +230,15 @@ def sparse_snf_exponents(p: int, rows) -> tuple[int, ...]:
     row divisible by it, so the row is dropped without column operations.
     """
     exps: list[int] = []
-    for block in _blocks([row for row in rows if row]):
+    # an entry of another number type than int would show in its row's sum
+    rows = [r if type(sum(r.values())) is int else {j: _integral(x) for j, x in r.items()}
+            for r in rows if r]
+    for block in _blocks(rows):
         if len(block) == 1 or all(len(row) == 1 for row in block):
-            exps.append(min(pvaluation(_integral(x), p) for row in block for x in row.values()))
+            exps.append(min(pvaluation(x, p) for row in block for x in row.values()))
             continue
         q = p ** _bound_exponent(p, block)
-        reduced = ({j: y for j, x in row.items() if (y := _integral(x) % q)} for row in block)
+        reduced = ({j: y for j, x in row.items() if (y := x % q)} for row in block)
         block = [row for row in reduced if row]
         level, pe, pe1 = 0, 1, p
         while block:

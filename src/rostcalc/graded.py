@@ -47,9 +47,10 @@ class DegreeComponent:
 def _sparse_columns(cols, n: int) -> tuple[dict[int, int], ...]:
     """cols, each a dict over positions 0..n-1 or a sequence of length n, as
     dicts of their nonzeros; a dict without a zero value is kept as it is."""
-    out = []
+    out, dicts = [], []
     for col in cols:
         if type(col) is dict:
+            dicts.append(col)
             if 0 in col.values():
                 col = {j: x for j, x in col.items() if x}
         elif len(col) != n:
@@ -57,7 +58,7 @@ def _sparse_columns(cols, n: int) -> tuple[dict[int, int], ...]:
         else:
             col = {j: x for j, x in enumerate(col) if x}
         out.append(col)
-    keys = set().union(*out)
+    keys = set().union(*dicts)
     if keys and (min(keys) < 0 or max(keys) >= n):
         raise GradedModuleError("column position out of range")
     return tuple(out)
@@ -463,4 +464,4 @@ def _image(cols: dict[int, dict[int, int]], terms) -> dict[int, int]:
         if c and (col := cols.get(j)):
             for i, a in col.items():
                 out[i] = out.get(i, 0) + a * c
-    return {i: x for i, x in out.items() if x}
+    return {i: x for i, x in out.items() if x} if out else out

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -725,25 +726,21 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
 def torsion_ideal(ring: PresentedRing, res: GradedMap | None = None) -> tuple[str, ...]:
     """Names of the p-torsion basis classes generating the kernel ideal.
 
-    When the restriction map to the split form is supplied (its source is
-    `ring.module()`), two facts are certified: every torsion class maps to
-    zero, as no nonzero column of the map is a torsion class's, and the map
-    is rationally injective on the free part: in each degree the nonzero
-    columns, all of free classes, have rank the number of free classes.
+    When the restriction map from `ring.module()` to the split form is
+    supplied, two facts are certified: every torsion class maps to zero (no
+    nonzero column is a torsion class's), and the map is rationally injective
+    on the free part (in each degree the nonzero columns have rank the number
+    of free classes).
     """
     names = ring.torsion_names()
     if res is not None:
-        free: dict[int, int] = {}
-        for b in ring.basis:
-            if not b.torsion_exp:
-                free[b.degree] = free.get(b.degree, 0) + 1
+        free = Counter(b.degree for b in ring.basis if not b.torsion_exp)
         for d, cols in res.columns.items():
             for j in cols:
                 name = res.source.names_at(d)[j]
                 if ring.basis[ring.index_of(name)].torsion_exp:
                     raise OmegaModelError(f"torsion class {name} has nonzero restriction")
-        for d, count in sorted(free.items()):
-            # the images are the rows of the transpose, which has the same rank
+        for d, count in sorted(free.items()):  # the images as rows: the same rank
             images = list(res.columns.get(d, {}).values())
             if len(sparse_snf_exponents(ring.p, images)) != count:
                 raise OmegaModelError(f"restriction not injective on free part, degree {d}")

@@ -14,7 +14,13 @@ from rostcalc.catalog import (
     catalog_build,
     restriction_map,
 )
-from rostcalc.graded import iso_equal, normalize, tensor_product
+from rostcalc.graded import (
+    GradedModuleError,
+    cyclic_summands,
+    iso_equal,
+    normalize,
+    tensor_product,
+)
 from rostcalc.omega import OmegaImageModel, chow_collapse
 
 
@@ -237,3 +243,17 @@ def test_ring_module_normal_form_is_read_off_the_basis(entry):
             expected[b.degree] = (free + 1, torsion)
     expected = {d: (fr, tuple(sorted(t))) for d, (fr, t) in expected.items()}
     assert normalize(ring.module()).as_dict() == expected
+
+
+def test_map_from_rules_rejects_bad_rules():
+    src = cyclic_summands(2, [(0, 0, "1"), (2, 1, "t"), (2, 0, "x")])
+    tgt = cyclic_summands(2, [(0, 0, "1"), (2, 0, "u"), (4, 0, "w")])
+    f = catalog.map_from_rules(src, tgt, {"1": (("1", 1),), "x": (("u", 2), ("u", -1))})
+    assert f.columns == {0: {0: {0: 1}}, 2: {1: {0: 1}}}  # "t" has no rule: zero
+    with pytest.raises(GradedModuleError, match="no generator named 'y'"):
+        catalog.map_from_rules(src, tgt, {"1": (("1", 1),), "y": ()})
+    with pytest.raises(CatalogError, match="does not preserve degree"):
+        catalog.map_from_rules(src, tgt, {"x": (("w", 1),)})
+    # the torsion class t cannot go to the free class u
+    with pytest.raises(CatalogError, match="not well defined"):
+        catalog.map_from_rules(src, tgt, {"t": (("u", 1),)})

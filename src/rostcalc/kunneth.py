@@ -596,8 +596,8 @@ def _verify_remark_4_2_negative(p=2, n=2, m=1) -> TheoremReport:
     gm = kunneth_map(chow1, n, product_rost(chow1, n))
     killed = []
     for d in gm.source.degrees():
-        comp = gm.source.components[d]
-        zero = [j for j in range(comp.gens) if j not in gm.columns.get(d, {})]
+        comp, cols = gm.source.components[d], gm.columns.get(d, {})
+        zero = [j for j in range(comp.gens) if j not in cols]
         # nonzero classes: unit vectors off the relation span, factored once
         rels = SpanSolver(p, comp.relations, range(comp.gens)) if zero else None
         killed.extend(comp.names[j] for j in zero if not rels.contains({j: 1}))

@@ -275,7 +275,7 @@ def tensor_product(A: GradedFPModule, B: GradedFPModule) -> GradedFPModule:
             if cb.gens == 0:
                 continue
             d, nb = da + db, cb.gens
-            offset, rels, names = parts.get(da + db, (0, [], []))
+            offset, rels, names = parts.get(d, (0, [], []))
             for col in ca.relations:
                 for j in range(offset, offset + nb):
                     rels.append({i * nb + j: x for i, x in col.items()})

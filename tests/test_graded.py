@@ -129,12 +129,7 @@ def presented_modules(p: int):
     return presentations(p).map(lambda raw: module_of(p, raw))
 
 
-primes_and_presentations = st.sampled_from((2, 3, 5)).flatmap(
-    lambda p: st.tuples(st.just(p), presentations(p))
-)
-
-
-@given(primes_and_presentations)
+@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), presentations(p))))
 def test_dense_and_sparse_columns_give_the_same_module(args):
     p, raw = args
     dense, sparse = module_of(p, raw), module_of(p, raw, sparse=True)

@@ -16,7 +16,6 @@ verifier suite.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 from .exact_linalg import is_prime
@@ -31,22 +30,30 @@ from .omega import (
     ring_tensor,
     tensor_name,
 )
+from .record import Record
 
 
 class CatalogError(ValueError):
     pass
 
 
-@dataclass
-class CatalogObject:
-    id: str
-    params: dict
-    ring: PresentedRing | None = None
-    bar: PresentedRing | None = None
-    res: GradedMap | None = None
-    km: KmPresentation | None = None
-    omega: OmegaImageModel | None = None
-    notes: tuple[str, ...] = ()
+class CatalogObject(Record):
+    _fields = ("id", "params", "ring", "bar", "res", "km", "omega", "notes")
+
+    def __init__(
+        self, id: str, params: dict, ring: PresentedRing | None = None,
+        bar: PresentedRing | None = None, res: GradedMap | None = None,
+        km: KmPresentation | None = None, omega: OmegaImageModel | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        self.id = id
+        self.params = params
+        self.ring = ring
+        self.bar = bar
+        self.res = res
+        self.km = km
+        self.omega = omega
+        self.notes = notes
 
     def module(self) -> GradedFPModule:
         if self.ring is None:
@@ -450,8 +457,7 @@ def signature_params(fn) -> tuple[tuple[str, ...], tuple[str, ...]]:
 class Entry:
     """A catalog builder and whether its object carries a ring; the
     parameters it reads, and those with a default, are the builder's own.
-    A plain class: a dataclass or NamedTuple here adds 1 to 3 ms to the
-    package import."""
+    A plain class, like every class of the package (see `record`)."""
 
     def __init__(self, build: Callable[..., CatalogObject], ring=True):
         self.build = build

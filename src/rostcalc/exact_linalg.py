@@ -34,9 +34,10 @@ as targets of the per-layer tracer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+
+from .record import Frozen
 
 
 class ExactLinalgError(ValueError):
@@ -70,16 +71,16 @@ def pvaluation(x: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PLocalMatrix:
+class PLocalMatrix(Frozen):
     """An integer matrix regarded over Z_(p)."""
 
-    p: int
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("p", "rows", "cols", "entries")
 
-    def __post_init__(self):
+    def __init__(self, p: int, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
         if not is_prime(self.p):
             raise ExactLinalgError(f"p={self.p} is not prime")
         if self.rows < 0 or self.cols < 0:
@@ -454,8 +455,7 @@ def _echelon(p: int, columns: list[dict[int, int]], nr: int):
     return [{pos[j]: x for j, x in row.items()} for row in A[:k]], ucols, perm, k
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Frozen):
     """U * M * V is diagonal; diagonal entry i is an associate of p^exponents[i].
 
     U and V have integer entries and determinants prime to p, so both are
@@ -463,13 +463,19 @@ class SNFResult:
     divisibility chain p^{e_1} | p^{e_2} | ...
     """
 
-    p: int
-    rows: int
-    cols: int
-    diag: tuple[int, ...]
-    exponents: tuple[int, ...]
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
+    _fields = ("p", "rows", "cols", "diag", "exponents", "U", "V")
+
+    def __init__(
+        self, p: int, rows: int, cols: int, diag: tuple[int, ...], exponents: tuple[int, ...],
+        U: tuple[tuple[int, ...], ...], V: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
 
     @property
     def rank(self) -> int:
@@ -639,15 +645,20 @@ def fp_from_string(a: str, p: int) -> tuple[int, ...]:
     return fp_trim(out, p)
 
 
-@dataclass(frozen=True)
-class FpPolyMatrix:
+class FpPolyMatrix(Frozen):
     """Matrix with entries in F_p[v]; `laurent` makes powers of v units."""
 
-    p: int
-    rows: int
-    cols: int
-    entries: tuple[tuple[tuple[int, ...], ...], ...]
-    laurent: bool = False
+    _fields = ("p", "rows", "cols", "entries", "laurent")
+
+    def __init__(
+        self, p: int, rows: int, cols: int, entries: tuple[tuple[tuple[int, ...], ...], ...],
+        laurent: bool = False,
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "laurent", laurent)
 
     @classmethod
     def from_rows(cls, p: int, rows, cols: int | None = None, laurent: bool = False):

@@ -17,30 +17,29 @@ Modules are treated as immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, sparse_snf_exponents
+from .record import Frozen, Record
 
 
 class GradedModuleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DegreeComponent:
+class DegreeComponent(Frozen):
     """One degree of a presentation: `gens` generators, optionally named, and
     the relation columns, each stored as a dict from generator position to
     nonzero coefficient.  A column given densely, as a sequence of length
     `gens`, is converted here."""
 
-    gens: int
-    relations: tuple[dict[int, int], ...] = ()
-    names: tuple[str, ...] | None = None
+    _fields = ("gens", "relations", "names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "relations", _sparse_columns(self.relations, self.gens))
-        if self.names is not None and len(self.names) != self.gens:
+    def __init__(self, gens: int, relations=(), names: tuple[str, ...] | None = None):
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "relations", _sparse_columns(relations, gens))
+        object.__setattr__(self, "names", names)
+        if names is not None and len(names) != gens:
             raise GradedModuleError("name count != generator count")
 
 
@@ -64,13 +63,13 @@ def _sparse_columns(cols, n: int) -> tuple[dict[int, int], ...]:
     return tuple(out)
 
 
-@dataclass
-class GradedFPModule:
-    p: int
-    components: dict[int, DegreeComponent]
-    window: tuple[int, int]
+class GradedFPModule(Record):
+    _fields = ("p", "components", "window")
 
-    def __post_init__(self):
+    def __init__(self, p: int, components: dict[int, DegreeComponent], window: tuple[int, int]):
+        self.p = p
+        self.components = components
+        self.window = window
         if not is_prime(self.p):
             raise GradedModuleError(f"p={self.p} is not prime")
         lo, hi = self.window
@@ -146,12 +145,14 @@ def cyclic_summands(p: int, summands, window=None) -> GradedFPModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Frozen):
     """Per-degree (free rank, sorted torsion exponents)."""
 
-    p: int
-    degrees: tuple[tuple[int, tuple[int, tuple[int, ...]]], ...]
+    _fields = ("p", "degrees")
+
+    def __init__(self, p: int, degrees: tuple[tuple[int, tuple[int, tuple[int, ...]]], ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "degrees", degrees)
 
     def as_dict(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         return {d: fr_tors for d, fr_tors in self.degrees}
@@ -204,10 +205,12 @@ def normalize(M: GradedFPModule) -> NormalForm:
     return NormalForm.from_dict(M.p, out)
 
 
-@dataclass(frozen=True)
-class IsoResult:
-    equal: bool
-    diffs: tuple[str, ...]
+class IsoResult(Frozen):
+    _fields = ("equal", "diffs")
+
+    def __init__(self, equal: bool, diffs: tuple[str, ...]):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "diffs", diffs)
 
     def __bool__(self) -> bool:
         return self.equal
@@ -343,8 +346,7 @@ def kill_generator(M: GradedFPModule, name: str) -> GradedFPModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiltrationGraded:
+class FiltrationGraded(Frozen):
     """Associated graded of A by 1, p, p^2, ..., p^s.
 
     Slot 0 is the degree-0 part of A; slot k (1 <= k <= s) is the subquotient
@@ -352,9 +354,12 @@ class FiltrationGraded:
     normal form.
     """
 
-    p: int
-    s: int
-    slots: tuple[tuple[int, NormalForm], ...]
+    _fields = ("p", "s", "slots")
+
+    def __init__(self, p: int, s: int, slots: tuple[tuple[int, NormalForm], ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "slots", slots)
 
     def slot(self, k: int) -> NormalForm:
         for kk, nf in self.slots:
@@ -405,21 +410,22 @@ def gr_ps(A: GradedFPModule, s: int) -> FiltrationGraded:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradedMap:
+class GradedMap(Record):
     """Degree-preserving map.  `columns[d][j]` is the image of source
     generator j of degree d, a dict from target generator position to
     nonzero coefficient; a generator or degree without an entry maps to
     zero.  A dense map is given instead as `matrices`, one (target gens x
     source gens) matrix per degree, and converted here."""
 
-    source: GradedFPModule
-    target: GradedFPModule
-    matrices: InitVar[dict | None] = None
-    columns: dict[int, dict[int, dict[int, int]]] = field(default_factory=dict)
+    _fields = ("source", "target", "columns")
 
-    def __post_init__(self, matrices):
-        given = self.columns
+    def __init__(
+        self, source: GradedFPModule, target: GradedFPModule, matrices: dict | None = None,
+        columns: dict[int, dict[int, dict[int, int]]] | None = None,
+    ):
+        self.source = source
+        self.target = target
+        given = {} if columns is None else columns
         if matrices is not None:
             if given:
                 raise GradedModuleError("a map takes columns or matrices, not both")

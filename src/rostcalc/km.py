@@ -14,8 +14,6 @@ term c * v^k whose exponent k is fixed by the degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exact_linalg import SpanSolver, is_prime, solve_sparse, sparse_snf_exponents
 from .graded import (
     DegreeComponent,
@@ -24,6 +22,7 @@ from .graded import (
     quotient,
     slot_invariants,
 )
+from .record import Frozen
 from .report import REFUTED, VERIFIED, TheoremReport
 
 Poly = tuple[int, ...]
@@ -33,16 +32,18 @@ class KmModuleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class KmPresentation:
-    p: int
-    m: int
-    gens: tuple[tuple[str, int], ...]  # (name, Chow degree)
-    rels: tuple[tuple[Poly, ...], ...]  # one polynomial vector per relation
-    # rel_degree of each relation, computed once (None for a zero relation)
-    rel_degrees: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+class KmPresentation(Frozen):
+    _fields = ("p", "m", "gens", "rels")
 
-    def __post_init__(self):
+    def __init__(
+        self, p: int, m: int,
+        gens: tuple[tuple[str, int], ...],  # (name, Chow degree)
+        rels: tuple[tuple[Poly, ...], ...],  # one polynomial vector per relation
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "rels", rels)
         if not is_prime(self.p):
             raise KmModuleError(f"p={self.p} must be prime")
         if self.m < 1:
@@ -50,6 +51,7 @@ class KmPresentation:
         for rel in self.rels:
             if len(rel) != len(self.gens):
                 raise KmModuleError("relation length mismatch")
+        # rel_degree of each relation, computed once (None for a zero relation);
         # homogeneity check happens in rel_degree
         object.__setattr__(self, "rel_degrees", tuple(self.rel_degree(rel) for rel in self.rels))
 
@@ -149,8 +151,7 @@ def slice_membership(M: KmPresentation, target: dict[tuple[int, int], int], D: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KmLocalizedInvariants:
+class KmLocalizedInvariants(Frozen):
     """Invariants of M[v^-1] over Z_(p)[v, v^-1].
 
     free_rank counts free summands; torsion lists p-power exponents; per_class
@@ -159,11 +160,17 @@ class KmLocalizedInvariants:
     that is always empty.
     """
 
-    p: int
-    m: int
-    free_rank: int
-    torsion: tuple[int, ...]
-    per_class: tuple[tuple[int, tuple[int, tuple[int, ...]]], ...]
+    _fields = ("p", "m", "free_rank", "torsion", "per_class")
+
+    def __init__(
+        self, p: int, m: int, free_rank: int, torsion: tuple[int, ...],
+        per_class: tuple[tuple[int, tuple[int, tuple[int, ...]]], ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "per_class", per_class)
 
     def aggregate(self) -> tuple[int, tuple[int, ...]]:
         return self.free_rank, self.torsion

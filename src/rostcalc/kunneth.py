@@ -18,7 +18,6 @@ from __future__ import annotations
 import copy
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 from .catalog import (
@@ -64,6 +63,7 @@ from .omega import (
     tensor_name,
     torsion_ideal,
 )
+from .record import Frozen
 from .report import NOT_CERTIFIABLE, REFUTED, VERIFIED, TheoremReport
 
 
@@ -76,8 +76,7 @@ class KunnethError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CDecomposition:
+class CDecomposition(Frozen):
     """The product classes of two factors, split by torsion type.
 
     c0: free classes c_0*c_0; c1: torsion c_m*c_m; c2: the mixed classes
@@ -85,13 +84,19 @@ class CDecomposition:
     the tensor product of the positive parts of the two factor rings.
     """
 
-    p: int
-    n1: int
-    n2: int
-    m: int
-    c0: GradedFPModule
-    c1: GradedFPModule
-    c2: GradedFPModule
+    _fields = ("p", "n1", "n2", "m", "c0", "c1", "c2")
+
+    def __init__(
+        self, p: int, n1: int, n2: int, m: int,
+        c0: GradedFPModule, c1: GradedFPModule, c2: GradedFPModule,
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
     def total(self) -> GradedFPModule:
         return direct_sum(direct_sum(self.c0, self.c1), self.c2)
@@ -141,13 +146,15 @@ def c_decomposition(p: int, n1: int, n2: int, m: int) -> CDecomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JGenerator:
-    r: int  # factor carrying c_m in the first word (1-based)
-    t: int  # factor carrying c_0 in the first word
-    i: int
-    j: int
-    m: int
+class JGenerator(Frozen):
+    _fields = ("r", "t", "i", "j", "m")
+
+    def __init__(self, r: int, t: int, i: int, j: int, m: int):
+        object.__setattr__(self, "r", r)  # factor carrying c_m in the first word (1-based)
+        object.__setattr__(self, "t", t)  # factor carrying c_0 in the first word
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "m", m)
 
     @property
     def positive_name(self) -> str:
@@ -162,12 +169,14 @@ class JGenerator:
         return f"{self.positive_name} - {self.negative_name}"
 
 
-@dataclass(frozen=True)
-class KunnethIdeal:
-    p: int
-    m: int
-    s: int
-    generators: tuple[JGenerator, ...]
+class KunnethIdeal(Frozen):
+    _fields = ("p", "m", "s", "generators")
+
+    def __init__(self, p: int, m: int, s: int, generators: tuple[JGenerator, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def count(self) -> int:
@@ -200,7 +209,6 @@ def j_ideal(p: int, m: int, s: int) -> KunnethIdeal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BarKmModel(OmegaImageModel):
     """The ambient model of the split product read with one variable v = v_m.
 
@@ -211,10 +219,11 @@ class BarKmModel(OmegaImageModel):
     over Z_(p) on the (v-monomial, y-exponents) keys of the elements.
     """
 
-    m: int
+    _fields = ("p", "factor_ns", "m")
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, p: int, factor_ns: tuple[int, ...], m: int):
+        super().__init__(p, factor_ns)
+        object.__setattr__(self, "m", m)
         if not 1 <= self.m <= min(self.factor_ns) - 1:
             raise KunnethError(
                 f"m={self.m} out of range: every factor must carry the class c_m "

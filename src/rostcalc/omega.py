@@ -33,12 +33,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact_linalg import SpanSolver, is_prime, sparse_snf_exponents
 from .graded import GradedFPModule, GradedMap, cyclic_summands
+from .record import Frozen
 
 VKey = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
 YKey = tuple[int, ...]
@@ -49,12 +49,14 @@ class OmegaModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DegreeRule:
+class DegreeRule(Frozen):
     """Chow degrees (half the topological ones) for a Rost-type factor."""
 
-    p: int
-    n: int
+    _fields = ("p", "n")
+
+    def __init__(self, p: int, n: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
 
     @property
     def y_degree(self) -> int:
@@ -77,19 +79,18 @@ def _vkey_mul(a: VKey, b: VKey) -> VKey:
     return tuple(sorted(acc.items()))
 
 
-@dataclass(frozen=True)
-class OmegaImageModel:
+class OmegaImageModel(Frozen):
     """Ambient model for a product of Rost-type factors with exponents n_t.
 
     Elements are dicts {(v-monomial, y-exponents): int} holding no zero
     coefficient; the y-degrees of the factors are computed once, here.
     """
 
-    p: int
-    factor_ns: tuple[int, ...]
-    ydegs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("p", "factor_ns")
 
-    def __post_init__(self):
+    def __init__(self, p: int, factor_ns: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "factor_ns", factor_ns)
         if not is_prime(self.p):
             raise OmegaModelError(f"p={self.p} must be prime")
         if not self.factor_ns:
@@ -239,11 +240,13 @@ class OmegaImageModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisClass:
-    name: str
-    degree: int
-    torsion_exp: int  # 0 = free, e >= 1 means additive order p^e
+class BasisClass(Frozen):
+    _fields = ("name", "degree", "torsion_exp")
+
+    def __init__(self, name: str, degree: int, torsion_exp: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "torsion_exp", torsion_exp)  # 0 = free, e >= 1: order p^e
 
 
 def _canon_coeff(c, exp: int, p: int):
@@ -281,8 +284,7 @@ def _accumulate(acc: dict, op: Operator, vec: dict, scale=1) -> dict:
     return acc
 
 
-@dataclass(frozen=True)
-class PresentedRing:
+class PresentedRing(Frozen):
     """Graded commutative ring on an explicit basis, given by the operators
     of its generators: ops[g][x] is the vector g*x (zero columns omitted).
 
@@ -292,24 +294,23 @@ class PresentedRing:
     of `words` and `operator` are deterministic.
     """
 
-    p: int
-    basis: tuple[BasisClass, ...]
-    unit: int
-    ops: dict[int, Operator]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _words: dict | None = field(init=False, repr=False, compare=False)
-    _derived: dict[int, Operator] = field(init=False, repr=False, compare=False)
+    _fields = ("p", "basis", "unit", "ops")
 
-    def __post_init__(self):
+    def __init__(
+        self, p: int, basis: tuple[BasisClass, ...], unit: int, ops: dict[int, Operator]
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "unit", unit)
         n, names = len(self.basis), [b.name for b in self.basis]
         object.__setattr__(self, "_index", {name: k for k, name in enumerate(names)})
         object.__setattr__(self, "_words", None)
         object.__setattr__(self, "_derived", {})
         if not 0 <= self.unit < n:
             raise OmegaModelError(f"unit index {self.unit} names no basis class")
-        ops = {}
+        canon = {}
         valid = set(range(n))
-        for g, op in self.ops.items():
+        for g, op in ops.items():
             if not 0 <= g < n:
                 raise OmegaModelError(f"generator index {g} names no basis class")
             if g == self.unit:
@@ -317,8 +318,8 @@ class PresentedRing:
             for x, vec in op.items():
                 if not (x in valid and vec.keys() <= valid):
                     raise OmegaModelError(f"column {x} of L_{names[g]} names no basis class")
-            ops[g] = {x: v for x, u in op.items() if (v := _canon_vector(u, self.basis, self.p))}
-        object.__setattr__(self, "ops", ops)
+            canon[g] = {x: v for x, u in op.items() if (v := _canon_vector(u, self.basis, self.p))}
+        object.__setattr__(self, "ops", canon)
 
     def index_of(self, name: str) -> int:
         k = self._index.get(name)
@@ -771,11 +772,13 @@ def ideal_generators(ring: PresentedRing, names) -> tuple[str, ...]:
     return tuple(nm for nm in names if ring.index_of(nm) not in hit)
 
 
-@dataclass(frozen=True)
-class PowerWitness:
-    factors: tuple[str, ...]
-    vector: tuple[tuple[str, int], ...]
-    degree: int
+class PowerWitness(Frozen):
+    _fields = ("factors", "vector", "degree")
+
+    def __init__(self, factors: tuple[str, ...], vector: tuple[tuple[str, int], ...], degree: int):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "degree", degree)
 
 
 def ideal_power_witness(

@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 VERIFIED = "verified"
 REFUTED = "refuted"
 NOT_CERTIFIABLE = "not-certifiable"
 
 
-@dataclass
-class TheoremReport:
-    id: str
-    params: dict
-    verdict: str
-    left: dict = field(default_factory=dict)
-    right: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+class TheoremReport(Record):
+    _fields = ("id", "params", "verdict", "left", "right", "witnesses", "notes")
+
+    def __init__(
+        self, id: str, params: dict, verdict: str, left: dict | None = None,
+        right: dict | None = None, witnesses: list | None = None, notes: list | None = None,
+    ):
+        self.id = id
+        self.params = params
+        self.verdict = verdict
+        self.left = {} if left is None else left
+        self.right = {} if right is None else right
+        self.witnesses = [] if witnesses is None else witnesses
+        self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         return {

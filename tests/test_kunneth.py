@@ -3,7 +3,7 @@
 import hashlib
 import itertools
 import json
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
@@ -496,7 +496,7 @@ def raise_torsion_orders(monkeypatch):
     # from audited factors
     def planted(p, n, m, var="y"):
         ring = gr_m_rost_ring(p, n, m, var)
-        basis = tuple(replace(b, torsion_exp=b.torsion_exp + 1) if b.torsion_exp else b
+        basis = tuple(BasisClass(b.name, b.degree, b.torsion_exp + 1) if b.torsion_exp else b
                       for b in ring.basis)
         planted_ring = PresentedRing(ring.p, basis, ring.unit, ring.ops)
         planted_ring.audit()

@@ -1,0 +1,175 @@
+"""The package's hand-written record classes keep what dataclasses gave them:
+constructor signatures, fresh default containers, frozenness, and value
+equality and hashing over the constructor's fields."""
+
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from rostcalc import catalog, exact_linalg, graded, km, kunneth, omega, report
+from rostcalc.catalog import chow_rost_ring
+from rostcalc.exact_linalg import FpPolyMatrix, PLocalMatrix, SNFResult
+from rostcalc.graded import (
+    DegreeComponent,
+    FiltrationGraded,
+    GradedFPModule,
+    GradedMap,
+    GradedModuleError,
+    IsoResult,
+    NormalForm,
+    cyclic_summands,
+    normalize,
+)
+from rostcalc.km import KmLocalizedInvariants, KmPresentation
+from rostcalc.kunneth import BarKmModel, JGenerator, c_decomposition, j_ideal
+from rostcalc.omega import BasisClass, DegreeRule, OmegaImageModel, PowerWitness, PresentedRing
+from rostcalc.record import Frozen, Record
+from rostcalc.report import TheoremReport
+
+MODULES = (exact_linalg, graded, km, omega, kunneth, catalog, report)
+
+
+def records() -> list[type]:
+    return [
+        cls
+        for mod in MODULES
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == mod.__name__
+    ]
+
+
+FROZEN = {
+    PLocalMatrix: lambda: PLocalMatrix(3, 1, 1, ((1,),)),
+    SNFResult: lambda: SNFResult(3, 1, 1, (1,), (0,), ((1,),), ((1,),)),
+    FpPolyMatrix: lambda: FpPolyMatrix.from_rows(3, [[(1, 1)]]),
+    DegreeComponent: lambda: DegreeComponent(2, [(3, 0)]),
+    NormalForm: lambda: NormalForm(3, ((1, (0, (1,))),)),
+    IsoResult: lambda: IsoResult(True, ()),
+    FiltrationGraded: lambda: FiltrationGraded(3, 1, ()),
+    KmPresentation: lambda: KmPresentation(3, 1, (("a", 0),), ()),
+    KmLocalizedInvariants: lambda: KmLocalizedInvariants(3, 1, 1, (), ()),
+    DegreeRule: lambda: DegreeRule(3, 2),
+    OmegaImageModel: lambda: OmegaImageModel(3, (2,)),
+    BasisClass: lambda: BasisClass("1", 0, 0),
+    PresentedRing: lambda: chow_rost_ring(3, 2),
+    PowerWitness: lambda: PowerWitness(("t",), (("t", 1),), 4),
+    kunneth.CDecomposition: lambda: c_decomposition(2, 2, 2, 1),
+    JGenerator: lambda: JGenerator(1, 2, 1, 1, 1),
+    kunneth.KunnethIdeal: lambda: j_ideal(2, 1, 2),
+    BarKmModel: lambda: BarKmModel(3, (2, 2), 1),
+}
+
+
+def test_the_package_has_22_records_and_these_18_are_frozen():
+    classes = records()
+    assert len(classes) == 22
+    assert {cls for cls in classes if issubclass(cls, Frozen)} == set(FROZEN)
+
+
+@pytest.mark.parametrize("cls", records(), ids=lambda cls: cls.__name__)
+def test_fields_are_the_constructor_arguments_in_order(cls):
+    code = cls.__init__.__code__
+    params = code.co_varnames[1 : code.co_argcount]
+    # GradedMap's `matrices` is read once and not kept, as a dataclass InitVar
+    assert tuple(k for k in params if k != "matrices") == cls._fields
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_records_refuse_assignment_and_deletion(cls):
+    obj = FROZEN[cls]()
+    name = cls._fields[0]
+    value = getattr(obj, name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, name, value)
+    with pytest.raises(FrozenInstanceError):
+        delattr(obj, name)
+    with pytest.raises(FrozenInstanceError):
+        obj.extra = 1
+    assert getattr(obj, name) is value
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_records_compare_by_value(cls):
+    a, b = FROZEN[cls](), FROZEN[cls]()
+    assert a == b and not a != b
+    if cls is not PresentedRing:  # a catalog ring is one shared, cached object
+        assert a is not b
+
+
+def test_hash_is_that_of_the_field_tuple():
+    # as a frozen dataclass's, so sets and dicts of records keep their order
+    b = BasisClass("c_1(y)", 3, 1)
+    assert hash(b) == hash(("c_1(y)", 3, 1))
+    assert hash(NormalForm(3, ())) == hash(NormalForm(3, ())) == hash((3, ()))
+    assert len({JGenerator(1, 2, 1, 1, 1), JGenerator(1, 2, 1, 1, 1)}) == 1
+
+
+def test_records_of_different_classes_differ():
+    assert OmegaImageModel(3, (2, 2)) != BarKmModel(3, (2, 2), 1)
+    assert BasisClass("1", 0, 0) != ("1", 0, 0)
+    assert BasisClass("1", 0, 0) != BasisClass("1", 0, 1)
+
+
+def test_derived_fields_stay_out_of_equality():
+    kp = KmPresentation(3, 1, (("a", 0),), (((3,),),))
+    assert "rel_degrees" not in KmPresentation._fields and kp.rel_degrees == (0,)
+    assert OmegaImageModel(3, (2, 3)).ydegs == (4, 13)
+    ring = chow_rost_ring(3, 2)
+    copy = PresentedRing(ring.p, ring.basis, ring.unit, ring.ops)
+    ring.words()  # fills a cache of one ring only
+    assert ring == copy
+    assert not {"_index", "_words", "_derived"} & set(PresentedRing._fields)
+
+
+def test_mutable_records_are_unhashable_and_assignable():
+    M = cyclic_summands(3, [(1, 1, "x")])
+    for obj in (M, GradedMap(M, M), TheoremReport("t", {}, "verified"),
+                catalog.build_chow_rost(3, 2)):
+        with pytest.raises(TypeError):
+            hash(obj)
+    M.window = (0, 2)
+    assert M.window == (0, 2)
+
+
+def test_repr_names_the_fields():
+    assert repr(BasisClass("1", 0, 0)) == "BasisClass(name='1', degree=0, torsion_exp=0)"
+    assert "_words" not in repr(chow_rost_ring(3, 2))
+
+
+def test_planted_modules_build_from_dense_columns():
+    comp = DegreeComponent(2, [(3, 0), (0, 9)])
+    assert comp.relations == ({0: 3}, {1: 9}) and comp.names is None
+    M = GradedFPModule(p=3, components={4: comp}, window=(0, 4))
+    assert normalize(M).at(4) == (0, (1, 2))
+    with pytest.raises(GradedModuleError):
+        DegreeComponent(2, [(1, 0)], ("x",))
+
+
+def test_default_containers_are_fresh():
+    a, b = TheoremReport("t", {}, "verified"), TheoremReport("t", {}, "verified")
+    a.left["k"] = 1
+    a.notes.append("note")
+    assert (b.left, b.right, b.witnesses, b.notes) == ({}, {}, [], [])
+    assert a.right is not b.right and a.witnesses is not b.witnesses
+    M = cyclic_summands(3, [(1, 0, "x")])
+    f, g = GradedMap(M, M), GradedMap(M, M)
+    f.columns[1] = {0: {0: 1}}
+    assert g.columns == {}
+
+
+def test_graded_map_takes_matrices_once():
+    M = cyclic_summands(3, [(1, 0, "x"), (1, 0, "y")])
+    f = GradedMap(M, M, {1: [[1, 0], [2, 0]]})
+    assert f.columns == {1: {0: {0: 1, 1: 2}}}
+    assert not hasattr(f, "matrices")
+    assert f == GradedMap(M, M, columns={1: {0: {0: 1, 1: 2}, 1: {}}})
+    with pytest.raises(GradedModuleError, match="not both"):
+        GradedMap(M, M, {1: [[1, 0], [0, 1]]}, {1: {0: {0: 1}}})
+
+
+def test_bar_km_model_validates_after_its_parent():
+    with pytest.raises(omega.OmegaModelError):
+        BarKmModel(4, (2,), 5)
+    with pytest.raises(kunneth.KunnethError):
+        BarKmModel(3, (2,), 2)
+    assert BarKmModel(3, (2, 3), 1).ydegs == (4, 13)

@@ -2,41 +2,38 @@
 
 Handy for eyeballing how the invariants move with the parameters, e.g.
 
-    python3 scripts/slot_tables.py chow_rost --p 3 --n 2 --s 2
+    python3 scripts/slot_tables.py chow_rost --p 3 --n 2 --depth 2
     python3 scripts/slot_tables.py pfister_neighbor_chow --n 3
+
+The parameter flags are those of `rostcalc build`, and an entry's own
+defaults fill in the ones not given.
 """
 
 import argparse
 import sys
 
 from rostcalc.catalog import CATALOG_IDS, RING_IDS, catalog_build
+from rostcalc.cli import _add_params, _params_from
 from rostcalc.graded import _fmt, gr_ps, normalize
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("id", choices=CATALOG_IDS)
-    ap.add_argument("--p", type=int, default=2)
-    ap.add_argument("--n", type=int, default=2)
-    ap.add_argument("--m", type=int)
-    ap.add_argument("--d", type=int)
-    ap.add_argument("--di", help="comma-separated d_i for the excellent quadric")
-    ap.add_argument("--s", type=int, default=0, help="also print gr slots to depth s")
+    _add_params(ap)
+    ap.add_argument("--depth", type=int, default=0, help="also print gr slots to this depth")
     args = ap.parse_args()
     if args.id not in RING_IDS:
         print(f"error: {args.id} has no ring, so no degree table; "
               f"use `rostcalc build {args.id}`", file=sys.stderr)
         return 2
 
-    params = {"p": args.p, "n": args.n}
-    if args.m is not None:
-        params["m"] = args.m
-    if args.d is not None:
-        params["d"] = args.d
-    if args.di:
-        params["di"] = [int(x) for x in args.di.split(",")]
-
-    obj = catalog_build(args.id, params)
+    params = _params_from(args)
+    try:
+        obj = catalog_build(args.id, params)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     M = obj.module()
     nf = normalize(M)
     print(f"{args.id} {params}")
@@ -45,10 +42,10 @@ def main():
     for note in obj.notes:
         print(f"  note: {note}")
 
-    if args.s > 0:
-        filt = gr_ps(M, args.s)
-        print(f"p-power filtration, depth {args.s}:")
-        for k in range(0, args.s + 2):
+    if args.depth > 0:
+        filt = gr_ps(M, args.depth)
+        print(f"p-power filtration, depth {args.depth}:")
+        for k in range(0, args.depth + 2):
             print(f"  slot {k}: {_fmt(nf.p, filt.slot_aggregate(k))}")
     return 0
 

@@ -296,6 +296,23 @@ def test_console_script_entry():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the package's records are plain classes (rostcalc.record), so a
+    # one-shot CLI call does not load the dataclass machinery
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import rostcalc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_readme_cli_examples_run(capsys):
     block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
     lines = [line for line in block.splitlines() if line.startswith("rostcalc ")]
@@ -319,10 +336,20 @@ def run_slot_tables(*argv):
 
 
 def test_slot_tables_script_runs():
-    proc = run_slot_tables("gr_m_pfister", "--n", "3", "--m", "1", "--s", "1")
+    proc = run_slot_tables("gr_m_pfister", "--n", "3", "--m", "1", "--depth", "1")
     assert proc.returncode == 0, proc.stderr
     assert "degree  13: Z" in proc.stdout
     assert "slot 1:" in proc.stdout
+
+
+def test_slot_tables_script_takes_the_cli_flags():
+    # --s is the claims' factor count, as in the CLI, which chow_rost does not read
+    proc = run_slot_tables("chow_rost", "--p", "3", "--n", "2", "--s", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: chow_rost does not read --s; it reads --p, --n\n"
+    # a parameter the builder has no default for is not filled in
+    proc = run_slot_tables("chow_rost", "--p", "3")
+    assert (proc.returncode, proc.stderr) == (2, "error: chow_rost requires parameter 'n'\n")
 
 
 @pytest.mark.parametrize("id_", ["omega_image_rost", "km_rost"])

@@ -342,6 +342,13 @@ def test_slot_tables_script_runs():
     assert "slot 1:" in proc.stdout
 
 
+def test_slot_tables_script_output_is_pinned():
+    # the degree table and every slot value, byte for byte
+    proc = run_slot_tables("gr_m_pfister", "--n", "3", "--m", "1", "--depth", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / "slot_tables_gr_m_pfister_n3_m1_depth2.txt").read_text()
+
+
 def test_slot_tables_script_takes_the_cli_flags():
     # --s is the claims' factor count, as in the CLI, which chow_rost does not read
     proc = run_slot_tables("chow_rost", "--p", "3", "--n", "2", "--s", "2")

@@ -5,7 +5,7 @@ verification grid, list known ids, and take tensor products / quotients of
 catalog modules.  Machine output is stable JSON (sorted keys, no timestamps)
 so verify-all runs are byte-identical across invocations of the same version.
 
-Exit codes: 0 success/verified, 1 refuted, 2 usage error, 3 not-certifiable.
+Exit codes: 0 success/verified, 1 refuted, 2 usage or write error, 3 not-certifiable.
 """
 
 from __future__ import annotations
@@ -123,8 +123,11 @@ def _emit(args: argparse.Namespace, data: dict, text: str | None = None) -> None
     else:
         payload = text if text is not None else json.dumps(data, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:  # a usage error: exit 1 would read as a refutation
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         print(payload)
 

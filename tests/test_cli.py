@@ -242,6 +242,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["id"] == "cor-3.6"
 
 
+@pytest.mark.parametrize("argv", [["verify", "cor-4.2", "--p", "2"], ["list"]])
+def test_an_out_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 1 would read as a refutation of a claim that verifies
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert len(err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
 def test_tensor_and_quotient_verbs(capsys):
     code, out, _ = run(
         capsys, "tensor", "chow_rost", "chow_rost", "--p", "2", "--n", "2"

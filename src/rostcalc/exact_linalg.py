@@ -296,7 +296,8 @@ class SpanSolver:
     A target, a dict from row name to integer, is answered in integers: c =
     U * B, the pivot test, `back_solve` and the exactness audit M X = D B.
     One with an entry outside `coords` is not in the span; any other gets the
-    x of M built with its coordinates in rows.
+    x of M built with its coordinates in rows.  A column with a nonzero entry
+    outside `coords` is refused.
     """
 
     def __init__(self, p: int, columns, coords=None):
@@ -305,7 +306,10 @@ class SpanSolver:
         if coords is None:
             coords = sorted({k for col in columns for k, c in col.items() if c})
         self.p, self.row = p, {k: i for i, k in enumerate(coords)}
-        self.columns = [{self.row[k]: _integral(c) for k, c in col.items() if c} for col in columns]
+        try:
+            self.columns = [{self.row[k]: _integral(c) for k, c in col.items() if c} for col in columns]
+        except KeyError as exc:
+            raise ExactLinalgError(f"column entry at {exc.args[0]!r}, outside coords") from None
         self.R, self.ucols, self.perm, self.rank = _echelon(p, self.columns, len(self.row))
         self.above: dict[int, list[int]] = {}
         for i, j in ((i, j) for i, row in enumerate(self.R) for j in row if j > i):

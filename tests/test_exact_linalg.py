@@ -309,6 +309,14 @@ def test_factored_dense_span_matches_membership():
             assert span.solve(dict(enumerate(b))) == membership(M, b)
 
 
+def test_a_column_entry_outside_the_coords_is_refused():
+    with pytest.raises(ExactLinalgError, match="column entry at 5, outside coords"):
+        SpanSolver(3, [{0: 1, 5: 2}], range(2))
+    # a zero there is no entry; a target entry outside the coords is off the span
+    span = SpanSolver(3, [{0: 1, 5: 0}], range(2))
+    assert span.contains({0: 2}) and span.solve({5: 1}) is None
+
+
 def test_a_corrupted_back_solve_fails_the_exactness_audit(monkeypatch):
     back_solve = SpanSolver.back_solve
 

@@ -43,10 +43,9 @@ def main():
         print(f"  note: {note}")
 
     if args.depth > 0:
-        filt = gr_ps(M, args.depth)
         print(f"p-power filtration, depth {args.depth}:")
-        for k in range(0, args.depth + 2):
-            print(f"  slot {k}: {_fmt(nf.p, filt.slot_aggregate(k))}")
+        for k, slot in enumerate(gr_ps(M, args.depth)):
+            print(f"  slot {k}: {_fmt(nf.p, slot)}")
     return 0
 
 

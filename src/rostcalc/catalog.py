@@ -23,12 +23,15 @@ from .graded import GradedFPModule, GradedMap
 from .km import KmPresentation
 from .omega import (
     BasisClass,
-    DegreeRule,
     OmegaImageModel,
     PresentedRing,
+    _c,
+    _power,
+    c_degree,
     ring_quotient,
     ring_tensor,
     tensor_name,
+    y_degree,
 )
 from .record import Record
 
@@ -121,18 +124,9 @@ def _require_n(n: int):
         raise CatalogError(f"n={n} must be >= 2")
 
 
-def _power(var: str, k: int) -> str:
-    """The name of the monomial var^k."""
-    return "1" if k == 0 else (var if k == 1 else f"{var}^{k}")
-
-
 def _times(name: str, var: str, k: int) -> str:
     """The name of the class name * var^k."""
     return name if k == 0 else f"{name}*{_power(var, k)}"
-
-
-def _c(i: int, j: int, var: str) -> str:
-    return f"c_{i}({_power(var, j)})"
 
 
 def chow_rost_ring(p: int, n: int, var: str = "y") -> PresentedRing:
@@ -141,12 +135,11 @@ def chow_rost_ring(p: int, n: int, var: str = "y") -> PresentedRing:
     c_0(Y) c_0(Y') = p c_0(YY')."""
     _require_prime(p)
     _require_n(n)
-    rule = DegreeRule(p, n)
     classes = [BasisClass("1", 0, 0)]
     for j in range(1, p):
-        classes.append(BasisClass(_c(0, j, var), rule.c_degree(0, j), 0))
+        classes.append(BasisClass(_c(0, j, var), c_degree(p, n, 0, j), 0))
         for i in range(1, n):
-            classes.append(BasisClass(_c(i, j, var), rule.c_degree(i, j), 1))
+            classes.append(BasisClass(_c(i, j, var), c_degree(p, n, i, j), 1))
     rules = {
         (_c(0, a, var), _c(0, b, var)): ((_c(0, a + b, var), p),)
         for a in range(1, p)
@@ -188,7 +181,7 @@ def bar_rost_ring(p: int, n: int, var: str = "y") -> PresentedRing:
     (p^n - 1)/(p - 1)."""
     _require_prime(p)
     _require_n(n)
-    return tower_ring(p, var, DegreeRule(p, n).y_degree, p - 1)
+    return tower_ring(p, var, y_degree(p, n), p - 1)
 
 
 def rost_res_rules(p: int, n: int, var: str = "y") -> dict:
@@ -239,12 +232,11 @@ def km_rost(p: int, n: int, m: int) -> KmPresentation:
     _require_n(n)
     if m < 1:
         raise CatalogError("m must be >= 1")
-    rule = DegreeRule(p, n)
     gens: list[tuple[str, int]] = [("1", 0)]
     for j in range(1, p):
-        gens.append((_c(0, j, "y"), rule.c_degree(0, j)))
+        gens.append((_c(0, j, "y"), c_degree(p, n, 0, j)))
         for i in range(1, n):
-            gens.append((_c(i, j, "y"), rule.c_degree(i, j)))
+            gens.append((_c(i, j, "y"), c_degree(p, n, i, j)))
     gidx = {name: k for k, (name, _) in enumerate(gens)}
     rels: list[tuple[tuple[int, ...], ...]] = []
 

@@ -346,31 +346,6 @@ def kill_generator(M: GradedFPModule, name: str) -> GradedFPModule:
 # ---------------------------------------------------------------------------
 
 
-class FiltrationGraded(Frozen):
-    """Associated graded of A by 1, p, p^2, ..., p^s.
-
-    Slot 0 is the degree-0 part of A; slot k (1 <= k <= s) is the subquotient
-    p^{k-1}A+ / p^k A+; slot s+1 is p^s A+.  Each slot holds a per-degree
-    normal form.
-    """
-
-    _fields = ("p", "s", "slots")
-
-    def __init__(self, p: int, s: int, slots: tuple[tuple[int, NormalForm], ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "slots", slots)
-
-    def slot(self, k: int) -> NormalForm:
-        for kk, nf in self.slots:
-            if kk == k:
-                return nf
-        raise GradedModuleError(f"slot {k} out of range")
-
-    def slot_aggregate(self, k: int) -> tuple[int, tuple[int, ...]]:
-        return self.slot(k).aggregate()
-
-
 def slot_invariants(free: int, torsion, s: int) -> list[tuple[int, tuple[int, ...]]]:
     """Slots 1..s+1 of the filtration for one normal-form piece (free, torsion)."""
     torsion = tuple(torsion)
@@ -383,26 +358,24 @@ def slot_invariants(free: int, torsion, s: int) -> list[tuple[int, tuple[int, ..
     return out
 
 
-def gr_ps(A: GradedFPModule, s: int) -> FiltrationGraded:
+def gr_ps(A: GradedFPModule, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Associated graded of A by 1, p, p^2, ..., p^s: its s+2 slots, each
+    ungraded as (free rank, sorted torsion exponents).
+
+    Slot 0 is the degree-0 part of A; slot k (1 <= k <= s) is the subquotient
+    p^{k-1}A+ / p^k A+; slot s+1 is p^s A+.
+    """
     if s < 1:
         raise GradedModuleError("filtration depth must be >= 1")
-    nf = normalize(A)
-    slot_tables: list[dict[int, tuple[int, tuple[int, ...]]]] = [dict() for _ in range(s + 2)]
-    for d, (free, torsion) in nf.degrees:
-        if d == 0:
-            slot_tables[0][0] = (free, torsion)
-            continue
+    free, torsion = [0] * (s + 2), [[] for _ in range(s + 2)]
+    for d, piece in normalize(A).degrees:
         if d < 0:
             raise GradedModuleError("filtration expects nonnegative degrees")
-        pieces = slot_invariants(free, torsion, s)
-        for k in range(1, s + 2):
-            fr, tors = pieces[k - 1]
-            if fr or tors:
-                slot_tables[k][d] = (fr, tors)
-    slots = tuple(
-        (k, NormalForm.from_dict(A.p, table)) for k, table in enumerate(slot_tables)
-    )
-    return FiltrationGraded(p=A.p, s=s, slots=slots)
+        pieces = slot_invariants(*piece, s) if d else [piece]
+        for k, (fr, tors) in enumerate(pieces, 1 if d else 0):
+            free[k] += fr
+            torsion[k].extend(tors)
+    return tuple(zip(free, (tuple(sorted(t)) for t in torsion)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .graded import (
     slot_invariants,
 )
 from .record import Frozen
-from .report import REFUTED, VERIFIED, TheoremReport
 
 Poly = tuple[int, ...]
 
@@ -275,13 +274,14 @@ def gr_geometric(M: KmPresentation) -> GradedFPModule:
     return quotient(out, [(d, {i: 1}) for d, i in killed])
 
 
-def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> TheoremReport:
-    """Slotwise comparison of the localized geometric graded with the split form.
+def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> tuple[dict, dict]:
+    """The two sides of the slotwise comparison of the localized geometric
+    graded with the split form, to be compared slot by slot, ungraded.
 
     Left: the v->0 geometric graded of M re-read over the periodic ring
     (free summands stay free, p-torsion stays).  Right: the p-power
     filtration slots of the localized split module, degree-0 part split off
-    as slot 0.  The two sides are compared slot by slot, ungraded.
+    as slot 0.
     """
     gr = gr_geometric(M)
     nf = normalize(gr)
@@ -309,12 +309,4 @@ def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> TheoremRepor
         "slot_1": {"free": pieces[0][0], "torsion": list(pieces[0][1])},
         "slot_2": {"free": pieces[1][0], "torsion": list(pieces[1][1])},
     }
-    ok = left == right
-    return TheoremReport(
-        id="cor-3.5-second",
-        params={"p": M.p, "m": M.m},
-        verdict=VERIFIED if ok else REFUTED,
-        left=left,
-        right=right,
-        notes=["ungraded slotwise comparison of localized invariants"],
-    )
+    return left, right

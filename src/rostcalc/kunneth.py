@@ -23,8 +23,6 @@ from functools import lru_cache, partial, reduce
 from .catalog import (
     GR_M_PFISTER_NOTE,
     CatalogObject,
-    _c,
-    _power,
     bar_rost_ring,
     build_excellent_quadric_chow,
     build_pfister_neighbor_chow,
@@ -51,17 +49,20 @@ from .graded import (
 )
 from .km import check_cor_3_5_second, free_km, gr_geometric, v_torsion_generators
 from .omega import (
-    DegreeRule,
     Element,
     OmegaImageModel,
     PresentedRing,
+    _c,
     _canon_coeff,
+    _power,
+    c_degree,
     ideal_generators,
     ideal_power_witness,
     ring_quotient,
     ring_tensor,
     tensor_name,
     torsion_ideal,
+    y_degree,
 )
 from .record import Frozen
 from .report import NOT_CERTIFIABLE, REFUTED, VERIFIED, TheoremReport
@@ -76,32 +77,6 @@ class KunnethError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class CDecomposition(Frozen):
-    """The product classes of two factors, split by torsion type.
-
-    c0: free classes c_0*c_0; c1: torsion c_m*c_m; c2: the mixed classes
-    c_m*c_0 and c_0*c_m.  Degrees add; the three parts together are exactly
-    the tensor product of the positive parts of the two factor rings.
-    """
-
-    _fields = ("p", "n1", "n2", "m", "c0", "c1", "c2")
-
-    def __init__(
-        self, p: int, n1: int, n2: int, m: int,
-        c0: GradedFPModule, c1: GradedFPModule, c2: GradedFPModule,
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-
-    def total(self) -> GradedFPModule:
-        return direct_sum(direct_sum(self.c0, self.c1), self.c2)
-
-
 def positive_part(M: GradedFPModule) -> GradedFPModule:
     components = {d: c for d, c in M.components.items() if d > 0}
     if not components:
@@ -110,7 +85,16 @@ def positive_part(M: GradedFPModule) -> GradedFPModule:
     return GradedFPModule(p=M.p, components=components, window=window)
 
 
-def c_decomposition(p: int, n1: int, n2: int, m: int) -> CDecomposition:
+def c_decomposition(
+    p: int, n1: int, n2: int, m: int
+) -> tuple[GradedFPModule, GradedFPModule, GradedFPModule]:
+    """The product classes of two factors, split by torsion type, as (c0, c1, c2).
+
+    c0: free classes c_0*c_0; c1: torsion c_m*c_m; c2: the mixed classes
+    c_m*c_0 and c_0*c_m.  Degrees add; the three parts together are exactly
+    the tensor product of the positive parts of the two factor rings, which
+    is checked here.
+    """
     if not is_prime(p):
         raise KunnethError(f"p={p} must be prime")
     if min(n1, n2) < 2:
@@ -120,19 +104,17 @@ def c_decomposition(p: int, n1: int, n2: int, m: int) -> CDecomposition:
             f"m={m} out of range: both factors must carry the class c_m "
             f"(need 1 <= m <= {min(n1, n2) - 1})"
         )
-    r1, r2 = DegreeRule(p, n1), DegreeRule(p, n2)
     c0_parts, c1_parts, c2_parts = [], [], []
     for i, j in itertools.product(range(1, p), repeat=2):
         a, b, am, bm = _c(0, i, "y_1"), _c(0, j, "y_2"), _c(m, i, "y_1"), _c(m, j, "y_2")
-        c0_parts.append((r1.c_degree(0, i) + r2.c_degree(0, j), 0, f"{a}*{b}"))
-        c1_parts.append((r1.c_degree(m, i) + r2.c_degree(m, j), 1, f"{am}*{bm}"))
-        c2_parts.append((r1.c_degree(m, i) + r2.c_degree(0, j), 1, f"{am}*{b}"))
-        c2_parts.append((r1.c_degree(0, i) + r2.c_degree(m, j), 1, f"{a}*{bm}"))
-    c0, c1, c2 = (cyclic_summands(p, parts) for parts in (c0_parts, c1_parts, c2_parts))
-    dec = CDecomposition(p=p, n1=n1, n2=n2, m=m, c0=c0, c1=c1, c2=c2)
+        c0_parts.append((c_degree(p, n1, 0, i) + c_degree(p, n2, 0, j), 0, f"{a}*{b}"))
+        c1_parts.append((c_degree(p, n1, m, i) + c_degree(p, n2, m, j), 1, f"{am}*{bm}"))
+        c2_parts.append((c_degree(p, n1, m, i) + c_degree(p, n2, 0, j), 1, f"{am}*{b}"))
+        c2_parts.append((c_degree(p, n1, 0, i) + c_degree(p, n2, m, j), 1, f"{a}*{bm}"))
+    dec = tuple(cyclic_summands(p, parts) for parts in (c0_parts, c1_parts, c2_parts))
     pos1 = positive_part(gr_m_rost_ring(p, n1, m, var="y_1").module())
     pos2 = positive_part(gr_m_rost_ring(p, n2, m, var="y_2").module())
-    check = iso_equal(dec.total(), tensor_product(pos1, pos2))
+    check = iso_equal(reduce(direct_sum, dec), tensor_product(pos1, pos2))
     if not check:
         raise KunnethError(
             "decomposition does not match the product of positive parts: "
@@ -169,21 +151,7 @@ class JGenerator(Frozen):
         return f"{self.positive_name} - {self.negative_name}"
 
 
-class KunnethIdeal(Frozen):
-    _fields = ("p", "m", "s", "generators")
-
-    def __init__(self, p: int, m: int, s: int, generators: tuple[JGenerator, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "generators", generators)
-
-    @property
-    def count(self) -> int:
-        return len(self.generators)
-
-
-def j_ideal(p: int, m: int, s: int) -> KunnethIdeal:
+def j_ideal(p: int, m: int, s: int) -> tuple[JGenerator, ...]:
     """Differences identifying where the torsion label sits among the factors."""
     if s < 2:
         raise KunnethError("the ideal needs at least two factors")
@@ -198,10 +166,9 @@ def j_ideal(p: int, m: int, s: int) -> KunnethIdeal:
         for i in range(1, p)
         for j in range(1, p)
     )
-    ideal = KunnethIdeal(p=p, m=m, s=s, generators=gens)
-    if ideal.count != (p - 1) ** 2 * s * (s - 1) // 2:
+    if len(gens) != (p - 1) ** 2 * s * (s - 1) // 2:
         raise KunnethError("internal generator count mismatch")
-    return ideal
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +246,9 @@ def mono_name(exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def j_res_vanishes(ideal: KunnethIdeal, model: BarKmModel) -> bool:
+def j_res_vanishes(gens: tuple[JGenerator, ...], model: BarKmModel) -> bool:
     """Every ideal generator restricts to zero: res(c_m(Y)c_0(Y')) = res(c_0(Y)c_m(Y'))."""
-    for g in ideal.generators:
+    for g in gens:
         first, second = [None] * model.nfactors, [None] * model.nfactors
         first[g.r - 1], first[g.t - 1] = (g.m, g.i), (0, g.j)
         second[g.r - 1], second[g.t - 1] = (0, g.i), (g.m, g.j)
@@ -367,6 +334,13 @@ def tilde_bar_module(p: int, ns) -> GradedFPModule:
     return reduce(tensor_product, [positive_part(bar.module()) for bar in bars])
 
 
+def tilde_slots(p: int, ns) -> dict[str, dict]:
+    """slot_1 .. slot_{s+1} of the p-power filtration of the tilde split
+    module on s = len(ns) factors, ungraded."""
+    slots = gr_ps(tilde_bar_module(p, ns), len(ns))
+    return {f"slot_{k}": _slot_dict(slots[k]) for k in range(1, len(ns) + 2)}
+
+
 def word_slots(ring: PresentedRing, s: int) -> dict[str, dict]:
     """The full-support classes of an s-factor word ring, slot_{k+1} holding
     those with k c_0 labels.  J swaps a c_0 label with a c_m label, so it
@@ -388,10 +362,7 @@ def second_display_sides(p: int, s: int, n: int, m: int):
     p-power filtration of the tilde split module.  Slot t+1 holds the words
     with t zero-labels; the degree shift between the sides is the torsion
     twist, so the verdict compares ungraded slot invariants."""
-    left = word_slots(kunneth_quotient_ring(p, n, m, s), s)
-    filt = gr_ps(tilde_bar_module(p, (n,) * s), s)
-    right = {f"slot_{k}": _slot_dict(filt.slot_aggregate(k)) for k in range(1, s + 2)}
-    return left, right
+    return word_slots(kunneth_quotient_ring(p, n, m, s), s), tilde_slots(p, (n,) * s)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +406,7 @@ def _word_ring(p: int, ns: tuple[int, ...], m: int) -> PresentedRing:
     cache keeps the 8 rings used last; a verify-all pass builds 7.
     """
     factors = [gr_m_rost_ring(p, n, m, var=f"y_{t}") for t, n in enumerate(ns, 1)]
-    gens = j_ideal(p, m, len(ns)).generators if len(ns) > 1 else ()
+    gens = j_ideal(p, m, len(ns)) if len(ns) > 1 else ()
     ring = factors[0]
     for t, factor in enumerate(factors[1:], 2):
         pairs = [(g.positive_name, g.negative_name) for g in gens if g.t == t]
@@ -510,29 +481,22 @@ def _verify_thm_1_1(p=2) -> TheoremReport:
     if p not in (2, 3, 5):
         raise KunnethError("thm-1.1 is stated for p in {2, 3, 5}")
     n, m = 2, 1
-    rule = DegreeRule(p, n)
     left_mod = kunneth_quotient_ring(p, n, m, 2).module()
-
-    filt = gr_ps(tilde_bar_module(p, (n, n)), 2)
-    slot1 = filt.slot_aggregate(1)
-    slot2 = filt.slot_aggregate(2)
-    slot3 = filt.slot_aggregate(3)
     pairs = [(i, j) for i in range(1, p) for j in range(1, p)]
     notes = [_DEFINITIONAL_NOTE, _TWIST_NOTE]
-    ok_shape = (
-        slot1 == (0, (1,) * len(pairs))
-        and slot2 == (0, (1,) * len(pairs))
-        and slot3 == (len(pairs), ())
-    )
+    torsion = {"free": 0, "torsion": [1] * len(pairs)}
+    ok_shape = tilde_slots(p, (n, n)) == {
+        "slot_1": torsion, "slot_2": torsion, "slot_3": {"free": len(pairs), "torsion": []}
+    }
     pieces: list[tuple[int, int, str]] = [(0, 0, "1")]
     for t in (1, 2):
         for j in range(1, p):
-            pieces.append((rule.c_degree(0, j), 0, _c(0, j, f"y_{t}")))
-            pieces.append((rule.c_degree(m, j), 1, _c(m, j, f"y_{t}")))
+            pieces.append((c_degree(p, n, 0, j), 0, _c(0, j, f"y_{t}")))
+            pieces.append((c_degree(p, n, m, j), 1, _c(m, j, f"y_{t}")))
     for i, j in pairs:
-        pieces.append((rule.c_degree(m, i) + rule.c_degree(m, j), 1, "mixed-both"))
-        pieces.append((rule.c_degree(m, i) + rule.c_degree(0, j), 1, "mixed-one"))
-        pieces.append((rule.c_degree(0, i) + rule.c_degree(0, j), 0, "mixed-free"))
+        pieces.append((c_degree(p, n, m, i) + c_degree(p, n, m, j), 1, "mixed-both"))
+        pieces.append((c_degree(p, n, m, i) + c_degree(p, n, 0, j), 1, "mixed-one"))
+        pieces.append((c_degree(p, n, 0, i) + c_degree(p, n, 0, j), 0, "mixed-free"))
     right_mod = cyclic_summands(p, [(d, e, f"{nm}#{k}") for k, (d, e, nm) in enumerate(pieces)])
     iso = iso_equal(left_mod, right_mod)
     verdict = VERIFIED if (ok_shape and iso) else REFUTED
@@ -550,17 +514,16 @@ def _verify_thm_1_1(p=2) -> TheoremReport:
 
 
 def _verify_lemma_4_1(p=2, n1=2, n2=2, m=1) -> TheoremReport:
-    dec = c_decomposition(p, n1, n2, m)
-    ideal = j_ideal(p, m, 2)
+    c0, c1, _ = c_decomposition(p, n1, n2, m)
+    gens = j_ideal(p, m, 2)
     model = BarKmModel(p=p, factor_ns=(n1, n2), m=m)
-    res_ok = j_res_vanishes(ideal, model)
+    res_ok = j_res_vanishes(gens, model)
     left = {
-        "slot_1": _slot_dict(normalize(dec.c1).aggregate()),
+        "slot_1": _slot_dict(normalize(c1).aggregate()),
         "slot_2": word_slots(_word_ring(p, (n1, n2), m), 2)["slot_2"],
-        "slot_3": _slot_dict(normalize(dec.c0).aggregate()),
+        "slot_3": _slot_dict(normalize(c0).aggregate()),
     }
-    filt = gr_ps(tilde_bar_module(p, (n1, n2)), 2)
-    right = {f"slot_{k}": _slot_dict(filt.slot_aggregate(k)) for k in (1, 2, 3)}
+    right = tilde_slots(p, (n1, n2))
     verdict = VERIFIED if (left == right and res_ok) else REFUTED
     notes = [
         "slots: torsion-torsion words, mixed words mod identification, free words",
@@ -575,7 +538,7 @@ def _verify_lemma_4_1(p=2, n1=2, n2=2, m=1) -> TheoremReport:
         verdict=verdict,
         left=left,
         right=right,
-        witnesses=[g.name for g in ideal.generators],
+        witnesses=[g.name for g in gens],
         notes=notes,
     )
 
@@ -663,8 +626,8 @@ def _star_star_report(id_: str, p=2, n=None, m=1, s=2, image="versal") -> Theore
             verdict=NOT_CERTIFIABLE,
             notes=["image hypotheses not supplied; the criterion cannot be run"],
         )
-    ideal = j_ideal(2, m, s)
-    res_ok = j_res_vanishes(ideal, model)
+    gens = j_ideal(2, m, s)
+    res_ok = j_res_vanishes(gens, model)
     result = star_star_check(model, img)
     holds = star_star_holds(result) and res_ok
     verdict = VERIFIED if holds else REFUTED
@@ -674,7 +637,7 @@ def _star_star_report(id_: str, p=2, n=None, m=1, s=2, image="versal") -> Theore
         verdict=verdict,
         left=result,
         right={mono: {"p": False, "v": False} for mono in result},
-        witnesses=[g.name for g in ideal.generators],
+        witnesses=[g.name for g in gens],
         notes=notes,
     )
 
@@ -725,15 +688,13 @@ def _verify_cor_3_5(p=2, n=2, m=1) -> TheoremReport:
     right: dict = {"graded": normalize(right_mod).to_json()}
     second_ok = True
     if m <= n - 1:
-        ydeg = DegreeRule(p, n).y_degree
+        ydeg = y_degree(p, n)
         bar_km = free_km(
             p, m, [("1", 0)] + [(_power("y", j), j * ydeg) for j in range(1, p)]
         )
-        second = check_cor_3_5_second(km, bar_km)
-        second_ok = second.verdict == VERIFIED
-        left["second_display"] = second.left
-        right["second_display"] = second.right
-        notes.extend(second.notes)
+        left["second_display"], right["second_display"] = check_cor_3_5_second(km, bar_km)
+        second_ok = left["second_display"] == right["second_display"]
+        notes.append("ungraded slotwise comparison of localized invariants")
     else:
         notes.append("second display applies to m <= n-1; skipped")
     verdict = VERIFIED if (iso and second_ok) else REFUTED

@@ -49,27 +49,23 @@ class OmegaModelError(ValueError):
     pass
 
 
-class DegreeRule(Frozen):
-    """Chow degrees (half the topological ones) for a Rost-type factor."""
-
-    _fields = ("p", "n")
-
-    def __init__(self, p: int, n: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def y_degree(self) -> int:
-        return (self.p**self.n - 1) // (self.p - 1)
-
-    def c_degree(self, i: int, j: int = 1) -> int:
-        return j * self.y_degree - (self.p**i - 1)
+def y_degree(p: int, n: int) -> int:
+    """Chow degree (half the topological one) of y for a Rost-type factor."""
+    return (p**n - 1) // (p - 1)
 
 
-def class_name(i: int, j: int, factor: int | None = None) -> str:
-    y = "y" if factor is None else f"y_{factor}"
-    power = y if j == 1 else f"{y}^{j}"
-    return f"c_{i}({power})"
+def c_degree(p: int, n: int, i: int, j: int = 1) -> int:
+    """Chow degree of c_i(y^j) for a Rost-type factor."""
+    return j * y_degree(p, n) - (p**i - 1)
+
+
+def _power(var: str, k: int) -> str:
+    """The name of the monomial var^k."""
+    return "1" if k == 0 else (var if k == 1 else f"{var}^{k}")
+
+
+def _c(i: int, j: int, var: str) -> str:
+    return f"c_{i}({_power(var, j)})"
 
 
 def _vkey_mul(a: VKey, b: VKey) -> VKey:
@@ -97,7 +93,7 @@ class OmegaImageModel(Frozen):
             raise OmegaModelError("at least one factor required")
         if any(n < 2 for n in self.factor_ns):
             raise OmegaModelError("factor exponent n must be >= 2")
-        ydegs = tuple(DegreeRule(self.p, n).y_degree for n in self.factor_ns)
+        ydegs = tuple(y_degree(self.p, n) for n in self.factor_ns)
         object.__setattr__(self, "ydegs", ydegs)
 
     @property
@@ -198,7 +194,7 @@ class OmegaImageModel(Frozen):
         out = []
         for combo in itertools.product(*per_factor):
             parts = [
-                class_name(i, j, t + 1 if self.nfactors > 1 else None)
+                _c(i, j, f"y_{t + 1}" if self.nfactors > 1 else "y")
                 for t, cls in enumerate(combo)
                 if cls is not None
                 for i, j in [cls]

@@ -125,9 +125,9 @@ def test_criterion_7_oracles():
                 filt = gr_ps(A, s)
                 ranks, tail = brute_force_slots(p, exponents, s)
                 for k in range(1, s + 1):
-                    fr, tors = filt.slot_aggregate(k)
+                    fr, tors = filt[k]
                     assert (fr, tors) == (0, (1,) * ranks[k - 1]), (p, exponents, s, k)
-                assert filt.slot_aggregate(s + 1) == (0, tail), (p, exponents, s)
+                assert filt[s + 1] == (0, tail), (p, exponents, s)
 
 
 def test_criterion_8_construction_paths_agree():

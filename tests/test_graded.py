@@ -249,10 +249,10 @@ def test_gr_ps_frozen_example():
     # A+ = Z (+) Z/p^2 in degree 1; slots 1,2 have rank 2, the tail keeps Z
     A = cyclic_summands(2, [(0, 0, "1"), (1, 0, "x"), (1, 2, "t")])
     filt = gr_ps(A, 2)
-    assert filt.slot_aggregate(0) == (1, ())
-    assert filt.slot_aggregate(1) == (0, (1, 1))
-    assert filt.slot_aggregate(2) == (0, (1, 1))
-    assert filt.slot_aggregate(3) == (1, ())
+    assert filt[0] == (1, ())
+    assert filt[1] == (0, (1, 1))
+    assert filt[2] == (0, (1, 1))
+    assert filt[3] == (1, ())
 
 
 def test_gr_ps_rejects_negative_degrees():
@@ -312,11 +312,11 @@ def test_gr_ps_matches_element_counting(exponents, s, p):
     filt = gr_ps(A, s)
     ranks, tail = brute_force_slots(p, exponents, s)
     for k in range(1, s + 1):
-        fr, tors = filt.slot_aggregate(k)
+        fr, tors = filt[k]
         assert fr == 0
         assert len(tors) == ranks[k - 1]
         assert all(e == 1 for e in tors)
-    fr, tors = filt.slot_aggregate(s + 1)
+    fr, tors = filt[s + 1]
     assert fr == 0
     assert tors == tail
 

@@ -20,26 +20,27 @@ from rostcalc.graded import GradedMap, free_module, normalize
 from rostcalc.graded import quotient as graded_quotient
 from rostcalc.omega import (
     BasisClass,
-    DegreeRule,
     OmegaImageModel,
     OmegaModelError,
     PresentedRing,
     _canon_coeff,
+    c_degree,
     chow_collapse,
     ideal_generators,
     ideal_power_witness,
     ring_quotient,
     ring_tensor,
     torsion_ideal,
+    y_degree,
 )
 
 
 def test_degree_rule_tables():
-    assert DegreeRule(3, 2).y_degree == 4
-    assert DegreeRule(2, 3).y_degree == 7
-    assert DegreeRule(3, 2).c_degree(1) == 2
-    assert DegreeRule(3, 2).c_degree(0, 2) == 8
-    assert DegreeRule(2, 3).c_degree(2) == 4
+    assert y_degree(3, 2) == 4
+    assert y_degree(2, 3) == 7
+    assert c_degree(3, 2, 1) == 2
+    assert c_degree(3, 2, 0, 2) == 8
+    assert c_degree(2, 3, 2) == 4
 
 
 def test_model_requires_a_prime():

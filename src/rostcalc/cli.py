@@ -100,10 +100,16 @@ def _build_normal_form(id: str, params: dict) -> dict:
     if id == "omega_image_rost":
         return normalize(chow_collapse(obj.omega).module()).to_json()
     if id == "km_rost":
+        localized = localize_v(obj.km)
+        free, torsion = localized.aggregate()
         return {
             "to_chow": normalize(to_chow(obj.km)).to_json(),
             "gr_geometric": normalize(gr_geometric(obj.km)).to_json(),
-            "localized": localize_v(obj.km).to_json(),
+            # complete for homogeneous relations, so "anomalies" stays empty
+            "localized": {
+                "p": localized.p, "m": obj.km.m, "free_rank": free, "torsion": list(torsion),
+                "per_class": localized.to_json()["degrees"], "anomalies": [],
+            },
         }
     return normalize(obj.module()).to_json()
 

@@ -297,7 +297,7 @@ class SpanSolver:
     U * B, the pivot test, `back_solve` and the exactness audit M X = D B.
     One with an entry outside `coords` is not in the span; any other gets the
     x of M built with its coordinates in rows.  A column with a nonzero entry
-    outside `coords` is refused.
+    outside `coords`, and a repeated coordinate, are refused.
     """
 
     def __init__(self, p: int, columns, coords=None):
@@ -306,6 +306,9 @@ class SpanSolver:
         if coords is None:
             coords = sorted({k for col in columns for k, c in col.items() if c})
         self.p, self.row = p, {k: i for i, k in enumerate(coords)}
+        if len(self.row) < len(coords):  # a repeated name keeps only its last row
+            dup = next(k for i, k in enumerate(coords) if self.row[k] != i)
+            raise ExactLinalgError(f"coordinate {dup!r} repeated in coords")
         try:
             self.columns = [{self.row[k]: _integral(c) for k, c in col.items() if c} for col in columns]
         except KeyError as exc:

@@ -378,6 +378,11 @@ def gr_ps(A: GradedFPModule, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(zip(free, (tuple(sorted(t)) for t in torsion)))
 
 
+def slot_json(slots, first: int = 1) -> dict:
+    """Report JSON of ungraded slots (free, torsion), slots[0] named slot_{first}."""
+    return {f"slot_{k}": {"free": f, "torsion": list(t)} for k, (f, t) in enumerate(slots, first)}
+
+
 # ---------------------------------------------------------------------------
 # maps
 # ---------------------------------------------------------------------------

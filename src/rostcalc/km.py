@@ -18,9 +18,11 @@ from .exact_linalg import SpanSolver, is_prime, solve_sparse, sparse_snf_exponen
 from .graded import (
     DegreeComponent,
     GradedFPModule,
+    NormalForm,
     normalize,
     quotient,
     slot_invariants,
+    slot_json,
 )
 from .record import Frozen
 
@@ -150,44 +152,6 @@ def slice_membership(M: KmPresentation, target: dict[tuple[int, int], int], D: i
 # ---------------------------------------------------------------------------
 
 
-class KmLocalizedInvariants(Frozen):
-    """Invariants of M[v^-1] over Z_(p)[v, v^-1].
-
-    free_rank counts free summands; torsion lists p-power exponents; per_class
-    splits both by generator degree mod vdeg.  For homogeneous relations these
-    are complete (see `localize_v`); the JSON form keeps an "anomalies" key
-    that is always empty.
-    """
-
-    _fields = ("p", "m", "free_rank", "torsion", "per_class")
-
-    def __init__(
-        self, p: int, m: int, free_rank: int, torsion: tuple[int, ...],
-        per_class: tuple[tuple[int, tuple[int, tuple[int, ...]]], ...],
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "per_class", per_class)
-
-    def aggregate(self) -> tuple[int, tuple[int, ...]]:
-        return self.free_rank, self.torsion
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "free_rank": self.free_rank,
-            "torsion": list(self.torsion),
-            "per_class": {
-                str(c): {"free": fr, "torsion": list(tors)}
-                for c, (fr, tors) in self.per_class
-            },
-            "anomalies": [],
-        }
-
-
 def _class_matrix(M: KmPresentation, cls: int) -> tuple[list[int], list[list[Poly]]]:
     vdeg = M.vdeg
     gen_idx = [i for i, (_, d) in enumerate(M.gens) if d % vdeg == cls]
@@ -209,8 +173,9 @@ def _class_at_one(M: KmPresentation, cls: int) -> tuple[list[int], list[dict[int
     return gen_idx, [{r: c for r, a in enumerate(col) if (c := sum(a))} for col in columns]
 
 
-def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
-    """Invariants of M[v^-1], one degree class mod vdeg at a time.
+def localize_v(M: KmPresentation) -> NormalForm:
+    """Invariants of M[v^-1] over Z_(p)[v, v^-1], keyed by degree class mod
+    vdeg: M[v^-1] is graded by degree mod vdeg, one class at a time.
 
     Write the generator and relation degrees of a class as cls + a_i*vdeg
     and cls + b_j*vdeg.  Homogeneity makes entry (i, j) of the class matrix
@@ -220,26 +185,12 @@ def localize_v(M: KmPresentation) -> KmLocalizedInvariants:
     `snf_exponents(C)`.  The same holds mod p over F_p[v, v^-1], where every
     invariant factor is therefore a constant: no torsion prime to (p, v).
     """
-    vdeg = M.vdeg
     per_class: dict[int, tuple[int, tuple[int, ...]]] = {}
-    free_total = 0
-    torsion_total: list[int] = []
-    for cls in sorted({d % vdeg for _, d in M.gens}):
+    for cls in sorted({d % M.vdeg for _, d in M.gens}):
         gen_idx, at_one = _class_at_one(M, cls)
         exps = sparse_snf_exponents(M.p, at_one)  # the columns as rows: the same SNF
-        free = len(gen_idx) - len(exps)
-        torsion = tuple(e for e in exps if e)
-        if free or torsion:
-            per_class[cls] = (free, torsion)
-        free_total += free
-        torsion_total.extend(torsion)
-    return KmLocalizedInvariants(
-        p=M.p,
-        m=M.m,
-        free_rank=free_total,
-        torsion=tuple(sorted(torsion_total)),
-        per_class=tuple(sorted(per_class.items())),
-    )
+        per_class[cls] = (len(gen_idx) - len(exps), tuple(e for e in exps if e))
+    return NormalForm.from_dict(M.p, per_class)
 
 
 def v_torsion_generators(M: KmPresentation) -> tuple[str, ...]:
@@ -276,37 +227,25 @@ def gr_geometric(M: KmPresentation) -> GradedFPModule:
 
 def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> tuple[dict, dict]:
     """The two sides of the slotwise comparison of the localized geometric
-    graded with the split form, to be compared slot by slot, ungraded.
+    graded with the split form, as report JSON slot_0 .. slot_2, to be
+    compared slot by slot, ungraded.
 
     Left: the v->0 geometric graded of M re-read over the periodic ring
     (free summands stay free, p-torsion stays).  Right: the p-power
     filtration slots of the localized split module, degree-0 part split off
     as slot 0.
     """
-    gr = gr_geometric(M)
-    nf = normalize(gr)
-    unit_piece = nf.at(0)
+    nf = normalize(gr_geometric(M))
     pos_free = sum(fr for d, (fr, _) in nf.degrees if d != 0)
-    pos_torsion = sorted(e for d, (_, tors) in nf.degrees if d != 0 for e in tors)
-    left = {
-        "slot_0": {"free": unit_piece[0], "torsion": list(unit_piece[1])},
-        "slot_1": {"free": 0, "torsion": [1] * len(pos_torsion)},
-        "slot_2": {"free": pos_free, "torsion": []},
-    }
-    if any(e != 1 for e in pos_torsion):
-        # higher torsion would spread over both slots; catalog objects have none
-        left["slot_1"] = {"free": 0, "torsion": pos_torsion}
+    # p-torsion fills slot 1; higher torsion would spread over both slots
+    # and is kept whole there, but catalog objects have none
+    pos_torsion = tuple(sorted(e for d, (_, tors) in nf.degrees if d != 0 for e in tors))
+    left = (nf.at(0), (0, pos_torsion), (pos_free, ()))
 
     if bar.rels:
         raise KmModuleError("the split form must be free")
     bar_unit = KmPresentation(bar.p, bar.m, tuple(g for g in bar.gens if g[1] == 0), ())
     bar_pos = KmPresentation(bar.p, bar.m, tuple(g for g in bar.gens if g[1] != 0), ())
-    inv_unit = localize_v(bar_unit).aggregate()
-    inv_pos = localize_v(bar_pos).aggregate()
-    pieces = slot_invariants(*inv_pos, 1)
-    right = {
-        "slot_0": {"free": inv_unit[0], "torsion": list(inv_unit[1])},
-        "slot_1": {"free": pieces[0][0], "torsion": list(pieces[0][1])},
-        "slot_2": {"free": pieces[1][0], "torsion": list(pieces[1][1])},
-    }
-    return left, right
+    inv_unit, inv_pos = localize_v(bar_unit).aggregate(), localize_v(bar_pos).aggregate()
+    right = (inv_unit, *slot_invariants(*inv_pos, 1))
+    return slot_json(left, 0), slot_json(right, 0)

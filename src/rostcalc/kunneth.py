@@ -44,6 +44,7 @@ from .graded import (
     gr_ps,
     iso_equal,
     normalize,
+    slot_json,
     tensor_product,
     zero_module,
 )
@@ -334,17 +335,17 @@ def tilde_bar_module(p: int, ns) -> GradedFPModule:
     return reduce(tensor_product, [positive_part(bar.module()) for bar in bars])
 
 
-def tilde_slots(p: int, ns) -> dict[str, dict]:
-    """slot_1 .. slot_{s+1} of the p-power filtration of the tilde split
-    module on s = len(ns) factors, ungraded."""
-    slots = gr_ps(tilde_bar_module(p, ns), len(ns))
-    return {f"slot_{k}": _slot_dict(slots[k]) for k in range(1, len(ns) + 2)}
+def tilde_slots(p: int, ns) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Slots 1 .. s+1 of the p-power filtration of the tilde split module on
+    s = len(ns) factors, ungraded as in `gr_ps`."""
+    return gr_ps(tilde_bar_module(p, ns), len(ns))[1:]
 
 
-def word_slots(ring: PresentedRing, s: int) -> dict[str, dict]:
-    """The full-support classes of an s-factor word ring, slot_{k+1} holding
-    those with k c_0 labels.  J swaps a c_0 label with a c_m label, so it
-    keeps the count, and each slot is the sum of the cyclic classes in it."""
+def word_slots(ring: PresentedRing, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The full-support classes of an s-factor word ring, ungraded as in
+    `gr_ps`: slot k+1 (index k) holds those with k c_0 labels.  J swaps a c_0
+    label with a c_m label, so it keeps the count, and each slot is the sum of
+    the cyclic classes in it."""
     free, torsion = [0] * (s + 1), [[] for _ in range(s + 1)]
     for b in ring.basis:
         labels = b.name.split("*")
@@ -354,15 +355,17 @@ def word_slots(ring: PresentedRing, s: int) -> dict[str, dict]:
                 torsion[k].append(b.torsion_exp)
             else:
                 free[k] += 1
-    return {f"slot_{k + 1}": {"free": free[k], "torsion": sorted(torsion[k])} for k in range(s + 1)}
+    return tuple(zip(free, (tuple(sorted(t)) for t in torsion)))
 
 
-def second_display_sides(p: int, s: int, n: int, m: int):
-    """Left: the slots of the word ring gr_m(R')^{(x) s}/J.  Right: the
-    p-power filtration of the tilde split module.  Slot t+1 holds the words
-    with t zero-labels; the degree shift between the sides is the torsion
-    twist, so the verdict compares ungraded slot invariants."""
-    return word_slots(kunneth_quotient_ring(p, n, m, s), s), tilde_slots(p, (n,) * s)
+def second_display_sides(p: int, s: int, n: int, m: int) -> tuple[dict, dict]:
+    """The report JSON of both sides.  Left: the slots of the word ring
+    gr_m(R')^{(x) s}/J.  Right: the p-power filtration of the tilde split
+    module.  Slot t+1 holds the words with t zero-labels; the degree shift
+    between the sides is the torsion twist, so the verdict compares ungraded
+    slot invariants."""
+    left = word_slots(kunneth_quotient_ring(p, n, m, s), s)
+    return slot_json(left), slot_json(tilde_slots(p, (n,) * s))
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +475,6 @@ _VERSAL_NOTE = (
 )
 
 
-def _slot_dict(agg: tuple[int, tuple[int, ...]]) -> dict:
-    fr, tors = agg
-    return {"free": fr, "torsion": list(tors)}
-
-
 def _verify_thm_1_1(p=2) -> TheoremReport:
     if p not in (2, 3, 5):
         raise KunnethError("thm-1.1 is stated for p in {2, 3, 5}")
@@ -484,10 +482,8 @@ def _verify_thm_1_1(p=2) -> TheoremReport:
     left_mod = kunneth_quotient_ring(p, n, m, 2).module()
     pairs = [(i, j) for i in range(1, p) for j in range(1, p)]
     notes = [_DEFINITIONAL_NOTE, _TWIST_NOTE]
-    torsion = {"free": 0, "torsion": [1] * len(pairs)}
-    ok_shape = tilde_slots(p, (n, n)) == {
-        "slot_1": torsion, "slot_2": torsion, "slot_3": {"free": len(pairs), "torsion": []}
-    }
+    torsion = (0, (1,) * len(pairs))
+    ok_shape = tilde_slots(p, (n, n)) == (torsion, torsion, (len(pairs), ()))
     pieces: list[tuple[int, int, str]] = [(0, 0, "1")]
     for t in (1, 2):
         for j in range(1, p):
@@ -518,11 +514,8 @@ def _verify_lemma_4_1(p=2, n1=2, n2=2, m=1) -> TheoremReport:
     gens = j_ideal(p, m, 2)
     model = BarKmModel(p=p, factor_ns=(n1, n2), m=m)
     res_ok = j_res_vanishes(gens, model)
-    left = {
-        "slot_1": _slot_dict(normalize(c1).aggregate()),
-        "slot_2": word_slots(_word_ring(p, (n1, n2), m), 2)["slot_2"],
-        "slot_3": _slot_dict(normalize(c0).aggregate()),
-    }
+    mixed = word_slots(_word_ring(p, (n1, n2), m), 2)[1]
+    left = (normalize(c1).aggregate(), mixed, normalize(c0).aggregate())
     right = tilde_slots(p, (n1, n2))
     verdict = VERIFIED if (left == right and res_ok) else REFUTED
     notes = [
@@ -536,8 +529,8 @@ def _verify_lemma_4_1(p=2, n1=2, n2=2, m=1) -> TheoremReport:
         id="lemma-4.1",
         params={"p": p, "n1": n1, "n2": n2, "m": m},
         verdict=verdict,
-        left=left,
-        right=right,
+        left=slot_json(left),
+        right=slot_json(right),
         witnesses=[g.name for g in gens],
         notes=notes,
     )
@@ -655,9 +648,10 @@ def _verify_cor_1_3(p=2, s=2, n=2, m=1) -> TheoremReport:
             right={"expected": "nonzero s-fold torsion product"},
             notes=["every s-fold product of torsion generators vanishes"],
         )
+    factors, vector, degree = w
     p_kill = all(
         _canon_coeff(p * c, ring.basis[ring.index_of(nm)].torsion_exp, p) == 0
-        for nm, c in w.vector
+        for nm, c in vector
     )
     verdict = VERIFIED if p_kill else REFUTED
     return TheoremReport(
@@ -665,12 +659,12 @@ def _verify_cor_1_3(p=2, s=2, n=2, m=1) -> TheoremReport:
         params={"p": p, "s": s, "n": n, "m": m},
         verdict=verdict,
         left={
-            "witness_product": list(w.factors),
-            "value": [[nm, c] for nm, c in w.vector],
-            "degree": w.degree,
+            "witness_product": list(factors),
+            "value": [[nm, c] for nm, c in vector],
+            "degree": degree,
         },
         right={"order": p},
-        witnesses=["*".join(w.factors)],
+        witnesses=["*".join(factors)],
         notes=["s-th power of the torsion ideal is nonzero; the witness has "
                "additive order p"],
     )
@@ -753,13 +747,15 @@ def _torsion_square_report(id_: str, obj, params: dict) -> TheoremReport:
     if w is not None:
         w = ideal_power_witness(obj.ring, tnames, 2)
     verdict = VERIFIED if w is None else REFUTED
-    witnesses = [] if w is None else ["*".join(w.factors)]
+    witnesses, witness = [], None
+    if w is not None:
+        factors, vector, _ = w
+        witnesses, witness = ["*".join(factors)], [[nm, c] for nm, c in vector]
     return TheoremReport(
         id=id_,
         params=params,
         verdict=verdict,
-        left={"torsion_generators": list(tnames),
-              "witness": None if w is None else [[nm, c] for nm, c in w.vector]},
+        left={"torsion_generators": list(tnames), "witness": witness},
         right={"square": 0},
         witnesses=witnesses,
         notes=["restriction map certified to kill exactly the torsion ideal",

@@ -768,19 +768,11 @@ def ideal_generators(ring: PresentedRing, names) -> tuple[str, ...]:
     return tuple(nm for nm in names if ring.index_of(nm) not in hit)
 
 
-class PowerWitness(Frozen):
-    _fields = ("factors", "vector", "degree")
-
-    def __init__(self, factors: tuple[str, ...], vector: tuple[tuple[str, int], ...], degree: int):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "degree", degree)
-
-
 def ideal_power_witness(
     ring: PresentedRing, generators, s: int
-) -> PowerWitness | None:
-    """First nonzero s-fold product of ideal generators, or None if T^s = 0.
+) -> tuple[tuple[str, ...], tuple[tuple[str, int], ...], int] | None:
+    """First nonzero s-fold product of ideal generators as (factor names,
+    product vector by class name, degree), or None if T^s = 0.
 
     Products of s general ideal elements are ring-linear combinations of
     s-fold products of the generators, so exhausting those products is a
@@ -808,8 +800,8 @@ def ideal_power_witness(
     if found is None:
         return None
     combo, acc = found
-    return PowerWitness(
-        factors=tuple(ring.basis[k].name for k in combo),
-        vector=tuple((ring.basis[k].name, c) for k, c in sorted(acc.items())),
-        degree=sum(ring.basis[k].degree for k in combo),
+    return (
+        tuple(ring.basis[k].name for k in combo),
+        tuple((ring.basis[k].name, c) for k, c in sorted(acc.items())),
+        sum(ring.basis[k].degree for k in combo),
     )

@@ -317,6 +317,13 @@ def test_a_column_entry_outside_the_coords_is_refused():
     assert span.contains({0: 2}) and span.solve({5: 1}) is None
 
 
+def test_a_repeated_coordinate_is_refused():
+    with pytest.raises(ExactLinalgError, match="coordinate 0 repeated in coords"):
+        SpanSolver(3, [{1: 1}], coords=[0, 0, 1])
+    with pytest.raises(ExactLinalgError, match="coordinate 'a' repeated in coords"):
+        SpanSolver(3, [{"a": 1}], coords=["a", "b", "a"])
+
+
 def test_a_corrupted_back_solve_fails_the_exactness_audit(monkeypatch):
     back_solve = SpanSolver.back_solve
 

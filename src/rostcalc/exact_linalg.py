@@ -281,8 +281,9 @@ def sparse_snf_exponents(p: int, rows) -> tuple[int, ...]:
 class SpanSolver:
     """The Z_(p)-span of a set of columns, factored once for many targets.
 
-    A column is a dict from row name to integer; the rows are `coords`, by
-    default the sorted nonzero coordinates (`of`: a dense matrix's 0, 1, ...).
+    A column is a dict from row name to integer; the rows are the sequence
+    `coords`, by default the sorted nonzero coordinates (`of`: a dense
+    matrix's 0, 1, ...).
 
     The factorisation is U * M * P = R (`_echelon`): U invertible over Z_(p),
     P the column permutation `perm`.  R (the rows of U * M, each a dict from

@@ -906,7 +906,10 @@ def test_off_grid_reports_match_recorded_bytes(key):
     # was still re-audited from scratch; cor-4.2 and remark-4.2-negative at
     # p=11 and p=17, recorded while (**) still factored one span per degree;
     # cor-1.3 at p=5 s=5 and p=3 s=7, recorded while ring_quotient still
-    # projected every identified class
+    # projected every identified class; cor-3.5 at (p, n, m) = (3, 3, 1),
+    # (3, 3, 2), (5, 3, 2), (7, 2, 1) and (2, 5, 3), which run the second
+    # display, and at (3, 2, 2), where m >= n skips it, recorded while the
+    # split side was still read off two localized free presentations
     id_, params = key.split(" ", 1)
     report = verify_theorem(id_, json.loads(params))
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]

@@ -238,23 +238,16 @@ def km_rost(p: int, n: int, m: int) -> KmPresentation:
         for i in range(1, n):
             gens.append((_c(i, j, "y"), c_degree(p, n, i, j)))
     gidx = {name: k for k, (name, _) in enumerate(gens)}
-    rels: list[tuple[tuple[int, ...], ...]] = []
-
-    def rel(entries: dict[str, tuple[int, ...]]):
-        vec: list[tuple[int, ...]] = [()] * len(gens)
-        for name, poly in entries.items():
-            vec[gidx[name]] = poly
-        rels.append(tuple(vec))
-
+    rels = []  # terms (generator, coefficient, power of v)
     for j in range(1, p):
         for i in range(1, n):
+            c_ij = gidx[_c(i, j, "y")]
             if m >= n:
-                rel({_c(i, j, "y"): (p,)})
+                rels.append(((c_ij, p, 0),))
             elif i == m:
-                rel({_c(m, j, "y"): (p,), _c(0, j, "y"): (0, -1)})
+                rels.append(((gidx[_c(0, j, "y")], -1, 1), (c_ij, p, 0)))
             else:
-                rel({_c(i, j, "y"): (p,)})
-                rel({_c(i, j, "y"): (0, 1)})
+                rels += [((c_ij, p, 0),), ((c_ij, 1, 1),)]
     return KmPresentation(p=p, m=m, gens=tuple(gens), rels=tuple(rels))
 
 

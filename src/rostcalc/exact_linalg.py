@@ -24,7 +24,7 @@ Elimination over Z_(p) has two bounded paths:
   back-substitution on only the rows a target's nonzeros reach; the reduced
   solution is unique, so the rows skipped change no integer.  One
   factorisation answers many targets, each in integers and audited exactly
-  (M X = D B); `membership` and `solve_sparse` are its one-target forms.
+  (M X = D B); `membership` is its one-target form for a dense M.
 
 The polynomial routines at the end (`snf_fp_poly` over F_p[v], `zp_poly_det`
 over Z[v]) have no caller in the package: they remain as test oracles and
@@ -546,15 +546,6 @@ def membership(M: PLocalMatrix, b) -> tuple[Fraction, ...] | None:
         raise ExactLinalgError("length of b does not match row count")
     L = math.lcm(*(x.denominator for x in b))
     return SpanSolver.of(M).solve({i: int(x * L) for i, x in enumerate(b)}, L)
-
-
-def solve_sparse(p: int, columns, target) -> tuple[Fraction, ...] | None:
-    """Solve sum_j x_j columns[j] = target over Z_(p) on sparse vectors.
-
-    Vectors are dicts from coordinate to integer, as in `SpanSolver`.
-    Returns `membership`'s x, or None when target is not in the span.
-    """
-    return SpanSolver(p, columns).solve(target)
 
 
 def kernel_basis(M: PLocalMatrix) -> list[tuple[int, ...]]:

@@ -6,27 +6,26 @@ one: v -> 0 and the localization at v, which also decides v-torsion (a class
 is v-torsion exactly when it vanishes once v is inverted).  For every shape
 occurring in the catalog these invariants are complete.
 
-Relation entries are polynomials in v with integer coefficients, stored as
-ascending coefficient tuples.  All relations must be homogeneous for the
-grading deg(f * g) = deg(g) - deg_v(f) * (p^m - 1), so every entry is a single
-term c * v^k whose exponent k is fixed by the degrees.
+A relation is the tuple of its terms (i, c, k), each c * v^k on generator i
+with c != 0 and k >= 0.  All relations must be homogeneous for the grading
+deg(f * g) = deg(g) - deg_v(f) * (p^m - 1): every term of a relation has its
+degree deg(e_i) - k * (p^m - 1), so an entry with two powers of v, such as
+1 + v, cannot be written.
 """
 
 from __future__ import annotations
 
-from .exact_linalg import SpanSolver, is_prime, solve_sparse, sparse_snf_exponents
+from .exact_linalg import SpanSolver, is_prime, sparse_snf_exponents
 from .graded import (
     DegreeComponent,
     GradedFPModule,
     NormalForm,
+    gr_ps,
     normalize,
     quotient,
-    slot_invariants,
     slot_json,
 )
 from .record import Frozen
-
-Poly = tuple[int, ...]
 
 
 class KmModuleError(ValueError):
@@ -39,7 +38,7 @@ class KmPresentation(Frozen):
     def __init__(
         self, p: int, m: int,
         gens: tuple[tuple[str, int], ...],  # (name, Chow degree)
-        rels: tuple[tuple[Poly, ...], ...],  # one polynomial vector per relation
+        rels: tuple[tuple[tuple[int, int, int], ...], ...],  # terms (i, c, k): c * v^k * e_i
     ):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
@@ -49,29 +48,23 @@ class KmPresentation(Frozen):
             raise KmModuleError(f"p={self.p} must be prime")
         if self.m < 1:
             raise KmModuleError("m must be >= 1")
+        degrees = []  # the degree of each relation, None for one with no terms
         for rel in self.rels:
-            if len(rel) != len(self.gens):
-                raise KmModuleError("relation length mismatch")
-        # rel_degree of each relation, computed once (None for a zero relation);
-        # homogeneity check happens in rel_degree
-        object.__setattr__(self, "rel_degrees", tuple(self.rel_degree(rel) for rel in self.rels))
+            if any(not 0 <= i < len(self.gens) for i, _, _ in rel):
+                raise KmModuleError(f"a term of {rel} names no generator")
+            if any(k < 0 or not c for _, c, k in rel):
+                raise KmModuleError(f"a term of {rel} has coefficient 0 or a negative power of v")
+            degs = sorted({self.gens[i][1] - k * self.vdeg for i, _, k in rel})
+            if len(degs) > 1:
+                raise KmModuleError(f"inhomogeneous relation (degrees {degs})")
+            if len({i for i, _, _ in rel}) < len(rel):
+                raise KmModuleError(f"a generator is named twice in {rel}")
+            degrees.append(degs[0] if degs else None)
+        object.__setattr__(self, "rel_degrees", tuple(degrees))
 
     @property
     def vdeg(self) -> int:
         return self.p**self.m - 1
-
-    def rel_degree(self, rel: tuple[Poly, ...]) -> int | None:
-        degs = set()
-        for (name_deg, poly) in zip(self.gens, rel):
-            _, gdeg = name_deg
-            for k, c in enumerate(poly):
-                if c:
-                    degs.add(gdeg - k * self.vdeg)
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise KmModuleError(f"inhomogeneous relation (degrees {sorted(degs)})")
-        return degs.pop()
 
     def gen_index(self, name: str) -> int:
         for i, (nm, _) in enumerate(self.gens):
@@ -80,32 +73,24 @@ class KmPresentation(Frozen):
         raise KmModuleError(f"no generator named {name!r}")
 
 
-def free_km(p: int, m: int, gens) -> KmPresentation:
-    return KmPresentation(p=p, m=m, gens=tuple(gens), rels=())
-
-
 # ---------------------------------------------------------------------------
 # base change v -> 0
 # ---------------------------------------------------------------------------
 
 
 def to_chow(M: KmPresentation) -> GradedFPModule:
-    """Set v = 0: constant coefficients of every relation, graded by degree.
-    By homogeneity a relation of degree d has its constant terms on
-    generators of degree d."""
+    """Set v = 0: the terms with no v of every relation, graded by degree.
+    A relation of degree d has them on generators of degree d."""
     names: dict[int, list[str]] = {}
-    pos = []  # generator i -> (degree, position in its degree)
+    pos = []  # generator i -> its position in its degree
     for name, d in M.gens:
         at = names.setdefault(d, [])
-        pos.append((d, len(at)))
+        pos.append(len(at))
         at.append(name)
     rels: dict[int, list[dict[int, int]]] = {d: [] for d in names}
     for rel, d in zip(M.rels, M.rel_degrees):
-        terms = [(pos[i], poly[0]) for i, poly in enumerate(rel) if poly and poly[0]]
-        if any(gd != d for (gd, _), _ in terms):
-            raise KmModuleError("internal degree bookkeeping error")
-        if terms:
-            rels[d].append({j: c for (_, j), c in terms})
+        if chow := {pos[i]: c for i, c, k in rel if k == 0}:
+            rels[d].append(chow)
     components = {d: DegreeComponent(len(at), tuple(rels[d]), tuple(at)) for d, at in names.items()}
     degs = sorted(names) or [0]
     return GradedFPModule(p=M.p, components=components, window=(min(degs), max(degs)))
@@ -129,10 +114,8 @@ def graded_slice(M: KmPresentation, D: int) -> list[dict[tuple[int, int], int]]:
     for rel, rdeg in zip(M.rels, M.rel_degrees):
         if rdeg is None or rdeg < D or (rdeg - D) % vdeg:
             continue
-        k = (rdeg - D) // vdeg
-        cols.append(
-            {(i, a + k): c for i, poly in enumerate(rel) for a, c in enumerate(poly) if c}
-        )
+        shift = (rdeg - D) // vdeg
+        cols.append({(i, k + shift): c for i, c, k in rel})
     return cols
 
 
@@ -144,7 +127,7 @@ def slice_membership(M: KmPresentation, target: dict[tuple[int, int], int], D: i
     for (i, a), c in target.items():
         if c and not (0 <= i < len(M.gens) and a >= 0 and M.gens[i][1] - a * M.vdeg == D):
             raise KmModuleError("target outside the slice")
-    return solve_sparse(M.p, graded_slice(M, D), target) is not None
+    return SpanSolver(M.p, graded_slice(M, D)).contains(target)
 
 
 # ---------------------------------------------------------------------------
@@ -152,25 +135,17 @@ def slice_membership(M: KmPresentation, target: dict[tuple[int, int], int], D: i
 # ---------------------------------------------------------------------------
 
 
-def _class_matrix(M: KmPresentation, cls: int) -> tuple[list[int], list[list[Poly]]]:
-    vdeg = M.vdeg
-    gen_idx = [i for i, (_, d) in enumerate(M.gens) if d % vdeg == cls]
-    cols = []
-    for rel, rdeg in zip(M.rels, M.rel_degrees):
-        if rdeg is None or rdeg % vdeg != cls:
-            continue
-        cols.append([rel[i] for i in gen_idx])
-    # rows = generators, columns = relations
-    matrix = [[cols[j][r] for j in range(len(cols))] for r in range(len(gen_idx))]
-    return gen_idx, matrix
-
-
 def _class_at_one(M: KmPresentation, cls: int) -> tuple[list[int], list[dict[int, int]]]:
-    """The class matrix at v = 1 by its relation columns, dicts from row to
-    nonzero entry: each entry is one term c * v^k, read as c."""
-    gen_idx, matrix = _class_matrix(M, cls)
-    columns = zip(*matrix) if matrix else ()
-    return gen_idx, [{r: c for r, a in enumerate(col) if (c := sum(a))} for col in columns]
+    """The generators of degree class cls mod vdeg, and the class matrix at
+    v = 1 by its relation columns, dicts from row (position in the class) to
+    nonzero entry: each term c * v^k is read as c."""
+    gen_idx = [i for i, (_, d) in enumerate(M.gens) if d % M.vdeg == cls]
+    row = {i: r for r, i in enumerate(gen_idx)}
+    return gen_idx, [
+        {row[i]: c for i, c, _ in rel}
+        for rel, rdeg in zip(M.rels, M.rel_degrees)
+        if rdeg is not None and rdeg % M.vdeg == cls
+    ]
 
 
 def localize_v(M: KmPresentation) -> NormalForm:
@@ -225,15 +200,16 @@ def gr_geometric(M: KmPresentation) -> GradedFPModule:
     return quotient(out, [(d, {i: 1}) for d, i in killed])
 
 
-def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> tuple[dict, dict]:
+def check_cor_3_5_second(M: KmPresentation, bar: GradedFPModule) -> tuple[dict, dict]:
     """The two sides of the slotwise comparison of the localized geometric
     graded with the split form, as report JSON slot_0 .. slot_2, to be
     compared slot by slot, ungraded.
 
     Left: the v->0 geometric graded of M re-read over the periodic ring
     (free summands stay free, p-torsion stays).  Right: the p-power
-    filtration slots of the localized split module, degree-0 part split off
-    as slot 0.
+    filtration slots of the split module `bar`, degree-0 part as slot 0
+    (`gr_ps` at depth 1); the split form is free, so inverting v changes
+    none of its invariants.
     """
     nf = normalize(gr_geometric(M))
     pos_free = sum(fr for d, (fr, _) in nf.degrees if d != 0)
@@ -241,11 +217,4 @@ def check_cor_3_5_second(M: KmPresentation, bar: KmPresentation) -> tuple[dict, 
     # and is kept whole there, but catalog objects have none
     pos_torsion = tuple(sorted(e for d, (_, tors) in nf.degrees if d != 0 for e in tors))
     left = (nf.at(0), (0, pos_torsion), (pos_free, ()))
-
-    if bar.rels:
-        raise KmModuleError("the split form must be free")
-    bar_unit = KmPresentation(bar.p, bar.m, tuple(g for g in bar.gens if g[1] == 0), ())
-    bar_pos = KmPresentation(bar.p, bar.m, tuple(g for g in bar.gens if g[1] != 0), ())
-    inv_unit, inv_pos = localize_v(bar_unit).aggregate(), localize_v(bar_pos).aggregate()
-    right = (inv_unit, *slot_invariants(*inv_pos, 1))
-    return slot_json(left, 0), slot_json(right, 0)
+    return slot_json(left, 0), slot_json(gr_ps(bar, 1), 0)

@@ -48,7 +48,7 @@ from .graded import (
     tensor_product,
     zero_module,
 )
-from .km import check_cor_3_5_second, free_km, gr_geometric, v_torsion_generators
+from .km import check_cor_3_5_second, gr_geometric, v_torsion_generators
 from .omega import (
     Element,
     OmegaImageModel,
@@ -63,7 +63,6 @@ from .omega import (
     ring_tensor,
     tensor_name,
     torsion_ideal,
-    y_degree,
 )
 from .record import Frozen
 from .report import NOT_CERTIFIABLE, REFUTED, VERIFIED, TheoremReport
@@ -682,11 +681,8 @@ def _verify_cor_3_5(p=2, n=2, m=1) -> TheoremReport:
     right: dict = {"graded": normalize(right_mod).to_json()}
     second_ok = True
     if m <= n - 1:
-        ydeg = y_degree(p, n)
-        bar_km = free_km(
-            p, m, [("1", 0)] + [(_power("y", j), j * ydeg) for j in range(1, p)]
-        )
-        left["second_display"], right["second_display"] = check_cor_3_5_second(km, bar_km)
+        bar = bar_rost_ring(p, n).module()
+        left["second_display"], right["second_display"] = check_cor_3_5_second(km, bar)
         second_ok = left["second_display"] == right["second_display"]
         notes.append("ungraded slotwise comparison of localized invariants")
     else:

@@ -77,12 +77,8 @@ def test_omega_image_collapse_matches_chow():
 def test_km_rost_has_amalgamated_relation():
     km = catalog_build("km_rost", {"p": 2, "n": 3, "m": 1}).km
     assert km is not None
-    # one relation vector mixes p on c_m with -v on c_0
-    mixed = [
-        rel
-        for rel in km.rels
-        if any(len(poly) == 1 for poly in rel) and any(len(poly) == 2 for poly in rel)
-    ]
+    # one relation mixes p on c_m with -v on c_0: terms (generator, c, power of v)
+    mixed = [rel for rel in km.rels if {k for _, _, k in rel} == {0, 1}]
     assert mixed
 
 

@@ -26,7 +26,6 @@ from rostcalc.exact_linalg import (
     snf_exponents,
     snf_fp_poly,
     snf_p_local,
-    solve_sparse,
     sparse_snf_exponents,
 )
 
@@ -203,28 +202,28 @@ def test_matrix_entries_must_be_integral():
 
 
 @given(st.randoms(use_true_random=False), st.sampled_from(PRIMES))
-def test_solve_sparse_reproduces_targets_in_the_span(rng, p):
+def test_span_solve_reproduces_targets_in_the_span(rng, p):
     coords = [("y", k) for k in range(4)]
     cols = [{c: rng.randint(-6, 6) for c in rng.sample(coords, 2)} for _ in range(3)]
     coeffs = [rng.randint(-3, 3) for _ in cols]
     target = {c: sum(a * col.get(c, 0) for a, col in zip(coeffs, cols)) for c in coords}
-    x = solve_sparse(p, cols, target)
+    x = SpanSolver(p, cols).solve(target)
     assert x is not None
     assert all(xj.denominator % p for xj in x)
     for c in coords:
         assert sum(xj * col.get(c, 0) for xj, col in zip(x, cols)) == target[c]
 
 
-def test_solve_sparse_edge_cases():
+def test_span_solve_edge_cases():
     cols = [{(0, 1): 3}, {(0, 1): 1, (2, 0): 1}]
-    assert solve_sparse(3, cols, {(0, 1): 1}) is None  # out of span: needs 1/3
-    assert solve_sparse(3, cols, {(0, 1): 6}) is not None
-    assert solve_sparse(3, cols, {}) == (0, 0)
-    assert solve_sparse(3, cols, {(2, 0): 0}) == (0, 0)
-    assert solve_sparse(3, [], {}) == ()
-    assert solve_sparse(3, [], {(0, 1): 1}) is None
+    assert SpanSolver(3, cols).solve({(0, 1): 1}) is None  # out of span: needs 1/3
+    assert SpanSolver(3, cols).solve({(0, 1): 6}) is not None
+    assert SpanSolver(3, cols).solve({}) == (0, 0)
+    assert SpanSolver(3, cols).solve({(2, 0): 0}) == (0, 0)
+    assert SpanSolver(3, []).solve({}) == ()
+    assert SpanSolver(3, []).solve({(0, 1): 1}) is None
     # a coordinate that no column has
-    assert solve_sparse(3, cols, {(0, 1): 3, (5, 5): 1}) is None
+    assert SpanSolver(3, cols).solve({(0, 1): 3, (5, 5): 1}) is None
 
 
 def solve_the_old_way(p, cols, target):
@@ -338,7 +337,7 @@ def test_a_corrupted_back_solve_fails_the_exactness_audit(monkeypatch):
     with pytest.raises(ExactLinalgError, match=r"exactness audit failed: M x != b"):
         SpanSolver(3, [{"a": 1}, {"b": 3}]).contains({"a": 2})
     with pytest.raises(ExactLinalgError, match=r"exactness audit failed: M x != b"):
-        solve_sparse(3, [{"a": 1}], {})
+        SpanSolver(3, [{"a": 1}]).solve({})
     # a target off the span never reaches back_solve
     assert membership(M, [0, 1]) is None
 

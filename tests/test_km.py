@@ -6,16 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from rostcalc.catalog import chow_rost_ring, km_rost
+from rostcalc.catalog import bar_rost_ring, chow_rost_ring, km_rost
 from rostcalc.cli import main
 from rostcalc.exact_linalg import PLocalMatrix, pvaluation, snf_exponents, zp_poly_det, zp_trim
 from rostcalc.graded import iso_equal, normalize
 from rostcalc.km import (
     KmModuleError,
     KmPresentation,
-    _class_matrix,
     check_cor_3_5_second,
-    free_km,
     gr_geometric,
     localize_v,
     slice_membership,
@@ -27,42 +25,55 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def km_quotient(M: KmPresentation, extra_rels) -> KmPresentation:
-    rels = M.rels + tuple(tuple(zp_trim(p_) for p_ in rel) for rel in extra_rels)
-    return KmPresentation(p=M.p, m=M.m, gens=M.gens, rels=rels)
+    return KmPresentation(p=M.p, m=M.m, gens=M.gens, rels=M.rels + tuple(extra_rels))
 
 
 def rel_unit(M: KmPresentation, name: str, shift: int = 0, coeff: int = 1):
-    """The relation vector coeff * v^shift * e_name."""
-    vec = [()] * len(M.gens)
-    vec[M.gen_index(name)] = zp_trim([0] * shift + [coeff])
-    return tuple(vec)
+    """The relation coeff * v^shift * e_name, as its one term."""
+    return ((M.gen_index(name), coeff, shift),)
 
 
 def test_homogeneity_enforced():
     with pytest.raises(KmModuleError):
-        KmPresentation(p=2, m=1, gens=(("a", 0), ("b", 3)), rels=(((1,), (1,)),))
-    # a single entry 1 + v spans two degrees; `localize_v` relies on
+        KmPresentation(p=2, m=1, gens=(("a", 0), ("b", 3)), rels=(((0, 1, 0), (1, 1, 0)),))
+    # 1 + v on one generator spans two degrees; `localize_v` relies on
     # every entry being one term c * v^k
     with pytest.raises(KmModuleError, match="inhomogeneous"):
-        KmPresentation(p=2, m=1, gens=(("a", 3),), rels=(((1, 1),),))
+        KmPresentation(p=2, m=1, gens=(("a", 3),), rels=(((0, 1, 0), (0, 1, 1)),))
+
+
+def test_malformed_terms_are_refused():
+    gens = (("a", 0), ("b", 3))
+    with pytest.raises(KmModuleError, match="names no generator"):
+        KmPresentation(p=2, m=1, gens=gens, rels=(((2, 1, 0),),))
+    with pytest.raises(KmModuleError, match="names no generator"):
+        KmPresentation(p=2, m=1, gens=gens, rels=(((-1, 1, 0),),))
+    with pytest.raises(KmModuleError, match="negative power of v"):
+        KmPresentation(p=2, m=1, gens=gens, rels=(((0, 1, -1),),))
+    with pytest.raises(KmModuleError, match="coefficient 0"):
+        KmPresentation(p=2, m=1, gens=gens, rels=(((0, 0, 0),),))
+    # two terms of one degree on one generator: `to_chow` and `graded_slice`
+    # would keep only the last
+    with pytest.raises(KmModuleError, match="named twice"):
+        KmPresentation(p=2, m=1, gens=gens, rels=(((1, 2, 0), (1, 1, 0)),))
 
 
 def test_non_prime_p_is_rejected():
     # at p = 4 the relation 4*a = 0 would be read as torsion of exponent 1
     for p in (4, 1):
         with pytest.raises(KmModuleError, match="must be prime"):
-            KmPresentation(p=p, m=1, gens=(("a", 0), ("b", 3)), rels=(((4,), ()),))
+            KmPresentation(p=p, m=1, gens=(("a", 0), ("b", 3)), rels=(((0, 4, 0),),))
 
 
 def test_rel_unit_shapes():
-    M = free_km(2, 1, [("a", 0), ("b", 2)])
-    assert rel_unit(M, "b") == ((), (1,))
-    assert rel_unit(M, "a", shift=2, coeff=3) == ((0, 0, 3), ())
+    M = KmPresentation(2, 1, (("a", 0), ("b", 2)), ())
+    assert rel_unit(M, "b") == ((1, 1, 0),)
+    assert rel_unit(M, "a", shift=2, coeff=3) == ((0, 3, 2),)
 
 
 def test_to_chow_drops_v_multiples():
     # p*a = 0 survives v -> 0; v*b = 0 does not constrain the Chow side
-    M = free_km(2, 1, [("a", 2), ("b", 2)])
+    M = KmPresentation(2, 1, (("a", 2), ("b", 2)), ())
     M = km_quotient(M, [rel_unit(M, "a", coeff=2), rel_unit(M, "b", shift=1)])
     nf = normalize(to_chow(M))
     assert nf.at(2) == (1, (1,))
@@ -101,7 +112,7 @@ def windowed_v_torsion(M: KmPresentation) -> tuple[str, ...]:
 
 def random_presentation(rng) -> KmPresentation:
     """A homogeneous presentation: each relation has one degree, and its
-    entry on a generator of degree g is c * v^k with g - k*vdeg that degree."""
+    term on a generator of degree g is c * v^k with g - k*vdeg that degree."""
     p, m = rng.choice((2, 3, 5)), rng.choice((1, 2))
     vdeg = p**m - 1
     gens = tuple(
@@ -112,10 +123,11 @@ def random_presentation(rng) -> KmPresentation:
     for _ in range(rng.randint(0, 5)):
         rdeg = rng.choice(gens)[1] - rng.randint(0, 2) * vdeg
         rel = []
-        for _, g in gens:
+        for i, (_, g) in enumerate(gens):
             k, r = divmod(g - rdeg, vdeg)
             c = rng.choice((0, 0, 1, -1, p, 2 * p, p * p, 3)) if g >= rdeg and r == 0 else 0
-            rel.append(zp_trim([0] * k + [c]))
+            if c:
+                rel.append((i, c, k))
         rels.append(tuple(rel))
     return KmPresentation(p=p, m=m, gens=gens, rels=tuple(rels))
 
@@ -140,13 +152,13 @@ def test_gr_geometric_frozen_table():
 
 
 def test_localize_on_pure_p_torsion():
-    M = free_km(2, 1, [("g", 0)])
+    M = KmPresentation(2, 1, (("g", 0),), ())
     M = km_quotient(M, [rel_unit(M, "g", coeff=2)])
     assert localize_v(M).as_dict() == {0: (0, (1,))}  # keyed by degree class mod vdeg = 1
 
 
 def test_localize_kills_v_torsion():
-    M = free_km(3, 1, [("g", 4)])
+    M = KmPresentation(3, 1, (("g", 4),), ())
     M = km_quotient(M, [rel_unit(M, "g", shift=1)])
     assert localize_v(M).aggregate() == (0, ())
 
@@ -176,18 +188,9 @@ def test_slice_membership_scaling_invariance():
 
 
 def test_second_display_comparison():
-    from rostcalc.omega import y_degree
-
     for p, n, m in [(2, 3, 1), (3, 2, 1)]:
-        ydeg = y_degree(p, n)
-        bar = free_km(
-            p, m, [("1", 0)] + [(f"y^{j}" if j > 1 else "y", j * ydeg) for j in range(1, p)]
-        )
-        left, right = check_cor_3_5_second(km_rost(p, n, m), bar)
+        left, right = check_cor_3_5_second(km_rost(p, n, m), bar_rost_ring(p, n).module())
         assert left == right, (p, n, m)
-    # the split form is free; one with relations is refused, not misread
-    with pytest.raises(KmModuleError, match="split form must be free"):
-        check_cor_3_5_second(km_rost(2, 3, 1), km_rost(2, 3, 1))
 
 
 # --- class invariants at v = 1 against a minor-enumeration oracle -----------
@@ -268,6 +271,19 @@ def test_snf_at_v_1_matches_minor_oracle_on_random_matrices():
         assert snf_exponents(PLocalMatrix.from_rows(p, at_one)) == minor_oracle(hom, p), (hom, p)
 
 
+def class_matrix(M: KmPresentation, cls: int):
+    """The generators of degree class cls mod vdeg, and the class matrix over
+    Z[v]: entry (r, j) the coefficient polynomial of the class's relation j
+    on its generator r, c * v^k for a term (i, c, k) and 0 off the terms."""
+    gen_idx = [i for i, (_, d) in enumerate(M.gens) if d % M.vdeg == cls]
+    rels = [
+        {i: zp_trim([0] * k + [c]) for i, c, k in rel}
+        for rel, d in zip(M.rels, M.rel_degrees)
+        if d is not None and d % M.vdeg == cls
+    ]
+    return gen_idx, [[rel.get(i, ()) for rel in rels] for i in gen_idx]
+
+
 KM_ROST_CASES = sorted(
     {(2, n, m) for n in (2, 3, 4) for m in range(1, n)}  # the cor-3.5 grid
     | {(3, 2, 1), (5, 2, 1)}
@@ -281,7 +297,7 @@ def test_localize_v_classes_match_minor_oracle(p, n, m):
     inv = localize_v(M)
     per_class = inv.as_dict()
     for cls in sorted({d % M.vdeg for _, d in M.gens}):
-        gen_idx, matrix = _class_matrix(M, cls)
+        gen_idx, matrix = class_matrix(M, cls)
         exps = minor_oracle(matrix, p)
         free = len(gen_idx) - len(exps)
         torsion = tuple(e for e in exps if e)
@@ -300,6 +316,6 @@ def test_km_rost_5_4_1_pinned_and_rank_cross_checked(capsys):
     M = km_rost(5, 4, 1)
     inv = localize_v(M)
     assert inv.aggregate() == (5, ())
-    gen_idx, matrix = _class_matrix(M, 0)
+    gen_idx, matrix = class_matrix(M, 0)
     # rank over Q(v) is the largest rank over Q at integer values of v
     assert len(gen_idx) - inv.aggregate()[0] == max(_rank_at(matrix, t) for t in (1, 2, 3, 7)) == 12

@@ -12,6 +12,7 @@ import pytest
 
 from rostcalc import catalog, kunneth
 from rostcalc.catalog import (
+    bar_rost_ring,
     build_excellent_quadric_chow,
     build_pfister_neighbor_chow,
     build_product_rost,
@@ -29,7 +30,6 @@ from rostcalc.graded import (
     quotient,
     tensor_product,
 )
-from rostcalc.km import free_km
 from rostcalc.kunneth import (
     CLAIMS,
     BarKmModel,
@@ -789,7 +789,11 @@ def test_cor_3_5_refutes_when_the_right_side_keeps_the_torsion(monkeypatch, para
 @pytest.mark.parametrize("p", [2, 3])
 def test_cor_3_5_refutes_when_the_split_form_loses_a_class(monkeypatch, p):
     # one defect: the split form of the second display drops its top class y^{p-1}
-    monkeypatch.setattr(kunneth, "free_km", lambda p, m, gens: free_km(p, m, gens[:-1]))
+    def bar_without_top(p, n, var="y"):
+        bar = bar_rost_ring(p, n, var)
+        return ring_quotient(bar, [bar.basis[-1].name])
+
+    monkeypatch.setattr(kunneth, "bar_rost_ring", bar_without_top)
     r = verify_theorem("cor-3.5", {"p": p, "n": 2, "m": 1})
     assert r.verdict == "refuted"
     assert r.left["graded"] == r.right["graded"]  # the first display still holds

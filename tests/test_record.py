@@ -102,7 +102,7 @@ def test_records_of_different_classes_differ():
 
 
 def test_derived_fields_stay_out_of_equality():
-    kp = KmPresentation(3, 1, (("a", 0),), (((3,),),))
+    kp = KmPresentation(3, 1, (("a", 0),), (((0, 3, 0),),))
     assert "rel_degrees" not in KmPresentation._fields and kp.rel_degrees == (0,)
     assert OmegaImageModel(3, (2, 3)).ydegs == (4, 13)
     ring = chow_rost_ring(3, 2)

@@ -22,9 +22,12 @@ Elimination over Z_(p) has two bounded paths:
   echelon form of [M | I] on rows of nonzeros, the row of [A | U] divided by
   its prime-to-p content after every operation, then integer
   back-substitution on only the rows a target's nonzeros reach; the reduced
-  solution is unique, so the rows skipped change no integer.  One
-  factorisation answers many targets, each in integers and audited exactly
-  (M X = D B); `membership` is its one-target form for a dense M.
+  solution is unique, so the rows skipped change no integer.  A step clears
+  only the rows that hold its pivot column (a column index), and the solvers
+  of one positional matrix share one factorisation (`_factor`, an LRU cache
+  of 64), which none of them mutates.  Each factorisation answers many
+  targets, each in integers and audited exactly (M X = D B); `membership` is
+  its one-target form for a dense M.
 
 The polynomial routines at the end (`snf_fp_poly` over F_p[v], `zp_poly_det`
 over Z[v]) have no caller in the package: they remain as test oracles and
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 
 from .record import Frozen
@@ -283,7 +287,10 @@ class SpanSolver:
 
     A column is a dict from row name to integer; the rows are the sequence
     `coords`, by default the sorted nonzero coordinates (`of`: a dense
-    matrix's 0, 1, ...).
+    matrix's 0, 1, ...).  It is stored once, as a sorted tuple of (row
+    position, integer) pairs, and (p, rows, columns) keys `_factor`: every
+    solver of one matrix shares its factorisation, never mutated (the cache
+    keeps the 64 latest, whatever their size).
 
     The factorisation is U * M * P = R (`_echelon`): U invertible over Z_(p),
     P the column permutation `perm`.  R (the rows of U * M, each a dict from
@@ -304,21 +311,21 @@ class SpanSolver:
     def __init__(self, p: int, columns, coords=None):
         if not is_prime(p):
             raise ExactLinalgError(f"p={p} is not prime")
+        columns = list(columns)  # read once: an iterator would be empty the second time
         if coords is None:
             coords = sorted({k for col in columns for k, c in col.items() if c})
-        self.p, self.row = p, {k: i for i, k in enumerate(coords)}
-        if len(self.row) < len(coords):  # a repeated name keeps only its last row
-            dup = next(k for i, k in enumerate(coords) if self.row[k] != i)
+        row = {k: i for i, k in enumerate(coords)}
+        self.p, self.row = p, row
+        if len(row) < len(coords):  # a repeated name keeps only its last row
+            dup = next(k for i, k in enumerate(coords) if row[k] != i)
             raise ExactLinalgError(f"coordinate {dup!r} repeated in coords")
         try:
-            self.columns = [{self.row[k]: _integral(c) for k, c in col.items() if c} for col in columns]
+            self.columns = tuple(tuple(sorted([(row[k], _integral(c)) for k, c in col.items() if c]))
+                                 for col in columns)
         except KeyError as exc:
             raise ExactLinalgError(f"column entry at {exc.args[0]!r}, outside coords") from None
-        self.R, self.ucols, self.perm, self.rank = _echelon(p, self.columns, len(self.row))
-        self.above: dict[int, list[int]] = {}
-        for i, j in ((i, j) for i, row in enumerate(self.R) for j in row if j > i):
-            self.above.setdefault(j, []).append(i)
-        self.pivot_pe = [p ** pvaluation(self.R[i][i], p) for i in range(self.rank)]
+        self.R, self.ucols, self.perm, self.rank, self.above, self.pivot_pe = _factor(
+            p, len(row), self.columns)
 
     @classmethod
     def of(cls, M: PLocalMatrix) -> "SpanSolver":
@@ -390,7 +397,7 @@ class SpanSolver:
         for pos, t in Y.items():
             j = self.perm[pos]
             X[j] = t
-            for i, a in self.columns[j].items():
+            for i, a in self.columns[j]:
                 MX[i] = MX.get(i, 0) + a * t
         if {i: t for i, t in MX.items() if t} != {i: D * v for i, v in B.items()}:
             raise ExactLinalgError("exactness audit failed: M x != b for the back-solved x")
@@ -405,10 +412,22 @@ class SpanSolver:
         return self.solve_int(target) is not None
 
 
-def _echelon(p: int, columns: list[dict[int, int]], nr: int):
+@lru_cache(maxsize=64)
+def _factor(p: int, nr: int, columns: tuple) -> tuple:
+    """(R, ucols, perm, rank, above, pivot_pe) of `SpanSolver` for the nr-row
+    matrix of these columns over Z_(p): one per matrix, shared, never mutated."""
+    R, ucols, perm, rank = _echelon(p, columns, nr)
+    above: dict[int, list[int]] = {}
+    for i, j in ((i, j) for i, row in enumerate(R) for j in row if j > i):
+        above.setdefault(j, []).append(i)
+    return R, ucols, perm, rank, above, [p ** pvaluation(R[i][i], p) for i in range(rank)]
+
+
+def _echelon(p: int, columns: tuple, nr: int):
     """Transform path: row elimination of [M | I] over Z_(p), to (R, U by its
-    columns, perm, rank).  M has nr rows and the given columns; every row and
-    column is a dict of its nonzeros, so a step reads only what it changes.
+    columns, perm, rank).  M has nr rows and the given columns, tuples of
+    (row, entry) pairs; each row is a dict of its nonzeros, and `holders[j]`
+    the rows from k on that hold column j, so a step reads only what it changes.
     Pivot rule: entry of minimal p-valuation, ties broken by lowest (row,
     position), a column's position being its place in `perm`.  Clearing an
     entry b with pivot a = u*p^alpha uses the integer row operation
@@ -420,9 +439,11 @@ def _echelon(p: int, columns: list[dict[int, int]], nr: int):
     """
     nc = len(columns)
     A: list[dict[int, int]] = [{} for _ in range(nr)]
+    holders: list[set[int]] = [set() for _ in range(nc)]
     for j, col in enumerate(columns):
-        for i, x in col.items():
+        for i, x in col:
             A[i][j] = x
+            holders[j].add(i)
     U = [{i: 1} for i in range(nr)]
     perm, pos = list(range(nc)), list(range(nc))
     k = 0
@@ -438,23 +459,30 @@ def _echelon(p: int, columns: list[dict[int, int]], nr: int):
         if best[0] == math.inf:
             break
         val, pi, pj = best
+        for j in A[k].keys() ^ A[pi].keys():  # a column both rows hold keeps its holders
+            holders[j] ^= {k, pi}
         A[k], A[pi], U[k], U[pi] = A[pi], A[k], U[pi], U[k]
         a, b = perm[k], perm[pj]
         perm[k], perm[pj], pos[a], pos[b] = b, a, pj, k
         pk, uk, pe = A[k], U[k], p**val
         ua, get, uget = pk[b] // pe, pk.get, uk.get
-        for i in range(k + 1, nr):
-            if x := (row := A[i]).get(b):
-                urow, f = U[i], x // pe  # ua * row - f * pk, and so for U
-                unew = {j: z for j, y in urow.items() if (z := ua * y - f * uget(j, 0))}
-                for j in uk.keys() - urow.keys():
-                    unew[j] = -f * uk[j]
-                if (g := _prime_to_p_content(unew.values(), p)) > 1:
-                    unew = {j: y // g for j, y in unew.items()}
-                new = {j: z // g for j, y in row.items() if (z := ua * y - f * get(j, 0))}
-                for j in pk.keys() - row.keys():
-                    new[j] = -f * pk[j] // g
-                A[i], U[i] = new, unew
+        for j in pk:
+            holders[j].discard(k)
+        for i in sorted(holders[b]):
+            row, urow = A[i], U[i]
+            f = row[b] // pe  # ua * row - f * pk, and so for U
+            unew = {j: z for j, y in urow.items() if (z := ua * y - f * uget(j, 0))}
+            for j in uk.keys() - urow.keys():
+                unew[j] = -f * uk[j]
+            if (g := _prime_to_p_content(unew.values(), p)) > 1:
+                unew = {j: y // g for j, y in unew.items()}
+            new = {j: z // g for j, y in row.items() if (z := ua * y - f * get(j, 0))}
+            for j in pk.keys() - row.keys():  # fill-in
+                new[j] = -f * pk[j] // g
+                holders[j].add(i)
+            for j in row.keys() - new.keys():  # cancellation, b among them
+                holders[j].discard(i)
+            A[i], U[i] = new, unew
         k += 1
     ucols: list[dict[int, int]] = [{} for _ in range(nr)]
     for i, row in enumerate(U):

@@ -293,6 +293,13 @@ def test_build_omega_image_rost_p3_n5_pinned(capsys):
     assert out == (DATA / "build_omega_image_rost_p3_n5.json").read_text()
 
 
+def test_build_omega_image_rost_p2_n7_pinned(capsys):
+    # top degree 127; recorded before the column index and the shared factorisations
+    code, out, _ = run(capsys, "build", "omega_image_rost", "--p", "2", "--n", "7")
+    assert code == 0
+    assert out == (DATA / "build_omega_image_rost_p2_n7.json").read_text()
+
+
 def test_build_km_rost_p3_n2_m2_pinned(capsys):
     # m >= n: M[v^-1] carries torsion in degree classes 2 and 6
     code, out, _ = run(capsys, "build", "km_rost", "--p", "3", "--n", "2", "--m", "2")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from rostcalc.exact_linalg import (
     snf_exponents,
     snf_fp_poly,
     snf_p_local,
+    _factor,
     sparse_snf_exponents,
 )
 
@@ -308,6 +310,40 @@ def test_factored_dense_span_matches_membership():
             assert span.solve(dict(enumerate(b))) == membership(M, b)
 
 
+def test_columns_given_as_an_iterator_are_read_once():
+    cols = [{0: 1}, {1: 3}, {0: 2, 2: 5}]
+    listed, once = SpanSolver(3, cols), SpanSolver(3, iter(cols))
+    assert once.columns == listed.columns and once.rank == listed.rank == 3
+    for target in ({0: 1}, {1: 1}, {1: 3}, {0: 2, 1: 3, 2: 5}, {3: 1}, {}):
+        assert once.solve(target) == listed.solve(target)
+    assert SpanSolver(3, iter([{0: 1}, {1: 3}])).contains({0: 1})
+
+
+def test_solvers_over_one_positional_matrix_share_one_factorisation():
+    rename = {"x": ("u", 0), "y": ("u", 1), "z": ("u", 2), "w": "w"}  # the same sorted order
+    cols = [{"x": 1, "y": 3}, {"y": 2, "z": 6}, {"x": 9, "z": 1}, {"y": 3}]
+    targets = [{}, {"x": 1}, {"y": 3}, {"x": 1, "y": 5, "z": 7}, {"z": 3}, {"w": 1}]
+    renamed, renamed_targets = ([{rename[k]: c for k, c in v.items()} for v in vs]
+                                for vs in (cols, targets))
+    _factor.cache_clear()
+    first, second = SpanSolver(3, cols), SpanSolver(3, renamed)
+    assert (_factor.cache_info().hits, _factor.cache_info().misses) == (1, 1)
+    assert second.R is first.R and second.ucols is first.ucols and second.above is first.above
+    answers = [first.solve_int(t) for t in targets] + [first.kernel_vectors()]
+    assert answers[5] is None and None not in answers[:5]
+    _factor.cache_clear()
+    fresh = SpanSolver(3, renamed)
+    assert fresh.R is not first.R
+    assert (fresh.R, fresh.ucols, fresh.perm, fresh.rank, fresh.above, fresh.pivot_pe) == (
+        first.R, first.ucols, first.perm, first.rank, first.above, first.pivot_pe)
+    # answering leaves the shared factorisation as a fresh build has it
+    for span, asked in ((first, targets), (second, renamed_targets), (fresh, renamed_targets)):
+        assert [span.solve_int(t) for t in asked] + [span.kernel_vectors()] == answers
+    # a matrix that differs in one entry is factored anew
+    assert SpanSolver(3, [*cols[:3], {"y": 6}]).R is not fresh.R
+    assert (_factor.cache_info().hits, _factor.cache_info().misses) == (0, 2)
+
+
 def test_a_column_entry_outside_the_coords_is_refused():
     with pytest.raises(ExactLinalgError, match="column entry at 5, outside coords"):
         SpanSolver(3, [{0: 1, 5: 2}], range(2))
@@ -345,13 +381,16 @@ def test_a_corrupted_back_solve_fails_the_exactness_audit(monkeypatch):
 class DenseOracle:
     """The dense transform path `SpanSolver` replaced, kept as its oracle:
     elimination of [M | I] on full rows, then back-substitution over every
-    pivot row, with the same pivot rule and the same content divisions."""
+    pivot row, with the same pivot rule and the same content divisions.
+    `events` counts the steps where the sparse path must update its column
+    index: a swap of two rows, an entry filled in and one cancelled (other
+    than the one in the pivot column)."""
 
     def __init__(self, M: PLocalMatrix):
         p, nr, nc = M.p, M.rows, M.cols
         A = [list(row) for row in M.entries]
         U = [[int(i == j) for j in range(nr)] for i in range(nr)]
-        perm, k = list(range(nc)), 0
+        perm, k, self.events = list(range(nc)), 0, Counter()
         while k < min(nr, nc):
             best = pivot = None
             for i in range(k, nr):
@@ -367,6 +406,7 @@ class DenseOracle:
             if pivot is None:
                 break
             pi, pj = pivot
+            self.events["swap"] += pi != k
             A[k], A[pi], U[k], U[pi] = A[pi], A[k], U[pi], U[k]
             for row in A:
                 row[k], row[pj] = row[pj], row[k]
@@ -380,6 +420,9 @@ class DenseOracle:
                     while g and g % p == 0:
                         g //= p
                     both = [x // g for x in both]
+                    for x, y in zip(A[i][k + 1 :], both[k + 1 : nc]):
+                        self.events["fill-in"] += not x and bool(y)
+                        self.events["cancel"] += bool(x) and not y
                     A[i], U[i] = both[:nc], both[nc:]
             k += 1
         self.M, self.R, self.U, self.perm, self.rank = M, A, U, perm, k
@@ -434,18 +477,45 @@ def monomial_rows(rng, p, nr, nc):
     return rows
 
 
+def index_rows(rng, p, nr, nc):
+    """Rows that take the column index through its three updates.  Row 0 has
+    no unit, so the first pivot row swaps in from below; the others are
+    variants of one row with a unit, so clearing with it fills in the columns
+    a row lacks and cancels most of those it shares."""
+    lead = [rng.choice((0, 1, -1)) for _ in range(nc)]
+    lead[rng.randrange(nc)] = 1
+    rows = [[p * rng.choice((0, 1, 2)) for _ in range(nc)]]
+    for _ in range(nr - 1):
+        rows.append([x if rng.random() < 0.6 else rng.choice((0, 1, p)) for x in lead])
+    return rows
+
+
+def test_index_rows_swap_fill_in_and_cancel():
+    for p in PRIMES:
+        events = Counter()
+        for seed in range(10):
+            M = PLocalMatrix.from_rows(p, index_rows(random.Random(f"index:{p}:{seed}"), p, 5, 6))
+            span, dense = SpanSolver.of(M), DenseOracle(M)
+            assert (span.perm, span.rank) == (dense.perm, dense.rank)
+            assert [[row.get(j, 0) for j in range(6)] for row in span.R] == dense.R[: dense.rank]
+            events += dense.events
+        assert events["swap"] and events["fill-in"] and events["cancel"], (p, events)
+
+
 @given(
     st.integers(1, 7),
     st.integers(1, 9),
-    st.booleans(),
+    st.sampled_from(("dense", "monomial", "index")),
     st.randoms(use_true_random=False),
     st.sampled_from(PRIMES),
 )
-def test_sparse_solver_matches_the_dense_oracle(nr, nc, monomial, rng, p):
+def test_sparse_solver_matches_the_dense_oracle(nr, nc, kind, rng, p):
     # the same factorisation, and the same integers from every back-solve:
     # solutions, kernel vectors and the snf_p_local transforms
-    if monomial:
+    if kind == "monomial":
         rows = monomial_rows(rng, p, nr, nc)
+    elif kind == "index":
+        rows = index_rows(rng, p, nr, nc)
     else:
         rows = [[rng.choice((0, 0, 1, -1, p, p * p, rng.randint(-20, 20))) for _ in range(nc)]
                 for _ in range(nr)]

@@ -280,6 +280,21 @@ def test_tensor_pfister_neighbor_chow_n4_pinned(capsys):
     assert out == (DATA / "tensor_pfister_neighbor_chow_n4.json").read_text()
 
 
+def test_tensor_pfister_neighbor_chow_n5_pinned(capsys):
+    # `normalize` reads a module of 186 generators and 124 relations
+    code, out, _ = run(capsys, "tensor", "pfister_neighbor_chow", "pfister_neighbor_chow", "--n", "5")
+    assert code == 0
+    assert out == (DATA / "tensor_pfister_neighbor_chow_n5.json").read_text()
+
+
+def test_build_excellent_quadric_chow_text_pinned(capsys):
+    code, out, _ = run(
+        capsys, "build", "excellent_quadric_chow", "--n", "2", "--d", "5", "--di", "3", "--format", "text"
+    )
+    assert code == 0
+    assert out == (DATA / "build_excellent_quadric_chow_n2_d5_di3.txt").read_text()
+
+
 def test_tensor_gr_m_rost_chow_rost_p3_pinned(capsys):
     code, out, _ = run(capsys, "tensor", "gr_m_rost", "chow_rost", "--p", "3", "--n", "3", "--m", "1")
     assert code == 0

@@ -10,24 +10,18 @@ integer.  `PLocalMatrix` is the dense form of the public entry points
 (`snf_exponents`, `snf_p_local`, `membership`, `kernel_basis` and
 `GradedFPModule.relation_matrix`), each of which converts it once.
 
-Elimination over Z_(p) has two bounded paths:
-
-- Exponents only (`sparse_snf_exponents`, for `normalize` and rank checks):
-  the matrix is, up to permutation, the direct sum of the connected blocks
-  of its nonzero rows.  A block of one row or one column has its one
-  exponent read off; any other is eliminated alone: sparse, no transforms,
-  entries reduced mod p^K with p^(2K) above the block's squared Hadamard
-  bound (a product of |row|^2 or |col|^2), so no exponent is lost.
-- Transforms (`SpanSolver`, behind `snf_p_local` and `kernel_basis`): row
-  echelon form of [M | I] on rows of nonzeros, the row of [A | U] divided by
-  its prime-to-p content after every operation, then integer
-  back-substitution on only the rows a target's nonzeros reach; the reduced
-  solution is unique, so the rows skipped change no integer.  A step clears
-  only the rows that hold its pivot column (a column index), and the solvers
-  of one positional matrix share one factorisation (`_factor`, an LRU cache
-  of 64), which none of them mutates.  Each factorisation answers many
-  targets, each in integers and audited exactly (M X = D B); `membership` is
-  its one-target form for a dense M.
+Elimination over Z_(p) is one routine, `SpanSolver`'s row echelon form of
+[M | I] on rows of nonzeros (`_echelon`), the row of [A | U] divided by its
+prime-to-p content after every operation.  Its pivot valuations are the SNF
+exponents (`SpanSolver.exponents`, behind `snf_exponents`, the normal forms
+and the rank checks); memberships, kernels and `snf_p_local` go on to
+integer back-substitution on only the rows a target's nonzeros reach; the
+reduced solution is unique, so the rows skipped change no integer.  A step
+clears only the rows that hold its pivot column (a column index), and the
+solvers of one positional matrix share one factorisation (`_factor`, an LRU
+cache of 64), which none of them mutates.  Each factorisation answers many
+targets, each in integers and audited exactly (M X = D B); `membership` is
+its one-target form for a dense M.
 
 The polynomial routines at the end (`snf_fp_poly` over F_p[v], `zp_poly_det`
 over Z[v]) have no caller in the package: they remain as test oracles and
@@ -39,7 +33,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 
 from .record import Frozen
 
@@ -142,146 +135,6 @@ def _prime_to_p_content(values, p: int) -> int:
     return g
 
 
-# -- exponents-only path -----------------------------------------------------
-
-
-def minor_bound_exponent(M: PLocalMatrix) -> int:
-    """Least K with p^K above the Hadamard bound on every minor of M."""
-    return _bound_exponent(M.p, _sparse_rows(M))
-
-
-def _sparse_rows(M: PLocalMatrix) -> list[dict[int, int]]:
-    """The nonzero rows of M as dicts from column to entry."""
-    cols = range(M.cols)
-    return [row for row in ({j: r[j] for j in compress(cols, r)} for r in M.entries) if row]
-
-
-def _bound_exponent(p: int, rows) -> int:
-    """`minor_bound_exponent` of the matrix whose nonzero rows are `rows`.
-
-    A nonzero k-by-k minor has k <= min(nonzero rows, nonzero columns) and
-    is at most the product of the k largest row (or column) norms, both
-    summed in one pass.  H is kept squared, in integers: K is least with
-    p^(2K) > H^2: every nonzero minor and SNF exponent has valuation below K.
-    """
-    row2, col2 = [], {}
-    for row in rows:
-        s = 0
-        for j, x in row.items():
-            x *= x
-            s += x
-            col2[j] = col2.get(j, 0) + x
-        row2.append(s)
-    k = min(len(row2), len(col2))
-    h2 = min(math.prod(sorted(row2)[-k:]), math.prod(sorted(col2.values())[-k:]))
-    K, q2, p2 = 0, 1, p * p
-    while q2 <= h2:
-        q2 *= p2
-        K += 1
-    return K
-
-
-def _blocks(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
-    """The sparse rows grouped by the connected components of their supports
-    (a union-find over the column indices)."""
-    parent: dict[int, int] = {}
-
-    def find(j: int) -> int:
-        while (up := parent.get(j, j)) != j:
-            parent[j] = j = parent.get(up, up)
-        return j
-
-    for row in rows:
-        if len(row) > 1:  # a row of one entry joins no two columns
-            r = find(next(iter(row)))
-            for j in row:
-                parent[find(j)] = r
-    blocks: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
-        blocks.setdefault(find(next(iter(row))), []).append(row)
-    return list(blocks.values())
-
-
-def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
-    """SNF exponents of the dense M over Z_(p), ascending (`sparse_snf_exponents`)."""
-    return sparse_snf_exponents(M.p, _sparse_rows(M))
-
-
-def sparse_snf_exponents(p: int, rows) -> tuple[int, ...]:
-    """SNF exponents over Z_(p), ascending, of the matrix whose rows are
-    `rows`, dicts from column to nonzero integer; the rank is their number.
-
-    Exponents-only path: no U or V, and only the nonzeros are read.  Up to
-    permuting rows and columns, the matrix is the direct sum of zeros and of
-    the blocks of its nonzero rows (`_blocks`); the SNF of a direct sum is
-    the multiset union of the summands' SNFs, so each block B is taken
-    alone and the rank is the total number of exponents.
-
-    Lemma.  If B has a single row or a single column, it has exactly one
-    SNF exponent, the least p-valuation of its entries.  Proof: B is 1 x k
-    or k x 1 and not zero, so its rank is 1 and its one invariant factor is
-    d_1, the gcd of its 1 x 1 minors, which are its entries; over Z_(p) the
-    gcd of entries u_i p^(v_i) (u_i units) is p^(min v_i) times a unit.  A
-    block whose rows each hold one entry has a single column, as rows join a
-    block only through a shared column.  So a sum of cyclics, or a tensor
-    product of two, has its exponents read off without elimination.
-
-    Any other B is eliminated, reduced mod p^K_B, K_B its own bound
-    (`_bound_exponent`), which its minors obey: reduction is a ring map
-    Z_(p) -> Z/p^K_B and every exponent of B is below K_B, so none of them
-    vanishes.  Pivots are taken level by level: all remaining entries are
-    divisible by p^level, and an entry not divisible by p^(level+1) is a
-    pivot of least valuation.  Clearing its column leaves the rest of its
-    row divisible by it, so the row is dropped without column operations.
-    """
-    exps: list[int] = []
-    # an entry of another number type than int would show in its row's sum
-    rows = [r if type(sum(r.values())) is int else {j: _integral(x) for j, x in r.items()}
-            for r in rows if r]
-    for block in _blocks(rows):
-        if len(block) == 1 or all(len(row) == 1 for row in block):
-            exps.append(min(pvaluation(x, p) for row in block for x in row.values()))
-            continue
-        q = p ** _bound_exponent(p, block)
-        reduced = ({j: y for j, x in row.items() if (y := x % q)} for row in block)
-        block = [row for row in reduced if row]
-        level, pe, pe1 = 0, 1, p
-        while block:
-            # the sparsest row that holds an entry of valuation `level`
-            pi = pj = None
-            for i, row in enumerate(block):
-                if pi is not None and len(row) >= len(block[pi]):
-                    continue
-                for j, x in row.items():
-                    if x % pe1:
-                        pi, pj = i, j
-                        break
-            if pi is None:
-                level, pe, pe1 = level + 1, pe1, pe1 * p
-                continue
-            prow = block.pop(pi)
-            inv = pow(prow[pj] // pe, -1, q)
-            exps.append(level)
-            kept = []
-            for row in block:
-                b = row.get(pj)
-                if b is not None:
-                    f = b // pe * inv % q
-                    for j, x in prow.items():
-                        y = (row.get(j, 0) - f * x) % q
-                        if y:
-                            row[j] = y
-                        else:
-                            row.pop(j, None)
-                if row:
-                    kept.append(row)
-            block = kept
-    return tuple(sorted(exps))
-
-
-# -- transform path ----------------------------------------------------------
-
-
 class SpanSolver:
     """The Z_(p)-span of a set of columns, factored once for many targets.
 
@@ -332,6 +185,19 @@ class SpanSolver:
         """The span of the columns of the dense M, its rows named 0, 1, ..."""
         cols = [{i: r[j] for i, r in enumerate(M.entries) if r[j]} for j in range(M.cols)]
         return cls(M.p, cols, range(M.rows))
+
+    def exponents(self) -> tuple[int, ...]:
+        """The SNF exponents of M over Z_(p), ascending; `rank` is their number.
+
+        They are the valuations of the pivots R[i][i].  Each pivot had the
+        least valuation among the rows and columns from i on, so it divides
+        its row, and row i is final once chosen.  Column operations therefore
+        clear row 0, then row 1, and so on, each touching its own row only:
+        the pivot column is zero below the pivot and, by then, above it.  So M
+        is equivalent to diag(R[0][0], ..., R[rank-1][rank-1]) plus zeros,
+        whose SNF exponents are the sorted valuations of the pivots.
+        """
+        return tuple(sorted(pvaluation(pe, self.p) for pe in self.pivot_pe))
 
     def back_solve(self, c: dict[int, int]) -> tuple[dict[int, int], int]:
         """(Y, D): y = Y/D solves R[:rank, :rank] y = c for c a dict on the rows
@@ -424,8 +290,8 @@ def _factor(p: int, nr: int, columns: tuple) -> tuple:
 
 
 def _echelon(p: int, columns: tuple, nr: int):
-    """Transform path: row elimination of [M | I] over Z_(p), to (R, U by its
-    columns, perm, rank).  M has nr rows and the given columns, tuples of
+    """Row elimination of [M | I] over Z_(p), to (R, U by its columns, perm,
+    rank).  M has nr rows and the given columns, tuples of
     (row, entry) pairs; each row is a dict of its nonzeros, and `holders[j]`
     the rows from k on that hold column j, so a step reads only what it changes.
     Pivot rule: entry of minimal p-valuation, ties broken by lowest (row,
@@ -522,6 +388,11 @@ class SNFResult(Frozen):
         free = self.rows - self.rank
         torsion = tuple(e for e in self.exponents if e >= 1)
         return free, torsion
+
+
+def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
+    """SNF exponents of the dense M over Z_(p), ascending (`SpanSolver.exponents`)."""
+    return SpanSolver.of(M).exponents()
 
 
 def snf_p_local(M: PLocalMatrix) -> SNFResult:

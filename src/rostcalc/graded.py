@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .exact_linalg import PLocalMatrix, SpanSolver, is_prime, sparse_snf_exponents
+from .exact_linalg import PLocalMatrix, SpanSolver, is_prime
 from .record import Frozen, Record
 
 
@@ -193,12 +193,13 @@ class NormalForm(Frozen):
 
 
 def normalize(M: GradedFPModule) -> NormalForm:
-    """Per-degree (free rank, torsion exponents) of M.  The relation columns
-    are the rows of the transpose, which has the same SNF exponents."""
+    """Per-degree (free rank, torsion exponents) of M, read off the SNF
+    exponents of the relation matrix: its factorisation is the one that
+    `relation_matrix` and every relation-span solve of that degree share."""
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
     for d in M.degrees():
         comp = M.components[d]
-        exps = sparse_snf_exponents(M.p, comp.relations)
+        exps = SpanSolver(M.p, comp.relations, range(comp.gens)).exponents()
         free, torsion = comp.gens - len(exps), tuple(e for e in exps if e)
         if free or torsion:
             out[d] = (free, torsion)

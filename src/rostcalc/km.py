@@ -15,7 +15,7 @@ degree deg(e_i) - k * (p^m - 1), so an entry with two powers of v, such as
 
 from __future__ import annotations
 
-from .exact_linalg import SpanSolver, is_prime, sparse_snf_exponents
+from .exact_linalg import SpanSolver, is_prime
 from .graded import (
     DegreeComponent,
     GradedFPModule,
@@ -156,14 +156,16 @@ def localize_v(M: KmPresentation) -> NormalForm:
     and cls + b_j*vdeg.  Homogeneity makes entry (i, j) of the class matrix
     c_ij * v^(a_i - b_j), so the matrix is D_g * C * D_r^-1 with D_g, D_r
     diagonal powers of v and C = (c_ij) the matrix at v = 1.  Powers of v are
-    units of Z_(p)[v, v^-1], so the class has the invariants of C over Z_(p),
-    `snf_exponents(C)`.  The same holds mod p over F_p[v, v^-1], where every
-    invariant factor is therefore a constant: no torsion prime to (p, v).
+    units of Z_(p)[v, v^-1], so the class has the invariants of C over Z_(p):
+    the SNF exponents of C, read off the factorisation of C's columns that
+    `v_torsion_generators` shares.  The same holds mod p over F_p[v, v^-1],
+    where every invariant factor is therefore a constant: no torsion prime
+    to (p, v).
     """
     per_class: dict[int, tuple[int, tuple[int, ...]]] = {}
     for cls in sorted({d % M.vdeg for _, d in M.gens}):
         gen_idx, at_one = _class_at_one(M, cls)
-        exps = sparse_snf_exponents(M.p, at_one)  # the columns as rows: the same SNF
+        exps = SpanSolver(M.p, at_one, range(len(gen_idx))).exponents()
         per_class[cls] = (len(gen_idx) - len(exps), tuple(e for e in exps if e))
     return NormalForm.from_dict(M.p, per_class)
 

@@ -36,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import SpanSolver, is_prime, sparse_snf_exponents
+from .exact_linalg import SpanSolver, is_prime
 from .graded import GradedFPModule, GradedMap, cyclic_summands
 from .record import Frozen
 
@@ -672,7 +672,8 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     for d in sorted({deg for deg, _ in graded}):
         sl_names, surv, span = slice_at(d)
         kern = span.kernel_vectors()
-        restricted = [{pos: c for pos, i in enumerate(surv) if (c := vec.get(i))} for vec in kern]
+        restricted = ({pos: c for pos, i in enumerate(surv) if (c := vec.get(i))} for vec in kern)
+        restricted = [vec for vec in restricted if vec]  # a zero vector spans nothing
         surv_names = [sl_names[i] for i in surv]
         orders = [0 if name == "1" or name.startswith("c_0(") else 1 for name in surv_names]
         # relation span must equal span{p * e_t : torsion t}
@@ -737,9 +738,8 @@ def torsion_ideal(ring: PresentedRing, res: GradedMap | None = None) -> tuple[st
                 name = res.source.names_at(d)[j]
                 if ring.basis[ring.index_of(name)].torsion_exp:
                     raise OmegaModelError(f"torsion class {name} has nonzero restriction")
-        for d, count in sorted(free.items()):  # the images as rows: the same rank
-            images = list(res.columns.get(d, {}).values())
-            if len(sparse_snf_exponents(ring.p, images)) != count:
+        for d, count in sorted(free.items()):
+            if SpanSolver(ring.p, res.columns.get(d, {}).values()).rank != count:
                 raise OmegaModelError(f"restriction not injective on free part, degree {d}")
     return names
 

@@ -22,14 +22,13 @@ from rostcalc.exact_linalg import (
     kernel_basis,
     laurent_normalize,
     membership,
-    minor_bound_exponent,
     pvaluation,
     snf_exponents,
     snf_fp_poly,
     snf_p_local,
     _factor,
-    sparse_snf_exponents,
 )
+from rostcalc.graded import DegreeComponent, GradedFPModule, normalize
 
 PRIMES = (2, 3, 5)
 
@@ -342,6 +341,12 @@ def test_solvers_over_one_positional_matrix_share_one_factorisation():
     # a matrix that differs in one entry is factored anew
     assert SpanSolver(3, [*cols[:3], {"y": 6}]).R is not fresh.R
     assert (_factor.cache_info().hits, _factor.cache_info().misses) == (0, 2)
+    # a degree's normal form and a solve against its dense relation matrix
+    M = GradedFPModule(3, {4: DegreeComponent(3, [{0: 3, 1: 3}, {1: 9}])}, (4, 4))
+    _factor.cache_clear()
+    assert normalize(M).at(4) == (1, (1, 2))
+    assert membership(M.relation_matrix(4), [3, 12, 0]) == (1, 1)
+    assert (_factor.cache_info().hits, _factor.cache_info().misses) == (1, 1)
 
 
 def test_a_column_entry_outside_the_coords_is_refused():
@@ -676,13 +681,10 @@ def test_membership_on_planted_16(p):
         assert (membership(M, target) is not None) == reached, j
 
 
-def test_minor_bound_exponent_boundary_cases():
-    # the largest exponent is exactly K - 1: 9 = 3^2 and p^K must exceed 9
+def test_exponent_boundary_cases():
     M = PLocalMatrix.from_rows(3, [[1, 0], [0, 9]])
-    assert minor_bound_exponent(M) == 3
     assert snf_exponents(M) == (0, 2) == snf_p_local(M).exponents
     M = PLocalMatrix.from_rows(2, [[8]])
-    assert minor_bound_exponent(M) == 4
     assert snf_exponents(M) == (3,)
     # rank-deficient: a repeated row and a zero column
     rows = [[2, 4, 0], [2, 4, 0], [1, 3, 0]]
@@ -733,7 +735,6 @@ def test_exponents_of_a_permuted_block_diagonal_matrix(shapes, rng, p):
     union = tuple(sorted(e for block in blocks for e in minor_valuations(block, p)))
     assert snf_exponents(M) == union
     assert snf_exponents(T) == snf_exponents(M)
-    assert minor_bound_exponent(T) == minor_bound_exponent(M) > max(union, default=-1)
 
 
 @given(
@@ -769,7 +770,7 @@ def test_exponents_of_one_row_and_one_column_blocks(lines, zero_rows, zero_cols,
     union = tuple(sorted(e for block in blocks for e in minor_valuations(block, p)))
     assert union == tuple(sorted(min(vals) for _, vals in lines))
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    assert sparse_snf_exponents(p, sparse) == union
+    assert SpanSolver(p, sparse).exponents() == union
     assert snf_exponents(PLocalMatrix.from_rows(p, rows, cols=nc)) == union
     T = [list(col) for col in zip(*rows)]
     assert snf_exponents(PLocalMatrix.from_rows(p, T, cols=nr)) == union

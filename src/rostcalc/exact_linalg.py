@@ -177,8 +177,8 @@ class SpanSolver:
                                  for col in columns)
         except KeyError as exc:
             raise ExactLinalgError(f"column entry at {exc.args[0]!r}, outside coords") from None
-        self.R, self.ucols, self.perm, self.rank, self.above, self.pivot_pe = _factor(
-            p, len(row), self.columns)
+        (self.R, self.ucols, self.perm, self.rank, self.above, self.pivot_pe,
+         self._exponents) = _factor(p, len(row), self.columns)
 
     @classmethod
     def of(cls, M: PLocalMatrix) -> "SpanSolver":
@@ -189,15 +189,16 @@ class SpanSolver:
     def exponents(self) -> tuple[int, ...]:
         """The SNF exponents of M over Z_(p), ascending; `rank` is their number.
 
-        They are the valuations of the pivots R[i][i].  Each pivot had the
-        least valuation among the rows and columns from i on, so it divides
-        its row, and row i is final once chosen.  Column operations therefore
-        clear row 0, then row 1, and so on, each touching its own row only:
-        the pivot column is zero below the pivot and, by then, above it.  So M
-        is equivalent to diag(R[0][0], ..., R[rank-1][rank-1]) plus zeros,
-        whose SNF exponents are the sorted valuations of the pivots.
+        They are the valuations of the pivots R[i][i], read once per
+        factorisation (`_factor`).  Each pivot had the least valuation among
+        the rows and columns from i on, so it divides its row, and row i is
+        final once chosen.  Column operations therefore clear row 0, then row
+        1, and so on, each touching its own row only: the pivot column is zero
+        below the pivot and, by then, above it.  So M is equivalent to
+        diag(R[0][0], ..., R[rank-1][rank-1]) plus zeros, whose SNF exponents
+        are the sorted valuations of the pivots.
         """
-        return tuple(sorted(pvaluation(pe, self.p) for pe in self.pivot_pe))
+        return self._exponents
 
     def back_solve(self, c: dict[int, int]) -> tuple[dict[int, int], int]:
         """(Y, D): y = Y/D solves R[:rank, :rank] y = c for c a dict on the rows
@@ -280,13 +281,15 @@ class SpanSolver:
 
 @lru_cache(maxsize=64)
 def _factor(p: int, nr: int, columns: tuple) -> tuple:
-    """(R, ucols, perm, rank, above, pivot_pe) of `SpanSolver` for the nr-row
-    matrix of these columns over Z_(p): one per matrix, shared, never mutated."""
+    """(R, ucols, perm, rank, above, pivot_pe, exponents) of `SpanSolver` for
+    the nr-row matrix of these columns over Z_(p): one per matrix, shared,
+    never mutated."""
     R, ucols, perm, rank = _echelon(p, columns, nr)
     above: dict[int, list[int]] = {}
     for i, j in ((i, j) for i, row in enumerate(R) for j in row if j > i):
         above.setdefault(j, []).append(i)
-    return R, ucols, perm, rank, above, [p ** pvaluation(R[i][i], p) for i in range(rank)]
+    vals = [pvaluation(R[i][i], p) for i in range(rank)]
+    return R, ucols, perm, rank, above, [p**v for v in vals], tuple(sorted(vals))
 
 
 def _echelon(p: int, columns: tuple, nr: int):

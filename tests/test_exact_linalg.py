@@ -333,8 +333,9 @@ def test_solvers_over_one_positional_matrix_share_one_factorisation():
     _factor.cache_clear()
     fresh = SpanSolver(3, renamed)
     assert fresh.R is not first.R
-    assert (fresh.R, fresh.ucols, fresh.perm, fresh.rank, fresh.above, fresh.pivot_pe) == (
-        first.R, first.ucols, first.perm, first.rank, first.above, first.pivot_pe)
+    assert (fresh.R, fresh.ucols, fresh.perm, fresh.rank, fresh.above, fresh.pivot_pe,
+            fresh.exponents()) == (first.R, first.ucols, first.perm, first.rank, first.above,
+                                   first.pivot_pe, first.exponents())
     # answering leaves the shared factorisation as a fresh build has it
     for span, asked in ((first, targets), (second, renamed_targets), (fresh, renamed_targets)):
         assert [span.solve_int(t) for t in asked] + [span.kernel_vectors()] == answers

@@ -8,9 +8,14 @@ second factor, the image-membership criterion (**) in the ambient
 periodic split module (`omega.OmegaImageModel` with v = v_m), and one
 verifier per published claim id.
 
-Verifiers construct both sides of each isomorphism through independent code
-paths and compare exact invariants; a verdict of "verified" never comes from
-re-evaluating a definition against itself.
+Verifiers build the two sides of each claim through the code paths that
+README's "The two paths behind each claim" names, and compare exact
+invariants.  Some right sides are a constant or the same ring, so their
+"verified" rests on the left path alone (ROADMAP item 5): `cor-1.3` and the
+two torsion-square claims compare with a constant, and `cor-3.6` compares
+`chow_rost_ring(p, 2)` with a quotient of itself that kills nothing.  The
+(**) claims `cor-4.2`, `lemma-7.2` and `cor-7.3` compare the criterion's
+table with the all-False table it asks for.
 """
 
 from __future__ import annotations

@@ -294,9 +294,9 @@ def _factor(p: int, nr: int, columns: tuple) -> tuple:
 
 def _echelon(p: int, columns: tuple, nr: int):
     """Row elimination of [M | I] over Z_(p), to (R, U by its columns, perm,
-    rank).  M has nr rows and the given columns, tuples of
-    (row, entry) pairs; each row is a dict of its nonzeros, and `holders[j]`
-    the rows from k on that hold column j, so a step reads only what it changes.
+    rank).  M has nr rows and the given columns, tuples of (row, entry)
+    pairs; each row is a dict of its nonzeros, and `holders[j]` the rows
+    from k on that hold column j, so a step reads only what it changes.
     Pivot rule: entry of minimal p-valuation, ties broken by lowest (row,
     position), a column's position being its place in `perm`.  Clearing an
     entry b with pivot a = u*p^alpha uses the integer row operation

@@ -194,8 +194,9 @@ class NormalForm(Frozen):
 
 def normalize(M: GradedFPModule) -> NormalForm:
     """Per-degree (free rank, torsion exponents) of M, read off the SNF
-    exponents of the relation matrix: its factorisation is the one that
-    `relation_matrix` and every relation-span solve of that degree share."""
+    exponents of the relation columns (`SpanSolver.exponents`).  Every solve
+    against those columns, such as `GradedMap.well_defined` or `membership`
+    on `relation_matrix(d)`, shares that one factorisation."""
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
     for d in M.degrees():
         comp = M.components[d]

@@ -5,8 +5,8 @@ of relation columns, each a dict from generator position to its nonzero
 coefficient.  The cokernel of the relation matrix in each degree is the degree
 piece of the module.  Degrees outside `window` are zero by declaration.  A map
 stores the image of each source generator as such a dict over the target's
-generators.  Dense columns and matrices are accepted at the constructors and
-converted there; `relation_matrix` and `GradedMap.apply` give dense values back.
+generators.  Dense relation columns are accepted at the constructor and
+converted there; `relation_matrix` gives a dense matrix back.
 
 `tensor_product` builds the presentation of A (x) B; `tensor_normal_form`,
 which the `tensor` verb prints, gives only its normal form, by the Kunneth
@@ -394,39 +394,22 @@ class GradedMap(Record):
     """Degree-preserving map.  `columns[d][j]` is the image of source
     generator j of degree d, a dict from target generator position to
     nonzero coefficient; a generator or degree without an entry maps to
-    zero.  A dense map is given instead as `matrices`, one (target gens x
-    source gens) matrix per degree, and converted here."""
+    zero, and no `columns` is the zero map."""
 
     _fields = ("source", "target", "columns")
 
     def __init__(
-        self, source: GradedFPModule, target: GradedFPModule, matrices: dict | None = None,
+        self, source: GradedFPModule, target: GradedFPModule,
         columns: dict[int, dict[int, dict[int, int]]] | None = None,
     ):
         self.source = source
         self.target = target
-        given = {} if columns is None else columns
-        if matrices is not None:
-            if given:
-                raise GradedModuleError("a map takes columns or matrices, not both")
-            for d, m in matrices.items():
-                sg, tg = self.source.gens_at(d), self.target.gens_at(d)
-                if len(m) != tg or any(len(row) != sg for row in m):
-                    raise GradedModuleError(f"map matrix shape mismatch in degree {d}")
-                given[d] = dict(enumerate(zip(*m)))
         self.columns = {}
-        for d, cols in given.items():
+        for d, cols in (columns or {}).items():
             if cols and (min(cols) < 0 or max(cols) >= self.source.gens_at(d)):
                 raise GradedModuleError(f"map column out of range in degree {d}")
             nonzero = _sparse_columns(cols.values(), self.target.gens_at(d))
             self.columns[d] = {j: col for j, col in zip(cols, nonzero) if col}
-
-    def apply(self, d: int, vec) -> tuple[int, ...]:
-        """The image of the dense source vector vec, as a dense target vector."""
-        if len(vec) != self.source.gens_at(d):
-            raise GradedModuleError(f"vector length != source generator count in degree {d}")
-        image = _image(self.columns.get(d, {}), enumerate(vec))
-        return tuple(image.get(i, 0) for i in range(self.target.gens_at(d)))
 
     def well_defined(self) -> IsoResult:
         """Check every source relation maps into the target relation span."""

@@ -31,7 +31,6 @@ audited.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -179,29 +178,11 @@ class OmegaImageModel(Frozen):
 
     # -- the image submodule ----------------------------------------------
 
-    def image_generators(self) -> list[tuple[str, tuple[tuple[int, int] | None, ...]]]:
-        """Named generators: unit plus one class per factor choice.
-
-        Single factor: 1 and c_i(y^j).  For several factors the generators
-        are products of per-factor choices (None meaning the unit in that
-        slot).
-        """
-        per_factor: list[list[tuple[int, int] | None]] = []
-        for n in self.factor_ns:
-            opts: list[tuple[int, int] | None] = [None]
-            opts += [(i, j) for j in range(1, self.p) for i in range(0, n)]
-            per_factor.append(opts)
-        out = []
-        for combo in itertools.product(*per_factor):
-            parts = [
-                _c(i, j, f"y_{t + 1}" if self.nfactors > 1 else "y")
-                for t, cls in enumerate(combo)
-                if cls is not None
-                for i, j in [cls]
-            ]
-            name = "*".join(parts) if parts else "1"
-            out.append((name, combo))
-        return out
+    def image_generators(self) -> list[tuple[str, tuple[int, int] | None]]:
+        """Named generators of a single-factor model: 1, then c_i(y^j) as
+        (name, (i, j)) for j = 1..p-1 and i = 0..n-1."""
+        (n,) = self.factor_ns
+        return [("1", None)] + [(_c(i, j, "y"), (i, j)) for j in range(1, self.p) for i in range(n)]
 
     def res_class(self, t: int, i: int, j: int) -> Element:
         """Ambient image of the class c_i(y_t^j)."""
@@ -345,12 +326,12 @@ class PresentedRing(Frozen):
             x = todo.pop()
             if x not in needed and x not in self.ops and x not in self._derived and x != self.unit:
                 needed.add(x)
-                todo += [j for _, _, j in words[x]]
+                todo.append(words[x][2])
         for x in sorted(needed, key=lambda x: self.basis[x].degree):  # a word's classes first
             acc: dict[int, dict] = {}
-            for c, g, j in words[x]:  # L_x = sum of c L_g L_j
-                for y, vec in self.operator(j).items():
-                    _accumulate(acc.setdefault(y, {}), self.ops[g], vec, c)
+            c, g, j = words[x]  # L_x = c L_g L_j
+            for y, vec in self.operator(j).items():
+                _accumulate(acc.setdefault(y, {}), self.ops[g], vec, c)
             self._derived[x] = {
                 y: v for y, col in acc.items() if (v := _canon_vector(col, self.basis, self.p))
             }
@@ -370,8 +351,8 @@ class PresentedRing(Frozen):
            term of g*x has degree deg g + deg x, and p^{e_x} (g*x) = 0;
         2. L_g(1) = g;
         3. the L_g commute pairwise;
-        4. `words` writes every class as a sum of c*g*e_j with each e_j the
-           unit or of lower degree.
+        4. `words` writes every class but the unit as c*g*e_j, a unit c
+           times one generator column, with e_j the unit or of lower degree.
 
         Proof.  By 1 and 3, M is a module over S = Z_(p)[T_g : g a
         generator] with T_g acting as L_g.  By 4 and induction on degree,
@@ -415,39 +396,28 @@ class PresentedRing(Frozen):
                         )
         self.words()
 
-    def words(self) -> dict[int, tuple]:
-        """Every class but the unit as a sum of c*g*e_j, a tuple of (c, g, j)
-        with e_j the unit or of lower degree: a unit multiple of a single
-        term g*e_j where one exists, else solved for over Z_(p) modulo the
-        orders of the classes of its degree.  Raises if the generators do not
-        span some degree."""
+    def words(self) -> dict[int, tuple[int, int, int]]:
+        """Every class k but the unit as a word (c, g, j), k = c*g*e_j with
+        c a unit and e_j the unit or of lower degree: read off a generator
+        column ops[g][j] that is a unit multiple of k alone.  Raises if some
+        class has no such column; a hand-built ring lists that class as a
+        generator."""
         if self._words is not None:
             return self._words
         p, ops, basis, deg = self.p, self.ops, self.basis, [b.degree for b in self.basis]
-        terms = [(g, j) for g, op in ops.items() for j in op if j == self.unit or deg[g] > 0]
-        words: dict[int, tuple] = {}
-        for g, j in terms:
-            ((k, c), *more) = ops[g][j].items()
-            if not more and k not in words and (c if isinstance(c, int) else c.numerator) % p:
-                words[k] = ((_canon_coeff(1 / Fraction(c), basis[k].torsion_exp, p), g, j),)
-        rest = [k for k in range(len(basis)) if k != self.unit and k not in words]
-        for d in sorted({deg[k] for k in rest}):
-            here = [(g, j) for g, j in terms if deg[g] + deg[j] == d]
-            scales = [
-                math.lcm(*(Fraction(c).denominator for c in ops[g][j].values())) for g, j in here
-            ]
-            columns = [{k: c * s for k, c in ops[g][j].items()} for (g, j), s in zip(here, scales)]
-            columns += [{k: p**basis[k].torsion_exp} for k in range(len(basis))
-                        if deg[k] == d and basis[k].torsion_exp]
-            span, unspanned = SpanSolver(p, columns), []
-            for x in (k for k in rest if deg[k] == d):
-                if (sol := span.solve({x: 1})) is None:
-                    unspanned.append(basis[x].name)
-                else:
-                    words[x] = tuple((_canon_coeff(c * s, 0, p), g, j)
-                                     for c, s, (g, j) in zip(sol, scales, here) if c)
-            if unspanned:
-                raise OmegaModelError(f"generators do not span degree {d}: {', '.join(unspanned)}")
+        words: dict[int, tuple[int, int, int]] = {}
+        for g, op in ops.items():
+            for j in op:
+                ((k, c), *more) = op[j].items()
+                if (not more and k not in words and (j == self.unit or deg[g] > 0)
+                        and (c if isinstance(c, int) else c.numerator) % p):
+                    words[k] = (_canon_coeff(1 / Fraction(c), basis[k].torsion_exp, p), g, j)
+        if rest := [k for k in range(len(basis)) if k != self.unit and k not in words]:
+            d = min(deg[k] for k in rest)
+            unspanned = ", ".join(basis[k].name for k in rest if deg[k] == d)
+            raise OmegaModelError(
+                f"generators do not span degree {d}: {unspanned}; make each a generator"
+            )
         object.__setattr__(self, "_words", words)
         return words
 
@@ -481,8 +451,10 @@ def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
     tensor product of certified rings is a commutative ring that the factors'
     generators span, so it is certified, `ring_quotient`'s closure and
     killed-class check on it are sound, and the quotient is certified in
-    turn.  Its columns are not canonical, as a coefficient p of a factor can
-    land on a class of order p; `PresentedRing` reduces them.
+    turn.  With generators of positive degree, a word c*g*e_j of a gives
+    the word c*(g (x) 1)*(e_j (x) b) of a (x) b, and a word of b one of
+    1 (x) b.  Its columns are not canonical, as a coefficient p of a factor
+    can land on a class of order p; `PresentedRing` reduces them.
     """
     if A.p != B.p:
         raise OmegaModelError("prime mismatch")
@@ -539,10 +511,10 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
     pi(g*x) is the image of a term of g*x, of degree deg g + deg x, and
     identified classes share their order, so p^{e_x} kills pi(g*x).  2:
     L'_g(1) = pi(g*1) = pi(g).  3: L'_g L'_h pi = pi L_g L_h = pi L_h L_g =
-    L'_h L'_g pi, and pi is onto, so the L'_g commute.  4: pi maps the
-    parent's words onto words in the pi(g) that span ring/I degree by
-    degree.  `words` stays lazy, so the quotient computes its own words
-    when a product first needs them, and raises there if they fail to span.
+    L'_h L'_g pi, and pi is onto, so the L'_g commute.  4: a surviving
+    class k has a parent word k = c*g*e_j; neither g nor j is killed, or k
+    would lie in the ideal I, so L'_g pi(e_j) = pi(g*e_j) = c^{-1} pi(e_k)
+    is a single column of L'_g, and the quotient's lazy `words` finds it.
     """
     n, names = len(ring.basis), [b.name for b in ring.basis]
     killed = {ring.index_of(name) for name in killed_names}
@@ -650,9 +622,9 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     while p ** (vmax + 1) - 1 <= top:
         vmax += 1
 
-    gens = model.image_generators()  # (name, combo)
+    gens = model.image_generators()  # (name, (i, j) or None)
     names = [name for name, _ in gens]
-    gen_elements = {name: model.res_word(combo) for name, combo in gens}
+    gen_elements = {name: model.res_word((cls,)) for name, cls in gens}
     graded = [(model.element_degree(el), el) for el in gen_elements.values()]
 
     # per degree: the v-translates of the generators span the image submodule

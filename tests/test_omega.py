@@ -17,6 +17,7 @@ from rostcalc.catalog import (
     restriction_map,
 )
 from rostcalc.graded import GradedMap, free_module, normalize
+from rostcalc.kunneth import BarKmModel, versal_image
 from rostcalc.graded import quotient as graded_quotient
 from rostcalc.omega import (
     BasisClass,
@@ -65,12 +66,11 @@ def test_res_classes():
         m.res_class(0, 2, 1)  # no c_2 when n = 2
 
 
-def image_coefficients_in_ideal(model: OmegaImageModel) -> bool:
-    """Positive-degree generators have all coefficients in (p, v_1..v_{n-1})."""
-    for name, combo in model.image_generators():
-        if name == "1":
-            continue
-        for (v, _y), coeff in model.res_word(combo).items():
+def image_coefficients_in_ideal(model: OmegaImageModel, elements) -> bool:
+    """The positive-degree image elements have all coefficients in
+    (p, v_1..v_{n-1})."""
+    for el in elements:
+        for (v, _y), coeff in el.items():
             if coeff % model.p == 0:
                 continue
             if any(1 <= i <= max(model.factor_ns) - 1 and e > 0 for i, e in v):
@@ -80,8 +80,22 @@ def image_coefficients_in_ideal(model: OmegaImageModel) -> bool:
 
 
 def test_image_coefficients_lie_in_the_ideal():
-    for p, ns in [(2, (2,)), (3, (2,)), (2, (3, 3))]:
-        assert image_coefficients_in_ideal(OmegaImageModel(p=p, factor_ns=ns))
+    for p, ns in [(2, (2,)), (3, (2,))]:
+        model = OmegaImageModel(p=p, factor_ns=ns)
+        gens = [model.res_word((cls,)) for _, cls in model.image_generators() if cls]
+        assert image_coefficients_in_ideal(model, gens)
+    # the one multi-factor image the package builds, through the same res_word
+    model = BarKmModel(2, (3, 3), 1)
+    assert image_coefficients_in_ideal(model, versal_image(model))
+
+
+def test_image_generators_are_the_single_factor_classes_in_order():
+    model = OmegaImageModel(p=3, factor_ns=(2,))
+    assert model.image_generators() == [
+        ("1", None), ("c_0(y)", (0, 1)), ("c_1(y)", (1, 1)), ("c_0(y^2)", (0, 2)), ("c_1(y^2)", (1, 2)),
+    ]
+    with pytest.raises(ValueError):
+        OmegaImageModel(p=3, factor_ns=(2, 2)).image_generators()
 
 
 def test_commutation_identity_holds():
@@ -226,7 +240,7 @@ def test_torsion_ideal_rejects_nonvanishing_restriction():
     bad_res = GradedMap(
         source=ring.module(),
         target=tgt,
-        matrices={0: ((1,),), 2: ((1,),), 4: ((0,),)},
+        columns={0: {0: {0: 1}}, 2: {0: {0: 1}}, 4: {}},
     )
     with pytest.raises(OmegaModelError):
         torsion_ideal(ring, bad_res)
@@ -377,16 +391,16 @@ def square_zero_pair_ring(xy_on_w):
 
 
 def test_audit_generation_needs_a_unimodular_span():
-    # no single product is a unit multiple of u or w; together they span
+    # no single product is a unit multiple of u or w: x^2 and xy span degree
+    # 4 together, but a word is one column g*e_j, so both must be generators
     ring = square_zero_pair_ring(2)
+    with pytest.raises(OmegaModelError, match="do not span degree 4: u, w"):
+        ring.audit()
+    ops = {**ring.ops, 3: {0: {3: 1}}, 4: {0: {4: 1}}}  # L_u(1) = u, L_w(1) = w
+    ring = PresentedRing(ring.p, ring.basis, ring.unit, ops)
     ring.audit()
-    # u = 2x^2 - xy and w = xy - x^2 come out of the solver as words
-    for k, word in ring.words().items():
-        total: dict = {}
-        for c, g, j in word:
-            for t, d in ring.ops[g][j].items():
-                total[t] = total.get(t, 0) + c * d
-        assert {t: d for t, d in total.items() if d} == {k: 1}
+    for k, (c, g, j) in ring.words().items():  # g*e_j = c^-1 e_k
+        assert {t: c * d for t, d in ring.ops[g][j].items()} == {k: 1}
     assert ring.multiply(ring.basis_vector("x"), ring.basis_vector("u")) == {}
     # x^2 and xy span a sublattice of index 3 in degree 4
     with pytest.raises(OmegaModelError, match="do not span"):

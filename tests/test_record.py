@@ -63,8 +63,7 @@ def test_the_package_has_16_records_and_these_12_are_frozen():
 def test_fields_are_the_constructor_arguments_in_order(cls):
     code = cls.__init__.__code__
     params = code.co_varnames[1 : code.co_argcount]
-    # GradedMap's `matrices` is read once and not kept, as a dataclass InitVar
-    assert tuple(k for k in params if k != "matrices") == cls._fields
+    assert params == cls._fields
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
@@ -147,15 +146,6 @@ def test_default_containers_are_fresh():
     f.columns[1] = {0: {0: 1}}
     assert g.columns == {}
 
-
-def test_graded_map_takes_matrices_once():
-    M = cyclic_summands(3, [(1, 0, "x"), (1, 0, "y")])
-    f = GradedMap(M, M, {1: [[1, 0], [2, 0]]})
-    assert f.columns == {1: {0: {0: 1, 1: 2}}}
-    assert not hasattr(f, "matrices")
-    assert f == GradedMap(M, M, columns={1: {0: {0: 1, 1: 2}, 1: {}}})
-    with pytest.raises(GradedModuleError, match="not both"):
-        GradedMap(M, M, {1: [[1, 0], [0, 1]]}, {1: {0: {0: 1}}})
 
 
 def test_bar_km_model_validates_after_its_parent():

@@ -322,6 +322,21 @@ def test_build_km_rost_p3_n2_m2_pinned(capsys):
     assert out == (DATA / "build_km_rost_p3_n2_m2.json").read_text()
 
 
+@pytest.mark.parametrize("pin, argv", [
+    ("verify_thm-5.5-torsion-square_n8.json", "thm-5.5-torsion-square --n 8"),
+    ("verify_cor-1.3_p3_s6.json", "cor-1.3 --p 3 --s 6"),
+    ("verify_cor-1.3_p7_s4.json", "cor-1.3 --p 7 --s 4"),
+    ("verify_cor-1.3_p5_s5.json", "cor-1.3 --p 5 --s 5"),
+    ("verify_lemma-4.1_p3_n12_n23.json", "lemma-4.1 --p 3 --n1 2 --n2 3"),
+    ("verify_thm-5.7-torsion-square_n3_di4-2.json", "thm-5.7-torsion-square --n 3 --di 4,2"),
+])
+def test_verify_reports_on_word_read_rings_pinned(capsys, pin, argv):
+    # each audits rings, and so reads every class of them off its word
+    code, out, _ = run(capsys, "verify", *argv.split())
+    assert code == 0
+    assert out == (DATA / pin).read_text()
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "rostcalc.cli", "list"],

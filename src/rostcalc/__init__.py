@@ -4,7 +4,7 @@ geometric filtration, product decompositions, and a theorem verifier."""
 
 __version__ = "0.1.0"
 
-from .catalog import CATALOG_IDS, CatalogObject, catalog_build, restriction_map
+from .catalog import CATALOG_IDS, CatalogObject, catalog_build
 from .exact_linalg import PLocalMatrix, kernel_basis, membership, snf_p_local
 from .graded import (
     GradedFPModule,
@@ -65,7 +65,6 @@ __all__ = [
     "membership",
     "normalize",
     "quotient",
-    "restriction_map",
     "snf_p_local",
     "star_star_check",
     "tensor_normal_form",

@@ -485,9 +485,3 @@ def catalog_build(id: str, params: dict) -> CatalogObject:
         if k not in params and k not in entry.optional:
             raise CatalogError(f"{id} requires parameter {k!r}")
     return entry.build(**params)
-
-
-def restriction_map(obj: CatalogObject) -> GradedMap:
-    if obj.res is None:
-        raise CatalogError(f"{obj.id} has no restriction map")
-    return obj.res

@@ -7,15 +7,15 @@ unit.  Smith normal form over Z_(p) therefore only has to track p-valuations.
 
 The package works on sparse vectors, dicts from coordinate to nonzero
 integer.  `PLocalMatrix` is the dense form of the public entry points
-(`snf_exponents`, `snf_p_local`, `membership`, `kernel_basis` and
+(`snf_p_local`, `membership`, `kernel_basis` and
 `GradedFPModule.relation_matrix`), each of which converts it once.
 
 Elimination over Z_(p) is one routine, `SpanSolver`'s row echelon form of
 [M | I] on rows of nonzeros (`_echelon`), the row of [A | U] divided by its
 prime-to-p content after every operation.  Its pivot valuations are the SNF
-exponents (`SpanSolver.exponents`, behind `snf_exponents`, the normal forms
-and the rank checks); memberships, kernels and `snf_p_local` go on to
-integer back-substitution on only the rows a target's nonzeros reach; the
+exponents (`SpanSolver.exponents`, behind the normal forms and the rank
+checks); memberships, kernels and `snf_p_local` go on to integer
+back-substitution on only the rows a target's nonzeros reach; the
 reduced solution is unique, so the rows skipped change no integer.  A step
 clears only the rows that hold its pivot column (a column index), and the
 solvers of one positional matrix share one factorisation (`_factor`, an LRU
@@ -96,18 +96,6 @@ class PLocalMatrix(Frozen):
                 raise ExactLinalgError("empty matrix needs an explicit column count")
             cols = len(rows[0])
         return cls(p=p, rows=len(rows), cols=cols, entries=rows)
-
-    @classmethod
-    def from_columns(cls, p: int, columns, rows: int) -> "PLocalMatrix":
-        columns = [_integral_tuple(col) for col in columns]
-        for col in columns:
-            if len(col) != rows:
-                raise ExactLinalgError("column length mismatch")
-        ents = tuple(zip(*columns)) if columns else ((),) * rows
-        return cls(p=p, rows=rows, cols=len(columns), entries=ents)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
 
 def _integral(x) -> int:
@@ -386,17 +374,6 @@ class SNFResult(Frozen):
     def rank(self) -> int:
         return len(self.diag)
 
-    def cokernel(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion exponents) of coker(M : Z^cols -> Z^rows)."""
-        free = self.rows - self.rank
-        torsion = tuple(e for e in self.exponents if e >= 1)
-        return free, torsion
-
-
-def snf_exponents(M: PLocalMatrix) -> tuple[int, ...]:
-    """SNF exponents of the dense M over Z_(p), ascending (`SpanSolver.exponents`)."""
-    return SpanSolver.of(M).exponents()
-
 
 def snf_p_local(M: PLocalMatrix) -> SNFResult:
     """Smith normal form over Z_(p) with both transforms.
@@ -409,7 +386,7 @@ def snf_p_local(M: PLocalMatrix) -> SNFResult:
     prime-to-p content 1; as each pivot divides its row over Z_(p), the
     scales are units, the diagonal entry i is an associate of the pivot,
     and V is invertible over Z_(p).  Callers that need only the exponents
-    use `snf_exponents`.
+    use `SpanSolver.exponents`.
     """
     ech = SpanSolver.of(M)
     p, nc = M.p, M.cols

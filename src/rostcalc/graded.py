@@ -17,6 +17,7 @@ Modules are treated as immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 
 from .exact_linalg import PLocalMatrix, SpanSolver, is_prime
@@ -44,10 +45,12 @@ class DegreeComponent(Frozen):
 
 
 def _sparse_columns(cols, n: int) -> tuple[dict[int, int], ...]:
-    """cols, each a dict over positions 0..n-1 or a sequence of length n, as
-    dicts of their nonzeros; a dict without a zero value is kept as it is."""
+    """cols, each a mapping over positions 0..n-1 or a sequence of length n,
+    as dicts of their nonzeros; a dict without a zero value is kept as it is."""
     out, dicts = [], []
     for col in cols:
+        if type(col) is not dict and isinstance(col, Mapping):
+            col = dict(col)  # a defaultdict or Counter is a mapping, not a sequence
         if type(col) is dict:
             dicts.append(col)
             if 0 in col.values():
@@ -118,11 +121,6 @@ def zero_module(p: int) -> GradedFPModule:
     return GradedFPModule(p=p, components={}, window=(0, 0))
 
 
-def free_module(p: int, degrees_and_names, window=None) -> GradedFPModule:
-    """Free module on named generators: iterable of (degree, name)."""
-    return cyclic_summands(p, ((d, 0, name) for d, name in degrees_and_names), window)
-
-
 def cyclic_summands(p: int, summands, window=None) -> GradedFPModule:
     """Module from (degree, order_exponent, name) triples; exponent 0 = free."""
     names: dict[int, list[str]] = {}
@@ -165,9 +163,6 @@ class NormalForm(Frozen):
         torsion = sorted(e for _, (_, tors) in self.degrees for e in tors)
         return free, tuple(torsion)
 
-    def is_zero(self) -> bool:
-        return not self.degrees
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -176,13 +171,6 @@ class NormalForm(Frozen):
                 for d, (fr, tors) in self.degrees
             },
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "NormalForm":
-        degs = []
-        for k, v in data["degrees"].items():
-            degs.append((int(k), (int(v["free"]), tuple(int(e) for e in v["torsion"]))))
-        return cls(p=int(data["p"]), degrees=tuple(sorted(degs)))
 
     @classmethod
     def from_dict(cls, p: int, d: dict[int, tuple[int, tuple[int, ...]]]) -> "NormalForm":

@@ -66,12 +66,6 @@ class KmPresentation(Frozen):
     def vdeg(self) -> int:
         return self.p**self.m - 1
 
-    def gen_index(self, name: str) -> int:
-        for i, (nm, _) in enumerate(self.gens):
-            if nm == name:
-                return i
-        raise KmModuleError(f"no generator named {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # base change v -> 0

@@ -445,13 +445,6 @@ def kunneth_map(chow1: PresentedRing, n: int, target: CatalogObject) -> GradedMa
     return map_from_rules(domain, target.ring.module(), rules)
 
 
-def class_is_nonzero(M: GradedFPModule, name: str) -> bool:
-    """Is the named generator nonzero in the presented quotient?"""
-    d, i = M.generator_index(name)
-    comp = M.components[d]
-    return not SpanSolver(M.p, comp.relations, range(comp.gens)).contains({i: 1})
-
-
 # ---------------------------------------------------------------------------
 # theorem verifiers
 # ---------------------------------------------------------------------------

@@ -304,9 +304,6 @@ class PresentedRing(Frozen):
             raise OmegaModelError(f"no basis class named {name!r}")
         return k
 
-    def basis_vector(self, name: str) -> dict[int, int]:
-        return {self.index_of(name): 1}
-
     def multiply(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         out: dict = {}
         for k, cb in b.items():
@@ -321,13 +318,12 @@ class PresentedRing(Frozen):
             op = self._derived[k] = {x: {x: 1} for x in range(len(self.basis))}
         if op is not None:
             return op
-        words, needed, todo = self.words(), set(), [k]
-        while todo:  # k and, transitively, the classes its word needs
-            x = todo.pop()
-            if x not in needed and x not in self.ops and x not in self._derived and x != self.unit:
-                needed.add(x)
-                todo.append(words[x][2])
-        for x in sorted(needed, key=lambda x: self.basis[x].degree):  # a word's classes first
+        words, chain = self.words(), [k]
+        j = words[k][2]
+        while j not in self.ops and j not in self._derived and j != self.unit:
+            chain.append(j)  # down the words from k to a class whose operator is known
+            j = words[j][2]
+        for x in reversed(chain):  # back up, each L_j derived before L_x
             acc: dict[int, dict] = {}
             c, g, j = words[x]  # L_x = c L_g L_j
             for y, vec in self.operator(j).items():

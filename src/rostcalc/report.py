@@ -34,15 +34,3 @@ class TheoremReport(Record):
             "witnesses": self.witnesses,
             "notes": self.notes,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TheoremReport":
-        return cls(
-            id=data["id"],
-            params=dict(data["params"]),
-            verdict=data["verdict"],
-            left=dict(data.get("left", {})),
-            right=dict(data.get("right", {})),
-            witnesses=list(data.get("witnesses", [])),
-            notes=list(data.get("notes", [])),
-        )

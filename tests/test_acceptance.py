@@ -10,13 +10,12 @@ import time
 from test_exact_linalg import minor_valuations, random_matrix
 from test_graded import brute_force_slots
 
-from rostcalc.catalog import catalog_build, chow_rost_ring, km_rost, restriction_map
+from rostcalc.catalog import catalog_build, chow_rost_ring, km_rost
 from rostcalc.exact_linalg import PLocalMatrix, snf_p_local
 from rostcalc.graded import cyclic_summands, gr_ps, iso_equal
 from rostcalc.km import to_chow
 from rostcalc.kunneth import (
     BarKmModel,
-    class_is_nonzero,
     kunneth_map,
     product_image,
     star_star_check,
@@ -76,7 +75,7 @@ def test_criterion_5_torsion_powers():
         # same fact re-derived from the primitives: the certified torsion
         # ideal admits no nonzero 2-fold product
         obj = catalog_build("pfister_neighbor_chow", {"n": n})
-        tors = torsion_ideal(obj.ring, restriction_map(obj))
+        tors = torsion_ideal(obj.ring, obj.res)
         assert ideal_power_witness(obj.ring, tors, 2) is None, n
     for n, d, di in [(2, 3, (2,)), (2, 5, (3,)), (3, 7, (4, 2))]:
         report = verify_theorem("thm-5.7-torsion-square", {"n": n, "d": d, "di": list(di)})
@@ -99,7 +98,8 @@ def test_criterion_6_noninjectivity_with_antivacuity():
     f = kunneth_map(chow_rost_ring(2, 2, var="y_1"), 2, target)
     d, i = f.source.generator_index("1*c_1(y_2)")
     assert i not in f.columns.get(d, {})  # maps to zero
-    assert class_is_nonzero(f.source, "1*c_1(y_2)")
+    kernel = verify_theorem("remark-4.2-negative", {"p": 2}).left["kernel_classes"]
+    assert "1*c_1(y_2)" in kernel
     model = BarKmModel(p=2, m=1, factor_ns=(2, 2))
     assert not star_star_holds(star_star_check(model, product_image(model)))
 

@@ -1,11 +1,16 @@
-"""The package's hand-written record classes keep what dataclasses gave them:
-constructor signatures, fresh default containers, frozenness, and value
-equality and hashing over the constructor's fields."""
+"""Package-wide rules.  The hand-written record classes keep what dataclasses
+gave them: constructor signatures, fresh default containers, frozenness, and
+value equality and hashing over the constructor's fields.  Every function and
+class has a caller outside the tests, and every exported name resolves."""
 
+import ast
+import re
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
+import rostcalc
 from rostcalc import catalog, exact_linalg, graded, km, kunneth, omega, report
 from rostcalc.catalog import chow_rost_ring
 from rostcalc.exact_linalg import FpPolyMatrix, PLocalMatrix, SNFResult
@@ -154,3 +159,53 @@ def test_bar_km_model_validates_after_its_parent():
     with pytest.raises(kunneth.KunnethError):
         BarKmModel(3, (2,), 2)
     assert BarKmModel(3, (2, 3), 1).ydegs == (4, 13)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def names_used(path: Path, words_in_strings: bool) -> set[str]:
+    """The names path reads, attributes and imports among them, and with
+    words_in_strings also the words of its string constants."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif words_in_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(re.findall(r"\w+", node.value))
+    return used
+
+
+def test_every_function_and_class_is_named_outside_the_tests():
+    """A function, class or method of the package (dunders aside) is named
+    somewhere other than its own definition: in another part of the package
+    (not `__init__.py`), in `scripts/`, or in `perfbench/`, where the words of
+    string constants count too, so that the tracer's `TARGETS` keep theirs.
+    The scan matches by name alone, so a method that shares its name with a
+    used one passes: `PresentedRing.to_json` does, through the reports'
+    `to_json`."""
+    package = sorted((ROOT / "src" / "rostcalc").glob("*.py"))
+    used = set()
+    for path in [*package, *sorted((ROOT / "scripts").glob("*.py"))]:
+        if path.name != "__init__.py":
+            used |= names_used(path, words_in_strings=False)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= names_used(path, words_in_strings=True)
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in package
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert not unused, "named only by their own definition: " + ", ".join(unused)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in rostcalc.__all__ if not hasattr(rostcalc, name)]
+    assert not missing, missing

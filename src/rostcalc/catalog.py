@@ -11,12 +11,18 @@ as is their Kunneth ring gr_m(R')^{(x) s}/J (`kunneth.kunneth_quotient_ring`).
 Independent construction paths (ambient collapse, v -> 0 of the k_m*
 presentation) live in other modules and are compared against these in the
 verifier suite.
+
+Each ring is built and audited once per process: `tower_ring`,
+`_chow_rost_ring` and `_gr_m_rost_ring` keep the 64 rings used last, and
+callers share them read-only.  The public `chow_rost_ring` and
+`gr_m_rost_ring` stay plain functions that delegate to the cached ones, as
+the benchmark tracer wraps them by name.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import partial
+from functools import lru_cache, partial
 
 from .exact_linalg import is_prime
 from .graded import GradedFPModule, GradedMap
@@ -135,6 +141,11 @@ def chow_rost_ring(p: int, n: int, var: str = "y") -> PresentedRing:
     c_0(Y) c_0(Y') = p c_0(YY')."""
     _require_prime(p)
     _require_n(n)
+    return _chow_rost_ring(p, n, var)
+
+
+@lru_cache(maxsize=64)
+def _chow_rost_ring(p: int, n: int, var: str) -> PresentedRing:
     classes = [BasisClass("1", 0, 0)]
     for j in range(1, p):
         classes.append(BasisClass(_c(0, j, var), c_degree(p, n, 0, j), 0))
@@ -149,6 +160,7 @@ def chow_rost_ring(p: int, n: int, var: str = "y") -> PresentedRing:
     return _sorted_ring(p, classes, gens, rules)
 
 
+@lru_cache(maxsize=64)
 def tower_ring(
     p: int, var: str, var_degree: int, top: int, towers=(), wrap: int = 0
 ) -> PresentedRing:
@@ -159,7 +171,7 @@ def tower_ring(
     of order p^e, with x^a (X x^k) = X x^{a+k} (zero once a+k reaches the
     length) and (X x^k)(X' x^l) = 0.  A power x^t past the top is wrap
     times X_1 x^{t-top-1}, X_1 the first tower; zero when wrap is 0.  The
-    generators are x and the X.
+    generators are x and the X; `towers` is a tuple, as the ring is cached.
     """
     power = [_power(var, k) for k in range(top + 1)]
     classes = [BasisClass(power[k], k * var_degree, 0) for k in range(top + 1)]
@@ -260,6 +272,11 @@ def build_km_rost(p: int, n: int, m: int) -> CatalogObject:
 def gr_m_rost_ring(p: int, n: int, m: int, var: str = "y") -> PresentedRing:
     """Geometric-filtration graded ring: the Chow ring modulo the torsion
     classes c_i with i != 0, m (all of them survive when m >= n)."""
+    return _gr_m_rost_ring(p, n, m, var)
+
+
+@lru_cache(maxsize=64)
+def _gr_m_rost_ring(p: int, n: int, m: int, var: str) -> PresentedRing:
     torsion = range(1, n) if m < n else ()
     killed = [_c(i, j, var) for j in range(1, p) for i in torsion if i != m]
     return ring_quotient(chow_rost_ring(p, n, var), killed)
@@ -320,7 +337,7 @@ def pfister_neighbor_ring(n: int) -> PresentedRing:
     The monomial basis this produces: h^k free for k <= 2^{n+1}-3 (the square
     u_0^2 kills everything above) and u_i h^k torsion for k <= 2^n-2."""
     _require_n(n)
-    u = [(f"u_{i}", 2**n - 2**i, 2**n - 1, 1) for i in range(1, n)]
+    u = tuple((f"u_{i}", 2**n - 2**i, 2**n - 1, 1) for i in range(1, n))
     return tower_ring(2, "h", 1, 2 ** (n + 1) - 3, u)
 
 
@@ -331,7 +348,7 @@ def pfister_bar_ring(n: int) -> PresentedRing:
     additive basis is h^k and y h^k with k <= 2^n-2; the top class y h^{2^n-2}
     sits in degree 2^{n+1}-3, inside the dimension bound 2^{n+1}-1."""
     _require_n(n)
-    return tower_ring(2, "h", 1, 2**n - 2, [("y", 2**n - 1, 2**n - 1, 0)], wrap=2)
+    return tower_ring(2, "h", 1, 2**n - 2, (("y", 2**n - 1, 2**n - 1, 0),), wrap=2)
 
 
 def pfister_res_rules(n: int) -> dict:
@@ -399,7 +416,7 @@ def excellent_quadric_ring(n: int, d: int, di: tuple[int, ...]) -> PresentedRing
         raise CatalogError(f"expected {n - 1} cutoffs d_i, got {len(di)}")
     if any(x <= 0 for x in di) or any(a < b for a, b in zip(di, di[1:])):
         raise CatalogError("cutoffs d_i must be positive and nonincreasing")
-    c = [(f"c_{i}(d)", 2**n - 2**i, di[i - 1], 1) for i in range(1, n)]
+    c = tuple((f"c_{i}(d)", 2**n - 2**i, di[i - 1], 1) for i in range(1, n))
     return tower_ring(2, "h", 1, d, c)
 
 

@@ -339,9 +339,10 @@ def tilde_bar_module(p: int, ns) -> GradedFPModule:
     return reduce(tensor_product, [positive_part(bar.module()) for bar in bars])
 
 
-def tilde_slots(p: int, ns) -> tuple[tuple[int, tuple[int, ...]], ...]:
+@lru_cache(maxsize=64)
+def tilde_slots(p: int, ns: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Slots 1 .. s+1 of the p-power filtration of the tilde split module on
-    s = len(ns) factors, ungraded as in `gr_ps`."""
+    s = len(ns) factors, ungraded as in `gr_ps`; cached per process."""
     return gr_ps(tilde_bar_module(p, ns), len(ns))[1:]
 
 

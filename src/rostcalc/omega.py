@@ -312,7 +312,8 @@ class PresentedRing(Frozen):
 
     def operator(self, k: int) -> Operator:
         """L_k : x -> k*x.  For a generator this is ops[k]; for any other
-        class it is derived once from the word of k (`words`) and cached."""
+        class it is derived from the word of k (`words`) and cached.  Only
+        L_k is kept: the classes on its chain of words are passed through."""
         op = self.ops.get(k, self._derived.get(k))
         if op is None and k == self.unit:
             op = self._derived[k] = {x: {x: 1} for x in range(len(self.basis))}
@@ -323,15 +324,15 @@ class PresentedRing(Frozen):
         while j not in self.ops and j not in self._derived and j != self.unit:
             chain.append(j)  # down the words from k to a class whose operator is known
             j = words[j][2]
-        for x in reversed(chain):  # back up, each L_j derived before L_x
+        op = self.operator(j)
+        for x in reversed(chain):  # back up, holding only the previous step L_j
             acc: dict[int, dict] = {}
-            c, g, j = words[x]  # L_x = c L_g L_j
-            for y, vec in self.operator(j).items():
+            c, g, _ = words[x]  # L_x = c L_g L_j
+            for y, vec in op.items():
                 _accumulate(acc.setdefault(y, {}), self.ops[g], vec, c)
-            self._derived[x] = {
-                y: v for y, col in acc.items() if (v := _canon_vector(col, self.basis, self.p))
-            }
-        return self._derived[k]
+            op = {y: v for y, col in acc.items() if (v := _canon_vector(col, self.basis, self.p))}
+        self._derived[k] = op
+        return op
 
     def module(self) -> GradedFPModule:
         return cyclic_summands(self.p, ((b.degree, b.torsion_exp, b.name) for b in self.basis))

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from rostcalc import kunneth
+from rostcalc import catalog, kunneth
 from rostcalc.cli import main
-from rostcalc.kunneth import CLAIMS, verify_theorem
+from rostcalc.kunneth import CLAIMS, default_grid, verify_theorem
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -192,16 +192,38 @@ def test_verify_all_stdout_matches_the_pins(capsys):
     assert digest == (DATA / "verify_all_json.sha256").read_text().strip()
 
 
+RING_CACHES = (
+    catalog.tower_ring,
+    catalog._chow_rost_ring,
+    catalog._gr_m_rost_ring,
+    kunneth.tilde_slots,
+)
+
+
 def test_verify_all_with_warm_word_rings_gives_the_same_bytes(capsys):
-    # the second run reads every Kunneth word ring from the per-process cache
+    # the second run reads every Kunneth word ring, catalog ring and slot
+    # table from the per-process caches
     _, cold, _ = run(capsys, "verify-all")
     built = kunneth._word_ring.cache_info()
     assert built.currsize == 7
+    rings = [f.cache_info() for f in RING_CACHES]
     _, warm, _ = run(capsys, "verify-all")
     after = kunneth._word_ring.cache_info()
     assert (after.misses, after.currsize) == (built.misses, built.currsize)
     assert after.hits > built.hits
+    for f, before in zip(RING_CACHES, rings):
+        assert f.cache_info().misses == before.misses, f.__qualname__
     assert warm == cold
+
+
+def test_grid_reports_do_not_depend_on_the_order_they_run_in(fresh_caches):
+    # the shared rings are read-only: a warm run in reverse order gives every
+    # report the bytes of a cold run in forward order
+    grid = default_grid()
+    forward = [json.dumps(verify_theorem(id_, params).to_json()) for id_, params in grid]
+    fresh_caches()
+    backward = [json.dumps(verify_theorem(id_, params).to_json()) for id_, params in grid[::-1]]
+    assert backward[::-1] == forward
 
 
 def test_verify_all_only_matches_the_full_run(capsys):
@@ -332,6 +354,20 @@ def test_build_km_rost_p3_n2_m2_pinned(capsys):
 ])
 def test_verify_reports_on_word_read_rings_pinned(capsys, pin, argv):
     # each audits rings, and so reads every class of them off its word
+    code, out, _ = run(capsys, "verify", *argv.split())
+    assert code == 0
+    assert out == (DATA / pin).read_text()
+
+
+@pytest.mark.parametrize("pin, argv", [
+    ("verify_cor-7.3_s3.json", "cor-7.3 --s 3"),
+    ("verify_remark-4.2-negative_p17.json", "remark-4.2-negative --p 17"),
+    ("verify_cor-4.2_p17.json", "cor-4.2 --p 17"),
+    ("verify_cor-3.5_p3_n3_m2.json", "cor-3.5 --p 3 --n 3 --m 2"),
+])
+def test_verify_reports_off_the_grid_pinned(capsys, pin, argv):
+    # CI diffs these too: each reaches chow_rost_ring or bar_rost_ring at
+    # parameters the verify-all grid does not use
     code, out, _ = run(capsys, "verify", *argv.split())
     assert code == 0
     assert out == (DATA / pin).read_text()

@@ -1,6 +1,8 @@
 """The ambient-image model, presented rings, and torsion-ideal certificates."""
 
+import hashlib
 import itertools
+import json
 import re
 from fractions import Fraction
 from functools import reduce
@@ -14,9 +16,10 @@ from rostcalc.catalog import (
     build_pfister_neighbor_chow,
     chow_rost_ring,
     gr_m_rost_ring,
+    pfister_neighbor_ring,
 )
 from rostcalc.graded import GradedMap, cyclic_summands, normalize
-from rostcalc.kunneth import BarKmModel, versal_image
+from rostcalc.kunneth import BarKmModel, kunneth_quotient_ring, versal_image
 from rostcalc.graded import quotient as graded_quotient
 from rostcalc.omega import (
     BasisClass,
@@ -274,6 +277,33 @@ def test_audit_accepts_truncated_polynomial_ring():
     # a^34 is a word of length 34; its operator is derived without recursion
     assert ring.multiply({17: 1}, {17: 1}) == {34: 1}
     truncated_polynomial_ring(3, 35, generators=(1, 3)).audit()
+
+
+def operator_digest(op) -> str:
+    cols = {str(x): {str(y): str(c) for y, c in sorted(col.items())}
+            for x, col in sorted(op.items())}
+    return hashlib.sha256(json.dumps(cols).encode()).hexdigest()
+
+
+def test_operator_keeps_only_the_classes_asked_for():
+    # the digests were recorded when `operator` still kept every class of a
+    # chain; h^61 is a chain of 60 words down to the generator h
+    ring = pfister_neighbor_ring(5)
+    asked = []
+    for name, digest in [
+        ("h^61", "1e4b479541d64f234270b842376f7be6a9a228d899b0aec88c00b7be00f12401"),
+        ("u_1*h^29", "8966ca438760c817861ddc22db4ce47af0a6667b9d6a884c8310089aa5af66b6"),
+        ("h^30", "c7390df6dee76816b94534a2e227345ffbb422e7af28252bac89accc555aeb99"),
+    ]:
+        asked.append(ring.index_of(name))
+        assert operator_digest(ring.operator(asked[-1])) == digest, name
+        assert list(ring._derived) == asked
+    assert ring.operator(asked[0]) is ring.operator(asked[0])
+    words = kunneth_quotient_ring(2, 3, 1, 3)
+    k = words.index_of("c_0(y_1)*c_0(y_2)*c_0(y_3)")
+    digest = "b077566b89db6f24bb94c9510293fa05c3dbdf173a2dfe42f9a410d002072a28"
+    assert operator_digest(words.operator(k)) == digest
+    assert list(words._derived) == [k]
 
 
 def test_audit_catches_nonassociative_large_table():

@@ -4,9 +4,11 @@ value equality and hashing over the constructor's fields.  Every function and
 class has a caller outside the tests, and every exported name resolves."""
 
 import ast
+import importlib
 import re
 from dataclasses import FrozenInstanceError
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -52,7 +54,8 @@ FROZEN = {
     KmPresentation: lambda: KmPresentation(3, 1, (("a", 0),), ()),
     OmegaImageModel: lambda: OmegaImageModel(3, (2,)),
     BasisClass: lambda: BasisClass("1", 0, 0),
-    PresentedRing: lambda: chow_rost_ring(3, 2),
+    # the uncached builder: chow_rost_ring returns one shared ring per process
+    PresentedRing: lambda: catalog._chow_rost_ring.__wrapped__(3, 2, "y"),
     JGenerator: lambda: JGenerator(1, 2, 1, 1, 1),
     BarKmModel: lambda: BarKmModel(3, (2, 2), 1),
 }
@@ -209,3 +212,31 @@ def test_every_function_and_class_is_named_outside_the_tests():
 def test_every_exported_name_resolves():
     missing = [name for name in rostcalc.__all__ if not hasattr(rostcalc, name)]
     assert not missing, missing
+
+
+def traced_targets() -> dict:
+    """`perfbench/layers.TARGETS`, read from its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    (value,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    ]
+    return ast.literal_eval(value)
+
+
+def test_every_traced_name_is_a_plain_function():
+    """The tracer wraps each `TARGETS` name and its grid coverage pass finds
+    the original by its `__code__`, which an `lru_cache` wrapper lacks: a
+    cache goes on a private builder that the traced name calls, as
+    `chow_rost_ring` calls `_chow_rost_ring`."""
+    targets = traced_targets()
+    assert targets["catalog"] and targets["omega"]
+    wrapped = []
+    for layer, names in targets.items():
+        for name in names:
+            obj = importlib.import_module(f"rostcalc.{layer}")
+            for attr in name.split("."):
+                obj = getattr(obj, attr)
+            if not isinstance(obj, FunctionType):
+                wrapped.append(f"{layer}.{name}")
+    assert not wrapped, "traced names that are not plain functions: " + ", ".join(wrapped)

@@ -41,6 +41,7 @@ from .catalog import (
     signature_params,
 )
 from .exact_linalg import SpanSolver, is_prime, membership  # noqa: F401 (perfbench's bypass test)
+from .exact_linalg import pvaluation
 from .graded import (
     GradedFPModule,
     GradedMap,
@@ -185,10 +186,17 @@ class BarKmModel(OmegaImageModel):
     """The ambient model of the split product read with one variable v = v_m.
 
     res(c_0(Y)) = p*Y and res(c_m(Y)) = v_m*Y on the y-monomials Y, y_t^p = 0.
-    Image membership is decided degreewise: for homogeneous data the only
-    admissible multiplier of a generator is a single power of v_m fixed by
-    the degrees, so the span question becomes finite exact linear algebra
-    over Z_(p) on the (v-monomial, y-exponents) keys of the elements.
+    Image membership is decided term by term, on a `term_index`.
+
+    Row-splitting lemma.  Every image generator is one term c*v^I*Y (checked
+    by `single_term`), and multiplying by v_m keeps Y, so every translate
+    v_m^e*c*v^I*Y is one term too.  A degree of the Z_(p)[v_m]-span is then
+    spanned by columns with one nonzero each, and such a span is the direct
+    sum of its rows: row v^J*Y is p^mu*Z_(p), mu the least v_p(c) over the
+    generators with the key of v^J*Y (v^J without v_m, and Y) and a v_m
+    exponent no higher than J's.  So a target lies in the span exactly when
+    each of its terms a*v^J*Y has such a generator with v_p(c) <= v_p(a); a
+    term without one is outside, and the missing divisor is the certificate.
     """
 
     _fields = ("p", "factor_ns", "m")
@@ -205,45 +213,30 @@ class BarKmModel(OmegaImageModel):
     def vm_monomial(self, coeff: int, exps, k: int) -> Element:
         return self.monomial(coeff, ((self.m, k),) if k else (), exps)
 
-    def y_blocks(self, gens) -> dict:
-        """Each Y of the (degree, element) generators -> its block: the indices
-        of the generators linked to Y through shared Y's, a connected component."""
-        owner: dict = {}  # Y -> its block (Y's, generator indices), shared
-        for k, (_, el) in enumerate(gens):
-            ys, ks = {y for _, y in el}, [k]
-            for other in {id(b): b for y in ys if (b := owner.get(y))}.values():
-                ys |= other[0]
-                ks += other[1]
-            owner.update(dict.fromkeys(ys, (ys, ks)))
-        return {y: ks for y, (_, ks) in owner.items()}
+    def _key(self, v, y) -> tuple[tuple, int]:
+        """(v without v_m, Y) and the v_m exponent of the term v*Y."""
+        return (tuple(t for t in v if t[0] != self.m), y), dict(v).get(self.m, 0)
 
-    def span(self, gens, d: int) -> SpanSolver:
-        """Degree d of the Z_(p)[v_m]-span of the (degree, element) generators;
-        `block_span` passes only the y-blocks (`y_blocks`) a target touches.
+    def term_index(self, image_generators) -> dict:
+        """(v-key without v_m, Y) -> {v_m exponent: least v_p(c)} over the
+        nonzero generators c*v^I*Y with that key."""
+        index: dict = {}
+        for g in filter(None, image_generators):
+            self.element_degree(g)  # a generator of mixed degrees raises as such
+            v, y, c = self.single_term(g)
+            key, e = self._key(v, y)
+            least, val = index.setdefault(key, {}), pvaluation(c, self.p)
+            least[e] = min(least.get(e, val), val)
+        return index
 
-        Block split: v_m changes no y-exponent, so v_m^e*g has the Y's of g and
-        each column of the degree-d matrix M lies in the rows (v, Y) of one
-        block B.  So M = diag(M_B), and Mx = b exactly when M_B x_B = b_B for
-        each B: a target is in the span iff it is in the span of the blocks it
-        touches (x_B = 0 where b_B = 0).  A row whose Y no generator has is
-        zero in M; `SpanSolver` rejects a target there, as outside its rows.
-        """
-        cols = [el for _, _, el in self.v_translates(gens, d, (self.m,))]
-        return SpanSolver(self.p, cols)
-
-    def block_span(self, gens, blocks, target: Element, spans: dict) -> SpanSolver:
-        """The span, in the degree of target, of the union of the `y_blocks`
-        it touches, factored once per (blocks, degree) into `spans`."""
-        d = self.element_degree(target)
-        ks = tuple(sorted({k for _, y in target for k in blocks.get(y, ())}))
-        if (ks, d) not in spans:
-            spans[ks, d] = self.span([gens[k] for k in ks], d)
-        return spans[ks, d]
-
-    def span_contains(self, gens, target: Element) -> bool:
-        """Is target in the Z_(p)[v_m]-span of the (degree, element) generators?"""
-        blocks = self.y_blocks(gens)
-        return not target or self.block_span(gens, blocks, target, {}).contains(target)
+    def span_contains(self, index, target: Element) -> bool:
+        """Is target in the Z_(p)[v_m]-span of the generators of the term index?"""
+        for (v, y), a in target.items():
+            key, e = self._key(v, y)
+            reach = [val for ek, val in index.get(key, {}).items() if ek <= e]
+            if not reach or min(reach) > pvaluation(a, self.p):
+                return False
+        return True
 
 
 def mono_name(exps) -> str:
@@ -264,17 +257,14 @@ def j_res_vanishes(gens: tuple[JGenerator, ...], model: BarKmModel) -> bool:
 
 def star_star_check(model: BarKmModel, image_generators) -> dict[str, dict[str, bool]]:
     """For each full-support monomial Y: is p*Y or v*Y in the image span?"""
-    # the degrees raise on malformed input, and are the same for every target
-    gens = [(model.element_degree(g), g) for g in image_generators if g]
-    targets = {
-        (mono_name(exps), kind): model.vm_monomial(coeff, exps, k)
+    index = model.term_index(image_generators)
+    return {
+        mono_name(exps): {
+            kind: model.span_contains(index, model.vm_monomial(coeff, exps, k))
+            for kind, coeff, k in (("p", model.p, 0), ("v", 1, 1))
+        }
         for exps in itertools.product(range(1, model.p), repeat=model.nfactors)
-        for kind, coeff, k in (("p", model.p, 0), ("v", 1, 1))
     }
-    # one factored span per (y-block, degree) answers all its targets
-    blocks, spans = model.y_blocks(gens), {}
-    hit = {k: model.block_span(gens, blocks, el, spans).contains(el) for k, el in targets.items()}
-    return {mono: {kind: hit[mono, kind] for kind in ("p", "v")} for mono, _ in targets}
 
 
 def star_star_holds(result: dict[str, dict[str, bool]]) -> bool:

@@ -14,9 +14,11 @@ ambient, not postulated.
 
 `OmegaImageModel` is the package's one ambient model and element format;
 `kunneth.BarKmModel` is the same model read with the single variable v = v_m
-for the (**) criterion.  Both build their degree slices with
-`OmegaImageModel.v_translates`: the collapse over v_1, v_2, ..., the
-criterion over v_m alone.
+for the (**) criterion.  Every image generator is one term c*v^I*Y
+(`single_term`), so both answer their span questions term by term, with no
+translate listed and nothing eliminated: the collapse over v_1, v_2, ...,
+the criterion over v_m alone (the row-splitting lemma in `chow_collapse`
+and `kunneth.BarKmModel`).
 
 A `PresentedRing` is the operators L_g : x -> g*x of its generators g on an
 explicit basis, certified by the commuting-operator criterion in `audit`;
@@ -33,9 +35,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 
-from .exact_linalg import SpanSolver, is_prime
+from .exact_linalg import SpanSolver, is_prime, pvaluation
 from .graded import GradedFPModule, GradedMap, cyclic_summands
 from .record import Frozen
 
@@ -158,23 +159,15 @@ class OmegaImageModel(Frozen):
             raise OmegaModelError(f"element is not homogeneous: mixed degrees {sorted(degs)}")
         return degs.pop()
 
-    def v_translates(self, gens, d: int, indices) -> list[tuple[VKey, int, Element]]:
-        """The translates into degree d of the (degree, element) generators.
-
-        One triple (v_I, k, v_I * g_k) for each generator g_k and each
-        v-monomial v_I in the v_i, i in the ascending `indices`, of weight
-        deg g_k - d: generators in order, v-monomials sorted.  The monomials
-        are enumerated once per distinct generator degree.
-        """
-        monomials: dict[int, list[VKey]] = {}
-        out = []
-        for k, (deg, el) in enumerate(gens):
-            if deg < d:
-                continue
-            if deg not in monomials:
-                monomials[deg] = _v_monomials(deg - d, indices, self.p)
-            out.extend((vm, k, self.v_shift(vm, el)) for vm in monomials[deg])
-        return out
+    @staticmethod
+    def single_term(el: Element) -> tuple[VKey, YKey, int]:
+        """The one term (v, Y, c) of an element c*v*Y.  The term rule of
+        `chow_collapse` and `kunneth.BarKmModel` reads image generators this
+        way, and raises on one of several terms."""
+        if len(el) != 1:
+            raise OmegaModelError(f"an image generator must be one term c*v^I*Y, not {len(el)}")
+        (((v, y), c),) = el.items()
+        return v, y, c
 
     # -- the image submodule ----------------------------------------------
 
@@ -584,102 +577,76 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
-def _v_monomials(weight: int, indices, p: int) -> tuple[VKey, ...]:
-    """All v-monomials in the v_i, i in the ascending `indices`, of exact
-    weight sum e_i*(p^i-1), sorted.  Cached, as callers ask for the same
-    weights many times; the recursion on the tail of `indices` shares it."""
-    if not indices:
-        return ((),) if weight == 0 else ()
-    i, step = indices[0], p ** indices[0] - 1
-    return tuple(sorted(
-        (((i, e),) if e else ()) + vm
-        for e in range(weight // step + 1)
-        for vm in _v_monomials(weight - e * step, indices[1:], p)
-    ))
-
-
 def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     """Quotient of the image submodule by its v-positive translates.
 
-    Returns the resulting graded ring with basis the surviving generator
-    classes; additive orders and all products are certified by membership
-    computations in the ambient module.  Only single-factor models are
-    supported (products are handled at the level of tensor constructions).
+    Returns the resulting graded ring with basis the generator classes;
+    additive orders and all products are certified by membership in the
+    ambient module.  Only single-factor models are supported (products are
+    handled at the level of tensor constructions).
 
-    A degree's slice (the generators' v-translates into it) is built only at
-    the generator degrees, for the additive certificate, and at the degrees
-    of the nonzero products; each is factored once, for both.
+    Row-splitting lemma.  Every generator is one term c*v^I*Y (checked by
+    `single_term`), and multiplying by a v-monomial keeps Y, so every
+    v-translate is one term too.  A degree of the image submodule is then
+    spanned by columns with one nonzero each, and such a span is the direct
+    sum of its rows: row v^J*Y of the v-positive translates is p^mu*Z_(p),
+    mu the least v_p(c) over the generators c*v^I*Y with v^I a proper
+    divisor of v^J (no row at all when there is none).  The generators have
+    distinct terms (checked), so the class of c*v^J*Y has order p^(mu -
+    v_p(c)), and is free when no v-positive translate reaches its term.  A
+    product a*v^J*Y is a/c times the class carrying its term when v_p(c) <=
+    v_p(a), zero when mu <= v_p(a) and no class carries it that way, and
+    outside the image submodule otherwise.
     """
     if model.nfactors != 1:
         raise OmegaModelError("collapse implemented for single-factor models")
     p = model.p
-    top = (p - 1) * model.ydegs[0]
-    vmax = 1
-    while p ** (vmax + 1) - 1 <= top:
-        vmax += 1
-
     gens = model.image_generators()  # (name, (i, j) or None)
-    names = [name for name, _ in gens]
-    gen_elements = {name: model.res_word((cls,)) for name, cls in gens}
-    graded = [(model.element_degree(el), el) for el in gen_elements.values()]
+    elements = {name: model.res_word((cls,)) for name, cls in gens}
+    terms = {name: model.single_term(el) for name, el in elements.items()}  # (v, Y, c)
+    carrier = {(v, y): name for name, (v, y, _) in terms.items()}
+    if len(carrier) != len(terms):
+        raise OmegaModelError("two image generators share a term")
 
-    # per degree: the v-translates of the generators span the image submodule
-    @lru_cache(maxsize=None)
-    def slice_at(d: int) -> tuple | None:
-        """(names, survivors, span) of the degree-d translates, or None."""
-        translates = model.v_translates(graded, d, range(1, vmax + 1))
-        return None if not translates else (
-            [names[k] for _, k, _ in translates],
-            [idx for idx, (vm, _, _) in enumerate(translates) if vm == ()],
-            SpanSolver(p, [el for _, _, el in translates]),
+    def translate_valuation(v: VKey, y: YKey) -> int | None:
+        """Least v_p(c) of the v-positive translates reaching v*y, or None."""
+        exps = dict(v)
+        return min(
+            (pvaluation(c, p) for w, yw, c in terms.values()
+             if yw == y and w != v and all(exps.get(i, 0) >= e for i, e in w)),
+            default=None,
         )
 
-    # additive certification: in each degree the surviving classes form
-    # independent cyclic summands with order read off the index pattern
+    # additive certification: the order of each class, read off its term
+    degrees = {name: model.element_degree(el) for name, el in elements.items()}
     basis: list[BasisClass] = []
-    for d in sorted({deg for deg, _ in graded}):
-        sl_names, surv, span = slice_at(d)
-        kern = span.kernel_vectors()
-        restricted = ({pos: c for pos, i in enumerate(surv) if (c := vec.get(i))} for vec in kern)
-        restricted = [vec for vec in restricted if vec]  # a zero vector spans nothing
-        surv_names = [sl_names[i] for i in surv]
-        orders = [0 if name == "1" or name.startswith("c_0(") else 1 for name in surv_names]
-        # relation span must equal span{p * e_t : torsion t}
-        for vec in restricted:
-            for pos, c in vec.items():
-                if orders[pos] == 0:
-                    raise OmegaModelError(f"free class acquires a relation in degree {d}")
-                if c % p != 0:
-                    raise OmegaModelError(f"unexpected relation shape in degree {d}")
-        relations = SpanSolver(p, restricted)
-        for pos, exp in enumerate(orders):
-            if exp and not relations.contains({pos: p}):
-                raise OmegaModelError(
-                    f"class {surv_names[pos]} is not p-torsion in degree {d}"
-                )
-        for name, exp in zip(surv_names, orders):
-            basis.append(BasisClass(name=name, degree=d, torsion_exp=exp))
+    for name in sorted(elements, key=degrees.get):
+        v, y, c = terms[name]
+        mu = translate_valuation(v, y)
+        order = None if mu is None else max(mu - pvaluation(c, p), 0)  # None: free
+        expected = None if name == "1" or name.startswith("c_0(") else 1
+        if order != expected:
+            got, want = ("infinite" if e is None else f"p^{e}" for e in (order, expected))
+            raise OmegaModelError(
+                f"class {name} in degree {degrees[name]} has order {got}, not {want}"
+            )
+        basis.append(BasisClass(name=name, degree=degrees[name], torsion_exp=order or 0))
 
     index = {b.name: k for k, b in enumerate(basis)}
     unit = index["1"]
 
-    # every class but the unit is a generator; one column per class each, read
-    # off the surviving classes of the slice of its degree
+    # every class but the unit is a generator; each column is read off the
+    # class that carries the product's term
     ops: dict[int, dict] = {g: {} for g in range(len(basis)) if g != unit}
-    products: dict[int, list] = {}
     for g, x in itertools.product(ops, range(len(basis))):
-        ops[g][x] = {}
-        if el := model.mul(gen_elements[basis[g].name], gen_elements[basis[x].name]):
-            products.setdefault(basis[g].degree + basis[x].degree, []).append((g, x, el))
-    for d, prods in products.items():
-        if (sl := slice_at(d)) is None:
-            raise OmegaModelError(f"no image classes in degree {d}")
-        sl_names, surv, span = sl
-        for g, x, el in prods:
-            if (sol := span.solve(el)) is None:
-                raise OmegaModelError("element is not in the image submodule")
-            ops[g][x] = {index[sl_names[i]]: sol[i] for i in surv}
+        if not (el := model.mul(elements[basis[g].name], elements[basis[x].name])):
+            continue
+        v, y, a = model.single_term(el)
+        name = carrier.get((v, y))
+        if name is not None and pvaluation(terms[name][2], p) <= pvaluation(a, p):
+            ops[g][x] = {index[name]: Fraction(a, terms[name][2])}
+        elif (mu := translate_valuation(v, y)) is None or mu > pvaluation(a, p):
+            raise OmegaModelError("element is not in the image submodule")
     ring = PresentedRing(p, tuple(basis), unit, ops)
     ring.audit()
     return ring

@@ -1,6 +1,7 @@
 """Catalog entries against hand-expanded degree tables."""
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -67,7 +68,7 @@ def test_chow_rost_structure_constants():
 
 
 def test_omega_image_collapse_matches_chow():
-    for p, n in [(2, 2), (3, 2), (2, 3)]:
+    for p, n in itertools.product((2, 3, 5, 7, 11, 13), range(2, 9)):
         obj = catalog_build("omega_image_rost", {"p": p, "n": n})
         chow = catalog_build("chow_rost", {"p": p, "n": n})
         assert iso_equal(chow_collapse(obj.omega).module(), chow.module()), (p, n)

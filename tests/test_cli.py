@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 from rostcalc import catalog, kunneth
+from rostcalc.catalog import chow_rost_ring
 from rostcalc.cli import main
+from rostcalc.graded import iso_equal, normalize
 from rostcalc.kunneth import CLAIMS, default_grid, verify_theorem
+from rostcalc.omega import OmegaImageModel, chow_collapse
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -335,6 +338,22 @@ def test_build_omega_image_rost_p2_n7_pinned(capsys):
     code, out, _ = run(capsys, "build", "omega_image_rost", "--p", "2", "--n", "7")
     assert code == 0
     assert out == (DATA / "build_omega_image_rost_p2_n7.json").read_text()
+
+
+@pytest.mark.parametrize("p, n", [(3, 6), (2, 8), (3, 7)])
+def test_build_omega_image_rost_past_the_grid_pinned(capsys, p, n):
+    # p=2 n=8 recorded by the translate-listing collapse (about 10 s); p=3 n=7,
+    # which that collapse did not finish in 600 s, recorded by the term rule
+    code, out, _ = run(capsys, "build", "omega_image_rost", "--p", str(p), "--n", str(n))
+    assert code == 0
+    assert out == (DATA / f"build_omega_image_rost_p{p}_n{n}.json").read_text()
+
+
+def test_build_omega_image_rost_p3_n7_pin_is_the_stated_chow_ring():
+    stated = chow_rost_ring(3, 7)
+    assert iso_equal(chow_collapse(OmegaImageModel(3, (7,))).module(), stated.module())
+    text = json.dumps(normalize(stated.module()).to_json(), sort_keys=True, indent=2) + "\n"
+    assert text == (DATA / "build_omega_image_rost_p3_n7.json").read_text()
 
 
 def test_build_km_rost_p3_n2_m2_pinned(capsys):

@@ -9,6 +9,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rostcalc import catalog, kunneth
 from rostcalc.catalog import (
@@ -188,98 +190,167 @@ def test_bar_element_form():
 
 def test_span_membership_sees_v_shifts():
     model = BarKmModel(p=2, m=1, factor_ns=(2,))
-    g = model.vm_monomial(2, (1,), 0)  # 2*y
-    gens = [(model.element_degree(g), g)]
-    assert model.span_contains(gens, model.vm_monomial(2, (1,), 1))  # 2vy = v * (2y)
-    assert not model.span_contains(gens, model.vm_monomial(1, (1,), 0))
+    index = model.term_index([model.vm_monomial(2, (1,), 0)])  # 2*y
+    assert model.span_contains(index, model.vm_monomial(2, (1,), 1))  # 2vy = v * (2y)
+    assert not model.span_contains(index, model.vm_monomial(1, (1,), 0))
 
 
 @pytest.mark.parametrize("p, n, m", [(2, 2, 1), (3, 2, 1), (5, 2, 1), (3, 3, 2), (2, 4, 3)])
 def test_star_star_check_matches_one_span_contains_per_target(p, n, m):
-    # one factored span per degree answers as the per-target span would
+    # one term index answers as an index per target would
     model = BarKmModel(p=p, factor_ns=(n, n), m=m)
     for image in (versal_image(model), product_image(model)):
-        gens = [(model.element_degree(g), g) for g in image]
         expected = {
             mono_name(exps): {
-                "p": model.span_contains(gens, model.vm_monomial(p, exps, 0)),
-                "v": model.span_contains(gens, model.vm_monomial(1, exps, 1)),
+                "p": model.span_contains(model.term_index(image), model.vm_monomial(p, exps, 0)),
+                "v": model.span_contains(model.term_index(image), model.vm_monomial(1, exps, 1)),
             }
             for exps in itertools.product(range(1, p), repeat=2)
         }
         assert star_star_check(model, image) == expected
 
 
-def _linked_image(model):
-    # hand-written homogeneous generators at p = 3, n = 2 (y has degree 4, v
-    # degree -2) whose terms link y-exponent tuples: g1, g2, g7, g8, g9 form
-    # one block, g3 is a block alone, and g5 joins the blocks of g4 and g6
-    def el(*terms):
-        return reduce(model.add, [model.vm_monomial(c, y, k) for c, y, k in terms])
-
-    image = [
-        el((1, (1, 1), 0), (3, (2, 1), 2)),  # g1
-        el((1, (2, 0), 0), (1, (2, 2), 4)),  # g3
-        el((3, (0, 1), 0)),  # g4
-        el((1, (1, 0), 0)),  # g6
-        el((1, (2, 1), 2), (3, (1, 2), 2)),  # g2
-        el((1, (1, 0), 0), (3, (0, 1), 0)),  # g5
-        el((1, (1, 2), 2)),  # g7
-        el((1, (2, 1), 0), (3, (1, 2), 0)),  # g8
-        el((9, (1, 2), 0)),  # g9
+def _v_monomials(weight, indices, p):
+    # every v-monomial in the v_i, i in indices, of exact weight sum e_i*(p^i - 1)
+    if not indices:
+        return [()] if weight == 0 else []
+    i, step = indices[0], p ** indices[0] - 1
+    return [
+        (((i, e),) if e else ()) + vm
+        for e in range(weight // step + 1)
+        for vm in _v_monomials(weight - e * step, indices[1:], p)
     ]
-    return image, [(model.element_degree(g), g) for g in image]
 
 
-def _full_degree_span(model, gens, target):
-    # the oracle: one span over every v-translate of every generator
-    d = model.element_degree(target)
-    cols = [el for _, _, el in model.v_translates(gens, d, (model.m,))]
-    return SpanSolver(model.p, cols).contains(target)
+def _full_degree_span(model, image, target, spans=None):
+    # the oracle: one span over every v_m-translate of every generator into the
+    # degree of target, factored by SpanSolver once per degree into `spans`;
+    # it reads generators of any shape
+    d, spans = model.element_degree(target), {} if spans is None else spans
+    if d not in spans:
+        cols = [
+            model.v_shift(vm, g)
+            for g in image
+            if g and model.element_degree(g) >= d
+            for vm in _v_monomials(model.element_degree(g) - d, (model.m,), model.p)
+        ]
+        spans[d] = SpanSolver(model.p, cols)
+    return spans[d].contains(target)
 
 
-def test_y_blocks_link_generators_through_shared_y_exponents():
+def _term_image(model):
+    # hand-written one-term generators at p = 3, n = 2 (y has degree 4, v = v_1
+    # degree -2, v_2 degree -8): rows that share Y at different v-exponents,
+    # p-power coefficients, and a v_2 key that no v_1-translate changes
+    v2 = lambda c, y: model.monomial(c, ((2, 1),), y)
+    return [
+        model.vm_monomial(3, (1, 1), 0),  # 3*y1*y2
+        model.vm_monomial(1, (2, 1), 1),  # v*y1^2*y2
+        model.vm_monomial(9, (1, 2), 2),  # 9*v^2*y1*y2^2
+        model.vm_monomial(1, (2, 2), 0),  # y1^2*y2^2
+        model.vm_monomial(3, (0, 1), 3),  # 3*v^3*y2
+        model.vm_monomial(27, (1, 0), 0),  # 27*y1
+        v2(1, (1, 2)),  # v_2*y1*y2^2
+    ]
+
+
+def test_term_rule_star_star_check_matches_the_full_degree_span():
     model = BarKmModel(p=3, factor_ns=(2, 2), m=1)
-    _, gens = _linked_image(model)
-    blocks = model.y_blocks(gens)
-    assert {tuple(sorted(b)) for b in blocks.values()} == {(0, 4, 6, 7, 8), (1,), (2, 3, 5)}
-    assert blocks[(2, 0)] == blocks[(2, 2)] == [1]
-
-
-def test_block_split_star_star_check_matches_the_full_degree_span():
-    model = BarKmModel(p=3, factor_ns=(2, 2), m=1)
-    image, gens = _linked_image(model)
+    image = _term_image(model)
     expected = {
         mono_name(exps): {
-            kind: _full_degree_span(model, gens, model.vm_monomial(c, exps, k))
+            kind: _full_degree_span(model, image, model.vm_monomial(c, exps, k))
             for kind, c, k in (("p", 3, 0), ("v", 1, 1))
         }
         for exps in itertools.product((1, 2), repeat=2)
     }
     assert star_star_check(model, image) == expected
-    # 3*y1^2*y2 = 3*g8 - g9, v*y1*y2 = v*(g1 - 3*g2 + 9*g7), and
-    # v*y1^2*y2 = v*g8 - v*g9/3 is not integral
-    assert expected["y_1^2*y_2"] == {"p": True, "v": False}
-    assert expected["y_1*y_2"] == {"p": True, "v": True}
+    # 3*y1*y2 is a generator but v*y1*y2 = v*(3*y1*y2)/3 is not integral;
+    # v*y1^2*y2 is a generator but no v-exponent below 1 reaches 3*y1^2*y2;
+    # 9*v^2*y1*y2^2 reaches neither, and y1^2*y2^2 reaches both
+    assert expected == {
+        "y_1*y_2": {"p": True, "v": False},
+        "y_1*y_2^2": {"p": False, "v": False},
+        "y_1^2*y_2": {"p": False, "v": True},
+        "y_1^2*y_2^2": {"p": True, "v": True},
+    }
 
 
-def test_block_split_span_contains_matches_the_full_degree_span():
+def test_term_rule_span_contains_matches_the_full_degree_span():
     model = BarKmModel(p=3, factor_ns=(2, 2), m=1)
-    image, gens = _linked_image(model)
-    y1y2, y1_sq = model.vm_monomial(1, (1, 1), 0), model.vm_monomial(1, (2, 0), 0)
+    image = _term_image(model)
+    index = model.term_index(image)
+    v1v2 = lambda c, y: model.monomial(c, ((1, 1), (2, 1)), y)
     cases = [
-        (model.add(y1y2, image[1]), True),  # straddles two blocks, both parts in
-        (model.add(y1y2, y1_sq), False),  # straddles two blocks, y1^2 is not in
-        (model.vm_monomial(1, (0, 2), 0), False),  # a Y no generator touches
-        (model.add(y1y2, model.vm_monomial(1, (0, 2), 0)), False),
-        (model.vm_monomial(1, (1, 0), 1), True),  # v*y1 = v*g6
-        (model.vm_monomial(1, (0, 1), 1), False),  # v*y2 = v*(g5 - g6)/3
+        # straddles two rows of degree 8, both in
+        (model.add(model.vm_monomial(3, (1, 1), 0), model.vm_monomial(1, (2, 1), 2)), True),
+        # the same rows, y1*y2 with a unit coefficient is not in
+        (model.add(model.vm_monomial(1, (1, 1), 0), model.vm_monomial(1, (2, 1), 2)), False),
+        (model.vm_monomial(1, (2, 0), 0), False),  # a Y no generator touches
+        (model.vm_monomial(3, (0, 1), 4), True),  # v * (3*v^3*y2)
+        (model.vm_monomial(1, (0, 1), 4), False),  # v_p(1) < v_p(3)
+        (model.vm_monomial(3, (0, 1), 2), False),  # no v-exponent below 2 on y2
+        (model.vm_monomial(9, (1, 2), 3), True),
+        (model.vm_monomial(3, (1, 2), 3), False),
+        (v1v2(1, (1, 2)), True),  # v_1 * v_2*y1*y2^2
+        (model.vm_monomial(1, (1, 2), 5), False),  # v_1^5 has the degree of v_2*v_1 but not its key
+        (model.vm_monomial(54, (1, 0), 0), True),  # 2 * 27*y1
         ({}, True),
     ]
     for target, hit in cases:
-        assert model.span_contains(gens, target) is hit, target
+        assert model.span_contains(index, target) is hit, target
         if target:
-            assert _full_degree_span(model, gens, target) is hit, target
+            assert _full_degree_span(model, image, target) is hit, target
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_term_rule_matches_the_full_degree_span_on_every_preset(p):
+    for s, (n, m) in itertools.product((1, 2, 3), [(2, 1), (3, 2)]):
+        model = BarKmModel(p=p, factor_ns=(n,) * s, m=m)
+        for image in (versal_image(model), product_image(model)):
+            spans = {}
+            expected = {
+                mono_name(exps): {
+                    kind: _full_degree_span(model, image, model.vm_monomial(c, exps, k), spans)
+                    for kind, c, k in (("p", p, 0), ("v", 1, 1))
+                }
+                for exps in itertools.product(range(1, p), repeat=s)
+            }
+            assert star_star_check(model, image) == expected, (p, s, n, m)
+
+
+@st.composite
+def _one_term_generators(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.sampled_from([1, 2]))
+    model = BarKmModel(p=p, factor_ns=(3, 3), m=m)
+
+    def term():
+        c = draw(st.integers(1, p - 1)) * p ** draw(st.integers(0, 3)) * draw(st.sampled_from([1, -1]))
+        v = {m: draw(st.integers(0, 3)), 3 - m: draw(st.integers(0, 1)), 3: draw(st.integers(0, 1))}
+        y = tuple(draw(st.integers(0, p - 1)) for _ in range(2))
+        return model.monomial(c, tuple((i, e) for i, e in sorted(v.items()) if e), y)
+
+    return model, [term() for _ in range(draw(st.integers(0, 8)))], [term() for _ in range(6)]
+
+
+@given(_one_term_generators())
+def test_term_rule_matches_the_full_degree_span_on_random_generators(case):
+    # keys with v_i other than v_m, p-power coefficients and repeated rows
+    model, image, targets = case
+    index = model.term_index(image)
+    for target in targets:
+        assert model.span_contains(index, target) is _full_degree_span(model, image, target), target
+
+
+def test_a_generator_of_several_terms_raises():
+    model = BarKmModel(p=3, factor_ns=(2, 2), m=1)
+    # homogeneous: y1*y2 and v^2*y1^2*y2 both have degree 8
+    two = model.add(model.vm_monomial(1, (1, 1), 0), model.vm_monomial(3, (2, 1), 2))
+    with pytest.raises(OmegaModelError, match="must be one term c\\*v\\^I\\*Y, not 2"):
+        star_star_check(model, [*versal_image(model), two])
+    with pytest.raises(OmegaModelError, match="must be one term"):
+        model.term_index([two])
 
 
 @pytest.mark.parametrize("params", [{"p": 3}, {"p": 5}, {"p": 3, "n": 3, "m": 2}])

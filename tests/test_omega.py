@@ -212,7 +212,7 @@ def test_ring_tensor_torsion_exponents():
 
 
 def test_chow_collapse_reproduces_structure_constants():
-    for p, n in [(3, 2), (2, 3)]:
+    for p, n in itertools.product((2, 3, 5, 7), (2, 3, 4)):
         collapsed = chow_collapse(OmegaImageModel(p=p, factor_ns=(n,)))
         reference = chow_rost_ring(p, n)
         names = [b.name for b in reference.basis]
@@ -224,6 +224,45 @@ def test_chow_collapse_reproduces_structure_constants():
                 left_named = {collapsed.basis[k].name: c for k, c in left.items()}
                 right_named = {reference.basis[k].name: c for k, c in right.items()}
                 assert left_named == right_named, (a, b)
+
+
+def test_chow_collapse_refuses_a_class_of_the_wrong_order(monkeypatch):
+    # one defect: c_1(y) restricts to p*v_1*y, which v_1 * res(c_0(y)) reaches
+    res_class = OmegaImageModel.res_class
+
+    def planted(self, t, i, j):
+        el = res_class(self, t, i, j)
+        return self.scale(self.p, el) if (i, j) == (1, 1) else el
+
+    monkeypatch.setattr(OmegaImageModel, "res_class", planted)
+    with pytest.raises(OmegaModelError, match=r"class c_1\(y\) in degree 2 has order p\^0, not p\^1"):
+        chow_collapse(OmegaImageModel(p=3, factor_ns=(2,)))
+
+
+def test_chow_collapse_refuses_a_product_outside_the_image(monkeypatch):
+    # one defect: c_0(y)^2 = 9*y^2 becomes y^2, whose term c_0(y^2) = 3*y^2
+    # carries with too high a valuation and no v-positive translate reaches
+    mul = OmegaImageModel.mul
+
+    def planted(self, a, b):
+        out = mul(self, a, b)
+        return {((), (2,)): 1} if out == {((), (2,)): 9} else out
+
+    monkeypatch.setattr(OmegaImageModel, "mul", planted)
+    with pytest.raises(OmegaModelError, match="not in the image submodule"):
+        chow_collapse(OmegaImageModel(p=3, factor_ns=(2,)))
+
+
+def test_chow_collapse_refuses_a_generator_of_several_terms(monkeypatch):
+    res_class = OmegaImageModel.res_class
+
+    def planted(self, t, i, j):
+        el = res_class(self, t, i, j)
+        return self.add(el, self.monomial(1, ((1, 2),), (j + 1,))) if (i, j) == (1, 1) else el
+
+    monkeypatch.setattr(OmegaImageModel, "res_class", planted)
+    with pytest.raises(OmegaModelError, match="must be one term"):
+        chow_collapse(OmegaImageModel(p=3, factor_ns=(2,)))
 
 
 def test_torsion_ideal_names():

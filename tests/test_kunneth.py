@@ -245,6 +245,7 @@ def _term_image(model):
     v2 = lambda c, y: model.monomial(c, ((2, 1),), y)
     return [
         model.vm_monomial(3, (1, 1), 0),  # 3*y1*y2
+        model.vm_monomial(9, (1, 1), 0),  # 9*y1*y2, a second generator on the same row
         model.vm_monomial(1, (2, 1), 1),  # v*y1^2*y2
         model.vm_monomial(9, (1, 2), 2),  # 9*v^2*y1*y2^2
         model.vm_monomial(1, (2, 2), 0),  # y1^2*y2^2
@@ -265,7 +266,8 @@ def test_term_rule_star_star_check_matches_the_full_degree_span():
         for exps in itertools.product((1, 2), repeat=2)
     }
     assert star_star_check(model, image) == expected
-    # 3*y1*y2 is a generator but v*y1*y2 = v*(3*y1*y2)/3 is not integral;
+    # 3*y1*y2 is a generator (9*y1*y2 on its row does not hide it) but
+    # v*y1*y2 = v*(3*y1*y2)/3 is not integral;
     # v*y1^2*y2 is a generator but no v-exponent below 1 reaches 3*y1^2*y2;
     # 9*v^2*y1*y2^2 reaches neither, and y1^2*y2^2 reaches both
     assert expected == {

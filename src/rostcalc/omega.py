@@ -626,9 +626,9 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
         order = None if mu is None else max(mu - pvaluation(c, p), 0)  # None: free
         expected = None if name == "1" or name.startswith("c_0(") else 1
         if order != expected:
-            got, want = ("infinite" if e is None else f"p^{e}" for e in (order, expected))
             raise OmegaModelError(
-                f"class {name} in degree {degrees[name]} has order {got}, not {want}"
+                f"class {name} in degree {degrees[name]} has order "
+                + ", not ".join("infinite" if e is None else f"p^{e}" for e in (order, expected))
             )
         basis.append(BasisClass(name=name, degree=degrees[name], torsion_exp=order or 0))
 

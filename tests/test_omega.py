@@ -254,11 +254,12 @@ def test_chow_collapse_refuses_a_product_outside_the_image(monkeypatch):
 
 
 def test_chow_collapse_refuses_a_generator_of_several_terms(monkeypatch):
+    # c_1(y) restricts to v_1*y + v_1^3*y^2, homogeneous of degree 2 at p = 3
     res_class = OmegaImageModel.res_class
 
     def planted(self, t, i, j):
         el = res_class(self, t, i, j)
-        return self.add(el, self.monomial(1, ((1, 2),), (j + 1,))) if (i, j) == (1, 1) else el
+        return self.add(el, self.monomial(1, ((1, 3),), (2,))) if (i, j) == (1, 1) else el
 
     monkeypatch.setattr(OmegaImageModel, "res_class", planted)
     with pytest.raises(OmegaModelError, match="must be one term"):

@@ -2,11 +2,13 @@
 
 Traces every line run while it replays one pass of each benchmark workload
 at seed 1 (`perfbench.workloads.make_items` and `execute`, with each answer
-checked against the golden output or the plant) and the `rostcalc` command
-lines of CI's console-script step.  Then it prints, for each function in
-`src/rostcalc`, the statements that never ran, as line numbers, a run of
-unreached statements as one range.  `raise` statements are left out, as an
-error path is reached by the tests, not by a workload.
+checked against the golden output or the plant), the `rostcalc` lines of
+the table of pinned outputs (`tests/data/pins.txt`, read through
+`tests/pin_table.py`) and the other `rostcalc` lines of CI's console-script
+step.  Then it prints, for each function in `src/rostcalc`, the statements
+that never ran, as line numbers, a run of unreached statements as one
+range.  `raise` statements are left out, as an error path is reached by the
+tests, not by a workload.
 
     python3 scripts/reached_lines.py
 
@@ -16,8 +18,6 @@ A function none of whose statements ran prints as "never called".
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
 import re
 import shlex
 import sys
@@ -25,21 +25,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rostcalc"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
+from pin_table import read_table, run  # noqa: E402
 
 # Statements with no line of their own to trace, or left out on purpose.
 SKIPPED = (ast.Raise, ast.Pass, ast.Global, ast.Nonlocal, ast.Try,
            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def ci_command_lines() -> list[list[str]]:
-    """The argv of each `rostcalc` command in CI's console-script step."""
+def command_lines() -> list[list[str]]:
+    """The argv of each `rostcalc` line of the pin table and of CI's
+    console-script step."""
     text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     step = text.split("name: Installed console script", 1)[1].split("- name:", 1)[0]
-    commands = re.finditer(r"(?:^|;)\s*rostcalc ([^|>;\n]+)", step, re.M)
-    return [shlex.split(m.group(1)) for m in commands]
+    commands = re.finditer(r"(?:^|;)\s*(rostcalc [^|>;\n]+)", step, re.M)
+    table = [list(pin.argv) for pin in read_table() if pin.argv[0] == "rostcalc"]
+    return table + [shlex.split(m.group(1)) for m in commands]
 
 
 def run_everything() -> tuple[set[tuple[str, int]], list[str]]:
@@ -69,12 +72,8 @@ def run_everything() -> tuple[set[tuple[str, int]], list[str]]:
                     wrong += workloads.check_plant(item.payload, text)
                 elif golden.get(item.key) not in (None, text):
                     wrong.append(f"{workload} {item.key}: differs from golden output")
-        from rostcalc.cli import main
-
-        for argv in ci_command_lines():
-            quiet = io.StringIO()
-            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-                main(argv)
+        for argv in command_lines():
+            run(argv)
     finally:
         sys.settrace(None)
     return reached, wrong

@@ -411,7 +411,8 @@ def excellent_quadric_ring(n: int, d: int, di: tuple[int, ...]) -> PresentedRing
         raise CatalogError(f"d={d} must be odd")
     if not (2**n - 1 <= d <= 2 ** (n + 1) - 2):
         raise CatalogError(f"d={d} out of range for n={n}")
-    di = tuple(int(x) for x in di)
+    if not all(isinstance(x, int) for x in di):
+        raise CatalogError(f"cutoffs d_i={list(di)} must be integers")
     if len(di) != n - 1:
         raise CatalogError(f"expected {n - 1} cutoffs d_i, got {len(di)}")
     if any(x <= 0 for x in di) or any(a < b for a, b in zip(di, di[1:])):

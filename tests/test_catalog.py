@@ -21,6 +21,7 @@ from rostcalc.graded import (
     normalize,
     tensor_product,
 )
+from rostcalc.kunneth import verify_theorem
 from rostcalc.omega import OmegaImageModel, chow_collapse
 
 
@@ -171,6 +172,15 @@ def test_excellent_quadric_parameter_constraints():
         catalog_build("excellent_quadric_chow", {"p": 2, "n": 3, "d": 7, "di": (4,)})
     with pytest.raises(CatalogError):  # not nonincreasing
         catalog_build("excellent_quadric_chow", {"p": 2, "n": 3, "d": 7, "di": (2, 4)})
+
+
+def test_a_cutoff_that_is_not_an_integer_is_refused():
+    # int() truncated 2.9 to 2: the report named cutoff 2.9 and judged cutoff 2
+    for di in ([2.9], [2.0], ["2"]):
+        with pytest.raises(CatalogError, match=r"cutoffs d_i=\[.*\] must be integers"):
+            catalog_build("excellent_quadric_chow", {"p": 2, "n": 2, "d": 3, "di": di})
+    with pytest.raises(CatalogError, match="must be integers"):
+        verify_theorem("thm-5.7-torsion-square", {"n": 2, "d": 3, "di": [2.9]})
 
 
 def test_every_catalog_id_is_buildable():

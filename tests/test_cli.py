@@ -1,6 +1,5 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
-import hashlib
 import json
 import os
 import shlex
@@ -186,15 +185,6 @@ def test_verify_all_is_deterministic(capsys):
     assert ids[:3] == ["thm-1.1", "thm-1.1", "thm-1.1"]
 
 
-def test_verify_all_stdout_matches_the_pins(capsys):
-    # the text output is pinned whole, the 69 KB JSON by its sha256
-    _, text, _ = run(capsys, "verify-all", "--format", "text")
-    assert text == (DATA / "verify_all.txt").read_text()
-    _, out, _ = run(capsys, "verify-all", "--format", "json")
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == (DATA / "verify_all_json.sha256").read_text().strip()
-
-
 RING_CACHES = (
     catalog.tower_ring,
     catalog._chow_rost_ring,
@@ -299,97 +289,11 @@ def test_tensor_and_quotient_verbs(capsys):
     assert "no generator" in err
 
 
-def test_tensor_pfister_neighbor_chow_n4_pinned(capsys):
-    code, out, _ = run(capsys, "tensor", "pfister_neighbor_chow", "pfister_neighbor_chow", "--n", "4")
-    assert code == 0
-    assert out == (DATA / "tensor_pfister_neighbor_chow_n4.json").read_text()
-
-
-def test_tensor_pfister_neighbor_chow_n5_pinned(capsys):
-    # `normalize` reads a module of 186 generators and 124 relations
-    code, out, _ = run(capsys, "tensor", "pfister_neighbor_chow", "pfister_neighbor_chow", "--n", "5")
-    assert code == 0
-    assert out == (DATA / "tensor_pfister_neighbor_chow_n5.json").read_text()
-
-
-def test_build_excellent_quadric_chow_text_pinned(capsys):
-    code, out, _ = run(
-        capsys, "build", "excellent_quadric_chow", "--n", "2", "--d", "5", "--di", "3", "--format", "text"
-    )
-    assert code == 0
-    assert out == (DATA / "build_excellent_quadric_chow_n2_d5_di3.txt").read_text()
-
-
-def test_tensor_gr_m_rost_chow_rost_p3_pinned(capsys):
-    code, out, _ = run(capsys, "tensor", "gr_m_rost", "chow_rost", "--p", "3", "--n", "3", "--m", "1")
-    assert code == 0
-    assert out == (DATA / "tensor_gr_m_rost_chow_rost_p3_n3_m1.json").read_text()
-
-
-def test_build_omega_image_rost_p3_n5_pinned(capsys):
-    # the largest Rost image the suite collapses (top degree 242)
-    code, out, _ = run(capsys, "build", "omega_image_rost", "--p", "3", "--n", "5")
-    assert code == 0
-    assert out == (DATA / "build_omega_image_rost_p3_n5.json").read_text()
-
-
-def test_build_omega_image_rost_p2_n7_pinned(capsys):
-    # top degree 127; recorded before the column index and the shared factorisations
-    code, out, _ = run(capsys, "build", "omega_image_rost", "--p", "2", "--n", "7")
-    assert code == 0
-    assert out == (DATA / "build_omega_image_rost_p2_n7.json").read_text()
-
-
-@pytest.mark.parametrize("p, n", [(3, 6), (2, 8), (3, 7)])
-def test_build_omega_image_rost_past_the_grid_pinned(capsys, p, n):
-    # p=2 n=8 recorded by the translate-listing collapse (about 10 s); p=3 n=7,
-    # which that collapse did not finish in 600 s, recorded by the term rule
-    code, out, _ = run(capsys, "build", "omega_image_rost", "--p", str(p), "--n", str(n))
-    assert code == 0
-    assert out == (DATA / f"build_omega_image_rost_p{p}_n{n}.json").read_text()
-
-
 def test_build_omega_image_rost_p3_n7_pin_is_the_stated_chow_ring():
     stated = chow_rost_ring(3, 7)
     assert iso_equal(chow_collapse(OmegaImageModel(3, (7,))).module(), stated.module())
     text = json.dumps(normalize(stated.module()).to_json(), sort_keys=True, indent=2) + "\n"
     assert text == (DATA / "build_omega_image_rost_p3_n7.json").read_text()
-
-
-def test_build_km_rost_p3_n2_m2_pinned(capsys):
-    # m >= n: M[v^-1] carries torsion in degree classes 2 and 6
-    code, out, _ = run(capsys, "build", "km_rost", "--p", "3", "--n", "2", "--m", "2")
-    assert code == 0
-    assert out == (DATA / "build_km_rost_p3_n2_m2.json").read_text()
-
-
-@pytest.mark.parametrize("pin, argv", [
-    ("verify_thm-5.5-torsion-square_n8.json", "thm-5.5-torsion-square --n 8"),
-    ("verify_cor-1.3_p3_s6.json", "cor-1.3 --p 3 --s 6"),
-    ("verify_cor-1.3_p7_s4.json", "cor-1.3 --p 7 --s 4"),
-    ("verify_cor-1.3_p5_s5.json", "cor-1.3 --p 5 --s 5"),
-    ("verify_lemma-4.1_p3_n12_n23.json", "lemma-4.1 --p 3 --n1 2 --n2 3"),
-    ("verify_thm-5.7-torsion-square_n3_di4-2.json", "thm-5.7-torsion-square --n 3 --di 4,2"),
-])
-def test_verify_reports_on_word_read_rings_pinned(capsys, pin, argv):
-    # each audits rings, and so reads every class of them off its word
-    code, out, _ = run(capsys, "verify", *argv.split())
-    assert code == 0
-    assert out == (DATA / pin).read_text()
-
-
-@pytest.mark.parametrize("pin, argv", [
-    ("verify_cor-7.3_s3.json", "cor-7.3 --s 3"),
-    ("verify_remark-4.2-negative_p17.json", "remark-4.2-negative --p 17"),
-    ("verify_cor-4.2_p17.json", "cor-4.2 --p 17"),
-    ("verify_cor-3.5_p3_n3_m2.json", "cor-3.5 --p 3 --n 3 --m 2"),
-])
-def test_verify_reports_off_the_grid_pinned(capsys, pin, argv):
-    # CI diffs these too: each reaches chow_rost_ring or bar_rost_ring at
-    # parameters the verify-all grid does not use
-    code, out, _ = run(capsys, "verify", *argv.split())
-    assert code == 0
-    assert out == (DATA / pin).read_text()
 
 
 def test_console_script_entry():
@@ -450,13 +354,6 @@ def test_slot_tables_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert "degree  13: Z" in proc.stdout
     assert "slot 1:" in proc.stdout
-
-
-def test_slot_tables_script_output_is_pinned():
-    # the degree table and every slot value, byte for byte
-    proc = run_slot_tables("gr_m_pfister", "--n", "3", "--m", "1", "--depth", "2")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (DATA / "slot_tables_gr_m_pfister_n3_m1_depth2.txt").read_text()
 
 
 def test_slot_tables_script_takes_the_cli_flags():

@@ -979,14 +979,16 @@ def test_off_grid_reports_match_recorded_bytes(key):
     # before star_star_check moved onto one factored span per degree;
     # thm-5.5-torsion-square at n=5 and n=7 and thm-5.7-torsion-square at
     # n=3 and n=4, recorded before T^2 = 0 was decided from ideal generators;
-    # cor-1.3 at p=5 s=4, p=3 s=6 and p=7 s=4, recorded while every quotient
-    # was still re-audited from scratch; cor-4.2 and remark-4.2-negative at
-    # p=11 and p=17, recorded while (**) still factored one span per degree;
-    # cor-1.3 at p=5 s=5 and p=3 s=7, recorded while ring_quotient still
+    # cor-1.3 at p=5 s=4, recorded while every quotient was still re-audited
+    # from scratch, and at p=3 s=7, recorded while ring_quotient still
     # projected every identified class; cor-3.5 at (p, n, m) = (3, 3, 1),
-    # (3, 3, 2), (5, 3, 2), (7, 2, 1) and (2, 5, 3), which run the second
-    # display, and at (3, 2, 2), where m >= n skips it, recorded while the
-    # split side was still read off two localized free presentations
+    # (5, 3, 2), (7, 2, 1) and (2, 5, 3), which run the second display, and
+    # at (3, 2, 2), where m >= n skips it, recorded while the split side was
+    # still read off two localized free presentations.  Each output is pinned
+    # once, so the entries with the bytes of another pin are gone: lemma-4.1
+    # at p=3, cor-1.3 at p=3 s=6, p=7 s=4 and p=5 s=5, cor-3.5 at (3, 3, 2),
+    # and cor-4.2 and remark-4.2-negative at p=17 are lines of
+    # tests/data/pins.txt, and the last two at p=11 are frontier reports
     id_, params = key.split(" ", 1)
     report = verify_theorem(id_, json.loads(params))
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]
@@ -997,9 +999,12 @@ DEFAULTS = json.loads((Path(__file__).parent / "data" / "default_reports.json").
 
 @pytest.mark.parametrize("key", sorted(DEFAULTS))
 def test_default_parameters_resolve_as_recorded(key):
-    # every claim with no parameters, and the defaults that depend on another
-    # parameter (cor-7.3's n on s, thm-5.7-torsion-square's d on n), keyed by
-    # the input params; thm-5.7-torsion-square has no default cutoffs d_i
+    # every claim with no parameters, and lemma-7.2 given n only, keyed by
+    # the input params; thm-5.7-torsion-square has no default cutoffs d_i.
+    # The defaults that depend on another parameter (cor-7.3's n on s,
+    # thm-5.7-torsion-square's d on n) are read by two lines of
+    # tests/data/pins.txt, `verify cor-7.3 --s 3` and `verify
+    # thm-5.7-torsion-square --n 3 --di 4,2`
     id_, params = key.split(" ", 1)
     expected = DEFAULTS[key]
     if isinstance(expected, dict):

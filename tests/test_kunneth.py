@@ -968,10 +968,28 @@ def test_grid_reports_match_recorded_bytes():
         assert text == expected, key
 
 
-OFF_GRID = json.loads((Path(__file__).parent / "data" / "offgrid_reports.json").read_text())
+DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("key", sorted(OFF_GRID))
+def pinned(name):
+    # a `rostcalc verify` pin of tests/data/pins.txt, without the newline
+    # the command prints after the report
+    return (DATA / name).read_text().removesuffix("\n")
+
+
+OFF_GRID = json.loads((DATA / "offgrid_reports.json").read_text())
+# keys whose bytes are stored once, by another pin, and read from it there
+OFF_GRID_PINNED = {
+    'cor-1.3 {"m": 1, "n": 2, "p": 7, "s": 4}': pinned("verify_cor-1.3_p7_s4.json"),
+    'cor-3.5 {"m": 2, "n": 3, "p": 3}': pinned("verify_cor-3.5_p3_n3_m2.json"),
+    'cor-4.2 {"m": 1, "n": 2, "p": 11}': json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "frontier.json").read_text()
+    )["outputs"]['cor-4.2 {"p": 11}'],
+    'cor-4.2 {"m": 1, "n": 2, "p": 17}': pinned("verify_cor-4.2_p17.json"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OFF_GRID | OFF_GRID_PINNED))
 def test_off_grid_reports_match_recorded_bytes(key):
     # lemma-4.1 with n1 != n2 and thm-6.9 past the grid, recorded before their
     # left sides moved onto the Kunneth word ring; cor-4.2 and
@@ -984,29 +1002,39 @@ def test_off_grid_reports_match_recorded_bytes(key):
     # projected every identified class; cor-3.5 at (p, n, m) = (3, 3, 1),
     # (5, 3, 2), (7, 2, 1) and (2, 5, 3), which run the second display, and
     # at (3, 2, 2), where m >= n skips it, recorded while the split side was
-    # still read off two localized free presentations.  Each output is pinned
-    # once, so the entries with the bytes of another pin are gone: lemma-4.1
-    # at p=3, cor-1.3 at p=3 s=6, p=7 s=4 and p=5 s=5, cor-3.5 at (3, 3, 2),
-    # and cor-4.2 and remark-4.2-negative at p=17 are lines of
-    # tests/data/pins.txt, and the last two at p=11 are frontier reports
+    # still read off two localized free presentations.  Each output is stored
+    # once, so the entries with the bytes of another pin are gone from the
+    # map: lemma-4.1 at p=3, cor-1.3 at p=3 s=6, p=7 s=4 and p=5 s=5, cor-3.5
+    # at (3, 3, 2), and cor-4.2 and remark-4.2-negative at p=17 are lines of
+    # tests/data/pins.txt, and the last two at p=11 are frontier reports.
+    # Four of them are still checked here, against that one stored copy
     id_, params = key.split(" ", 1)
     report = verify_theorem(id_, json.loads(params))
-    assert json.dumps(report.to_json(), sort_keys=True, indent=2) == OFF_GRID[key]
+    expected = OFF_GRID[key] if key in OFF_GRID else OFF_GRID_PINNED[key]
+    assert json.dumps(report.to_json(), sort_keys=True, indent=2) == expected
 
 
-DEFAULTS = json.loads((Path(__file__).parent / "data" / "default_reports.json").read_text())
+DEFAULTS = json.loads((DATA / "default_reports.json").read_text())
+# the defaults that depend on another parameter, stored once as lines of
+# tests/data/pins.txt
+DEFAULTS_PINNED = {
+    'cor-7.3 {"s": 3}': pinned("verify_cor-7.3_s3.json"),
+    'thm-5.7-torsion-square {"di": [4, 2], "n": 3}': pinned(
+        "verify_thm-5.7-torsion-square_n3_di4-2.json"
+    ),
+}
 
 
-@pytest.mark.parametrize("key", sorted(DEFAULTS))
+@pytest.mark.parametrize("key", sorted(DEFAULTS | DEFAULTS_PINNED))
 def test_default_parameters_resolve_as_recorded(key):
     # every claim with no parameters, and lemma-7.2 given n only, keyed by
     # the input params; thm-5.7-torsion-square has no default cutoffs d_i.
     # The defaults that depend on another parameter (cor-7.3's n on s,
-    # thm-5.7-torsion-square's d on n) are read by two lines of
-    # tests/data/pins.txt, `verify cor-7.3 --s 3` and `verify
-    # thm-5.7-torsion-square --n 3 --di 4,2`
+    # thm-5.7-torsion-square's d on n) are read off the two lines of
+    # tests/data/pins.txt that store them, `verify cor-7.3 --s 3` and
+    # `verify thm-5.7-torsion-square --n 3 --di 4,2`
     id_, params = key.split(" ", 1)
-    expected = DEFAULTS[key]
+    expected = DEFAULTS[key] if key in DEFAULTS else DEFAULTS_PINNED[key]
     if isinstance(expected, dict):
         with pytest.raises(ValueError) as exc:
             verify_theorem(id_, json.loads(params))

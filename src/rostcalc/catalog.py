@@ -411,7 +411,7 @@ def excellent_quadric_ring(n: int, d: int, di: tuple[int, ...]) -> PresentedRing
         raise CatalogError(f"d={d} must be odd")
     if not (2**n - 1 <= d <= 2 ** (n + 1) - 2):
         raise CatalogError(f"d={d} out of range for n={n}")
-    if not all(isinstance(x, int) for x in di):
+    if not all(type(x) is int for x in di):
         raise CatalogError(f"cutoffs d_i={list(di)} must be integers")
     if len(di) != n - 1:
         raise CatalogError(f"expected {n - 1} cutoffs d_i, got {len(di)}")
@@ -492,14 +492,31 @@ def flags(names) -> str:
     return ", ".join("--" + k for k in names)
 
 
-def catalog_build(id: str, params: dict) -> CatalogObject:
-    entry = CATALOG.get(id)
+# Each parameter that does not take one int (a bool is not one), with its
+# test and what it takes; `excellent_quadric_ring` tests the entries of `di`.
+_PARAM_TYPES = {"di": (lambda x: isinstance(x, (list, tuple)), "a list of ints"),
+                "image": (lambda x: isinstance(x, str), "a str")}
+
+
+def lookup(table: dict, kind: str, id: str, params: dict, error: type[ValueError]):
+    """The entry `id` of `table` (`CATALOG` or `kunneth.CLAIMS`) for a call
+    with `params`; `error` names the flag of a parameter the entry does not
+    read, of one of the wrong type or of a missing one with no default."""
+    entry = table.get(id)
     if entry is None:
-        raise CatalogError(f"unknown catalog id {id!r}")
+        raise error(f"unknown {kind} id {id!r}")
     unread = [k for k in params if k not in entry.params]
     if unread:
-        raise CatalogError(f"{id} does not read {flags(unread)}; it reads {flags(entry.params)}")
+        raise error(f"{id} does not read {flags(unread)}; it reads {flags(entry.params)}")
+    for k, x in params.items():
+        ok, what = _PARAM_TYPES.get(k, (lambda x: type(x) is int, "an int"))
+        if not ok(x):
+            raise error(f"{id}: --{k} must be {what}, not {x!r}")
     for k in entry.params:
         if k not in params and k not in entry.optional:
-            raise CatalogError(f"{id} requires parameter {k!r}")
-    return entry.build(**params)
+            raise error(f"{id} requires parameter {k!r}")
+    return entry
+
+
+def catalog_build(id: str, params: dict) -> CatalogObject:
+    return lookup(CATALOG, "catalog", id, params, CatalogError).build(**params)

@@ -32,9 +32,9 @@ from .catalog import (
     build_excellent_quadric_chow,
     build_pfister_neighbor_chow,
     chow_rost_ring,
-    flags,
     gr_m_rost_ring,
     km_rost,
+    lookup,
     map_from_rules,
     product_rost,
     rost_res_rules,
@@ -56,9 +56,10 @@ from .graded import (
 )
 from .km import check_cor_3_5_second, gr_geometric, v_torsion_generators
 from .omega import (
-    Element,
     OmegaImageModel,
+    OmegaModelError,
     PresentedRing,
+    Term,
     _c,
     _canon_coeff,
     _power,
@@ -188,15 +189,16 @@ class BarKmModel(OmegaImageModel):
     res(c_0(Y)) = p*Y and res(c_m(Y)) = v_m*Y on the y-monomials Y, y_t^p = 0.
     Image membership is decided term by term, on a `term_index`.
 
-    Row-splitting lemma.  Every image generator is one term c*v^I*Y (checked
-    by `single_term`), and multiplying by v_m keeps Y, so every translate
-    v_m^e*c*v^I*Y is one term too.  A degree of the Z_(p)[v_m]-span is then
-    spanned by columns with one nonzero each, and such a span is the direct
-    sum of its rows: row v^J*Y is p^mu*Z_(p), mu the least v_p(c) over the
-    generators with the key of v^J*Y (v^J without v_m, and Y) and a v_m
-    exponent no higher than J's.  So a target lies in the span exactly when
-    each of its terms a*v^J*Y has such a generator with v_p(c) <= v_p(a); a
-    term without one is outside, and the missing divisor is the certificate.
+    Row-splitting lemma.  Every image generator is one term c*v^I*Y, as
+    every element of the model is a `Term`, and multiplying by v_m keeps Y,
+    so every translate v_m^e*c*v^I*Y is one term too.  A degree of the
+    Z_(p)[v_m]-span is then spanned by columns with one nonzero each, and
+    such a span is the direct sum of its rows: row v^J*Y is p^mu*Z_(p), mu
+    the least v_p(c) over the generators with the key of v^J*Y (v^J without
+    v_m, and Y) and a v_m exponent no higher than J's.  So a target a*v^J*Y
+    lies in the span exactly when it has such a generator with v_p(c) <=
+    v_p(a); a target without one is outside, and the missing divisor is the
+    certificate.
     """
 
     _fields = ("p", "factor_ns", "m")
@@ -210,7 +212,7 @@ class BarKmModel(OmegaImageModel):
                 f"(need 1 <= m <= {min(self.factor_ns) - 1})"
             )
 
-    def vm_monomial(self, coeff: int, exps, k: int) -> Element:
+    def vm_monomial(self, coeff: int, exps, k: int) -> Term | None:
         return self.monomial(coeff, ((self.m, k),) if k else (), exps)
 
     def _key(self, v, y) -> tuple[tuple, int]:
@@ -219,22 +221,25 @@ class BarKmModel(OmegaImageModel):
 
     def term_index(self, image_generators) -> dict:
         """(v-key without v_m, Y) -> {v_m exponent: least v_p(c)} over the
-        nonzero generators c*v^I*Y with that key."""
+        generators c*v^I*Y with that key, each a `Term`."""
         index: dict = {}
-        for g in filter(None, image_generators):
-            self.element_degree(g)  # a generator of mixed degrees raises as such
-            v, y, c = self.single_term(g)
+        for g in image_generators:
+            if not (isinstance(g, tuple) and len(g) == 3 and isinstance(g[0], int) and g[0]):
+                raise OmegaModelError(f"image generator {g!r} is not a term (c, v, Y), c != 0")
+            c, v, y = g
             key, e = self._key(v, y)
             least, val = index.setdefault(key, {}), pvaluation(c, self.p)
             least[e] = min(least.get(e, val), val)
         return index
 
-    def span_contains(self, index, target: Element) -> bool:
-        """Is target in the Z_(p)[v_m]-span of the generators of the term index?"""
-        for (v, y), a in target.items():
+    def span_contains(self, index, target: Term | None) -> bool:
+        """Is target in the Z_(p)[v_m]-span of the generators of the term
+        index?  Zero (None) is."""
+        if target is not None:
+            a, v, y = target
             key, e = self._key(v, y)
-            reach = [val for ek, val in index.get(key, {}).items() if ek <= e]
-            if not reach or min(reach) > pvaluation(a, self.p):
+            val = pvaluation(a, self.p)
+            if not any(ek <= e and least <= val for ek, least in index.get(key, {}).items()):
                 return False
         return True
 
@@ -250,7 +255,7 @@ def j_res_vanishes(gens: tuple[JGenerator, ...], model: BarKmModel) -> bool:
         first, second = [None] * model.nfactors, [None] * model.nfactors
         first[g.r - 1], first[g.t - 1] = (g.m, g.i), (0, g.j)
         second[g.r - 1], second[g.t - 1] = (0, g.i), (g.m, g.j)
-        if model.sub(model.res_word(first), model.res_word(second)):
+        if model.res_word(first) != model.res_word(second):
             return False
     return True
 
@@ -271,7 +276,7 @@ def star_star_holds(result: dict[str, dict[str, bool]]) -> bool:
     return not any(hit["p"] or hit["v"] for hit in result.values())
 
 
-def versal_image(model: BarKmModel) -> list[Element]:
+def versal_image(model: BarKmModel) -> list[Term]:
     """Image generators asserted for versal-type factors.
 
     Every class restricts to p*Y or v*Y per factor, so the image is spanned
@@ -280,37 +285,31 @@ def versal_image(model: BarKmModel) -> list[Element]:
     argument), not computed geometry.
     """
     slot = [None] + [(i, j) for i in (0, model.m) for j in range(1, model.p)]
-    gens: dict[tuple, Element] = {}
-    for combo in itertools.product(slot, repeat=model.nfactors):
-        if any(combo):
-            el = model.res_word(combo)
-            gens.setdefault(tuple(el.items()), el)
-    return list(gens.values())
+    words = itertools.product(slot, repeat=model.nfactors)
+    return list(dict.fromkeys(model.res_word(combo) for combo in words if any(combo)))
 
 
-def product_image(model: BarKmModel) -> list[Element]:
+def product_image(model: BarKmModel) -> list[Term]:
     """Image generators when every factor after the first is split.
 
     The split factors contribute their monomials with unit coefficient, so
     mixed monomials appear with a bare p and a bare v: (**) fails.
     """
-    s = model.nfactors
-    gens: list[Element] = []
-    for exps in itertools.product(range(0, model.p), repeat=s - 1):
-        tail = (0,) + exps
-        gens.append(model.vm_monomial(1, tail, 0))
+    gens: list[Term | None] = []
+    for exps in itertools.product(range(0, model.p), repeat=model.nfactors - 1):
+        gens.append(model.vm_monomial(1, (0,) + exps, 0))
         for i in range(1, model.p):
             full = (i,) + exps
             gens.append(model.vm_monomial(model.p, full, 0))
             gens.append(model.vm_monomial(1, full, 1))
-    return [g for g in gens if g]
+    return [g for g in gens if g is not None]
 
 
 # The image generators of each `--image` preset; "none" supplies no hypotheses.
 IMAGE_PRESETS = {"versal": versal_image, "product": product_image, "none": lambda model: None}
 
 
-def image_preset(model: BarKmModel, preset: str) -> list[Element] | None:
+def image_preset(model: BarKmModel, preset: str) -> list[Term] | None:
     if preset not in IMAGE_PRESETS:
         raise KunnethError(f"unknown image preset {preset!r} (choose from {tuple(IMAGE_PRESETS)})")
     return IMAGE_PRESETS[preset](model)
@@ -764,11 +763,12 @@ def _verify_thm_5_7_torsion_square(n=2, d=None, di=()) -> TheoremReport:
 
 class Claim:
     """A verifier and its verify-all parameter sets, in report order; the
-    parameters it reads are the verifier's own (`signature_params`)."""
+    parameters it reads, and those with a default, are the verifier's own
+    (`signature_params`)."""
 
     def __init__(self, verify: Callable[..., TheoremReport], grid: tuple[dict, ...]):
         self.verify = verify
-        self.params = signature_params(verify)[0]
+        self.params, self.optional = signature_params(verify)
         self.grid = grid
 
 
@@ -821,16 +821,8 @@ THEOREM_IDS = tuple(CLAIMS)
 
 
 def verify_theorem(id: str, params: dict | None = None) -> TheoremReport:
-    claim = CLAIMS.get(id)
-    if claim is None:
-        raise KunnethError(f"unknown theorem id {id!r}")
     params = dict(params or {})
-    unused = [k for k in params if k not in claim.params]
-    if unused:
-        raise KunnethError(
-            f"{id} does not read {flags(unused)}; it reads {flags(claim.params)}"
-        )
-    return claim.verify(**params)
+    return lookup(CLAIMS, "theorem", id, params, KunnethError).verify(**params)
 
 
 def default_grid() -> tuple[tuple[str, dict], ...]:

@@ -12,13 +12,14 @@ v-positive translates yields a graded ring with an explicit basis; the
 structure constants are recovered by exact membership computations in the
 ambient, not postulated.
 
-`OmegaImageModel` is the package's one ambient model and element format;
-`kunneth.BarKmModel` is the same model read with the single variable v = v_m
-for the (**) criterion.  Every image generator is one term c*v^I*Y
-(`single_term`), so both answer their span questions term by term, with no
-translate listed and nothing eliminated: the collapse over v_1, v_2, ...,
-the criterion over v_m alone (the row-splitting lemma in `chow_collapse`
-and `kunneth.BarKmModel`).
+`OmegaImageModel` is the package's one ambient model; its one element
+format is the monomial, a `Term` (c, v, Y) standing for c*v^I*Y, with None
+for zero.  `kunneth.BarKmModel` is the same model read with the single
+variable v = v_m for the (**) criterion.  Every image generator is one term,
+so both answer their span questions term by term, with no translate listed
+and nothing eliminated: the collapse over v_1, v_2, ..., the criterion over
+v_m alone (the row-splitting lemma in `chow_collapse` and
+`kunneth.BarKmModel`).
 
 A `PresentedRing` is the operators L_g : x -> g*x of its generators g on an
 explicit basis, certified by the commuting-operator criterion in `audit`;
@@ -42,7 +43,7 @@ from .record import Frozen
 
 VKey = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
 YKey = tuple[int, ...]
-Element = dict[tuple[VKey, YKey], int]
+Term = tuple[int, VKey, YKey]  # (c, v, Y), the term c*v*Y with c != 0; None is zero
 
 
 class OmegaModelError(ValueError):
@@ -78,8 +79,10 @@ def _vkey_mul(a: VKey, b: VKey) -> VKey:
 class OmegaImageModel(Frozen):
     """Ambient model for a product of Rost-type factors with exponents n_t.
 
-    Elements are dicts {(v-monomial, y-exponents): int} holding no zero
-    coefficient; the y-degrees of the factors are computed once, here.
+    Every element the model holds is one term c*v^I*Y, a `Term` (c, v, Y)
+    with c != 0, or None for zero: the image generators, their products and
+    the (**) targets are all monomials, so there is no sum to form.  The
+    y-degrees of the factors are computed once, here.
     """
 
     _fields = ("p", "factor_ns")
@@ -100,74 +103,27 @@ class OmegaImageModel(Frozen):
     def nfactors(self) -> int:
         return len(self.factor_ns)
 
-    # -- elements ----------------------------------------------------------
+    # -- terms -------------------------------------------------------------
 
-    @staticmethod
-    def _add_term(out: dict, key, c: int) -> None:
-        """out[key] += c, dropping the key when the sum is zero."""
-        nc = out.get(key, 0) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-
-    def add(self, a: Element, b: Element) -> Element:
-        out = dict(a)
-        for k, c in b.items():
-            self._add_term(out, k, c)
-        return out
-
-    def scale(self, c: int, a: Element) -> Element:
-        return {k: c * x for k, x in a.items()} if c else {}
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.scale(-1, b))
-
-    def monomial(self, coeff: int, v: VKey, y: YKey) -> Element:
+    def monomial(self, coeff: int, v: VKey, y: YKey) -> Term | None:
         if len(y) != self.nfactors:
             raise OmegaModelError("y-exponent tuple has wrong length")
         if coeff == 0 or any(e >= self.p for e in y):
-            return {}
-        return {(tuple(sorted(v)), tuple(y)): coeff}
+            return None
+        return coeff, tuple(sorted(v)), tuple(y)
 
-    def mul(self, a: Element, b: Element) -> Element:
-        out: Element = {}
-        for (va, ya), ca in a.items():
-            for (vb, yb), cb in b.items():
-                y = tuple(x + z for x, z in zip(ya, yb))
-                if any(e >= self.p for e in y):
-                    continue  # y_t^p = 0
-                self._add_term(out, (_vkey_mul(va, vb), y), ca * cb)
-        return out
+    def mul(self, a: Term, b: Term) -> Term | None:
+        """The product of two terms; None when some y_t^p appears."""
+        (ca, va, ya), (cb, vb, yb) = a, b
+        y = tuple(x + z for x, z in zip(ya, yb))
+        if any(e >= self.p for e in y):
+            return None  # y_t^p = 0
+        return ca * cb, _vkey_mul(va, vb), y
 
-    @staticmethod
-    def v_shift(vm: VKey, a: Element) -> Element:
-        """The element vm * a for a v-monomial vm."""
-        return {(_vkey_mul(vm, v), y): c for (v, y), c in a.items()}
-
-    def term_degree(self, key: tuple[VKey, YKey]) -> int:
-        v, y = key
+    def term_degree(self, term: Term) -> int:
+        _, v, y = term
         d = sum(j * yd for j, yd in zip(y, self.ydegs))
         return d - sum(e * (self.p**i - 1) for i, e in v)
-
-    def element_degree(self, a: Element) -> int | None:
-        """Common Chow degree of a homogeneous element (None for 0)."""
-        degs = {self.term_degree(k) for k in a}
-        if not a:
-            return None
-        if len(degs) != 1:
-            raise OmegaModelError(f"element is not homogeneous: mixed degrees {sorted(degs)}")
-        return degs.pop()
-
-    @staticmethod
-    def single_term(el: Element) -> tuple[VKey, YKey, int]:
-        """The one term (v, Y, c) of an element c*v*Y.  The term rule of
-        `chow_collapse` and `kunneth.BarKmModel` reads image generators this
-        way, and raises on one of several terms."""
-        if len(el) != 1:
-            raise OmegaModelError(f"an image generator must be one term c*v^I*Y, not {len(el)}")
-        (((v, y), c),) = el.items()
-        return v, y, c
 
     # -- the image submodule ----------------------------------------------
 
@@ -177,17 +133,17 @@ class OmegaImageModel(Frozen):
         (n,) = self.factor_ns
         return [("1", None)] + [(_c(i, j, "y"), (i, j)) for j in range(1, self.p) for i in range(n)]
 
-    def res_class(self, t: int, i: int, j: int) -> Element:
+    def res_class(self, t: int, i: int, j: int) -> Term:
         """Ambient image of the class c_i(y_t^j)."""
         n = self.factor_ns[t]
         if not (0 <= i <= n - 1 and 1 <= j <= self.p - 1):
             raise OmegaModelError(f"no class c_{i}(y^{j}) for n={n}, p={self.p}")
         y = tuple(j if tt == t else 0 for tt in range(self.nfactors))
-        if i == 0:
-            return self.monomial(self.p, (), y)
-        return self.monomial(1, ((i, 1),), y)
+        return self.monomial(1 if i else self.p, ((i, 1),) if i else (), y)
 
-    def res_word(self, combo) -> Element:
+    def res_word(self, combo) -> Term:
+        """Ambient image of the word with class combo[t] (or none) on factor
+        t; one class per factor keeps every y-exponent below p."""
         acc = self.monomial(1, (), (0,) * self.nfactors)
         for t, cls in enumerate(combo):
             if cls is not None:
@@ -196,13 +152,9 @@ class OmegaImageModel(Frozen):
 
     def check_commutation_identity(self, r: int, s: int, j: int = 1, t: int = 0) -> bool:
         """v_s * res(c_r(Y)) == v_r * res(c_s(Y)), with v_0 = p."""
-
-        def times_v(i: int, el: Element) -> Element:
-            return self.scale(self.p, el) if i == 0 else self.v_shift(((i, 1),), el)
-
-        lhs = times_v(s, self.res_class(t, r, j))
-        rhs = times_v(r, self.res_class(t, s, j))
-        return lhs == rhs
+        one = (0,) * self.nfactors
+        v = {i: self.monomial(1 if i else self.p, ((i, 1),) if i else (), one) for i in (r, s)}
+        return self.mul(v[s], self.res_class(t, r, j)) == self.mul(v[r], self.res_class(t, s, j))
 
 
 # ---------------------------------------------------------------------------
@@ -585,26 +537,24 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     ambient module.  Only single-factor models are supported (products are
     handled at the level of tensor constructions).
 
-    Row-splitting lemma.  Every generator is one term c*v^I*Y (checked by
-    `single_term`), and multiplying by a v-monomial keeps Y, so every
-    v-translate is one term too.  A degree of the image submodule is then
-    spanned by columns with one nonzero each, and such a span is the direct
-    sum of its rows: row v^J*Y of the v-positive translates is p^mu*Z_(p),
-    mu the least v_p(c) over the generators c*v^I*Y with v^I a proper
-    divisor of v^J (no row at all when there is none).  The generators have
-    distinct terms (checked), so the class of c*v^J*Y has order p^(mu -
-    v_p(c)), and is free when no v-positive translate reaches its term.  A
-    product a*v^J*Y is a/c times the class carrying its term when v_p(c) <=
-    v_p(a), zero when mu <= v_p(a) and no class carries it that way, and
-    outside the image submodule otherwise.
+    Row-splitting lemma.  Every generator is one term c*v^I*Y, as every
+    element of the model is a `Term`, and multiplying by a v-monomial keeps
+    Y, so every v-translate is one term too.  A degree of the image
+    submodule is then spanned by columns with one nonzero each, and such a
+    span is the direct sum of its rows: row v^J*Y of the v-positive
+    translates is p^mu*Z_(p), mu the least v_p(c) over the generators
+    c*v^I*Y with v^I a proper divisor of v^J (no row at all when there is
+    none).  The generators have distinct terms (checked), so the class of
+    c*v^J*Y has order p^(mu - v_p(c)), and is free when no v-positive
+    translate reaches its term.  A product a*v^J*Y is a/c times the class
+    carrying its term when v_p(c) <= v_p(a), zero when mu <= v_p(a) and no
+    class carries it that way, and outside the image submodule otherwise.
     """
     if model.nfactors != 1:
         raise OmegaModelError("collapse implemented for single-factor models")
     p = model.p
-    gens = model.image_generators()  # (name, (i, j) or None)
-    elements = {name: model.res_word((cls,)) for name, cls in gens}
-    terms = {name: model.single_term(el) for name, el in elements.items()}  # (v, Y, c)
-    carrier = {(v, y): name for name, (v, y, _) in terms.items()}
+    terms = {name: model.res_word((cls,)) for name, cls in model.image_generators()}  # (c, v, Y)
+    carrier = {(v, y): name for name, (_, v, y) in terms.items()}
     if len(carrier) != len(terms):
         raise OmegaModelError("two image generators share a term")
 
@@ -612,16 +562,16 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
         """Least v_p(c) of the v-positive translates reaching v*y, or None."""
         exps = dict(v)
         return min(
-            (pvaluation(c, p) for w, yw, c in terms.values()
+            (pvaluation(c, p) for c, w, yw in terms.values()
              if yw == y and w != v and all(exps.get(i, 0) >= e for i, e in w)),
             default=None,
         )
 
     # additive certification: the order of each class, read off its term
-    degrees = {name: model.element_degree(el) for name, el in elements.items()}
+    degrees = {name: model.term_degree(term) for name, term in terms.items()}
     basis: list[BasisClass] = []
-    for name in sorted(elements, key=degrees.get):
-        v, y, c = terms[name]
+    for name in sorted(terms, key=degrees.get):
+        c, v, y = terms[name]
         mu = translate_valuation(v, y)
         order = None if mu is None else max(mu - pvaluation(c, p), 0)  # None: free
         expected = None if name == "1" or name.startswith("c_0(") else 1
@@ -639,12 +589,12 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     # class that carries the product's term
     ops: dict[int, dict] = {g: {} for g in range(len(basis)) if g != unit}
     for g, x in itertools.product(ops, range(len(basis))):
-        if not (el := model.mul(elements[basis[g].name], elements[basis[x].name])):
+        if (term := model.mul(terms[basis[g].name], terms[basis[x].name])) is None:
             continue
-        v, y, a = model.single_term(el)
+        a, v, y = term
         name = carrier.get((v, y))
-        if name is not None and pvaluation(terms[name][2], p) <= pvaluation(a, p):
-            ops[g][x] = {index[name]: Fraction(a, terms[name][2])}
+        if name is not None and pvaluation(terms[name][0], p) <= pvaluation(a, p):
+            ops[g][x] = {index[name]: Fraction(a, terms[name][0])}
         elif (mu := translate_valuation(v, y)) is None or mu > pvaluation(a, p):
             raise OmegaModelError("element is not in the image submodule")
     ring = PresentedRing(p, tuple(basis), unit, ops)

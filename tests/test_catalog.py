@@ -163,6 +163,25 @@ def test_parameter_validation():
         catalog_build("gr_m_pfister", {"n": 3, "m": 1, "d": 7})
 
 
+@pytest.mark.parametrize(
+    "id_, params, message",
+    [
+        ("chow_rost", {"p": 3.0, "n": 2}, "chow_rost: --p must be an int, not 3.0"),
+        # a float that builds was recorded as the float
+        ("gr_m_rost", {"p": 3, "n": 2, "m": 1.0}, "gr_m_rost: --m must be an int, not 1.0"),
+        ("gr_m_rost", {"p": 3, "n": 2, "m": True}, "gr_m_rost: --m must be an int, not True"),
+        ("excellent_quadric_chow", {"n": 2, "di": "2"},
+         "excellent_quadric_chow: --di must be a list of ints, not '2'"),
+        # the entries of d_i are tested by the ring that reads them, bools too
+        ("excellent_quadric_chow", {"n": 2, "d": 3, "di": [True]}, "cutoffs d_i=[True] must be integers"),
+    ],
+)
+def test_a_parameter_of_the_wrong_type_is_refused(id_, params, message):
+    with pytest.raises(CatalogError) as exc:
+        catalog_build(id_, params)
+    assert str(exc.value) == message
+
+
 def test_excellent_quadric_parameter_constraints():
     with pytest.raises(CatalogError):  # even dimension
         catalog_build("excellent_quadric_chow", {"p": 2, "n": 2, "d": 4, "di": (2,)})

@@ -1,13 +1,14 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
 import json
-import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from pin_table import ROOT, SCRIPT
+from pin_table import run as run_pinned
 
 from rostcalc import catalog, kunneth
 from rostcalc.catalog import chow_rost_ring
@@ -307,9 +308,6 @@ def test_console_script_entry():
     assert "excellent_quadric_chow" in proc.stdout
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # the package's records are plain classes (rostcalc.record), so a
     # one-shot CLI call does not load the dataclass machinery
@@ -337,40 +335,32 @@ def test_readme_cli_examples_run(capsys):
         assert out
 
 
-def run_slot_tables(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "slot_tables.py"), *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+# scripts/slot_tables.py runs in a subprocess on src/, through the reader of
+# the table of pinned outputs: run((SCRIPT, *argv)) is (exit code, stdout, stderr)
 
 
 def test_slot_tables_script_runs():
-    proc = run_slot_tables("gr_m_pfister", "--n", "3", "--m", "1", "--depth", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert "degree  13: Z" in proc.stdout
-    assert "slot 1:" in proc.stdout
+    code, out, err = run_pinned((SCRIPT, "gr_m_pfister", "--n", "3", "--m", "1", "--depth", "1"))
+    assert code == 0, err
+    assert b"degree  13: Z" in out
+    assert b"slot 1:" in out
 
 
 def test_slot_tables_script_takes_the_cli_flags():
     # --s is the claims' factor count, as in the CLI, which chow_rost does not read
-    proc = run_slot_tables("chow_rost", "--p", "3", "--n", "2", "--s", "2")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: chow_rost does not read --s; it reads --p, --n\n"
+    code, out, err = run_pinned((SCRIPT, "chow_rost", "--p", "3", "--n", "2", "--s", "2"))
+    assert (code, out) == (2, b"")
+    assert err == "error: chow_rost does not read --s; it reads --p, --n\n"
     # a parameter the builder has no default for is not filled in
-    proc = run_slot_tables("chow_rost", "--p", "3")
-    assert (proc.returncode, proc.stderr) == (2, "error: chow_rost requires parameter 'n'\n")
+    code, _, err = run_pinned((SCRIPT, "chow_rost", "--p", "3"))
+    assert (code, err) == (2, "error: chow_rost requires parameter 'n'\n")
 
 
 @pytest.mark.parametrize("id_", ["omega_image_rost", "km_rost"])
 def test_slot_tables_script_names_an_entry_without_a_ring(id_):
     # one line that points to the verb that renders the entry, no traceback
-    proc = run_slot_tables(id_)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.splitlines() == [
+    code, out, err = run_pinned((SCRIPT, id_))
+    assert (code, out) == (2, b"")
+    assert err.splitlines() == [
         f"error: {id_} has no ring, so no degree table; use `rostcalc build {id_}`"
     ]

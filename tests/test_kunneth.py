@@ -120,10 +120,8 @@ def test_j_shaped_difference_on_different_monomials_does_not_restrict_to_zero():
     model = BarKmModel(p=3, m=1, factor_ns=(2, 2))
     first = model.res_word(((1, 1), (0, 2)))
     second = model.res_word(((0, 2), (1, 1)))
-    assert model.sub(first, second) == {
-        (((1, 1),), (1, 2)): 3,
-        (((1, 1),), (2, 1)): -3,
-    }
+    assert first == (3, ((1, 1),), (1, 2))
+    assert second == (3, ((1, 1),), (2, 1))  # the same term on another monomial
 
 
 # --- (**) ------------------------------------------------------------------
@@ -151,9 +149,8 @@ def test_versal_image_is_the_restriction_of_the_c0_cm_words():
             for n, m in [(2, 1), (3, 2)]:
                 model = BarKmModel(p=p, m=m, factor_ns=(n,) * s)
                 derived = versal_image(model)
-                as_set = {tuple(sorted(g.items())) for g in derived}
-                assert len(as_set) == len(derived), (p, s, n, m)  # deduplicated
-                assert as_set == {tuple(sorted(g.items())) for g in hand_versal_image(model)}
+                assert len(set(derived)) == len(derived), (p, s, n, m)  # deduplicated
+                assert set(derived) == set(hand_versal_image(model))
 
 
 def test_versal_image_blocks_both_multiples():
@@ -181,11 +178,12 @@ def test_image_preset_dispatch():
 
 def test_bar_element_form():
     model = BarKmModel(p=3, m=1, factor_ns=(2,))
-    assert model.vm_monomial(2, (1,), 1) == {(((1, 1),), (1,)): 2}
+    assert model.vm_monomial(2, (1,), 1) == (2, ((1, 1),), (1,))
     y_v = model.vm_monomial(1, (1,), 1)
-    assert model.mul(y_v, model.vm_monomial(5, (1,), 2)) == {(((1, 3),), (2,)): 5}  # v-powers add
-    assert model.mul(y_v, model.vm_monomial(1, (2,), 0)) == {}  # y^3 = 0 at p = 3
-    assert model.sub(y_v, y_v) == {}
+    assert model.mul(y_v, model.vm_monomial(5, (1,), 2)) == (5, ((1, 3),), (2,))  # v-powers add
+    assert model.mul(y_v, model.vm_monomial(1, (2,), 0)) is None  # y^3 = 0 at p = 3
+    assert model.vm_monomial(0, (1,), 1) is None  # zero is None
+    assert model.vm_monomial(1, (3,), 0) is None
 
 
 def test_span_membership_sees_v_shifts():
@@ -222,20 +220,27 @@ def _v_monomials(weight, indices, p):
     ]
 
 
+def _column(term):
+    # a term (c, v, Y) as a sparse column {(v, Y): c}
+    c, v, y = term
+    return {(v, y): c}
+
+
 def _full_degree_span(model, image, target, spans=None):
     # the oracle: one span over every v_m-translate of every generator into the
-    # degree of target, factored by SpanSolver once per degree into `spans`;
-    # it reads generators of any shape
-    d, spans = model.element_degree(target), {} if spans is None else spans
+    # degree of target, each translate a dict column of its own, factored by
+    # SpanSolver once per degree into `spans`
+    d, spans = model.term_degree(target), {} if spans is None else spans
     if d not in spans:
+        one = (0,) * model.nfactors
         cols = [
-            model.v_shift(vm, g)
+            _column(model.mul(model.monomial(1, vm, one), g))
             for g in image
-            if g and model.element_degree(g) >= d
-            for vm in _v_monomials(model.element_degree(g) - d, (model.m,), model.p)
+            if model.term_degree(g) >= d
+            for vm in _v_monomials(model.term_degree(g) - d, (model.m,), model.p)
         ]
         spans[d] = SpanSolver(model.p, cols)
-    return spans[d].contains(target)
+    return spans[d].contains(_column(target))
 
 
 def _term_image(model):
@@ -284,10 +289,11 @@ def test_term_rule_span_contains_matches_the_full_degree_span():
     index = model.term_index(image)
     v1v2 = lambda c, y: model.monomial(c, ((1, 1), (2, 1)), y)
     cases = [
-        # straddles two rows of degree 8, both in
-        (model.add(model.vm_monomial(3, (1, 1), 0), model.vm_monomial(1, (2, 1), 2)), True),
-        # the same rows, y1*y2 with a unit coefficient is not in
-        (model.add(model.vm_monomial(1, (1, 1), 0), model.vm_monomial(1, (2, 1), 2)), False),
+        # two rows of degree 8: 3*y1*y2 is in, y1*y2 with a unit coefficient
+        # is not, and v^2*y1^2*y2 is v * (v*y1^2*y2)
+        (model.vm_monomial(3, (1, 1), 0), True),
+        (model.vm_monomial(1, (1, 1), 0), False),
+        (model.vm_monomial(1, (2, 1), 2), True),
         (model.vm_monomial(1, (2, 0), 0), False),  # a Y no generator touches
         (model.vm_monomial(3, (0, 1), 4), True),  # v * (3*v^3*y2)
         (model.vm_monomial(1, (0, 1), 4), False),  # v_p(1) < v_p(3)
@@ -297,11 +303,11 @@ def test_term_rule_span_contains_matches_the_full_degree_span():
         (v1v2(1, (1, 2)), True),  # v_1 * v_2*y1*y2^2
         (model.vm_monomial(1, (1, 2), 5), False),  # v_1^5 has the degree of v_2*v_1 but not its key
         (model.vm_monomial(54, (1, 0), 0), True),  # 2 * 27*y1
-        ({}, True),
+        (None, True),  # zero
     ]
     for target, hit in cases:
         assert model.span_contains(index, target) is hit, target
-        if target:
+        if target is not None:
             assert _full_degree_span(model, image, target) is hit, target
 
 
@@ -345,16 +351,6 @@ def test_term_rule_matches_the_full_degree_span_on_random_generators(case):
         assert model.span_contains(index, target) is _full_degree_span(model, image, target), target
 
 
-def test_a_generator_of_several_terms_raises():
-    model = BarKmModel(p=3, factor_ns=(2, 2), m=1)
-    # homogeneous: y1*y2 and v^2*y1^2*y2 both have degree 8
-    two = model.add(model.vm_monomial(1, (1, 1), 0), model.vm_monomial(3, (2, 1), 2))
-    with pytest.raises(OmegaModelError, match="must be one term c\\*v\\^I\\*Y, not 2"):
-        star_star_check(model, [*versal_image(model), two])
-    with pytest.raises(OmegaModelError, match="must be one term"):
-        model.term_index([two])
-
-
 @pytest.mark.parametrize("params", [{"p": 3}, {"p": 5}, {"p": 3, "n": 3, "m": 2}])
 def test_cor_4_2_refutes_when_one_p_multiple_is_in_the_image(monkeypatch, params):
     # one-entry defect: the versal image gains p * y_1 * y_2
@@ -389,10 +385,15 @@ def test_remark_4_2_negative_refutes_on_the_versal_image(monkeypatch, params):
 
 
 def test_malformed_image_generator_raises():
+    # an image generator is a term (c, v, Y); the old dict format, a zero
+    # coefficient and a bare key are refused, each named
     model = BarKmModel(p=2, m=1, factor_ns=(2, 2))
-    mixed = model.add(model.vm_monomial(1, (1, 0), 0), model.vm_monomial(1, (1, 1), 0))
-    with pytest.raises(OmegaModelError, match="mixed degrees"):
-        star_star_check(model, [mixed])
+    for bad in ({((), (1, 1)): 2}, (0, (), (1, 1)), ((), (1, 1))):
+        with pytest.raises(OmegaModelError, match="is not a term") as exc:
+            star_star_check(model, [*versal_image(model), bad])
+        assert repr(bad) in str(exc.value)
+        with pytest.raises(OmegaModelError, match="is not a term"):
+            model.term_index([bad])
 
 
 def test_bar_model_rejects_objects_without_c_m():
@@ -930,6 +931,30 @@ def test_unknown_theorem_id():
         verify_theorem("thm-0.0")
 
 
+@pytest.mark.parametrize(
+    "id_, params, message",
+    [
+        # a bool was read as an int, and named a class c_True(y_1)
+        ("thm-6.9", {"p": 2, "s": 2, "n": 2, "m": True}, "thm-6.9: --m must be an int, not True"),
+        ("thm-5.5-torsion-square", {"n": 2.0}, "--n must be an int, not 2.0"),
+        ("cor-1.3", {"s": 2.0}, "--s must be an int, not 2.0"),
+        ("lemma-7.2", {"n": 2, "image": 1}, "--image must be a str, not 1"),
+        ("thm-5.7-torsion-square", {"n": 2, "di": 2}, "--di must be a list of ints, not 2"),
+        ("thm-5.7-torsion-square", {"n": 2, "d": None, "di": [2]}, "--d must be an int, not None"),
+    ],
+)
+def test_a_parameter_of_the_wrong_type_is_refused(id_, params, message):
+    with pytest.raises(KunnethError) as exc:
+        verify_theorem(id_, params)
+    assert str(exc.value).endswith(message)
+
+
+def test_a_parameter_of_the_right_type_is_accepted():
+    # the cutoffs d_i may be a tuple as well as a list
+    for di in ([2], (2,)):
+        assert verify_theorem("thm-5.7-torsion-square", {"n": 2, "di": di}).verdict == "verified"
+
+
 def test_default_grid_shape():
     grid = default_grid()
     assert len(grid) == 52
@@ -950,25 +975,26 @@ def test_every_claim_has_a_grid_in_table_order():
     assert default_grid()[-1][1]["di"] == [4, 2]
 
 
+DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+GRID = json.loads((GOLDEN / "grid.json").read_text())["outputs"]
+FRONTIER = json.loads((GOLDEN / "frontier.json").read_text())["outputs"]
+
+
 def test_grid_reports_match_recorded_bytes():
     # the recorded benchmark answers pin every grid and frontier report byte for byte
-    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-    recorded = json.loads((golden / "grid.json").read_text())["outputs"]
+    recorded = dict(GRID)
     assert len(recorded) == len(default_grid())
     assert {f"{id_} {json.dumps(params, sort_keys=True)}" for id_, params in default_grid()} == set(
         recorded
     )
-    frontier = json.loads((golden / "frontier.json").read_text())["outputs"]
-    assert len(frontier) == 5
-    recorded.update(frontier)
+    assert len(FRONTIER) == 5
+    recorded.update(FRONTIER)
     for key, expected in recorded.items():
         id_, params = key.split(" ", 1)
         report = verify_theorem(id_, json.loads(params))
         text = json.dumps(report.to_json(), sort_keys=True, indent=2)
         assert text == expected, key
-
-
-DATA = Path(__file__).parent / "data"
 
 
 def pinned(name):
@@ -982,9 +1008,7 @@ OFF_GRID = json.loads((DATA / "offgrid_reports.json").read_text())
 OFF_GRID_PINNED = {
     'cor-1.3 {"m": 1, "n": 2, "p": 7, "s": 4}': pinned("verify_cor-1.3_p7_s4.json"),
     'cor-3.5 {"m": 2, "n": 3, "p": 3}': pinned("verify_cor-3.5_p3_n3_m2.json"),
-    'cor-4.2 {"m": 1, "n": 2, "p": 11}': json.loads(
-        (Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "frontier.json").read_text()
-    )["outputs"]['cor-4.2 {"p": 11}'],
+    'cor-4.2 {"m": 1, "n": 2, "p": 11}': FRONTIER['cor-4.2 {"p": 11}'],
     'cor-4.2 {"m": 1, "n": 2, "p": 17}': pinned("verify_cor-4.2_p17.json"),
 }
 
@@ -1014,6 +1038,10 @@ def test_off_grid_reports_match_recorded_bytes(key):
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == expected
 
 
+# each default keyed by its input params: {"grid": key} names the report of
+# perfbench/golden/grid.json it resolves to, whose bytes it must print, and
+# {"error": message} the error it raises; the one default off the grid,
+# cor-7.3 with n = 2 at s = 2, is stored as its report
 DEFAULTS = json.loads((DATA / "default_reports.json").read_text())
 # the defaults that depend on another parameter, stored once as lines of
 # tests/data/pins.txt
@@ -1035,6 +1063,8 @@ def test_default_parameters_resolve_as_recorded(key):
     # `verify thm-5.7-torsion-square --n 3 --di 4,2`
     id_, params = key.split(" ", 1)
     expected = DEFAULTS[key] if key in DEFAULTS else DEFAULTS_PINNED[key]
+    if isinstance(expected, dict) and "grid" in expected:
+        expected = GRID[expected["grid"]]
     if isinstance(expected, dict):
         with pytest.raises(ValueError) as exc:
             verify_theorem(id_, json.loads(params))

@@ -56,14 +56,17 @@ def test_monomial_truncation():
     m = OmegaImageModel(p=3, factor_ns=(2,))
     y = m.monomial(1, (), (1,))
     y2 = m.mul(y, y)
-    assert m.element_degree(y2) == 8
-    assert m.mul(y2, y) == {}  # y^3 = 0 at p = 3
+    assert y2 == (1, (), (2,))
+    assert m.term_degree(y2) == 8
+    assert m.term_degree(m.monomial(3, ((1, 2),), (2,))) == 4  # v_1 has degree -2
+    assert m.mul(y2, y) is None  # y^3 = 0 at p = 3
+    assert m.monomial(1, (), (3,)) is None and m.monomial(0, (), (1,)) is None
 
 
 def test_res_classes():
     m = OmegaImageModel(p=3, factor_ns=(2,))
-    assert m.res_class(0, 0, 1) == {((), (1,)): 3}  # c_0(y) goes to 3y
-    assert m.res_class(0, 1, 2) == {(((1, 1),), (2,)): 1}  # c_1(y^2) to v_1 y^2
+    assert m.res_class(0, 0, 1) == (3, (), (1,))  # c_0(y) goes to 3y
+    assert m.res_class(0, 1, 2) == (1, ((1, 1),), (2,))  # c_1(y^2) to v_1 y^2
     with pytest.raises(OmegaModelError):
         m.res_class(0, 2, 1)  # no c_2 when n = 2
 
@@ -71,13 +74,12 @@ def test_res_classes():
 def image_coefficients_in_ideal(model: OmegaImageModel, elements) -> bool:
     """The positive-degree image elements have all coefficients in
     (p, v_1..v_{n-1})."""
-    for el in elements:
-        for (v, _y), coeff in el.items():
-            if coeff % model.p == 0:
-                continue
-            if any(1 <= i <= max(model.factor_ns) - 1 and e > 0 for i, e in v):
-                continue
-            return False
+    for coeff, v, _y in elements:
+        if coeff % model.p == 0:
+            continue
+        if any(1 <= i <= max(model.factor_ns) - 1 and e > 0 for i, e in v):
+            continue
+        return False
     return True
 
 
@@ -115,13 +117,6 @@ def test_commutation_identity_detects_wrong_pairing():
     lhs = m.mul(v2, m.res_class(0, 1, 1))
     wrong = m.mul(v1, m.res_class(0, 3, 1))
     assert lhs != wrong
-
-
-def test_inhomogeneous_degree_raises():
-    m = OmegaImageModel(p=2, factor_ns=(2,))
-    mixed = m.add(m.monomial(1, (), (1,)), m.monomial(1, (), (0,)))
-    with pytest.raises(OmegaModelError):
-        m.element_degree(mixed)
 
 
 def toy_ring():
@@ -231,8 +226,8 @@ def test_chow_collapse_refuses_a_class_of_the_wrong_order(monkeypatch):
     res_class = OmegaImageModel.res_class
 
     def planted(self, t, i, j):
-        el = res_class(self, t, i, j)
-        return self.scale(self.p, el) if (i, j) == (1, 1) else el
+        c, v, y = res_class(self, t, i, j)
+        return (self.p * c, v, y) if (i, j) == (1, 1) else (c, v, y)
 
     monkeypatch.setattr(OmegaImageModel, "res_class", planted)
     with pytest.raises(OmegaModelError, match=r"class c_1\(y\) in degree 2 has order p\^0, not p\^1"):
@@ -246,23 +241,22 @@ def test_chow_collapse_refuses_a_product_outside_the_image(monkeypatch):
 
     def planted(self, a, b):
         out = mul(self, a, b)
-        return {((), (2,)): 1} if out == {((), (2,)): 9} else out
+        return (1, (), (2,)) if out == (9, (), (2,)) else out
 
     monkeypatch.setattr(OmegaImageModel, "mul", planted)
     with pytest.raises(OmegaModelError, match="not in the image submodule"):
         chow_collapse(OmegaImageModel(p=3, factor_ns=(2,)))
 
 
-def test_chow_collapse_refuses_a_generator_of_several_terms(monkeypatch):
-    # c_1(y) restricts to v_1*y + v_1^3*y^2, homogeneous of degree 2 at p = 3
+def test_chow_collapse_refuses_two_generators_on_one_term(monkeypatch):
+    # one defect: c_1(y) restricts to 9*y, on the term of res(c_0(y)) = 3*y
     res_class = OmegaImageModel.res_class
 
     def planted(self, t, i, j):
-        el = res_class(self, t, i, j)
-        return self.add(el, self.monomial(1, ((1, 3),), (2,))) if (i, j) == (1, 1) else el
+        return self.monomial(9, (), (1,)) if (i, j) == (1, 1) else res_class(self, t, i, j)
 
     monkeypatch.setattr(OmegaImageModel, "res_class", planted)
-    with pytest.raises(OmegaModelError, match="must be one term"):
+    with pytest.raises(OmegaModelError, match="two image generators share a term"):
         chow_collapse(OmegaImageModel(p=3, factor_ns=(2,)))
 
 

@@ -99,17 +99,16 @@ def map_from_rules(
 def _sorted_ring(p: int, classes, generators, rules) -> PresentedRing:
     """Assemble and audit a PresentedRing from name-level data.
 
-    `rules` maps (generator, class) name pairs to ((name, coeff), ...), the
-    product g*x; missing pairs multiply to zero and g*1 = g is added.
+    `rules` maps (generator, class) name pairs to the term (name, coeff),
+    the product g*x = coeff*name; missing pairs multiply to zero and
+    g*1 = g is added.
     """
     classes = sorted(classes, key=lambda b: (b.degree, b.name))
     index = {b.name: k for k, b in enumerate(classes)}
     unit = index["1"]
-    ops = {index[g]: {unit: {index[g]: 1}} for g in generators}
-    for (g, x), terms in rules.items():
-        col = ops[index[g]].setdefault(index[x], {})
-        for name, coeff in terms:
-            col[index[name]] = col.get(index[name], 0) + coeff
+    ops = {index[g]: {unit: (index[g], 1)} for g in generators}
+    for (g, x), (name, coeff) in rules.items():
+        ops[index[g]][index[x]] = (index[name], coeff)
     ring = PresentedRing(p, tuple(classes), unit, ops)
     ring.audit()
     return ring
@@ -152,7 +151,7 @@ def _chow_rost_ring(p: int, n: int, var: str) -> PresentedRing:
         for i in range(1, n):
             classes.append(BasisClass(_c(i, j, var), c_degree(p, n, i, j), 1))
     rules = {
-        (_c(0, a, var), _c(0, b, var)): ((_c(0, a + b, var), p),)
+        (_c(0, a, var), _c(0, b, var)): (_c(0, a + b, var), p)
         for a in range(1, p)
         for b in range(1, p - a)
     }
@@ -175,16 +174,16 @@ def tower_ring(
     """
     power = [_power(var, k) for k in range(top + 1)]
     classes = [BasisClass(power[k], k * var_degree, 0) for k in range(top + 1)]
-    rules = {(var, power[k]): ((power[k + 1], 1),) for k in range(1, top)}
+    rules = {(var, power[k]): (power[k + 1], 1) for k in range(1, top)}
     if wrap:
-        rules[(var, power[top])] = ((towers[0][0], wrap),)
+        rules[(var, power[top])] = (towers[0][0], wrap)
     for name, degree, length, exp in towers:
         for k in range(length):
             classes.append(BasisClass(_times(name, var, k), degree + k * var_degree, exp))
             if k + 1 < length:
-                rules[(var, _times(name, var, k))] = ((_times(name, var, k + 1), 1),)
+                rules[(var, _times(name, var, k))] = (_times(name, var, k + 1), 1)
             if 0 < k <= top:
-                rules[(name, power[k])] = ((_times(name, var, k), 1),)
+                rules[(name, power[k])] = (_times(name, var, k), 1)
     return _sorted_ring(p, classes, [var] + [t[0] for t in towers], rules)
 
 

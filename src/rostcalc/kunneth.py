@@ -15,7 +15,9 @@ invariants.  Some right sides are a constant or the same ring, so their
 two torsion-square claims compare with a constant, and `cor-3.6` compares
 `chow_rost_ring(p, 2)` with a quotient of itself that kills nothing.  The
 (**) claims `cor-4.2`, `lemma-7.2` and `cor-7.3` compare the criterion's
-table with the all-False table it asks for.
+table with the all-False table it asks for.  `lemma-3.2` holds by the
+definition of `res_class`: both sides of each identity are the term
+p^[r=0]*p^[s=0]*v_r*v_s*Y, so only a planted `res_class` refutes it.
 """
 
 from __future__ import annotations

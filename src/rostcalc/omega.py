@@ -22,8 +22,9 @@ v_m alone (the row-splitting lemma in `chow_collapse` and
 `kunneth.BarKmModel`).
 
 A `PresentedRing` is the operators L_g : x -> g*x of its generators g on an
-explicit basis, certified by the commuting-operator criterion in `audit`;
-every other product is read off words in the generators.  `chow_collapse`,
+explicit basis, each column one term (k, c) for g*x = c*e_k, certified by
+the commuting-operator criterion in `audit`; every other product is read
+off words in the generators.  `chow_collapse`,
 `ring_tensor` and `ring_quotient` each emit operators, not product tables.
 `chow_collapse` and the catalog rings are audited; `ring_tensor` and
 `ring_quotient` take certified rings and return certified rings, by the
@@ -172,10 +173,12 @@ class BasisClass(Frozen):
 
 
 def _canon_coeff(c, exp: int, p: int):
-    """Canonical representative of a Z_(p) scalar modulo p^exp (exp=0: exact)."""
-    if isinstance(c, int):
+    """Canonical representative of a Z_(p) scalar modulo p^exp (exp=0: exact),
+    for an int or a Fraction only: a float or a bool is refused."""
+    if type(c) is int:
         return c % p**exp if exp else c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        raise OmegaModelError(f"coefficient {c!r} is not an int or a Fraction")
     if c.denominator % p == 0:
         raise OmegaModelError("coefficient is not p-local")
     if exp == 0:
@@ -184,36 +187,19 @@ def _canon_coeff(c, exp: int, p: int):
     return (c.numerator * pow(c.denominator, -1, mod)) % mod
 
 
-def _canon_vector(vec: dict, basis, p: int) -> dict[int, int]:
-    """The vector with canonical coefficients and no zero terms."""
-    canon = {}
-    for k, c in vec.items():
-        c = _canon_coeff(c, basis[k].torsion_exp, p)
-        if c:
-            canon[k] = c
-    return canon
-
-
-Operator = dict[int, dict[int, int]]  # columns x -> the nonzero vector L(x)
-_NONE: dict = {}  # the zero column, never written
-
-
-def _accumulate(acc: dict, op: Operator, vec: dict, scale=1) -> dict:
-    """acc += scale * op(vec), op given by its columns; not canonicalised."""
-    for x, c in vec.items():
-        for j, d in op.get(x, _NONE).items():
-            acc[j] = acc.get(j, 0) + scale * c * d
-    return acc
+Operator = dict[int, tuple[int, int]]  # columns x -> the term (k, c) of L(x) = c*e_k; zero absent
 
 
 class PresentedRing(Frozen):
     """Graded commutative ring on an explicit basis, given by the operators
-    of its generators: ops[g][x] is the vector g*x (zero columns omitted).
+    of its generators: ops[g][x] = (k, c) is the term g*x = c*e_k, and a
+    zero column is absent.  One term is the only column format.
 
     The generators are the keys of `ops`.  Coefficients are made canonical
-    on construction; `audit` certifies that the operators define a ring.
-    Frozen, so a ring shared between callers keeps its fields; the caches
-    of `words` and `operator` are deterministic.
+    on construction, and a column that is not a (class, coefficient) pair
+    on the basis is refused; `audit` certifies that the operators define a
+    ring.  Frozen, so a ring shared between callers keeps its fields; the
+    caches of `words` and `operator` are deterministic.
     """
 
     _fields = ("p", "basis", "unit", "ops")
@@ -231,16 +217,22 @@ class PresentedRing(Frozen):
         if not 0 <= self.unit < n:
             raise OmegaModelError(f"unit index {self.unit} names no basis class")
         canon = {}
-        valid = set(range(n))
+        valid = range(n)
         for g, op in ops.items():
             if not 0 <= g < n:
                 raise OmegaModelError(f"generator index {g} names no basis class")
             if g == self.unit:
                 raise OmegaModelError("the unit cannot be a generator")
-            for x, vec in op.items():
-                if not (x in valid and vec.keys() <= valid):
-                    raise OmegaModelError(f"column {x} of L_{names[g]} names no basis class")
-            canon[g] = {x: v for x, u in op.items() if (v := _canon_vector(u, self.basis, self.p))}
+            if not isinstance(op, dict):
+                raise OmegaModelError(f"L_{names[g]} is {op!r}, not a dict of columns")
+            col = canon[g] = {}
+            for x, term in op.items():
+                if not (type(term) is tuple and len(term) == 2 and x in valid and term[0] in valid):
+                    raise OmegaModelError(f"column {x} of L_{names[g]} is {term!r}, "
+                                          "not a (class, coefficient) pair on the basis")
+                k, c = term
+                if c := _canon_coeff(c, self.basis[k].torsion_exp, self.p):
+                    col[x] = (k, c)
         object.__setattr__(self, "ops", canon)
 
     def index_of(self, name: str) -> int:
@@ -249,19 +241,34 @@ class PresentedRing(Frozen):
             raise OmegaModelError(f"no basis class named {name!r}")
         return k
 
+    def _apply(self, op: Operator, term, scale=1):
+        """The canonical term of scale * op(c*e_x) for term = (x, c); None is
+        zero, as argument and as result."""
+        if term is None or (t := op.get(term[0])) is None:
+            return None
+        k, c = t
+        c = _canon_coeff(scale * term[1] * c, self.basis[k].torsion_exp, self.p)
+        return (k, c) if c else None
+
     def multiply(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+        """The product of two vectors, each {class: coefficient}."""
         out: dict = {}
         for k, cb in b.items():
-            _accumulate(out, self.operator(k), a, cb)
-        return _canon_vector(out, self.basis, self.p)
+            op = self.operator(k)
+            for x, ca in a.items():
+                if (t := op.get(x)) is not None:
+                    out[t[0]] = out.get(t[0], 0) + ca * cb * t[1]
+        basis, p = self.basis, self.p
+        return {j: r for j, c in out.items() if (r := _canon_coeff(c, basis[j].torsion_exp, p))}
 
     def operator(self, k: int) -> Operator:
-        """L_k : x -> k*x.  For a generator this is ops[k]; for any other
-        class it is derived from the word of k (`words`) and cached.  Only
-        L_k is kept: the classes on its chain of words are passed through."""
+        """L_k : x -> k*x, in the format of ops.  For a generator this is
+        ops[k]; for any other class it is derived from the word of k
+        (`words`) and cached.  Only L_k is kept: the classes on its chain of
+        words are passed through."""
         op = self.ops.get(k, self._derived.get(k))
         if op is None and k == self.unit:
-            op = self._derived[k] = {x: {x: 1} for x in range(len(self.basis))}
+            op = self._derived[k] = {x: (x, 1) for x in range(len(self.basis))}
         if op is not None:
             return op
         words, chain = self.words(), [k]
@@ -271,11 +278,8 @@ class PresentedRing(Frozen):
             j = words[j][2]
         op = self.operator(j)
         for x in reversed(chain):  # back up, holding only the previous step L_j
-            acc: dict[int, dict] = {}
             c, g, _ = words[x]  # L_x = c L_g L_j
-            for y, vec in op.items():
-                _accumulate(acc.setdefault(y, {}), self.ops[g], vec, c)
-            op = {y: v for y, col in acc.items() if (v := _canon_vector(col, self.basis, self.p))}
+            op = {y: t for y, term in op.items() if (t := self._apply(self.ops[g], term, c))}
         self._derived[k] = op
         return op
 
@@ -292,7 +296,10 @@ class PresentedRing(Frozen):
         1. each L_g is well defined on M and raises degree by deg g: every
            term of g*x has degree deg g + deg x, and p^{e_x} (g*x) = 0;
         2. L_g(1) = g;
-        3. the L_g commute pairwise;
+        3. the L_g commute pairwise: on each column x the canonical terms
+           L_g L_h x and L_h L_g x are equal.  A term on one class can cancel
+           a term on another only when both are zero, so comparing the two
+           terms is the whole check;
         4. `words` writes every class but the unit as c*g*e_j, a unit c
            times one generator column, with e_j the unit or of lower degree.
 
@@ -305,34 +312,30 @@ class PresentedRing(Frozen):
         L_g commute.  It is commutative, associative and has unit 1, and it
         is graded by 1.  By 2, T_g is a P_g for the class g, so
         multiplication by g is L_g, and `multiply` reads each P_a off the
-        words.  The work is |G|^2 operator products on nonzero columns, with
-        no table of N^2 products.
+        words.  The work is |G|^2 operator products on nonzero columns, one
+        term each, with no table of N^2 products.
         """
         names = [b.name for b in self.basis]
         deg = [b.degree for b in self.basis]
         exp = [b.torsion_exp for b in self.basis]
         for g, op in self.ops.items():
-            for x, vec in op.items():
-                for k, c in vec.items():
-                    if deg[k] != deg[g] + deg[x]:
-                        raise OmegaModelError(
-                            f"{names[g]}*{names[x]} has a term {names[k]} of the wrong degree"
-                        )
-                    if exp[x] and _canon_coeff(self.p ** exp[x] * c, exp[k], self.p):
-                        raise OmegaModelError(
-                            f"{names[g]}*{names[x]} is not killed by the order of {names[x]}"
-                        )
-            if op.get(self.unit) != {g: 1}:
+            for x, (k, c) in op.items():
+                if deg[k] != deg[g] + deg[x]:
+                    raise OmegaModelError(
+                        f"{names[g]}*{names[x]} has a term {names[k]} of the wrong degree"
+                    )
+                if exp[x] and _canon_coeff(self.p ** exp[x] * c, exp[k], self.p):
+                    raise OmegaModelError(
+                        f"{names[g]}*{names[x]} is not killed by the order of {names[x]}"
+                    )
+            if op.get(self.unit) != (g, 1):
                 raise OmegaModelError(f"L_{names[g]}(1) is not {names[g]}")
         gens = list(self.ops)
         for i, g in enumerate(gens):
             for h in gens[i + 1:]:
                 Lg, Lh = self.ops[g], self.ops[h]
                 for x in Lg.keys() | Lh.keys():
-                    # L_g L_h x - L_h L_g x, canonicalised once: reduction mod p^e is additive
-                    acc = _accumulate({}, Lg, Lh.get(x, _NONE))
-                    _accumulate(acc, Lh, Lg.get(x, _NONE), -1)
-                    if any(acc.values()) and _canon_vector(acc, self.basis, self.p):
+                    if self._apply(Lg, Lh.get(x)) != self._apply(Lh, Lg.get(x)):
                         raise OmegaModelError(
                             f"L_{names[g]} and L_{names[h]} do not commute on {names[x]}"
                         )
@@ -341,7 +344,7 @@ class PresentedRing(Frozen):
     def words(self) -> dict[int, tuple[int, int, int]]:
         """Every class k but the unit as a word (c, g, j), k = c*g*e_j with
         c a unit and e_j the unit or of lower degree: read off a generator
-        column ops[g][j] that is a unit multiple of k alone.  Raises if some
+        column ops[g][j] = (k, c) with c a unit.  Raises if some
         class has no such column; a hand-built ring lists that class as a
         generator."""
         if self._words is not None:
@@ -349,9 +352,8 @@ class PresentedRing(Frozen):
         p, ops, basis, deg = self.p, self.ops, self.basis, [b.degree for b in self.basis]
         words: dict[int, tuple[int, int, int]] = {}
         for g, op in ops.items():
-            for j in op:
-                ((k, c), *more) = op[j].items()
-                if (not more and k not in words and (j == self.unit or deg[g] > 0)
+            for j, (k, c) in op.items():
+                if (k not in words and (j == self.unit or deg[g] > 0)
                         and (c if isinstance(c, int) else c.numerator) % p):
                     words[k] = (_canon_coeff(1 / Fraction(c), basis[k].torsion_exp, p), g, j)
         if rest := [k for k in range(len(basis)) if k != self.unit and k not in words]:
@@ -373,9 +375,9 @@ class PresentedRing(Frozen):
                 for b in self.basis
             ],
             "mult": {
-                f"{i},{j}": {str(k): str(c) if isinstance(c, Fraction) else c for k, c in v.items()}
+                f"{i},{j}": {str(k): str(c) if isinstance(c, Fraction) else c}
                 for i in range(len(self.basis))
-                for j, v in sorted(self.operator(i).items())
+                for j, (k, c) in sorted(self.operator(i).items())
             },
         }
 
@@ -409,15 +411,11 @@ def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
     ops = {}
     for g, op in A.ops.items():
         ops[g * nb + B.unit] = {
-            i * nb + j: {k * nb + j: c for k, c in vec.items()}
-            for i, vec in op.items()
-            for j in range(nb)
+            i * nb + j: (k * nb + j, c) for i, (k, c) in op.items() for j in range(nb)
         }
     for h, op in B.ops.items():
         ops[A.unit * nb + h] = {
-            i * nb + j: {i * nb + k: c for k, c in vec.items()}
-            for j, vec in op.items()
-            for i in range(len(A.basis))
+            i * nb + j: (i * nb + k, c) for j, (k, c) in op.items() for i in range(len(A.basis))
         }
     return PresentedRing(A.p, tuple(basis), A.unit * nb + B.unit, ops)
 
@@ -432,8 +430,8 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
     not audited again.
 
     Closure: in a union-find, each pair (a, b) that merges two classes is
-    multiplied by every generator g; g*a and g*b must both vanish or be
-    single terms c*x and c*y with one c, and then x ~ y; anything else is an
+    multiplied by every generator g; the terms g*a and g*b must both vanish
+    or be c*x and c*y with one c, and then x ~ y; anything else is an
     error.  Identified classes share degree, order and being killed, so the
     lowest index of each class not killed is a basis of ring/I, listed by
     (degree, name), and ring/I is the sum of Z_(p)/p^{e_r} over it.
@@ -441,7 +439,7 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
     killed k, checked, and pi(g*x) = pi(g*r) for every identified x with
     survivor r, proved by the closure.  Every pair (a, b) that merges two
     classes is checked against every generator g: g*a and g*b are both zero,
-    or single terms c*x and c*y with one c and x ~ y, so pi(g*a) = pi(g*b).
+    or c*x and c*y with one c and x ~ y, so pi(g*a) = pi(g*b).
     These checked pairs connect each identified x to its survivor r, so
     pi(g*x) = pi(g*r) by transitivity.  So g*I lies in I, which suffices:
     the parent is certified, so words in the generators span it, and any
@@ -456,7 +454,7 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
     L'_h L'_g pi, and pi is onto, so the L'_g commute.  4: a surviving
     class k has a parent word k = c*g*e_j; neither g nor j is killed, or k
     would lie in the ideal I, so L'_g pi(e_j) = pi(g*e_j) = c^{-1} pi(e_k)
-    is a single column of L'_g, and the quotient's lazy `words` finds it.
+    is a column of L'_g, and the quotient's lazy `words` finds it.
     """
     n, names = len(ring.basis), [b.name for b in ring.basis]
     killed = {ring.index_of(name) for name in killed_names}
@@ -487,14 +485,14 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
                 )
         root[max(ra, rb)] = min(ra, rb)
         for g, op in ring.ops.items():
-            va, vb = op.get(a, {}), op.get(b, {})
-            if (va or vb) and not (len(va) == len(vb) == 1 and [*va.values()] == [*vb.values()]):
+            (ka, ca), (kb, cb) = op.get(a, (a, 0)), op.get(b, (b, 0))  # a zero column is 0*e_a
+            if ca != cb:
                 raise OmegaModelError(
                     f"identifying {A.name} with {B.name} needs {names[g]}*{A.name} "
                     f"- {names[g]}*{B.name} to be a difference of two equal single terms"
                 )
-            if va:
-                pairs.append((*va, *vb))  # the classes of the two single terms
+            if ca:
+                pairs.append((ka, kb))  # the classes of the two terms
 
     survivors = sorted(
         {find(k) for k in range(n) if k not in killed},
@@ -503,24 +501,17 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
     new = {k: i for i, k in enumerate(survivors)}
     image = {k: new[find(k)] for k in range(n) if k not in killed}
     basis = tuple(ring.basis[k] for k in survivors)
-
-    def project(vec: dict) -> dict[int, int]:
-        out: dict = {}
-        for k, c in vec.items():
-            if k in image:
-                out[image[k]] = out.get(image[k], 0) + c
-        return out  # raw sums, made canonical by PresentedRing
-
     ops = {}
     for g, op in ring.ops.items():
         for x in sorted(killed):
-            if gx := _canon_vector(project(op.get(x, {})), basis, ring.p):
+            if (t := op.get(x)) is not None and t[0] in image:
                 raise OmegaModelError(
                     f"the killed classes span no ideal: {names[g]}*{names[x]} has a term "
-                    f"{basis[min(gx)].name}"
+                    f"{basis[image[t[0]]].name}"
                 )
         if g in image:
-            ops[image[g]] = {new[x]: project(vec) for x, vec in op.items() if x in new}
+            ops[image[g]] = {new[x]: (image[k], c) for x, (k, c) in op.items()
+                             if x in new and k in image}
     return PresentedRing(ring.p, basis, image[ring.unit], ops)
 
 
@@ -587,14 +578,14 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
 
     # every class but the unit is a generator; each column is read off the
     # class that carries the product's term
-    ops: dict[int, dict] = {g: {} for g in range(len(basis)) if g != unit}
+    ops: dict[int, Operator] = {g: {} for g in range(len(basis)) if g != unit}
     for g, x in itertools.product(ops, range(len(basis))):
         if (term := model.mul(terms[basis[g].name], terms[basis[x].name])) is None:
             continue
         a, v, y = term
         name = carrier.get((v, y))
         if name is not None and pvaluation(terms[name][0], p) <= pvaluation(a, p):
-            ops[g][x] = {index[name]: Fraction(a, terms[name][0])}
+            ops[g][x] = (index[name], Fraction(a, terms[name][0]))
         elif (mu := translate_valuation(v, y)) is None or mu > pvaluation(a, p):
             raise OmegaModelError("element is not in the image submodule")
     ring = PresentedRing(p, tuple(basis), unit, ops)
@@ -632,8 +623,8 @@ def torsion_ideal(ring: PresentedRing, res: GradedMap | None = None) -> tuple[st
 
 def ideal_generators(ring: PresentedRing, names) -> tuple[str, ...]:
     """The classes S among the basis classes `names` that no generator
-    operator hits from a class in `names` as a single term with a unit
-    coefficient.  S generates the same ideal T as `names`.
+    operator hits from a class in `names` with a unit coefficient.  S
+    generates the same ideal T as `names`.
 
     Proof.  Every generator g has positive degree (checked).  A class t in
     `names` but not in S is c^{-1} g*t' for a generator g, a class t' in
@@ -648,8 +639,8 @@ def ideal_generators(ring: PresentedRing, names) -> tuple[str, ...]:
     idx, hit = {ring.index_of(nm) for nm in names}, set()
     for op in ring.ops.values():
         for x in idx & op.keys():
-            ((k, c), *more) = op[x].items()
-            if not more and (c if isinstance(c, int) else c.numerator) % ring.p:
+            k, c = op[x]
+            if (c if isinstance(c, int) else c.numerator) % ring.p:
                 hit.add(k)
     return tuple(nm for nm in names if ring.index_of(nm) not in hit)
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import FrozenInstanceError
 from functools import reduce
 from pathlib import Path
@@ -443,6 +444,31 @@ def test_kunneth_quotient_ring_audits():
         assert "1" in [b.name for b in ring.basis]
 
 
+@pytest.mark.parametrize(
+    "p, n, m, s",
+    [
+        # the grid's (p, s)
+        (2, 2, 1, 2), (2, 2, 1, 3), (3, 2, 1, 2), (3, 2, 1, 3),
+        # off the grid: more factors, a larger p, c_m with m = 2, and the
+        # 15,625 classes of cor-1.3 at p=5 s=5
+        (2, 2, 1, 5), (3, 2, 1, 4), (5, 2, 1, 2), (5, 2, 1, 3), (7, 2, 1, 2),
+        (2, 3, 2, 3), (3, 3, 1, 3), (5, 2, 1, 5),
+    ],
+)
+def test_word_ring_size_matches_its_formula(p, n, m, s):
+    # a class of gr_m(R')^{(x) s}/J is a set of k factors, a power y_t^j
+    # with 0 < j < p on each, and its number of c_m labels, 0..k, as J moves
+    # the labels between factors: sum_k C(s,k) (p-1)^k (k+1) classes, which
+    # is p^s + s(p-1)p^(s-1); a class is free exactly when it has no c_m label
+    size = sum(math.comb(s, k) * (p - 1) ** k * (k + 1) for k in range(s + 1))
+    assert size == p**s + s * (p - 1) * p ** (s - 1)
+    ring = kunneth_quotient_ring(p, n, m, s)
+    assert len(ring.basis) == size
+    for b in ring.basis:
+        assert b.torsion_exp == (1 if f"c_{m}(" in b.name else 0), b.name
+    assert sum(not b.torsion_exp for b in ring.basis) == p**s
+
+
 def grid_rost_triples():
     """Every (p, n, m) of a Rost factor that a verify-all report reads."""
     triples = set()
@@ -694,8 +720,8 @@ def test_torsion_square_witness_comes_from_the_ordered_search(monkeypatch):
     basis = tuple(
         BasisClass(nm, d, e) for nm, d, e in zip(names, (0, 1, 2, 1, 2, 3), (0, 0, 1, 1, 1, 1))
     )
-    L_h = {0: {1: 1}, 3: {2: 1}, 4: {5: 1}}
-    L_u = {0: {3: 1}, 1: {2: 1}, 2: {5: 1}, 3: {4: 1}}
+    L_h = {0: (1, 1), 3: (2, 1), 4: (5, 1)}
+    L_u = {0: (3, 1), 1: (2, 1), 2: (5, 1), 3: (4, 1)}
     ring = PresentedRing(p=2, basis=basis, unit=0, ops={1: L_h, 3: L_u})
     tnames = ring.torsion_names()
     assert ideal_generators(ring, tnames) == ("u",)
@@ -715,7 +741,7 @@ def test_a_class_hit_only_by_a_multiple_of_p_stays_a_generator(monkeypatch):
     basis = tuple(
         BasisClass(nm, d, e) for nm, d, e in zip(names, (0, 1, 1, 2, 4), (0, 0, 2, 2, 1))
     )
-    ops = {1: {0: {1: 1}, 2: {3: 2}}, 2: {0: {2: 1}, 1: {3: 2}}, 3: {0: {3: 1}, 3: {4: 1}}}
+    ops = {1: {0: (1, 1), 2: (3, 2)}, 2: {0: (2, 1), 1: (3, 2)}, 3: {0: (3, 1), 3: (4, 1)}}
     ring = PresentedRing(p=2, basis=basis, unit=0, ops=ops)
     assert ideal_generators(ring, ring.torsion_names()) == ("u", "w")
     assert ideal_power_witness(ring, ["u"], 2) is None
@@ -902,7 +928,7 @@ def test_thm_5_7_refutes_when_a_torsion_class_squares_to_nonzero(monkeypatch):
 
     def planted(p, classes, generators, rules):
         if "c_1(d)" in generators:
-            rules = {**rules, ("c_1(d)", "c_1(d)"): (("c_1(d)*h^2", 1),)}
+            rules = {**rules, ("c_1(d)", "c_1(d)"): ("c_1(d)*h^2", 1)}
         return sorted_ring(p, classes, generators, rules)
 
     monkeypatch.setattr(catalog, "_sorted_ring", planted)

@@ -126,7 +126,7 @@ def toy_ring():
         BasisClass("t2", 4, 1),
     )
     # the one generator t: L_t(1) = t, L_t(t) = t2, L_t(t2) = 0
-    return PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: {1: 1}, 1: {2: 1}}})
+    return PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: (1, 1), 1: (2, 1)}})
 
 
 def test_presented_ring_multiply_and_power():
@@ -144,7 +144,7 @@ def test_presented_ring_multiply_and_power():
 
 def test_audit_catches_broken_unit():
     basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0))
-    bad = PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: {1: 2}}})
+    bad = PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: (1, 2)}})
     with pytest.raises(OmegaModelError, match=r"L_x\(1\) is not x"):
         bad.audit()
 
@@ -152,44 +152,57 @@ def test_audit_catches_broken_unit():
 def test_audit_catches_noncommutative_table():
     # degree-0 classes with x*y = x but y*x = y: L_x L_y(1) = x, L_y L_x(1) = y
     basis = (BasisClass("1", 0, 0), BasisClass("x", 0, 0), BasisClass("y", 0, 0))
-    ops = {1: {0: {1: 1}, 2: {1: 1}}, 2: {0: {2: 1}, 1: {2: 1}}}
+    ops = {1: {0: (1, 1), 2: (1, 1)}, 2: {0: (2, 1), 1: (2, 1)}}
     with pytest.raises(OmegaModelError, match="L_x and L_y do not commute on 1"):
         PresentedRing(p=2, basis=basis, unit=0, ops=ops).audit()
 
 
 def test_ops_input_errors():
     basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("t", 2, 1))
+    pair = r"not a \(class, coefficient\) pair on the basis"
     cases = [
-        ({0: {0: {0: 1}}}, "the unit cannot be a generator"),
-        ({3: {0: {3: 1}}}, "generator index 3 names no basis class"),
-        ({1: {0: {1: 1}, 5: {1: 1}}}, r"column 5 of L_x names no basis class"),
-        ({1: {0: {1: 1}, 1: {7: 1}}}, r"column 1 of L_x names no basis class"),
-        ({1: {0: {-1: 1}}}, r"column 0 of L_x names no basis class"),
-        ({1: {-1: {1: 1}}}, r"column -1 of L_x names no basis class"),
-        ({1: {0: {1: Fraction(1, 2)}}}, "coefficient is not p-local"),
-        ({2: {0: {2: Fraction(1, 4)}}}, "coefficient is not p-local"),
+        ({0: {0: (0, 1)}}, "the unit cannot be a generator"),
+        ({3: {0: (3, 1)}}, "generator index 3 names no basis class"),
+        ({1: {0: (1, 1), 5: (1, 1)}}, rf"column 5 of L_x is \(1, 1\), {pair}"),
+        ({1: {0: (1, 1), 1: (7, 1)}}, rf"column 1 of L_x is \(7, 1\), {pair}"),
+        ({1: {0: (-1, 1)}}, rf"column 0 of L_x is \(-1, 1\), {pair}"),
+        ({1: {-1: (1, 1)}}, rf"column -1 of L_x is \(1, 1\), {pair}"),
+        ({1: {0: (1, Fraction(1, 2))}}, "coefficient is not p-local"),
+        ({2: {0: (2, Fraction(1, 4))}}, "coefficient is not p-local"),
+        # an inexact coefficient is refused, not converted to a Fraction
+        ({1: {0: (1, 0.1)}}, r"coefficient 0\.1 is not an int or a Fraction"),
+        ({2: {0: (2, True)}}, "coefficient True is not an int or a Fraction"),
+        # a one-entry dict of the old format, and other shapes that are no term
+        ({1: {0: {1: 1}}}, rf"column 0 of L_x is \{{1: 1\}}, {pair}"),
+        ({1: {0: 5}}, rf"column 0 of L_x is 5, {pair}"),
+        ({1: {0: [1, 1]}}, rf"column 0 of L_x is \[1, 1\], {pair}"),
+        ({1: {0: (1, 1, 0)}}, rf"column 0 of L_x is \(1, 1, 0\), {pair}"),
+        ({1: {0: ([1], 1)}}, rf"column 0 of L_x is \(\[1\], 1\), {pair}"),
+        ({1: 7}, "L_x is 7, not a dict of columns"),
     ]
     for ops, message in cases:
         with pytest.raises(OmegaModelError, match=message):
             PresentedRing(p=2, basis=basis, unit=0, ops=ops)
     with pytest.raises(OmegaModelError, match="unit index 3 names no basis class"):
         PresentedRing(p=2, basis=basis, unit=3, ops={})
-    # a p-local fraction is kept on a free class and reduced on a torsion one
-    ring = PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: {1: 1, 2: Fraction(5, 3)}}})
-    assert ring.ops[1][0] == {1: 1, 2: 1}
+    # a p-local fraction is kept on a free class and reduced on a torsion
+    # one, and a column that reduces to zero is dropped
+    ops = {1: {0: (1, Fraction(5, 3)), 1: (2, 2), 2: (2, Fraction(5, 3))}}
+    ring = PresentedRing(p=2, basis=basis, unit=0, ops=ops)
+    assert ring.ops[1] == {0: (1, Fraction(5, 3)), 2: (2, 1)}
 
 
 def test_audit_catches_two_noncommuting_generators():
-    # Z_(3)[x, y]/(x, y)^3 with xy = x^2 on one side only: L_x(y) = x^2 + y^2
+    # Z_(3)[x, y]/(x, y)^3 with xy = x^2 on one side only: L_x(y) = x^2
     # while L_y(x) = xy, so L_x L_y(1) != L_y L_x(1)
     names = ("1", "x", "y", "x^2", "xy", "y^2")
     basis = tuple(BasisClass(nm, d, 0) for nm, d in zip(names, (0, 2, 2, 4, 4, 4)))
     ops = {
-        1: {0: {1: 1}, 1: {3: 1}, 2: {4: 1}},
-        2: {0: {2: 1}, 1: {4: 1}, 2: {5: 1}},
+        1: {0: (1, 1), 1: (3, 1), 2: (4, 1)},
+        2: {0: (2, 1), 1: (4, 1), 2: (5, 1)},
     }
     PresentedRing(p=3, basis=basis, unit=0, ops=ops).audit()
-    ops[1][2] = {3: 1, 5: 1}
+    ops[1][2] = (3, 1)
     with pytest.raises(OmegaModelError, match="L_x and L_y do not commute on 1"):
         PresentedRing(p=3, basis=basis, unit=0, ops=ops).audit()
 
@@ -301,7 +314,7 @@ def truncated_polynomial_ring(p, top, generators=(1,)):
     """Z_(p)[a]/(a^top) on the basis a^0 .. a^(top-1), with the generators
     a^g for g in `generators`: L_{a^g}(a^i) = a^(g+i)."""
     basis = tuple(BasisClass(f"a^{i}", 2 * i, 0) for i in range(top))
-    ops = {g: {i: {g + i: 1} for i in range(top - g)} for g in generators}
+    ops = {g: {i: (g + i, 1) for i in range(top - g)} for g in generators}
     return PresentedRing(p=p, basis=basis, unit=0, ops=ops)
 
 
@@ -314,8 +327,8 @@ def test_audit_accepts_truncated_polynomial_ring():
 
 
 def operator_digest(op) -> str:
-    cols = {str(x): {str(y): str(c) for y, c in sorted(col.items())}
-            for x, col in sorted(op.items())}
+    # each term as the one-entry dict it was when the digests were recorded
+    cols = {str(x): {str(k): str(c)} for x, (k, c) in sorted(op.items())}
     return hashlib.sha256(json.dumps(cols).encode()).hexdigest()
 
 
@@ -346,7 +359,7 @@ def test_audit_catches_nonassociative_large_table():
     # breaks commutation
     good = truncated_polynomial_ring(3, 35, generators=(1, 3))
     ops = {g: dict(op) for g, op in good.ops.items()}
-    ops[3][3] = {6: 2}
+    ops[3][3] = (6, 2)
     bad = PresentedRing(p=3, basis=good.basis, unit=0, ops=ops)
     with pytest.raises(OmegaModelError, match="L_a\\^1 and L_a\\^3 do not commute on a\\^2"):
         bad.audit()
@@ -354,7 +367,7 @@ def test_audit_catches_nonassociative_large_table():
 
 def test_audit_catches_product_in_wrong_degree():
     basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("y", 6, 0))
-    ops = {1: {0: {1: 1}, 1: {2: 1}}, 2: {0: {2: 1}}}
+    ops = {1: {0: (1, 1), 1: (2, 1)}, 2: {0: (2, 1)}}
     bad = PresentedRing(p=2, basis=basis, unit=0, ops=ops)
     with pytest.raises(OmegaModelError, match="wrong degree"):
         bad.audit()
@@ -362,7 +375,7 @@ def test_audit_catches_product_in_wrong_degree():
 
 def test_audit_catches_torsion_product_on_free_class():
     basis = (BasisClass("1", 0, 0), BasisClass("t", 2, 1), BasisClass("x", 4, 0))
-    ops = {1: {0: {1: 1}, 1: {2: 1}}, 2: {0: {2: 1}}}  # 2 * t^2 = (2t) t = 0, but 2x != 0
+    ops = {1: {0: (1, 1), 1: (2, 1)}, 2: {0: (2, 1)}}  # 2 * t^2 = (2t) t = 0, but 2x != 0
     bad = PresentedRing(p=2, basis=basis, unit=0, ops=ops)
     with pytest.raises(OmegaModelError, match="not killed"):
         bad.audit()
@@ -370,14 +383,14 @@ def test_audit_catches_torsion_product_on_free_class():
 
 def test_audit_catches_generators_that_do_not_span():
     basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("y", 2, 0))
-    bad = PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: {1: 1}}})
+    bad = PresentedRing(p=2, basis=basis, unit=0, ops={1: {0: (1, 1)}})
     with pytest.raises(OmegaModelError, match="do not span degree 2: y"):
         bad.audit()
     # idempotents g = (1,1,0), h = (0,1,0) of Z_(2)^3: g*h = h, yet g alone
     # generates only span(1, g); a generator may not vouch for its own degree
     basis = (BasisClass("1", 0, 0), BasisClass("g", 0, 0), BasisClass("h", 0, 0))
-    L_g = {0: {1: 1}, 1: {1: 1}, 2: {2: 1}}
-    L_h = {0: {2: 1}, 1: {2: 1}, 2: {2: 1}}
+    L_g = {0: (1, 1), 1: (1, 1), 2: (2, 1)}
+    L_h = {0: (2, 1), 1: (2, 1), 2: (2, 1)}
     bad = PresentedRing(p=2, basis=basis, unit=0, ops={1: L_g})
     with pytest.raises(OmegaModelError, match="do not span degree 0: h"):
         bad.audit()
@@ -387,8 +400,8 @@ def test_audit_catches_generators_that_do_not_span():
 def test_ideal_generators_need_generators_of_positive_degree():
     # the degree induction fails for an idempotent generator: g*h = h
     basis = (BasisClass("1", 0, 0), BasisClass("g", 0, 0), BasisClass("h", 0, 1))
-    L_g = {0: {1: 1}, 1: {1: 1}, 2: {2: 1}}
-    L_h = {0: {2: 1}, 1: {2: 1}, 2: {2: 1}}
+    L_g = {0: (1, 1), 1: (1, 1), 2: (2, 1)}
+    L_h = {0: (2, 1), 1: (2, 1), 2: (2, 1)}
     ring = PresentedRing(p=2, basis=basis, unit=0, ops={1: L_g, 2: L_h})
     with pytest.raises(OmegaModelError, match="generator g has degree <= 0"):
         ideal_generators(ring, ["h"])
@@ -401,8 +414,8 @@ def two_generator_ring(p, exp, gh, gk, hk):
     basis = tuple(
         BasisClass(nm, d, e) for nm, d, e in zip(names, (0, 1, 1, 2, 3), (0, 0, 0, exp, exp))
     )
-    L_g = {0: {1: 1}, 1: {3: 1}, 2: {3: gh}, 3: {4: gk}}
-    L_h = {0: {2: 1}, 1: {3: gh}, 2: {3: 1}, 3: {4: hk}}
+    L_g = {0: (1, 1), 1: (3, 1), 2: (3, gh), 3: (4, gk)}
+    L_h = {0: (2, 1), 1: (3, gh), 2: (3, 1), 3: (4, hk)}
     return PresentedRing(p=p, basis=basis, unit=0, ops={1: L_g, 2: L_h})
 
 
@@ -427,8 +440,8 @@ def test_audit_compares_free_fraction_coefficients_exactly():
 
     def ring(x_times_y):
         ops = {
-            1: {0: {1: 1}, 1: {3: 1}, 2: {4: x_times_y}},
-            2: {0: {2: 1}, 1: {4: Fraction(1, 2)}, 2: {5: 1}},
+            1: {0: (1, 1), 1: (3, 1), 2: (4, x_times_y)},
+            2: {0: (2, 1), 1: (4, Fraction(1, 2)), 2: (5, 1)},
         }
         return PresentedRing(p=3, basis=basis, unit=0, ops=ops)
 
@@ -439,31 +452,33 @@ def test_audit_compares_free_fraction_coefficients_exactly():
         ring(Fraction(7, 2)).audit()
 
 
-def square_zero_pair_ring(xy_on_w):
+def square_zero_pair_ring(c):
     """Free classes x, y in degree 2 and u, w in degree 4 over Z_(3), with
-    x^2 = u + w, xy = u + xy_on_w * w, y^2 = 0 and nothing in degree 6."""
+    x^2 = c*u, xy = c*w, y^2 = 0 and nothing in degree 6."""
     names = ("1", "x", "y", "u", "w")
     basis = tuple(BasisClass(nm, d, 0) for nm, d in zip(names, (0, 2, 2, 4, 4)))
-    xy = {3: 1, 4: xy_on_w}
-    ops = {1: {0: {1: 1}, 1: {3: 1, 4: 1}, 2: xy}, 2: {0: {2: 1}, 1: xy}}
+    ops = {1: {0: (1, 1), 1: (3, c), 2: (4, c)}, 2: {0: (2, 1), 1: (4, c)}}
     return PresentedRing(p=3, basis=basis, unit=0, ops=ops)
 
 
 def test_audit_generation_needs_a_unimodular_span():
-    # no single product is a unit multiple of u or w: x^2 and xy span degree
-    # 4 together, but a word is one column g*e_j, so both must be generators
-    ring = square_zero_pair_ring(2)
+    # at c = 1 the products x^2 and xy are the words of u and w; at c = 3
+    # they reach u and w only as 3u and 3w, a sublattice of index 9 in
+    # degree 4, and a word is a unit times one column g*e_j, so u and w must
+    # both be generators
+    square_zero_pair_ring(1).audit()
+    ring = square_zero_pair_ring(3)
     with pytest.raises(OmegaModelError, match="do not span degree 4: u, w"):
         ring.audit()
-    ops = {**ring.ops, 3: {0: {3: 1}}, 4: {0: {4: 1}}}  # L_u(1) = u, L_w(1) = w
+    ops = {**ring.ops, 3: {0: (3, 1)}, 4: {0: (4, 1)}}  # L_u(1) = u, L_w(1) = w
     ring = PresentedRing(ring.p, ring.basis, ring.unit, ops)
     ring.audit()
     for k, (c, g, j) in ring.words().items():  # g*e_j = c^-1 e_k
-        assert {t: c * d for t, d in ring.ops[g][j].items()} == {k: 1}
-    assert ring.multiply({ring.index_of("x"): 1}, {ring.index_of("u"): 1}) == {}
-    # x^2 and xy span a sublattice of index 3 in degree 4
-    with pytest.raises(OmegaModelError, match="do not span"):
-        square_zero_pair_ring(4).audit()
+        t, d = ring.ops[g][j]
+        assert (t, c * d) == (k, 1)
+    x, u = ring.index_of("x"), ring.index_of("u")
+    assert ring.multiply({x: 1}, {u: 1}) == {}
+    assert ring.multiply({x: 1}, {x: 1}) == {u: 3}
 
 
 def test_canon_coeff_integers_and_fractions():

@@ -2,15 +2,15 @@
 
 Each entry builds an explicit object: a ring with basis and structure
 constants, usually together with its split form (`bar`), the restriction map
-between them, and where relevant a presentation over k_m* or the ambient
-image model.  Two functions write rules, the products g*x of each generator g
-with the basis classes x: `chow_rost_ring`, the stated Chow presentation of a
+between them, and where relevant a presentation over k_m* or the ambient image
+model.  Two functions write rules, the products g*x of each generator g with
+the basis classes x: `chow_rost_ring`, the stated Chow presentation of a
 Rost-type motive, and `tower_ring`, a truncated polynomial ring in one class
-with side towers (the split forms and the quadric Chow rings).  The gr_m rings are certified quotients of these (`ring_quotient`),
-as is their Kunneth ring gr_m(R')^{(x) s}/J (`kunneth.kunneth_quotient_ring`).
-Independent construction paths (ambient collapse, v -> 0 of the k_m*
-presentation) live in other modules and are compared against these in the
-verifier suite.
+with side towers (the split forms and the quadric Chow rings).  The gr_m rings
+are certified quotients of these (`ring_quotient`), as is their Kunneth ring
+gr_m(R')^{(x) s}/J (`kunneth.kunneth_quotient_ring`).  Independent
+construction paths (ambient collapse, v -> 0 of the k_m* presentation) live in
+other modules and are compared against these in the verifier suite.
 
 Each ring is built and audited once per process: `tower_ring`,
 `_chow_rost_ring` and `_gr_m_rost_ring` keep the 64 rings used last, and

@@ -61,6 +61,7 @@ from .omega import (
     OmegaImageModel,
     OmegaModelError,
     PresentedRing,
+    TensorParent,
     Term,
     _c,
     _canon_coeff,
@@ -69,7 +70,6 @@ from .omega import (
     ideal_generators,
     ideal_power_witness,
     ring_quotient,
-    ring_tensor,
     tensor_name,
     torsion_ideal,
 )
@@ -398,9 +398,9 @@ def _word_ring(p: int, ns: tuple[int, ...], m: int) -> PresentedRing:
     Q_{t-1} (x) gr_m(R_t) = T_t / (J_{<=t-1} (x) gr_m(R_t)), whose
     denominator is the ideal of T_t generated by J_{<=t-1}; modulo J_t then
     leaves T_t/J_{<=t}.  At t = s this is T_s/J.  Every stage is a
-    `ring_quotient` of a `ring_tensor`, certified by induction from the
-    audited catalog rings under the factors; no stage is audited again, and
-    the stages before Q_s never compute their words.  Cached per process, as
+    `ring_quotient` of a `TensorParent`, the tensor never built, certified
+    by induction from the audited catalog rings under the factors; no stage
+    is audited again, and the stages before Q_s never compute their words.  Cached per process, as
     (p, ns, m) fixes the ring: callers share it and must not mutate it.  The
     cache keeps the 8 rings used last; a verify-all pass builds 7.
     """
@@ -409,7 +409,7 @@ def _word_ring(p: int, ns: tuple[int, ...], m: int) -> PresentedRing:
     ring = factors[0]
     for t, factor in enumerate(factors[1:], 2):
         pairs = [(g.positive_name, g.negative_name) for g in gens if g.t == t]
-        ring = ring_quotient(ring_tensor(ring, factor), identified=pairs)
+        ring = ring_quotient(TensorParent(ring, factor), identified=pairs)
     return ring
 
 

@@ -24,12 +24,12 @@ v_m alone (the row-splitting lemma in `chow_collapse` and
 A `PresentedRing` is the operators L_g : x -> g*x of its generators g on an
 explicit basis, each column one term (k, c) for g*x = c*e_k, certified by
 the commuting-operator criterion in `audit`; every other product is read
-off words in the generators.  `chow_collapse`,
-`ring_tensor` and `ring_quotient` each emit operators, not product tables.
-`chow_collapse` and the catalog rings are audited; `ring_tensor` and
-`ring_quotient` take certified rings and return certified rings, by the
-lemmas in their docstrings, so only the rings at the leaves of a build are
-audited.
+off words in the generators.  `chow_collapse`, `ring_tensor` and
+`ring_quotient` emit operators, not product tables; on a `TensorParent`,
+the tensor left implicit, `ring_quotient` folds a word-ring stage with no
+tensor ring built.  `chow_collapse` and the catalog rings are audited; the
+tensors and quotients of certified rings are certified (`ring_quotient`),
+so only the rings at the leaves of a build are audited.
 """
 
 from __future__ import annotations
@@ -195,11 +195,11 @@ class PresentedRing(Frozen):
     of its generators: ops[g][x] = (k, c) is the term g*x = c*e_k, and a
     zero column is absent.  One term is the only column format.
 
-    The generators are the keys of `ops`.  Coefficients are made canonical
-    on construction, and a column that is not a (class, coefficient) pair
-    on the basis is refused; `audit` certifies that the operators define a
-    ring.  Frozen, so a ring shared between callers keeps its fields; the
-    caches of `words` and `operator` are deterministic.
+    The generators are the keys of `ops`, in order in `generators`.
+    Coefficients are made canonical on construction, and a column that is
+    not a (class, coefficient) pair on the basis is refused; `audit`
+    certifies that the operators define a ring.  Frozen, and the caches of
+    `words`, `operator` and `row` are deterministic, so callers share rings.
     """
 
     _fields = ("p", "basis", "unit", "ops")
@@ -213,11 +213,11 @@ class PresentedRing(Frozen):
         n, names = len(self.basis), [b.name for b in self.basis]
         object.__setattr__(self, "_index", {name: k for k, name in enumerate(names)})
         object.__setattr__(self, "_words", None)
+        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_derived", {})
         if not 0 <= self.unit < n:
             raise OmegaModelError(f"unit index {self.unit} names no basis class")
-        canon = {}
-        valid = range(n)
+        canon, valid, exps = {}, range(n), [b.torsion_exp for b in basis]
         for g, op in ops.items():
             if not 0 <= g < n:
                 raise OmegaModelError(f"generator index {g} names no basis class")
@@ -231,15 +231,25 @@ class PresentedRing(Frozen):
                     raise OmegaModelError(f"column {x} of L_{names[g]} is {term!r}, "
                                           "not a (class, coefficient) pair on the basis")
                 k, c = term
-                if c := _canon_coeff(c, self.basis[k].torsion_exp, self.p):
-                    col[x] = (k, c)
+                if r := _canon_coeff(c, exps[k], p):
+                    col[x] = term if r is c else (k, r)  # a canonical term is kept
         object.__setattr__(self, "ops", canon)
+        object.__setattr__(self, "generators", tuple(canon))
 
     def index_of(self, name: str) -> int:
         k = self._index.get(name)
         if k is None:
             raise OmegaModelError(f"no basis class named {name!r}")
         return k
+
+    def row(self, x: int) -> dict[int, tuple[int, int]]:
+        """{g: (k, c)} for each nonzero g*x = c*e_k, from ops transposed once."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", rows := [{} for _ in self.basis])
+            for g, op in self.ops.items():
+                for y, term in op.items():
+                    rows[y][g] = term
+        return self._rows[x]
 
     def _apply(self, op: Operator, term, scale=1):
         """The canonical term of scale * op(c*e_x) for term = (x, c); None is
@@ -387,93 +397,113 @@ def tensor_name(a: str, b: str) -> str:
     return a if b == "1" else (b if a == "1" else f"{a}*{b}")
 
 
+class TensorParent(Frozen):
+    """The tensor product A (x) B of two certified rings, left implicit:
+    `ring_quotient` reads it as a parent, `ring_tensor` writes it out.  The
+    class a_i (x) b_j has index i * nb + j, name `tensor_name`, degree
+    deg a_i + deg b_j and order p^min of the nonzero exponents; its
+    generators g (x) 1, then 1 (x) h, act as L_g (x) I and I (x) L_h."""
+
+    _fields = ("A", "B")
+
+    def __init__(self, A: PresentedRing, B: PresentedRing):
+        if A.p != B.p:
+            raise OmegaModelError("prime mismatch")
+        nb, ua, ub = len(B.basis), A.unit * len(B.basis), B.unit
+        exp_a, exp_b = ([b.torsion_exp for b in R.basis] for R in (A, B))
+        exp = [min(ea or eb, eb or ea) for ea in exp_a for eb in exp_b]  # the least nonzero
+        basis = tuple(BasisClass(tensor_name(a.name, b.name), a.degree + b.degree, e)
+                      for (a, b), e in zip(itertools.product(A.basis, B.basis), exp))
+        vars(self).update(
+            A=A, B=B, p=A.p, basis=basis, unit=ua + ub,
+            generators=tuple(g * nb + ub for g in A.ops) + tuple(ua + h for h in B.ops),
+            _index={b.name: k for k, b in enumerate(basis)},
+            _lift=(A.row, B.row, exp, exp_a, exp_b, nb, ua, ub),
+        )
+
+    index_of = PresentedRing.index_of
+
+    def row(self, x: int) -> dict[int, tuple[int, int]]:
+        """The factors' rows at a_i and b_j, lifted; `_canon_coeff` reduces
+        each coefficient, as a coefficient p can land on a class of order p."""
+        row_a, row_b, exp, exp_a, exp_b, nb, ua, ub = self._lift
+        (i, j), p, out = divmod(x, nb), self.p, {}
+        for g, (k, c) in row_a(i).items():
+            if (e := exp[y := k * nb + j]) == exp_a[k] or (c := _canon_coeff(c, e, p)):
+                out[g * nb + ub] = (y, c)
+        for h, (k, c) in row_b(j).items():
+            if (e := exp[y := i * nb + k]) == exp_b[k] or (c := _canon_coeff(c, e, p)):
+                out[ua + h] = (y, c)
+        return out
+
+
 def ring_tensor(A: PresentedRing, B: PresentedRing) -> PresentedRing:
-    """Tensor product ring over Z_(p); orders combine as p^min(e_a, e_b).
-
-    Its generators are the g (x) 1 and the 1 (x) h, with L_{g (x) 1} =
-    L_g (x) I and L_{1 (x) h} = I (x) L_h.  It needs no audit of its own: a
-    tensor product of certified rings is a commutative ring that the factors'
-    generators span, so it is certified, `ring_quotient`'s closure and
-    killed-class check on it are sound, and the quotient is certified in
-    turn.  With generators of positive degree, a word c*g*e_j of a gives
-    the word c*(g (x) 1)*(e_j (x) b) of a (x) b, and a word of b one of
-    1 (x) b.  Its columns are not canonical, as a coefficient p of a factor
-    can land on a class of order p; `PresentedRing` reduces them.
-    """
-    if A.p != B.p:
-        raise OmegaModelError("prime mismatch")
-    nb = len(B.basis)  # the class a_i (x) b_j has index i * nb + j
-    basis = []
-    for a in A.basis:
-        for b in B.basis:
-            exp = min((e for e in (a.torsion_exp, b.torsion_exp) if e), default=0)
-            basis.append(BasisClass(tensor_name(a.name, b.name), a.degree + b.degree, exp))
-    ops = {}
-    for g, op in A.ops.items():
-        ops[g * nb + B.unit] = {
-            i * nb + j: (k * nb + j, c) for i, (k, c) in op.items() for j in range(nb)
-        }
-    for h, op in B.ops.items():
-        ops[A.unit * nb + h] = {
-            i * nb + j: (i * nb + k, c) for j, (k, c) in op.items() for i in range(len(A.basis))
-        }
-    return PresentedRing(A.p, tuple(basis), A.unit * nb + B.unit, ops)
+    """The tensor product ring A (x) B: `TensorParent(A, B)` written out."""
+    T = TensorParent(A, B)
+    ops: dict[int, Operator] = {g: {} for g in T.generators}
+    for x in range(len(T.basis)):
+        for g, term in T.row(x).items():
+            ops[g][x] = term
+    return PresentedRing(T.p, T.basis, T.unit, ops)
 
 
-def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> PresentedRing:
-    """The quotient of a certified ring by the span I of the named classes k
-    and of the differences a - b of the identified pairs of named classes.
+def ring_quotient(parent, killed_names=(), identified=()) -> PresentedRing:
+    """The quotient of a certified parent by the span I of the named classes
+    k and of the differences a - b of the identified pairs of named classes.
 
-    Certified means audited (`PresentedRing.audit`), or built from certified
-    rings by `ring_tensor` or `ring_quotient`; a parent that is neither is
-    outside this contract.  The quotient is certified by the lemma below,
-    not audited again.
+    Certified means audited (`PresentedRing.audit`), built from certified
+    rings by `ring_tensor` or `ring_quotient`, or a `TensorParent` of
+    certified rings, certified built or not: a commutative ring that the
+    factors' generators span, as with generators of positive degree a word
+    c*g*e_j of a gives the word c*(g (x) 1)*(e_j (x) b) of a (x) b, and a
+    word of b one of 1 (x) b.  Any other parent is outside this contract.
+    The quotient is certified by the lemma below, not audited again.  The
+    parent is read through `basis`, `unit`, `index_of`, `generators` and
+    `row(x)`, the nonzero terms g*x.
 
-    Closure: in a union-find, each pair (a, b) that merges two classes is
-    multiplied by every generator g; the terms g*a and g*b must both vanish
-    or be c*x and c*y with one c, and then x ~ y; anything else is an
-    error.  Identified classes share degree, order and being killed, so the
-    lowest index of each class not killed is a basis of ring/I, listed by
-    (degree, name), and ring/I is the sum of Z_(p)/p^{e_r} over it.
-    Certificate, with pi the projection to ring/I: pi(g*k) = 0 for every
-    killed k, checked, and pi(g*x) = pi(g*r) for every identified x with
-    survivor r, proved by the closure.  Every pair (a, b) that merges two
-    classes is checked against every generator g: g*a and g*b are both zero,
-    or c*x and c*y with one c and x ~ y, so pi(g*a) = pi(g*b).
-    These checked pairs connect each identified x to its survivor r, so
-    pi(g*x) = pi(g*r) by transitivity.  So g*I lies in I, which suffices:
-    the parent is certified, so words in the generators span it, and any
-    a*i is a Z_(p)-combination of g_1(g_2(...(g_r i))), each step in I.
+    Closure: in a union-find with path halving, each pair (a, b) that merges
+    two classes is checked on their rows: for every generator g the terms
+    g*a and g*b must both vanish or be c*x and c*y with one c, and then
+    x ~ y; anything else is an error naming the first such g.  Identified
+    classes share degree, order and being killed, so the lowest index of
+    each class not killed is a basis of parent/I, listed by (degree, name),
+    and parent/I is the sum of Z_(p)/p^{e_r} over it; only the survivors'
+    columns are built.  Certificate, with pi the projection to parent/I:
+    pi(g*k) = 0 for every killed k, checked, and pi(g*x) = pi(g*r) for every
+    identified x with survivor r, as the checked pairs, each with pi(g*a) =
+    pi(g*b), connect x to r.  So g*I lies in I, which suffices: the parent
+    is certified, so words in the generators span it, and any a*i is a
+    Z_(p)-combination of g_1(g_2(...(g_r i))), each in I.
 
     Lemma: the quotient satisfies the four properties of `audit`.  Its
     operators L'_g are pi L_g on the survivors, so pi L_g = L'_g pi, and
-    L'_g is well defined on ring/I because L_g(I) lies in I.  1: a term of
+    L'_g is well defined on parent/I because L_g(I) lies in I.  1: a term of
     pi(g*x) is the image of a term of g*x, of degree deg g + deg x, and
     identified classes share their order, so p^{e_x} kills pi(g*x).  2:
     L'_g(1) = pi(g*1) = pi(g).  3: L'_g L'_h pi = pi L_g L_h = pi L_h L_g =
-    L'_h L'_g pi, and pi is onto, so the L'_g commute.  4: a surviving
-    class k has a parent word k = c*g*e_j; neither g nor j is killed, or k
-    would lie in the ideal I, so L'_g pi(e_j) = pi(g*e_j) = c^{-1} pi(e_k)
-    is a column of L'_g, and the quotient's lazy `words` finds it.
+    L'_h L'_g pi, and pi is onto, so the L'_g commute.  4: a surviving class
+    k has a parent word k = c*g*e_j; neither g nor j is killed, or k would
+    lie in the ideal I, so L'_g pi(e_j) = pi(g*e_j) = c^{-1} pi(e_k) is a
+    column of L'_g, and the quotient's lazy `words` finds it.
     """
-    n, names = len(ring.basis), [b.name for b in ring.basis]
-    killed = {ring.index_of(name) for name in killed_names}
-    if ring.unit in killed:
+    basis, gens, row, n = parent.basis, parent.generators, parent.row, len(parent.basis)
+    killed = {parent.index_of(name) for name in killed_names}
+    if parent.unit in killed:
         raise OmegaModelError("the unit cannot be killed")
     root = list(range(n))
 
     def find(x: int) -> int:
         while root[x] != x:
-            x = root[x]
+            root[x] = x = root[root[x]]
         return x
 
-    pairs = [(ring.index_of(a), ring.index_of(b)) for a, b in identified]
+    pairs = [(parent.index_of(a), parent.index_of(b)) for a, b in identified]
     while pairs:
         a, b = pairs.pop()
         ra, rb = find(a), find(b)
         if ra == rb:
             continue
-        A, B = ring.basis[a], ring.basis[b]
+        A, B = basis[a], basis[b]
         for what, x, y in (
             ("degrees", A.degree, B.degree),
             ("torsion exponents", A.torsion_exp, B.torsion_exp),
@@ -484,35 +514,29 @@ def ring_quotient(ring: PresentedRing, killed_names=(), identified=()) -> Presen
                     f"cannot identify {A.name} with {B.name}: {what} {x} and {y}"
                 )
         root[max(ra, rb)] = min(ra, rb)
-        for g, op in ring.ops.items():
-            (ka, ca), (kb, cb) = op.get(a, (a, 0)), op.get(b, (b, 0))  # a zero column is 0*e_a
-            if ca != cb:
-                raise OmegaModelError(
-                    f"identifying {A.name} with {B.name} needs {names[g]}*{A.name} "
-                    f"- {names[g]}*{B.name} to be a difference of two equal single terms"
-                )
-            if ca:
-                pairs.append((ka, kb))  # the classes of the two terms
+        ta, tb = row(a), row(b)
+        if ta.keys() != tb.keys() or any(c != tb[g][1] for g, (_, c) in ta.items()):
+            raise OmegaModelError(  # naming the first g whose terms differ, a zero one 0*e_a
+                "identifying {0} with {1} needs {2}*{0} - {2}*{1} to be a difference of two equal "
+                "single terms".format(A.name, B.name, basis[min((g for g in ta.keys() | tb.keys()
+                    if ta.get(g, (a, 0))[1] != tb.get(g, (b, 0))[1]), key=gens.index)].name))
+        pairs.extend((k, tb[g][0]) for g, (k, _) in ta.items())  # the classes of the two terms
 
-    survivors = sorted(
-        {find(k) for k in range(n) if k not in killed},
-        key=lambda k: (ring.basis[k].degree, names[k]),
-    )
+    roots = [find(k) for k in range(n)]
+    survivors = sorted({r for k, r in enumerate(roots) if k not in killed},
+                       key=lambda k: (basis[k].degree, basis[k].name))
     new = {k: i for i, k in enumerate(survivors)}
-    image = {k: new[find(k)] for k in range(n) if k not in killed}
-    basis = tuple(ring.basis[k] for k in survivors)
-    ops = {}
-    for g, op in ring.ops.items():
-        for x in sorted(killed):
-            if (t := op.get(x)) is not None and t[0] in image:
-                raise OmegaModelError(
-                    f"the killed classes span no ideal: {names[g]}*{names[x]} has a term "
-                    f"{basis[image[t[0]]].name}"
-                )
-        if g in image:
-            ops[image[g]] = {new[x]: (image[k], c) for x, (k, c) in op.items()
-                             if x in new and k in image}
-    return PresentedRing(ring.p, basis, image[ring.unit], ops)
+    image = [None if k in killed else new[r] for k, r in enumerate(roots)]
+    if bad := sorted((gens.index(g), x, basis[g].name, basis[x].name, basis[roots[k]].name)
+                     for x in killed for g, (k, _) in row(x).items() if image[k] is not None):
+        raise OmegaModelError("the killed classes span no ideal: {2}*{3} has a term {4}"
+                              .format(*bad[0]))
+    ops: dict[int, Operator] = {image[g]: {} for g in gens if image[g] is not None}
+    for i, x in enumerate(survivors):
+        for g, (k, c) in row(x).items():
+            if (gi := image[g]) is not None and (ki := image[k]) is not None:
+                ops[gi][i] = (ki, c)
+    return PresentedRing(parent.p, tuple(basis[k] for k in survivors), image[parent.unit], ops)
 
 
 # ---------------------------------------------------------------------------

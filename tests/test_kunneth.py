@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rostcalc import catalog, kunneth
+import rostcalc
+from rostcalc import catalog, kunneth, omega
 from rostcalc.catalog import (
     bar_rost_ring,
     build_excellent_quadric_chow,
@@ -501,7 +502,13 @@ def test_kunneth_quotient_ring_is_pinned(entry):
 
 
 @pytest.mark.parametrize(
-    "p, ns", [(2, (2, 2, 2, 2)), (3, (2, 2, 2)), (3, (2, 3)), (2, (3, 2, 4)), (5, (2, 2))]
+    "p, ns",
+    [
+        (2, (2, 2, 2, 2)), (3, (2, 2, 2)), (3, (2, 3)), (2, (3, 2, 4)), (5, (2, 2)),
+        # the two cor-1.3 items of the frontier workload: full tensors of 729
+        # and 625 classes
+        (5, (2, 2, 2)), (3, (2, 2, 2, 2)),
+    ],
 )
 def test_folded_word_ring_is_the_quotient_of_the_full_tensor(p, ns):
     # (A/I) (x) B = (A (x) B)/(I (x) B): folding J in factor by factor gives
@@ -513,6 +520,8 @@ def test_folded_word_ring_is_the_quotient_of_the_full_tensor(p, ns):
     full.audit()
     folded.audit()
     assert folded.to_json() == full.to_json()
+    assert folded.basis == full.basis
+    assert folded.ops == full.ops
 
 
 @pytest.mark.parametrize("p, ns", [(3, (2, 2, 2)), (2, (2, 2, 2, 2)), (2, (3, 2, 4))])
@@ -530,6 +539,20 @@ def test_every_fold_stage_passes_the_audit(monkeypatch, p, ns):
     assert len(stages) == len(ns) - 1
     for stage in stages:
         stage.audit()
+
+
+def test_the_fold_never_builds_a_tensor_ring(monkeypatch):
+    # each stage is a quotient of the lazy TensorParent: ring_tensor, under
+    # every name the package binds it to, must not run
+    def refuse(*args):
+        raise AssertionError("the word ring built a tensor ring")
+
+    for mod in vars(rostcalc).values():
+        if getattr(mod, "ring_tensor", None) is ring_tensor:
+            monkeypatch.setattr(mod, "ring_tensor", refuse)
+    assert omega.ring_tensor is refuse and catalog.ring_tensor is refuse
+    assert len(kunneth._word_ring(5, (2, 2, 2), 1).basis) == 5**3 + 3 * 4 * 5**2
+    assert len(kunneth._word_ring(3, (2, 3), 1).basis) == 3**2 + 2 * 2 * 3
 
 
 def test_word_rings_are_built_once_and_frozen():

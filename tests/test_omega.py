@@ -31,6 +31,7 @@ from rostcalc.omega import (
     chow_collapse,
     ideal_generators,
     ideal_power_witness,
+    TensorParent,
     ring_quotient,
     ring_tensor,
     torsion_ideal,
@@ -545,6 +546,62 @@ def test_ring_quotient_rejects_a_non_ideal_of_a_tensor():
         ),
     ):
         ring_quotient(T, ["c_1(y_1)"])
+
+
+def gr_m_factors():
+    return gr_m_rost_ring(3, 2, 1, var="y_1"), gr_m_rost_ring(3, 2, 1, var="y_2")
+
+
+def chow_factors():
+    return chow_rost_ring(2, 2, var="y_1"), chow_rost_ring(2, 3, var="y_2")
+
+
+def torsion_unit_factors():
+    # F_3[t]/(t^2), whose unit has order 3, so every free class of the Chow
+    # factor gets order 3 in the tensor: c_0(y)*c_0(y) = 3 c_0(y^2) vanishes
+    basis = (BasisClass("1", 0, 1), BasisClass("t", 2, 1))
+    ring = PresentedRing(3, basis, 0, {1: {0: (1, 1)}})
+    ring.audit()
+    return ring, chow_rost_ring(3, 2)
+
+
+@pytest.mark.parametrize(
+    "factors, killed, pairs, message",
+    [
+        (gr_m_factors, (), [("c_1(y_1)", "c_1(y_1^2)")], "degrees 2 and 6"),
+        (chow_factors, (), [("c_0(y_2)", "c_0(y_1)*c_2(y_2)")], "torsion exponents 0 and 1"),
+        (gr_m_factors, (), [("c_0(y_1)", "c_0(y_2)")], "difference of two equal single terms"),
+        (gr_m_factors, (), [("c_1(y_1)", "c_1(y_2)")], "difference of two equal single terms"),
+        (gr_m_factors, ["c_1(y_1)"], (), "the killed classes span no ideal"),
+        (gr_m_factors, ["1"], (), "the unit cannot be killed"),
+        (gr_m_factors, ["c_9(y_1)"], (), "no basis class named 'c_9\\(y_1\\)'"),
+        (gr_m_factors, (), [("c_0(y_1)", "c_9(y_2)")], "no basis class named"),
+    ],
+)
+def test_a_tensor_parent_fails_as_its_written_out_ring_does(factors, killed, pairs, message):
+    # ring_quotient reads the lazy tensor and the built one alike, so each
+    # error names the same classes and generator
+    A, B = factors()
+    raised = []
+    for parent in (TensorParent(A, B), ring_tensor(A, B)):
+        with pytest.raises(OmegaModelError, match=message) as err:
+            ring_quotient(parent, killed, pairs)
+        raised.append(str(err.value))
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("factors", [gr_m_factors, chow_factors, torsion_unit_factors])
+def test_a_tensor_parent_with_no_pairs_gives_the_audited_tensor(factors):
+    A, B = factors()
+    T = TensorParent(A, B)
+    for x, b in enumerate(T.basis):  # every row term canonical and nonzero
+        for k, c in T.row(x).values():
+            assert c and c == _canon_coeff(c, T.basis[k].torsion_exp, T.p), (b.name, k, c)
+    ring = ring_quotient(T)
+    ring.audit()
+    built = ring_tensor(A, B)
+    assert ring.to_json() == ring_quotient(built).to_json()
+    assert sorted(ring.basis, key=lambda b: b.name) == sorted(built.basis, key=lambda b: b.name)
 
 
 # tensors of certified factors, so certified, not audited: two factors at

@@ -28,7 +28,7 @@ from rostcalc.graded import (
 )
 from rostcalc.km import KmPresentation
 from rostcalc.kunneth import BarKmModel, JGenerator
-from rostcalc.omega import BasisClass, OmegaImageModel, PresentedRing
+from rostcalc.omega import BasisClass, OmegaImageModel, PresentedRing, TensorParent
 from rostcalc.record import Frozen, Record
 from rostcalc.report import TheoremReport
 
@@ -56,14 +56,15 @@ FROZEN = {
     BasisClass: lambda: BasisClass("1", 0, 0),
     # the uncached builder: chow_rost_ring returns one shared ring per process
     PresentedRing: lambda: catalog._chow_rost_ring.__wrapped__(3, 2, "y"),
+    TensorParent: lambda: TensorParent(chow_rost_ring(3, 2, "y_1"), chow_rost_ring(3, 2, "y_2")),
     JGenerator: lambda: JGenerator(1, 2, 1, 1, 1),
     BarKmModel: lambda: BarKmModel(3, (2, 2), 1),
 }
 
 
-def test_the_package_has_16_records_and_these_12_are_frozen():
+def test_the_package_has_17_records_and_these_13_are_frozen():
     classes = records()
-    assert len(classes) == 16
+    assert len(classes) == 17
     assert {cls for cls in classes if issubclass(cls, Frozen)} == set(FROZEN)
 
 

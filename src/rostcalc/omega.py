@@ -424,8 +424,8 @@ class TensorParent(Frozen):
     index_of = PresentedRing.index_of
 
     def row(self, x: int) -> dict[int, tuple[int, int]]:
-        """The factors' rows at a_i and b_j, lifted; `_canon_coeff` reduces
-        each coefficient, as a coefficient p can land on a class of order p."""
+        """The factors' rows at a_i and b_j, lifted; `_canon_coeff` reduces a
+        coefficient where the order drops, as a p can land on a class of order p."""
         row_a, row_b, exp, exp_a, exp_b, nb, ua, ub = self._lift
         (i, j), p, out = divmod(x, nb), self.p, {}
         for g, (k, c) in row_a(i).items():
@@ -481,10 +481,10 @@ def ring_quotient(parent, killed_names=(), identified=()) -> PresentedRing:
     pi(g*x) is the image of a term of g*x, of degree deg g + deg x, and
     identified classes share their order, so p^{e_x} kills pi(g*x).  2:
     L'_g(1) = pi(g*1) = pi(g).  3: L'_g L'_h pi = pi L_g L_h = pi L_h L_g =
-    L'_h L'_g pi, and pi is onto, so the L'_g commute.  4: a surviving class
-    k has a parent word k = c*g*e_j; neither g nor j is killed, or k would
-    lie in the ideal I, so L'_g pi(e_j) = pi(g*e_j) = c^{-1} pi(e_k) is a
-    column of L'_g, and the quotient's lazy `words` finds it.
+    L'_h L'_g pi, and pi is onto, so the L'_g commute.  4: a surviving
+    class k has a parent word k = c*g*e_j; neither g nor j is killed, or k
+    would lie in the ideal I, so L'_g pi(e_j) = pi(g*e_j) = c^{-1} pi(e_k)
+    is a column of L'_g, and the quotient's lazy `words` finds it.
     """
     basis, gens, row, n = parent.basis, parent.generators, parent.row, len(parent.basis)
     killed = {parent.index_of(name) for name in killed_names}

@@ -543,7 +543,8 @@ def test_every_fold_stage_passes_the_audit(monkeypatch, p, ns):
 
 def test_the_fold_never_builds_a_tensor_ring(monkeypatch):
     # each stage is a quotient of the lazy TensorParent: ring_tensor, under
-    # every name the package binds it to, must not run
+    # every name the package binds it to, must not run; the fixture has
+    # emptied the caches, so every stage is built here
     def refuse(*args):
         raise AssertionError("the word ring built a tensor ring")
 

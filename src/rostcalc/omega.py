@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 
 from .exact_linalg import SpanSolver, is_prime, pvaluation
 from .graded import GradedFPModule, GradedMap, cyclic_summands
@@ -172,19 +171,10 @@ class BasisClass(Frozen):
         object.__setattr__(self, "torsion_exp", torsion_exp)  # 0 = free, e >= 1: order p^e
 
 
-def _canon_coeff(c, exp: int, p: int):
-    """Canonical representative of a Z_(p) scalar modulo p^exp (exp=0: exact),
-    for an int or a Fraction only: a float or a bool is refused."""
-    if type(c) is int:
-        return c % p**exp if exp else c
-    if type(c) is not Fraction:
-        raise OmegaModelError(f"coefficient {c!r} is not an int or a Fraction")
-    if c.denominator % p == 0:
-        raise OmegaModelError("coefficient is not p-local")
-    if exp == 0:
-        return int(c) if c.denominator == 1 else c
-    mod = p**exp
-    return (c.numerator * pow(c.denominator, -1, mod)) % mod
+def _canon_coeff(c: int, exp: int, p: int) -> int:
+    """The canonical representative of the int c on a class of order p^exp:
+    c mod p^exp, or c itself on a free class (exp = 0)."""
+    return c % p**exp if exp else c
 
 
 Operator = dict[int, tuple[int, int]]  # columns x -> the term (k, c) of L(x) = c*e_k; zero absent
@@ -195,11 +185,12 @@ class PresentedRing(Frozen):
     of its generators: ops[g][x] = (k, c) is the term g*x = c*e_k, and a
     zero column is absent.  One term is the only column format.
 
-    The generators are the keys of `ops`, in order in `generators`.
-    Coefficients are made canonical on construction, and a column that is
-    not a (class, coefficient) pair on the basis is refused; `audit`
-    certifies that the operators define a ring.  Frozen, and the caches of
-    `words`, `operator` and `row` are deterministic, so callers share rings.
+    The generators are the keys of `ops`, in order in `generators`.  A
+    column must be a (class, coefficient) pair on the basis with an int
+    coefficient, reduced mod p^e on a class of order p^e (`_canon_coeff`),
+    and a unit on a free class must be 1 or -1.  `audit` certifies that the
+    operators define a ring.  Frozen, and the caches of `words`, `operator`
+    and `row` are deterministic, so callers share rings.
     """
 
     _fields = ("p", "basis", "unit", "ops")
@@ -217,7 +208,8 @@ class PresentedRing(Frozen):
         object.__setattr__(self, "_derived", {})
         if not 0 <= self.unit < n:
             raise OmegaModelError(f"unit index {self.unit} names no basis class")
-        canon, valid, exps = {}, range(n), [b.torsion_exp for b in basis]
+        canon, valid = {}, range(n)
+        mods = [p**b.torsion_exp if b.torsion_exp else 0 for b in basis]  # 0: free
         for g, op in ops.items():
             if not 0 <= g < n:
                 raise OmegaModelError(f"generator index {g} names no basis class")
@@ -231,8 +223,14 @@ class PresentedRing(Frozen):
                     raise OmegaModelError(f"column {x} of L_{names[g]} is {term!r}, "
                                           "not a (class, coefficient) pair on the basis")
                 k, c = term
-                if r := _canon_coeff(c, exps[k], p):
-                    col[x] = term if r is c else (k, r)  # a canonical term is kept
+                if type(c) is not int:
+                    raise OmegaModelError(f"coefficient {c!r} of L_{names[g]} is not an int")
+                if (mod := mods[k]) and not 0 <= c < mod:  # a canonical term is kept
+                    term = k, (c := c % mod)
+                elif not mod and c % p and c not in (1, -1):
+                    raise OmegaModelError(f"L_{names[g]}: unit {c} on free {names[k]}, not 1 or -1")
+                if c:
+                    col[x] = term
         object.__setattr__(self, "ops", canon)
         object.__setattr__(self, "generators", tuple(canon))
 
@@ -354,18 +352,18 @@ class PresentedRing(Frozen):
     def words(self) -> dict[int, tuple[int, int, int]]:
         """Every class k but the unit as a word (c, g, j), k = c*g*e_j with
         c a unit and e_j the unit or of lower degree: read off a generator
-        column ops[g][j] = (k, c) with c a unit.  Raises if some
-        class has no such column; a hand-built ring lists that class as a
-        generator."""
+        column ops[g][j] = (k, d) with d a unit, c its inverse mod p^e on a
+        class of order p^e and d itself, 1 or -1, on a free class.  Raises
+        if some class has no such column; a hand-built ring lists that class
+        as a generator."""
         if self._words is not None:
             return self._words
         p, ops, basis, deg = self.p, self.ops, self.basis, [b.degree for b in self.basis]
         words: dict[int, tuple[int, int, int]] = {}
         for g, op in ops.items():
             for j, (k, c) in op.items():
-                if (k not in words and (j == self.unit or deg[g] > 0)
-                        and (c if isinstance(c, int) else c.numerator) % p):
-                    words[k] = (_canon_coeff(1 / Fraction(c), basis[k].torsion_exp, p), g, j)
+                if k not in words and (j == self.unit or deg[g] > 0) and c % p:
+                    words[k] = (pow(c, -1, p**e) if (e := basis[k].torsion_exp) else c, g, j)
         if rest := [k for k in range(len(basis)) if k != self.unit and k not in words]:
             d = min(deg[k] for k in rest)
             unspanned = ", ".join(basis[k].name for k in rest if deg[k] == d)
@@ -385,7 +383,7 @@ class PresentedRing(Frozen):
                 for b in self.basis
             ],
             "mult": {
-                f"{i},{j}": {str(k): str(c) if isinstance(c, Fraction) else c}
+                f"{i},{j}": {str(k): c}
                 for i in range(len(self.basis))
                 for j, (k, c) in sorted(self.operator(i).items())
             },
@@ -564,6 +562,7 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
     translate reaches its term.  A product a*v^J*Y is a/c times the class
     carrying its term when v_p(c) <= v_p(a), zero when mu <= v_p(a) and no
     class carries it that way, and outside the image submodule otherwise.
+    Each a and c is a power of p, so a/c is an int; checked.
     """
     if model.nfactors != 1:
         raise OmegaModelError("collapse implemented for single-factor models")
@@ -608,8 +607,10 @@ def chow_collapse(model: OmegaImageModel) -> PresentedRing:
             continue
         a, v, y = term
         name = carrier.get((v, y))
-        if name is not None and pvaluation(terms[name][0], p) <= pvaluation(a, p):
-            ops[g][x] = (index[name], Fraction(a, terms[name][0]))
+        if name is not None and pvaluation(c := terms[name][0], p) <= pvaluation(a, p):
+            if a % c:
+                raise OmegaModelError(f"{basis[g].name}*{basis[x].name} is {a}/{c} times {name}")
+            ops[g][x] = (index[name], a // c)
         elif (mu := translate_valuation(v, y)) is None or mu > pvaluation(a, p):
             raise OmegaModelError("element is not in the image submodule")
     ring = PresentedRing(p, tuple(basis), unit, ops)
@@ -660,12 +661,8 @@ def ideal_generators(ring: PresentedRing, names) -> tuple[str, ...]:
     for g in ring.ops:
         if ring.basis[g].degree <= 0:
             raise OmegaModelError(f"generator {ring.basis[g].name} has degree <= 0")
-    idx, hit = {ring.index_of(nm) for nm in names}, set()
-    for op in ring.ops.values():
-        for x in idx & op.keys():
-            k, c = op[x]
-            if (c if isinstance(c, int) else c.numerator) % ring.p:
-                hit.add(k)
+    idx = {ring.index_of(nm) for nm in names}
+    hit = {op[x][0] for op in ring.ops.values() for x in idx & op.keys() if op[x][1] % ring.p}
     return tuple(nm for nm in names if ring.index_of(nm) not in hit)
 
 

@@ -293,18 +293,11 @@ def build_gr_m_rost(p: int, n: int, m: int) -> CatalogObject:
 
 
 def build_product_rost(p: int, n: int) -> CatalogObject:
-    return product_rost(chow_rost_ring(p, n, var="y_1"), n)
-
-
-def product_rost(chow1: PresentedRing, n: int) -> CatalogObject:
-    """Two-factor product: the Chow ring chow1 = chow_rost_ring(p, n,
-    var="y_1") of the first factor tensored with the split truncated
-    polynomial ring of the second.  A caller that needs chow1 as well
-    (`kunneth.kunneth_map`) builds it once and hands it to both."""
-    p = chow1.p
+    """Two-factor product: the Chow ring of the first factor tensored with
+    the split truncated polynomial ring of the second."""
     bar1 = bar_rost_ring(p, n, var="y_1")
     bar2 = bar_rost_ring(p, n, var="y_2")
-    ring = ring_tensor(chow1, bar2)
+    ring = ring_tensor(chow_rost_ring(p, n, var="y_1"), bar2)
     bar = ring_tensor(bar1, bar2)
     rules = {
         tensor_name(src, _power("y_2", j)): tuple(

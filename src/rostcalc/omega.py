@@ -23,11 +23,11 @@ v_m alone (the row-splitting lemma in `chow_collapse` and
 
 A `PresentedRing` is the operators L_g : x -> g*x of its generators g on an
 explicit basis, each column one term (k, c) for g*x = c*e_k, certified by
-the commuting-operator criterion in `audit`; every other product is read
-off words in the generators.  `chow_collapse`, `ring_tensor` and
-`ring_quotient` emit operators, not product tables; on a `TensorParent`,
-the tensor left implicit, `ring_quotient` folds a word-ring stage with no
-tensor ring built.  `chow_collapse` and the catalog rings are audited; the
+the commuting-operator criterion in `audit`; `multiply` reads every other
+product off words in the generators, one term at a time.  `chow_collapse`,
+`ring_tensor` and `ring_quotient` emit operators, not product tables; on a
+`TensorParent`, the tensor left implicit, `ring_quotient` folds a word-ring
+stage with no tensor ring built.  `chow_collapse` and the catalog rings are audited; the
 tensors and quotients of certified rings are certified (`ring_quotient`),
 so only the rings at the leaves of a build are audited.
 """
@@ -189,8 +189,9 @@ class PresentedRing(Frozen):
     column must be a (class, coefficient) pair on the basis with an int
     coefficient, reduced mod p^e on a class of order p^e (`_canon_coeff`),
     and a unit on a free class must be 1 or -1.  `audit` certifies that the
-    operators define a ring.  Frozen, and the caches of `words`, `operator`
-    and `row` are deterministic, so callers share rings.
+    operators define a ring, and `multiply` is its one product of classes, a
+    term times a class.  Frozen, and the caches of `words` and `row` are
+    deterministic, so callers share rings.
     """
 
     _fields = ("p", "basis", "unit", "ops")
@@ -205,7 +206,6 @@ class PresentedRing(Frozen):
         object.__setattr__(self, "_index", {name: k for k, name in enumerate(names)})
         object.__setattr__(self, "_words", None)
         object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_derived", {})
         if not 0 <= self.unit < n:
             raise OmegaModelError(f"unit index {self.unit} names no basis class")
         canon, valid = {}, range(n)
@@ -258,38 +258,18 @@ class PresentedRing(Frozen):
         c = _canon_coeff(scale * term[1] * c, self.basis[k].torsion_exp, self.p)
         return (k, c) if c else None
 
-    def multiply(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-        """The product of two vectors, each {class: coefficient}."""
-        out: dict = {}
-        for k, cb in b.items():
-            op = self.operator(k)
-            for x, ca in a.items():
-                if (t := op.get(x)) is not None:
-                    out[t[0]] = out.get(t[0], 0) + ca * cb * t[1]
-        basis, p = self.basis, self.p
-        return {j: r for j, c in out.items() if (r := _canon_coeff(c, basis[j].torsion_exp, p))}
-
-    def operator(self, k: int) -> Operator:
-        """L_k : x -> k*x, in the format of ops.  For a generator this is
-        ops[k]; for any other class it is derived from the word of k
-        (`words`) and cached.  Only L_k is kept: the classes on its chain of
-        words are passed through."""
-        op = self.ops.get(k, self._derived.get(k))
-        if op is None and k == self.unit:
-            op = self._derived[k] = {x: (x, 1) for x in range(len(self.basis))}
-        if op is not None:
-            return op
-        words, chain = self.words(), [k]
-        j = words[k][2]
-        while j not in self.ops and j not in self._derived and j != self.unit:
-            chain.append(j)  # down the words from k to a class whose operator is known
-            j = words[j][2]
-        op = self.operator(j)
-        for x in reversed(chain):  # back up, holding only the previous step L_j
-            c, g, _ = words[x]  # L_x = c L_g L_j
-            op = {y: t for y, term in op.items() if (t := self._apply(self.ops[g], term, c))}
-        self._derived[k] = op
-        return op
+    def multiply(self, term: tuple[int, int] | None, k: int) -> tuple[int, int] | None:
+        """The canonical term of e_k * (c*e_x) for a canonical term = (x, c);
+        None is zero, as argument and as result.  A generator k is one
+        column of ops[k].  Any other class walks down its words e_k =
+        c'*g*e_j (`words`) to a generator or the unit, applying c'*L_g at
+        each step, as e_k*t = e_j*(c'*g*t) in a certified ring.  The walk is
+        a loop, not a recursion, and keeps nothing; the unit returns the
+        term as it is."""
+        while k not in self.ops and k != self.unit:
+            c, g, k = self.words()[k]
+            term = self._apply(self.ops[g], term, c)
+        return self._apply(self.ops[k], term) if k in self.ops else term
 
     def module(self) -> GradedFPModule:
         return cyclic_summands(self.p, ((b.degree, b.torsion_exp, b.name) for b in self.basis))
@@ -319,9 +299,10 @@ class PresentedRing(Frozen):
         if P(L)*1 = Q(L)*1 then (P - Q)(L)*b = P_b(L)(P - Q)(L)*1 = 0, as the
         L_g commute.  It is commutative, associative and has unit 1, and it
         is graded by 1.  By 2, T_g is a P_g for the class g, so
-        multiplication by g is L_g, and `multiply` reads each P_a off the
-        words.  The work is |G|^2 operator products on nonzero columns, one
-        term each, with no table of N^2 products.
+        multiplication by g is L_g.  The word c*g*e_j of a basis class a
+        gives P_a = c*T_g*P_j, so a*b = e_j*(c*g*b), which `multiply` reads
+        down the words.  The work is |G|^2 operator products on nonzero
+        columns, one term each, with no table of N^2 products.
         """
         names = [b.name for b in self.basis]
         deg = [b.degree for b in self.basis]
@@ -372,22 +353,6 @@ class PresentedRing(Frozen):
             )
         object.__setattr__(self, "_words", words)
         return words
-
-    def to_json(self) -> dict:
-        """The ring with its full product table, the one place it is built."""
-        return {
-            "p": self.p,
-            "unit": self.unit,
-            "basis": [
-                {"name": b.name, "degree": b.degree, "torsion_exp": b.torsion_exp}
-                for b in self.basis
-            ],
-            "mult": {
-                f"{i},{j}": {str(k): c}
-                for i in range(len(self.basis))
-                for j, (k, c) in sorted(self.operator(i).items())
-            },
-        }
 
 
 def tensor_name(a: str, b: str) -> str:
@@ -670,36 +635,38 @@ def ideal_power_witness(
     ring: PresentedRing, generators, s: int
 ) -> tuple[tuple[str, ...], tuple[tuple[str, int], ...], int] | None:
     """First nonzero s-fold product of ideal generators as (factor names,
-    product vector by class name, degree), or None if T^s = 0.
+    ((class name, coefficient),), degree), or None if T^s = 0.
 
     Products of s general ideal elements are ring-linear combinations of
     s-fold products of the generators, so exhausting those products is a
     complete zero-ness certificate.  The non-decreasing index tuples are
     walked depth first, in `combinations_with_replacement` order, and each
-    prefix is multiplied once.  A zero prefix is not extended: the product is
-    associative, so every extension of it is zero too.
+    prefix is multiplied once.  A product of basis classes is one term
+    (`PresentedRing.multiply`), so each prefix carries one.  A zero prefix
+    is not extended: the product is associative, so every extension of it
+    is zero too.
     """
     if s < 1:
         raise OmegaModelError("power must be >= 1")
     idx = sorted(ring.index_of(g) for g in generators)
 
-    def first(combo: tuple[int, ...], start: int, acc: dict[int, int]):
-        """The first s-fold extension of combo, whose product is acc, with a
-        nonzero product: (indices, product), or None."""
+    def first(combo: tuple[int, ...], start: int, acc: tuple[int, int]):
+        """The first s-fold extension of combo, whose product is the term
+        acc, with a nonzero product: (indices, product term), or None."""
         if len(combo) == s:
             return combo, acc
         for pos in range(start, len(idx)):
-            nxt = ring.multiply(acc, {idx[pos]: 1})
+            nxt = ring.multiply(acc, idx[pos])
             if nxt and (found := first(combo + (idx[pos],), pos, nxt)):
                 return found
         return None
 
-    found = first((), 0, {ring.unit: 1})
+    found = first((), 0, (ring.unit, 1))
     if found is None:
         return None
-    combo, acc = found
+    combo, (x, c) = found
     return (
         tuple(ring.basis[k].name for k in combo),
-        tuple((ring.basis[k].name, c) for k, c in sorted(acc.items())),
+        ((ring.basis[x].name, c),),
         sum(ring.basis[k].degree for k in combo),
     )

@@ -94,8 +94,7 @@ def test_criterion_6_noninjectivity_with_antivacuity():
         assert report.verdict == "verified", (p, report.notes)
         assert report.witnesses, p
     # the two halves, re-established directly against the artifacts
-    target = catalog_build("product_rost", {"p": 2, "n": 2})
-    f = kunneth_map(chow_rost_ring(2, 2, var="y_1"), 2, target)
+    f = kunneth_map(chow_rost_ring(2, 2, var="y_1"), 2)
     d, i = f.source.generator_index("1*c_1(y_2)")
     assert i not in f.columns.get(d, {})  # maps to zero
     kernel = verify_theorem("remark-4.2-negative", {"p": 2}).left["kernel_classes"]

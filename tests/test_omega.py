@@ -5,15 +5,19 @@ import itertools
 import json
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from ring_oracle import product_table, ring_json, vector_product
 
+from rostcalc import catalog
 from rostcalc.catalog import (
     build_chow_rost,
     build_pfister_neighbor_chow,
+    build_product_rost,
     chow_rost_ring,
     gr_m_rost_ring,
     pfister_neighbor_ring,
@@ -133,14 +137,17 @@ def toy_ring():
 def test_presented_ring_multiply_and_power():
     R = toy_ring()
     R.audit()
-    t = {R.index_of("t"): 1}
-    assert R.multiply(t, t) == {2: 1}
-    assert R.multiply(R.multiply(t, t), t) == {}
-    # a non-generator class multiplies through its derived operator
-    assert R.multiply(t, {2: 1}) == {}
-    assert R.multiply({0: 1}, {2: 1}) == {2: 1}
+    t = R.index_of("t")
+    assert R.multiply((t, 1), t) == (2, 1)
+    assert R.multiply(R.multiply((t, 1), t), t) is None
+    # a non-generator class multiplies through its word t2 = t*t
+    assert R.multiply((t, 1), 2) is None
+    assert R.multiply((0, 1), 2) == (2, 1)
+    # the unit returns the term; zero stays zero
+    assert R.multiply((2, 1), 0) == (2, 1)
+    assert R.multiply(None, t) is None
     # torsion coefficients are reduced mod p
-    assert R.multiply({1: 2}, t) == {}
+    assert R.multiply((1, 2), t) is None
 
 
 def test_audit_catches_broken_unit():
@@ -207,15 +214,21 @@ def test_a_unit_on_a_free_class_is_plus_or_minus_one():
     assert ring.ops == {1: {0: (2, -1), 1: (2, 6)}}
 
 
-def test_a_unit_on_a_torsion_class_is_inverted_mod_its_order():
-    # over Z_(5): x free in degree 2 and t of order 5 in degree 4, x^2 = 2t;
-    # the word of t is 3*x*x, as 3*2 = 1 mod 5
+def inverted_unit_ring():
+    """Over Z_(5): x free in degree 2 and t of order 5 in degree 4, x^2 = 2t;
+    the word of t is 3*x*x, as 3*2 = 1 mod 5."""
     basis = (BasisClass("1", 0, 0), BasisClass("x", 2, 0), BasisClass("t", 4, 1))
-    ring = PresentedRing(p=5, basis=basis, unit=0, ops={1: {0: (1, 1), 1: (2, 2)}})
+    return PresentedRing(p=5, basis=basis, unit=0, ops={1: {0: (1, 1), 1: (2, 2)}})
+
+
+def test_a_unit_on_a_torsion_class_is_inverted_mod_its_order():
+    ring = inverted_unit_ring()
     ring.audit()
     assert ring.words() == {1: (1, 1, 0), 2: (3, 1, 1)}
-    assert ring.multiply({1: 1}, {1: 1}) == {2: 2}
-    assert ring.multiply({1: 3}, {1: 1}) == {2: 1}
+    assert ring.multiply((1, 1), 1) == (2, 2)
+    assert ring.multiply((1, 3), 1) == (2, 1)
+    # t*1 walks the word: 3*x*x = 3*2t = t
+    assert ring.multiply((0, 1), 2) == (2, 1)
 
 
 def test_audit_catches_two_noncommuting_generators():
@@ -245,6 +258,12 @@ def test_ring_tensor_torsion_exponents():
     assert "1" in by_name and "1*1" not in by_name
 
 
+def named_product(ring, a, b):
+    """The product of the classes named a and b as (name, coefficient), or None."""
+    t = ring.multiply((ring.index_of(a), 1), ring.index_of(b))
+    return t and (ring.basis[t[0]].name, t[1])
+
+
 def test_chow_collapse_reproduces_structure_constants():
     for p, n in itertools.product((2, 3, 5, 7), (2, 3, 4)):
         collapsed = chow_collapse(OmegaImageModel(p=p, factor_ns=(n,)))
@@ -253,11 +272,7 @@ def test_chow_collapse_reproduces_structure_constants():
         assert [b.name for b in collapsed.basis] == names
         for a in names:
             for b in names:
-                left = collapsed.multiply({collapsed.index_of(a): 1}, {collapsed.index_of(b): 1})
-                right = reference.multiply({reference.index_of(a): 1}, {reference.index_of(b): 1})
-                left_named = {collapsed.basis[k].name: c for k, c in left.items()}
-                right_named = {reference.basis[k].name: c for k, c in right.items()}
-                assert left_named == right_named, (a, b)
+                assert named_product(collapsed, a, b) == named_product(reference, a, b), (a, b)
 
 
 def test_chow_collapse_refuses_a_class_of_the_wrong_order(monkeypatch):
@@ -361,8 +376,10 @@ def truncated_polynomial_ring(p, top, generators=(1,)):
 def test_audit_accepts_truncated_polynomial_ring():
     ring = truncated_polynomial_ring(3, 35)
     ring.audit()
-    # a^34 is a word of length 34; its operator is derived without recursion
-    assert ring.multiply({17: 1}, {17: 1}) == {34: 1}
+    # a^33 is a chain of 32 words down to the generator a; multiply walks it
+    assert ring.multiply((17, 1), 17) == (34, 1)
+    assert ring.multiply((1, 1), 33) == (34, 1)
+    assert ring.multiply((2, 1), 33) is None
     truncated_polynomial_ring(3, 35, generators=(1, 3)).audit()
 
 
@@ -372,25 +389,23 @@ def operator_digest(op) -> str:
     return hashlib.sha256(json.dumps(cols).encode()).hexdigest()
 
 
-def test_operator_keeps_only_the_classes_asked_for():
-    # the digests were recorded when `operator` still kept every class of a
-    # chain; h^61 is a chain of 60 words down to the generator h
-    ring = pfister_neighbor_ring(5)
-    asked = []
-    for name, digest in [
-        ("h^61", "1e4b479541d64f234270b842376f7be6a9a228d899b0aec88c00b7be00f12401"),
-        ("u_1*h^29", "8966ca438760c817861ddc22db4ce47af0a6667b9d6a884c8310089aa5af66b6"),
-        ("h^30", "c7390df6dee76816b94534a2e227345ffbb422e7af28252bac89accc555aeb99"),
+def test_operator_digests_hold_on_the_oracle_and_on_multiply():
+    # the digests were recorded from the operator L_k of one class k, when
+    # the ring still derived and kept it; h^61 is a chain of 60 words down to
+    # the generator h.  The oracle's table and the terms of `multiply` by k
+    # both give them
+    pfister, words = pfister_neighbor_ring(5), kunneth_quotient_ring(2, 3, 1, 3)
+    for ring, name, digest in [
+        (pfister, "h^61", "1e4b479541d64f234270b842376f7be6a9a228d899b0aec88c00b7be00f12401"),
+        (pfister, "u_1*h^29", "8966ca438760c817861ddc22db4ce47af0a6667b9d6a884c8310089aa5af66b6"),
+        (pfister, "h^30", "c7390df6dee76816b94534a2e227345ffbb422e7af28252bac89accc555aeb99"),
+        (words, "c_0(y_1)*c_0(y_2)*c_0(y_3)",
+         "b077566b89db6f24bb94c9510293fa05c3dbdf173a2dfe42f9a410d002072a28"),
     ]:
-        asked.append(ring.index_of(name))
-        assert operator_digest(ring.operator(asked[-1])) == digest, name
-        assert list(ring._derived) == asked
-    assert ring.operator(asked[0]) is ring.operator(asked[0])
-    words = kunneth_quotient_ring(2, 3, 1, 3)
-    k = words.index_of("c_0(y_1)*c_0(y_2)*c_0(y_3)")
-    digest = "b077566b89db6f24bb94c9510293fa05c3dbdf173a2dfe42f9a410d002072a28"
-    assert operator_digest(words.operator(k)) == digest
-    assert list(words._derived) == [k]
+        k = ring.index_of(name)
+        by_term = {x: t for x in range(len(ring.basis)) if (t := ring.multiply((x, 1), k))}
+        assert operator_digest(product_table(ring)[k]) == digest, name
+        assert operator_digest(by_term) == digest, name
 
 
 def test_audit_catches_nonassociative_large_table():
@@ -488,7 +503,7 @@ def test_audit_compares_free_coefficients_exactly():
 
     good = ring(3)
     good.audit()
-    assert good.multiply({good.index_of("x"): 1}, {good.index_of("y"): 1}) == {4: 3}
+    assert good.multiply((good.index_of("x"), 1), good.index_of("y")) == (4, 3)
     with pytest.raises(OmegaModelError, match="L_x and L_y do not commute on 1"):
         ring(6).audit()
 
@@ -518,8 +533,8 @@ def test_audit_generation_needs_a_unimodular_span():
         t, d = ring.ops[g][j]
         assert (t, c * d) == (k, 1)
     x, u = ring.index_of("x"), ring.index_of("u")
-    assert ring.multiply({x: 1}, {u: 1}) == {}
-    assert ring.multiply({x: 1}, {x: 1}) == {u: 3}
+    assert ring.multiply((x, 1), u) is None
+    assert ring.multiply((x, 1), x) == (u, 3)
 
 
 def test_canon_coeff_reduces_integers():
@@ -540,8 +555,8 @@ def test_ring_quotient_needs_an_ideal():
     quotient = ring_quotient(ring, ["c_1(y)", "c_1(y^2)"])
     quotient.audit()
     assert [b.name for b in quotient.basis] == ["1", "c_0(y)", "c_0(y^2)"]
-    c0 = {quotient.index_of("c_0(y)"): 1}
-    assert quotient.multiply(c0, c0) == {quotient.index_of("c_0(y^2)"): 3}
+    c0 = quotient.index_of("c_0(y)")
+    assert quotient.multiply((c0, 1), c0) == (quotient.index_of("c_0(y^2)"), 3)
 
 
 def test_ring_quotient_identifies_only_classes_of_one_degree_and_order():
@@ -633,7 +648,7 @@ def test_a_tensor_parent_with_no_pairs_gives_the_audited_tensor(factors):
     ring = ring_quotient(T)
     ring.audit()
     built = ring_tensor(A, B)
-    assert ring.to_json() == ring_quotient(built).to_json()
+    assert ring_json(ring) == ring_json(ring_quotient(built))
     assert sorted(ring.basis, key=lambda b: b.name) == sorted(built.basis, key=lambda b: b.name)
 
 
@@ -669,9 +684,9 @@ def ideal_quotient_form(ring: PresentedRing, killed, pairs):
     every basis class w."""
     spans = [{ring.index_of(k): 1} for k in killed]
     spans += [{ring.index_of(a): 1, ring.index_of(b): -1} for a, b in pairs if a != b]
-    module, rels = ring.module(), []
+    module, rels, table = ring.module(), [], product_table(ring)
     for w, vec in itertools.product(range(len(ring.basis)), spans):
-        if prod := ring.multiply({w: 1}, vec):
+        if prod := vector_product(ring, table, {w: 1}, vec):
             d = ring.basis[min(prod)].degree
             rel = [0] * module.gens_at(d)
             for k, c in prod.items():
@@ -711,6 +726,51 @@ def test_ring_quotient_closes_the_pairs_under_the_generators():
     assert len(names) == len(T.basis) - 3 - 2 - 2
     assert names == [b.name for b in sorted(quotient.basis, key=lambda b: (b.degree, b.name))]
     word = quotient.multiply(
-        {quotient.index_of("c_0(y_1)"): 1}, {quotient.index_of("c_1(y_2)*c_0(y_3)"): 1}
+        (quotient.index_of("c_0(y_1)"), 1), quotient.index_of("c_1(y_2)*c_0(y_3)")
     )
-    assert word == {quotient.index_of("c_1(y_1)*c_0(y_2)*c_0(y_3)"): 1}
+    assert word == (quotient.index_of("c_1(y_1)*c_0(y_2)*c_0(y_3)"), 1)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def pinned_rings():
+    """(label, builder) for every catalog ring pin, the tensor and collapse
+    pins, and the word-ring pins of at most 500 classes."""
+    for e in json.loads((DATA / "catalog_ring_sha256.json").read_text()):
+        yield f"{e['ring']}{e['args']}", partial(getattr(catalog, e["ring"]), *e["args"])
+    for e in json.loads((DATA / "kunneth_ring_sha256.json").read_text()):
+        p, _, _, s = e["args"]
+        if p**s + s * (p - 1) * p ** (s - 1) <= 500:  # its number of classes
+            yield f"word_ring{e['args']}", partial(kunneth_quotient_ring, *e["args"])
+    derived = {
+        "product_rost.ring": lambda p, n: build_product_rost(p, n).ring,
+        "product_rost.bar": lambda p, n: build_product_rost(p, n).bar,
+        "chow_collapse": lambda p, n: chow_collapse(OmegaImageModel(p, (n,))),
+    }
+    for e in json.loads((DATA / "derived_ring_sha256.json").read_text()):
+        yield f"{e['ring']}{e['args']}", partial(derived[e["ring"]], *e["args"])
+
+
+HAND_BUILT = [
+    ("toy", toy_ring),
+    ("a^35", partial(truncated_polynomial_ring, 3, 35)),
+    ("a^35 on a, a^3", partial(truncated_polynomial_ring, 3, 35, (1, 3))),
+    ("inverted unit", inverted_unit_ring),
+    ("two generators p=3", partial(two_generator_ring, 3, 1, 2, 2, 1)),
+    ("two generators p=2", partial(two_generator_ring, 2, 2, 3, 3, 1)),
+    ("unit of order 3", lambda: ring_tensor(*torsion_unit_factors())),
+]
+PRODUCT_CASES = [*pinned_rings(), *HAND_BUILT]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in PRODUCT_CASES], ids=[label for label, _ in PRODUCT_CASES]
+)
+def test_multiply_gives_the_oracle_product_of_every_pair(build):
+    # the oracle derives each class's operator from the class below its word,
+    # in degree order; `multiply` walks the words of one class per call
+    ring = build()
+    table = product_table(ring)
+    for k, x in itertools.product(range(len(ring.basis)), repeat=2):
+        assert ring.multiply((x, 1), k) == table[k].get(x), (ring.basis[x].name, ring.basis[k].name)

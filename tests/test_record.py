@@ -117,7 +117,7 @@ def test_derived_fields_stay_out_of_equality():
     copy = PresentedRing(ring.p, ring.basis, ring.unit, ring.ops)
     ring.words()  # fills a cache of one ring only
     assert ring == copy
-    assert not {"_index", "_words", "_derived"} & set(PresentedRing._fields)
+    assert not {"_index", "_words", "_rows"} & set(PresentedRing._fields)
 
 
 def test_mutable_records_are_unhashable_and_assignable():
@@ -190,8 +190,7 @@ def test_every_function_and_class_is_named_outside_the_tests():
     (not `__init__.py`), in `scripts/`, or in `perfbench/`, where the words of
     string constants count too, so that the tracer's `TARGETS` keep theirs.
     The scan matches by name alone, so a method that shares its name with a
-    used one passes: `PresentedRing.to_json` does, through the reports'
-    `to_json`."""
+    used one passes."""
     package = sorted((ROOT / "src" / "rostcalc").glob("*.py"))
     used = set()
     for path in [*package, *sorted((ROOT / "scripts").glob("*.py"))]:
